@@ -8,7 +8,6 @@ Core layers:
   twisting   Dehn twists and twist words
   reduction  positive-twist reduction of curve pairs
   factorization  positive factorization of mapping classes
-  metrics    hyperbolic structures and verified length bounds
 """
 
 from .errors import (

@@ -2,7 +2,9 @@
 
 A thin layer over the arrangement engine. It adds the precondition guards the
 lower layer leaves out (essentiality, orientation), plus the record types the
-reduction pipeline consumes.
+reduction pipeline consumes. Essentiality reads the single-curve topology
+that overlay caches on each curve, so checking a curve again, or a reversed,
+reoriented or respaced copy of it, builds no new arrangement.
 """
 
 from __future__ import annotations
@@ -94,9 +96,6 @@ class IntersectionPattern:
     @property
     def signed_total(self) -> int:
         return sum(s for _, s in self.along_a)
-
-    def sign_of(self, point_id: int) -> int:
-        return self.along_a[point_id][1]
 
     def to_json(self) -> dict:
         return {

@@ -1,7 +1,6 @@
 """Exception hierarchy.
 
 All library errors derive from DehnkitError so callers can catch one type.
-The CLI maps subclasses onto distinct exit codes.
 """
 
 from __future__ import annotations

@@ -3,18 +3,25 @@
 A JointSystem places several embedded curves on one surface in general
 position: crossing positions on each edge are jointly renormalised (ties
 broken by curve index, a legal isotopy), every face is realised as a
-convex polygon with its boundary items at exact rational points of the
-parabola t -> (t, t^2), and curve chords become straight segments.  All
-intersection arithmetic runs over Fraction, so the combinatorics of the
-arrangement is exact.
+convex polygon with its boundary items at points (t, t^2) of a parabola,
+and curve chords become straight segments.  The first attempt puts the
+items at integer t, so each crossing's sign, and with it the rotation of
+the four darts at the crossing, is the sign of an integer cross product.
+Edge positions and the parameters of crossings along their chords stay
+exact Fractions; they order the crossings along each chord.
 
 From the arrangement we build a doubly-connected edge list whose cells
 are the complementary pieces inside single faces; cells glue across the
 skeleton edges into regions, the connected components of the complement
 of the curve system.  Each region knows its Euler characteristic and its
-boundary circuits (computed on the abstract cut complex, so no embedding
-subtleties), which is enough to recognise discs, annuli, bigons, and to
-cut the surface along a curve.
+boundary circuits, computed on the abstract cut complex by an integer
+union-find over corners (each named by the dart arriving at it), so no
+geometry enters.  That is enough to recognise discs, annuli, bigons, and
+to cut the surface along a curve.
+
+The single-curve predicates (null-homotopic, boundary-parallel,
+separating) share one arrangement per curve, and their answers are cached
+on the curve and on its isotopic copies.
 
 Degenerate triple concurrencies cannot occur for two curves and are
 dissolved for larger systems by retrying with perturbed polygon points;
@@ -27,13 +34,15 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Optional, Sequence
 
 from .errors import ComputationError, PreconditionError, ValidationError
-from .surface import CellSurface, EmbeddedCurve, UnionFind, _walk_coord
+from .surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve
 
 Vec = tuple[Fraction, Fraction]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _sub(u: Vec, v: Vec) -> Vec:
@@ -44,18 +53,22 @@ def _cross(u: Vec, v: Vec) -> Fraction:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _angular_cmp(u: Vec, v: Vec) -> int:
-    """Counterclockwise comparison of nonzero direction vectors from angle 0."""
-    hu = 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
-    hv = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-    if hu != hv:
-        return hu - hv
-    c = _cross(u, v)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+def _find(parent: list[int], x: int) -> int:
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+def _union(parent: list[int], a: int, b: int) -> int:
+    """Merge the classes of a and b; 1 if they were apart, else 0."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return 0
+    parent[ra] = rb
+    return 1
 
 
 class _Degenerate(Exception):
@@ -154,32 +167,30 @@ class JointSystem:
             wob = (rank * 2654435761 + attempt * 7919) % 997
             return Fraction(rank) + Fraction(wob, 10000)
 
-        # Per-face boundary items: corners and curve points in ccw order.
-        # Walking the face slot by slot, taking each slot's points in edge
-        # order (reversed when the slot runs the edge backwards), already
-        # yields the (entry, walk coordinate) order, so no sort is needed.
+        # Per-face boundary items (entry index, edge position, point or
+        # None for the entry's first corner), in ccw order.  Walking the
+        # face slot by slot, taking each slot's points in edge order
+        # (reversed when the slot runs the edge backwards), already yields
+        # the (entry, walk coordinate) order, so no sort is needed.
         n_faces = len(surf.faces)
         items: list[list[tuple]] = [[] for _ in range(n_faces)]
         for fi, face in enumerate(surf.faces):
             for j, (e, s) in enumerate(face):
-                items[fi].append((Fraction(j), Fraction(0), "corner", j))
+                items[fi].append((j, _ZERO if s > 0 else _ONE, None))
                 along = self.edge_order.get(e, ())
                 if s < 0:
                     along = reversed(along)
                 for ci, ei in along:  # points on this slot
-                    p = self.position[(ci, ei)]
-                    items[fi].append(
-                        (Fraction(j), _walk_coord(s, p), "point", (ci, ei, s))
-                    )
+                    items[fi].append((j, self.position[(ci, ei)], (ci, ei, s)))
 
-        point_rank: dict[tuple[int, int, int], tuple[int, int]] = {}
+        point_rank: dict[tuple[int, int, int], int] = {}
         coords: list[list[Vec]] = [[] for _ in range(n_faces)]
         for fi in range(n_faces):
             for r, item in enumerate(items[fi]):
                 t = t_of(r)
                 coords[fi].append((t, t * t))
-                if item[2] == "point":
-                    point_rank[item[3]] = (fi, r)
+                if item[2] is not None:
+                    point_rank[item[2]] = r
 
         # Chords: one per curve gap, living in the face both events share.
         chords: list[list[dict]] = [[] for _ in range(n_faces)]
@@ -189,8 +200,8 @@ class JointSystem:
                 e1, d1, _ = evs[g]
                 e2, d2, _ = evs[(g + 1) % n]
                 fi = surf.face_of_slot(e1, -d1)
-                ra = point_rank[(ci, g, -d1)][1]
-                rb = point_rank[(ci, (g + 1) % n, d2)][1]
+                ra = point_rank[(ci, g, -d1)]
+                rb = point_rank[(ci, (g + 1) % n, d2)]
                 chords[fi].append(
                     {"curve": ci, "gap": g, "ra": ra, "rb": rb, "hits": []}
                 )
@@ -201,7 +212,6 @@ class JointSystem:
         # are exactly its interleaving partners (a sorted suffix), so the
         # work is proportional to the crossings found, not all pairs.
         self.crossings: list[Crossing] = []
-        node_pt: dict[tuple, Vec] = {}
         cross_of_node: dict[tuple, Crossing] = {}
         for fi in range(n_faces):
             pts = coords[fi]
@@ -229,9 +239,8 @@ class JointSystem:
             pairs.sort()
             for x, y in pairs:
                 A, B = ch[x], ch[y]
-                a1, a2, b1, b2 = A["ra"], A["rb"], B["ra"], B["rb"]
-                p, q = pts[a1], pts[a2]
-                a, b = pts[b1], pts[b2]
+                p, q = pts[A["ra"]], pts[A["rb"]]
+                a, b = pts[B["ra"]], pts[B["rb"]]
                 d1v, d2v = _sub(q, p), _sub(b, a)
                 den = _cross(d1v, d2v)
                 if den == 0:
@@ -246,23 +255,20 @@ class JointSystem:
                 if not (0 < s < 1 and 0 < t < 1):
                     raise ComputationError("interleaved chords failed to cross")
                 node = ("x", fi, len(self.crossings))
-                pt = (p[0] + s * d1v[0], p[1] + s * d1v[1])
-                ij = A if A["curve"] < B["curve"] else B
-                ji = B if A["curve"] < B["curve"] else A
-                di = _sub(pts[ij["rb"]], pts[ij["ra"]])
-                dj = _sub(pts[ji["rb"]], pts[ji["ra"]])
-                cr = _cross(di, dj)
+                # (direction of the lower curve, direction of the other) is
+                # (A, B) or (B, A): den's sign, flipped in the second case
+                a_first = A["curve"] < B["curve"]
+                ij, ji = (A, B) if a_first else (B, A)
                 xg = Crossing(
                     face=fi,
                     curve_i=ij["curve"],
                     gap_i=ij["gap"],
                     curve_j=ji["curve"],
                     gap_j=ji["gap"],
-                    sign=(1 if cr > 0 else -1) * surf.chirality,
+                    sign=(1 if (den > 0) == a_first else -1) * surf.chirality,
                     node=node,
                 )
                 self.crossings.append(xg)
-                node_pt[node] = pt
                 cross_of_node[node] = xg
                 A["hits"].append((s, node))
                 B["hits"].append((t, node))
@@ -273,16 +279,16 @@ class JointSystem:
                     raise _Degenerate
 
         # ---- darts ----
-        # Boundary nodes ("b", face, rank); crossing nodes as above.
-        darts: list[dict] = []
-        twin: list[int] = []
+        # Boundary nodes ("b", face, rank); crossing nodes as above.  Darts
+        # come in twin pairs 2k, 2k + 1; each has a start node and a label.
+        starts: list[tuple] = []
+        labels: list[tuple] = []
 
-        def new_dart(frm, to, kind, label, gfrm, gto) -> int:
-            darts.append(
-                {"frm": frm, "to": to, "kind": kind, "label": label,
-                 "gfrm": gfrm, "gto": gto}
-            )
-            return len(darts) - 1
+        def new_pair(na, nb, label_f, label_b) -> tuple[int, int]:
+            f_id = len(starts)
+            starts.extend((na, nb))
+            labels.extend((label_f, label_b))
+            return f_id, f_id + 1
 
         # boundary segment darts, and the edge-interval key for gluing
         fwd_seg: dict[tuple[int, int], int] = {}
@@ -292,61 +298,49 @@ class JointSystem:
             M = len(items[fi])
             for r in range(M):
                 r2 = (r + 1) % M
-                na, nb = ("b", fi, r), ("b", fi, r2)
-                f_id = new_dart(na, nb, "B", None, coords[fi][r], coords[fi][r2])
-                b_id = new_dart(nb, na, "B", None, coords[fi][r2], coords[fi][r])
+                # entry of this segment and its interval on the edge
+                j, p_lo, point = items[fi][r]
+                e, s = surf.faces[fi][j]
+                if r2 == r or items[fi][r2][0] != j:
+                    p_hi = _ONE if s > 0 else _ZERO  # the entry's far corner
+                else:
+                    p_hi = items[fi][r2][1]
+                lo, hi = (p_lo, p_hi) if s > 0 else (p_hi, p_lo)
+                f_id, b_id = new_pair(
+                    ("b", fi, r), ("b", fi, r2),
+                    ("B", e, s, lo, hi, True), ("B", e, s, lo, hi, False),
+                )
                 fwd_seg[(fi, r)] = f_id
                 bwd_seg[(fi, r)] = b_id
-                twin.extend([0, 0])
-                twin[f_id], twin[b_id] = b_id, f_id
-                # entry of this segment and its interval on the edge
-                item = items[fi][r]
-                j = int(item[0])
-                e, s = surf.faces[fi][j]
-                c_lo = item[1]
-                if r2 == r or items[fi][r2][0] != item[0]:
-                    c_hi = Fraction(1)  # runs to the entry's far corner
-                else:
-                    c_hi = items[fi][r2][1]
-                if s > 0:
-                    lo, hi = c_lo, c_hi
-                else:
-                    lo, hi = 1 - c_hi, 1 - c_lo
-                darts[f_id]["label"] = ("B", e, s, lo, hi, True)
-                darts[b_id]["label"] = ("B", e, s, lo, hi, False)
                 # glue identity as an integer gap index: the number of edge
                 # points strictly below the interval in the edge frame
-                m_e = len(self.edge_order.get(e, ()))
-                if item[2] == "corner":
-                    gap = 0 if s > 0 else m_e
+                if point is None:
+                    gap = 0 if s > 0 else len(self.edge_order.get(e, ()))
                 else:
-                    q = self.edge_rank[item[3][:2]]
+                    q = self.edge_rank[point[:2]]
                     gap = q + 1 if s > 0 else q
                 glue_key_of[f_id] = (e, gap)
 
-        # chord segment darts
+        # chord segment darts; at each crossing node, the outgoing pair
+        # (forward, backward) each of its two chords contributes
         chord_darts: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        node_outs: dict[tuple, dict[tuple[int, int], tuple[int, int]]] = {}
         for fi in range(n_faces):
             for c in chords[fi]:
                 ci, g = c["curve"], c["gap"]
                 stops: list[tuple] = [("b", fi, c["ra"])]
                 stops += [h[1] for h in c["hits"]]
                 stops.append(("b", fi, c["rb"]))
-                pts_stop = [coords[fi][c["ra"]]]
-                pts_stop += [node_pt[h[1]] for h in c["hits"]]
-                pts_stop.append(coords[fi][c["rb"]])
-                segs = []
-                for k in range(len(stops) - 1):
-                    f_id = new_dart(stops[k], stops[k + 1], "C",
-                                    ("C", ci, g, k, True),
-                                    pts_stop[k], pts_stop[k + 1])
-                    b_id = new_dart(stops[k + 1], stops[k], "C",
-                                    ("C", ci, g, k, False),
-                                    pts_stop[k + 1], pts_stop[k])
-                    twin.extend([0, 0])
-                    twin[f_id], twin[b_id] = b_id, f_id
-                    segs.append((f_id, b_id))
+                segs = [
+                    new_pair(stops[k], stops[k + 1],
+                             ("C", ci, g, k, True), ("C", ci, g, k, False))
+                    for k in range(len(stops) - 1)
+                ]
                 chord_darts[(ci, g)] = segs
+                for k in range(1, len(stops) - 1):
+                    node_outs.setdefault(stops[k], {})[(ci, g)] = (
+                        segs[k][0], segs[k - 1][1]
+                    )
 
         # ---- rotation at each node (ccw order of outgoing darts) ----
         sigma: dict[tuple, list[int]] = {}
@@ -356,11 +350,11 @@ class JointSystem:
                 node = ("b", fi, r)
                 f_next = fwd_seg[(fi, r)]
                 b_prev = bwd_seg[(fi, (r - 1) % M)]
-                item = items[fi][r]
-                if item[2] == "corner":
+                point = items[fi][r][2]
+                if point is None:
                     sigma[node] = [f_next, b_prev]
                 else:
-                    ci, ei, s = item[3]
+                    ci, ei, s = point
                     # chord end here: exit end of gap ei or entry end of
                     # gap ei-1, by which slot side the point occupies
                     e, d, _ = self.events[ci][ei]
@@ -370,25 +364,29 @@ class JointSystem:
                         n_ev = len(self.events[ci])
                         out = chord_darts[(ci, (ei - 1) % n_ev)][-1][1]
                     sigma[node] = [f_next, out, b_prev]
-        by_node: dict[tuple, list[int]] = {}
-        for did, d in enumerate(darts):
-            if d["frm"][0] == "x":
-                by_node.setdefault(d["frm"], []).append(did)
-        for node, outs in by_node.items():
-            if len(outs) != 4:
+        # The outgoing darts at a crossing run along +-(chord of curve i)
+        # and +-(chord of curve j); +j lies ccw of +i within a half turn
+        # exactly when cross(d_i, d_j) > 0, the sign the crossing records.
+        for node, xg in cross_of_node.items():
+            outs = node_outs.get(node, {})
+            pi = outs.get((xg.curve_i, xg.gap_i))
+            pj = outs.get((xg.curve_j, xg.gap_j))
+            if len(outs) != 2 or pi is None or pj is None:
                 raise ComputationError("crossing node without four darts")
-            dirs = {d: _sub(darts[d]["gto"], darts[d]["gfrm"]) for d in outs}
-            outs.sort(key=cmp_to_key(lambda a, b: _angular_cmp(dirs[a], dirs[b])))
-            sigma[node] = outs
+            if xg.sign * surf.chirality > 0:
+                sigma[node] = [pi[0], pj[0], pi[1], pj[1]]
+            else:
+                sigma[node] = [pi[0], pj[1], pi[1], pj[0]]
 
         # ---- cells: orbits of phi(d) = sigma-predecessor of twin(d) ----
-        phi: list[int] = [0] * len(darts)
-        for did in range(len(darts)):
-            tw = twin[did]
-            rot = sigma[darts[tw]["frm"]]
+        n_darts = len(starts)
+        phi: list[int] = [0] * n_darts
+        for did in range(n_darts):
+            tw = did ^ 1
+            rot = sigma[starts[tw]]
             phi[did] = rot[(rot.index(tw) - 1) % len(rot)]
 
-        cell_of: dict[int, int] = {}
+        cell_of: list[int] = [-1] * n_darts  # -1 on face exteriors
         cells: list[list[int]] = []
         exterior: set[int] = set()
         for fi in range(n_faces):
@@ -403,12 +401,12 @@ class JointSystem:
             if orbit != expected:
                 raise ComputationError("exterior walk left the face boundary")
             exterior |= orbit
-        for did in range(len(darts)):
-            if did in cell_of or did in exterior:
+        for did in range(n_darts):
+            if cell_of[did] >= 0 or did in exterior:
                 continue
             cycle = []
             d = did
-            while d not in cell_of:
+            while cell_of[d] < 0:
                 cell_of[d] = len(cells)
                 cycle.append(d)
                 d = phi[d]
@@ -429,63 +427,52 @@ class JointSystem:
             partner[a] = b
             partner[b] = a
 
-        ruf = UnionFind()
-        for idx in range(len(cells)):
-            ruf.find(idx)
+        cell_parent = list(range(len(cells)))
         for a, b in partner.items():
-            ruf.union(cell_of[a], cell_of[b])
+            _union(cell_parent, cell_of[a], cell_of[b])
 
         # ---- region topology on the abstract cut complex ----
-        pos_in_cell: dict[int, tuple[int, int]] = {}
-        for cidx, cyc in enumerate(cells):
+        # A corner is named by the dart arriving at it, so the corner a dart
+        # leaves from is the one its predecessor in the cell arrives at.
+        pred: list[int] = list(range(n_darts))
+        for cyc in cells:
             for k, did in enumerate(cyc):
-                pos_in_cell[did] = (cidx, k)
-
-        def head_corner(did: int) -> tuple[int, int]:
-            cidx, k = pos_in_cell[did]
-            return (cidx, k)
-
-        def tail_corner(did: int) -> tuple[int, int]:
-            cidx, k = pos_in_cell[did]
-            return (cidx, (k - 1) % len(cells[cidx]))
+                pred[did] = cyc[k - 1]
+        corner_parent: list[int] = list(range(n_darts))
 
         groups: dict[int, list[int]] = {}
         for cidx in range(len(cells)):
-            groups.setdefault(ruf.find(cidx), []).append(cidx)
+            groups.setdefault(_find(cell_parent, cidx), []).append(cidx)
 
         regions: list[Region] = []
         self.region_of_cell: dict[int, int] = {}
         for root in sorted(groups):
-            cell_idxs = sorted(groups[root])
+            cell_idxs = groups[root]
             ridx = len(regions)
             for cidx in cell_idxs:
                 self.region_of_cell[cidx] = ridx
-            cuf = UnionFind()
             region_darts = [d for cidx in cell_idxs for d in cells[cidx]]
-            for did in region_darts:
-                cuf.find(head_corner(did))
-                cuf.find(tail_corner(did))
+            merges = 0
             glued_pairs = 0
             unglued: list[int] = []
             for did in region_darts:
-                if did in partner:
-                    other = partner[did]
-                    if did < other:
-                        glued_pairs += 1
-                        cuf.union(head_corner(did), tail_corner(other))
-                        cuf.union(tail_corner(did), head_corner(other))
-                else:
+                other = partner.get(did)
+                if other is None:
                     unglued.append(did)
-            V = len(cuf.groups())
+                elif did < other:
+                    glued_pairs += 1
+                    merges += _union(corner_parent, did, pred[other])
+                    merges += _union(corner_parent, pred[did], other)
+            V = len(region_darts) - merges
             E = glued_pairs + len(unglued)
             F = len(cell_idxs)
             chi = V - E + F
 
             # boundary circuits: at each boundary corner class exactly one
             # unglued dart departs
-            out_at: dict = {}
+            out_at: dict[int, int] = {}
             for did in unglued:
-                key = cuf.find(tail_corner(did))
+                key = _find(corner_parent, pred[did])
                 if key in out_at:
                     raise ComputationError("boundary corner with two outgoing darts")
                 out_at[key] = did
@@ -499,7 +486,7 @@ class JointSystem:
                 while d not in seen:
                     seen.add(d)
                     circuit.append(d)
-                    d = out_at[cuf.find(head_corner(d))]
+                    d = out_at[_find(corner_parent, d)]
                 if d != did:
                     raise ComputationError("boundary walk did not close")
                 circuits.append(tuple(circuit))
@@ -509,23 +496,19 @@ class JointSystem:
             )
 
         self.regions = tuple(regions)
-        self._darts = darts
-        self._twin = twin
-        self._phi = phi
-        self._sigma = sigma
+        self._starts = starts
+        self._labels = labels
         self._cells = cells
         self._cell_of = cell_of
         self._partner = partner
         self._chord_darts = chord_darts
-        self._point_rank = point_rank
-        self._items = items
         self._cross_of_node = cross_of_node
 
     # ------------------------------------------------------------------
     # queries
 
     def dart_label(self, did: int) -> tuple:
-        return self._darts[did]["label"]
+        return self._labels[did]
 
     def crossings_between(self, i: int, j: int) -> list[Crossing]:
         i, j = min(i, j), max(i, j)
@@ -534,7 +517,7 @@ class JointSystem:
     def renormalized_curve(self, i: int) -> EmbeddedCurve:
         """Curve i with its events respaced to the joint coordinate frame."""
         return EmbeddedCurve._respaced(
-            self.surface, tuple(self.events[i]), self.curves[i].oriented
+            self.surface, tuple(self.events[i]), self.curves[i]
         )
 
     def crossing_count(self, i: int, j: int) -> int:
@@ -546,7 +529,7 @@ class JointSystem:
         for g in range(len(self.events[ci])):
             # interior stops of the gap's chord are crossing nodes, in order
             for f_id, _ in self._chord_darts[(ci, g)][1:]:
-                out.append(self._cross_of_node[self._darts[f_id]["frm"]])
+                out.append(self._cross_of_node[self._starts[f_id]])
         return out
 
     def circuit_curve_runs(self, circuit: tuple[int, ...]) -> list[tuple]:
@@ -557,7 +540,7 @@ class JointSystem:
         """
         blocks: list[tuple] = []
         for did in circuit:
-            lab = self._darts[did]["label"]
+            lab = self._labels[did]
             key = lab[1] if lab[0] == "C" else None
             if blocks and blocks[-1][0] == key:
                 blocks[-1][1].append(did)
@@ -634,8 +617,8 @@ class JointSystem:
         if cb != move or ca == cb:
             raise PreconditionError(f"bigon does not involve curve {move}")
 
-        labels_a = [self._darts[d]["label"] for d in darts_a]
-        labels_b = [self._darts[d]["label"] for d in darts_b]
+        labels_a = [self._labels[d] for d in darts_a]
+        labels_b = [self._labels[d] for d in darts_b]
         a_fwd = labels_a[0][4]
         b_fwd = labels_b[0][4]
         if any(l[4] != a_fwd for l in labels_a) or any(l[4] != b_fwd for l in labels_b):
@@ -791,17 +774,24 @@ def _full_copy_circuit(system: JointSystem, circuit, curve: int) -> bool:
     return len(labels) == len(system.curves[curve].events)
 
 
-def is_null_homotopic(c: EmbeddedCurve) -> bool:
-    system = JointSystem(c.surface, (c,))
-    for reg in system.regions:
-        if reg.is_disc and len(reg.circuits) == 1:
-            if _full_copy_circuit(system, reg.circuits[0], 0):
-                return True
-    return False
+@dataclass(frozen=True)
+class CurveTopology:
+    """What the arrangement of a curve alone says about it."""
+
+    null_homotopic: bool  # bounds a disc
+    boundary_parallel: bool  # cobounds an annulus with a boundary circuit
+    separating: bool  # its complement has two regions
 
 
-def is_boundary_parallel(c: EmbeddedCurve) -> bool:
-    system = JointSystem(c.surface, (c,))
+def _bounds_disc(system: JointSystem) -> bool:
+    return any(
+        reg.is_disc and len(reg.circuits) == 1
+        and _full_copy_circuit(system, reg.circuits[0], 0)
+        for reg in system.regions
+    )
+
+
+def _cobounds_collar(system: JointSystem) -> bool:
     for reg in system.regions:
         if not reg.is_annulus:
             continue
@@ -820,8 +810,33 @@ def is_boundary_parallel(c: EmbeddedCurve) -> bool:
     return False
 
 
+def _curve_topology(c: EmbeddedCurve) -> CurveTopology:
+    """Topology of c from one arrangement, cached on c and its copies.
+
+    Only the answers are kept, not the arrangement.
+    """
+    topology = c.__dict__.get(TOPOLOGY_KEY)
+    if topology is None:
+        system = JointSystem(c.surface, (c,))
+        topology = CurveTopology(
+            null_homotopic=_bounds_disc(system),
+            boundary_parallel=_cobounds_collar(system),
+            separating=len(system.regions) == 2,
+        )
+        c.__dict__[TOPOLOGY_KEY] = topology
+    return topology
+
+
+def is_null_homotopic(c: EmbeddedCurve) -> bool:
+    return _curve_topology(c).null_homotopic
+
+
+def is_boundary_parallel(c: EmbeddedCurve) -> bool:
+    return _curve_topology(c).boundary_parallel
+
+
 def is_separating(c: EmbeddedCurve) -> bool:
-    return len(JointSystem(c.surface, (c,)).regions) == 2
+    return _curve_topology(c).separating
 
 
 def curves_isotopic(a: EmbeddedCurve, b: EmbeddedCurve) -> bool:
@@ -951,7 +966,7 @@ def connecting_curve(system: JointSystem, i: int, j: Optional[int] = None,
     With j omitted the loop is pinned at a single crossing with curve i
     and meets the complement in one arc joining the two sides.
     """
-    darts = system._darts
+    labels = system._labels
     partner = system._partner
     cell_of = system._cell_of
     region_of = system.region_of_cell
@@ -960,7 +975,7 @@ def connecting_curve(system: JointSystem, i: int, j: Optional[int] = None,
     for f_id in sorted(partner):
         adj[cell_of[f_id]].append((cell_of[partner[f_id]], f_id))
     for u in adj:
-        adj[u].sort(key=lambda t: (t[0], darts[t[1]]["label"][1:]))
+        adj[u].sort(key=lambda t: (t[0], labels[t[1]][1:]))
 
     def flanks(ci):
         out = []
@@ -989,7 +1004,7 @@ def connecting_curve(system: JointSystem, i: int, j: Optional[int] = None,
         return None
 
     def event_of(f_id):
-        _, e, s, lo, hi, _ = darts[partner[f_id]]["label"]
+        _, e, s, lo, hi, _ = labels[partner[f_id]]
         return (e, -s, (lo + hi) / 2)
 
     def reversed_path(path):

@@ -50,6 +50,12 @@ def tail_end(edge: str, sign: int) -> End:
     return (edge, 0 if sign > 0 else 1)
 
 
+# Instance-__dict__ key under which overlay caches a curve's single-curve
+# topology (see overlay._curve_topology). The isotopic copies made here
+# (reversed, reoriented, respaced) share it.
+TOPOLOGY_KEY = "_topology"
+
+
 class UnionFind:
     def __init__(self):
         self._parent: dict = {}
@@ -388,28 +394,39 @@ class EmbeddedCurve:
 
     @classmethod
     def _respaced(
-        cls, surface: CellSurface, events: tuple, oriented: bool
+        cls, surface: CellSurface, events: tuple, source: "EmbeddedCurve"
     ) -> "EmbeddedCurve":
         # Fast path for per-edge order-preserving respacings of an already
-        # validated curve: the combinatorics cannot change, so skip the
-        # constructor's revalidation.  Caller supplies canonical events.
+        # validated curve `source`: the combinatorics cannot change, so skip
+        # the constructor's revalidation.  Caller supplies canonical events.
         self = object.__new__(cls)
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "events", events)
-        object.__setattr__(self, "oriented", oriented)
-        return self
+        object.__setattr__(self, "oriented", source.oriented)
+        return source._share_topology(self)
+
+    def _share_topology(self, copy: "EmbeddedCurve") -> "EmbeddedCurve":
+        """Hand this curve's cached topology to an isotopic copy."""
+        topology = self.__dict__.get(TOPOLOGY_KEY)
+        if topology is not None:
+            copy.__dict__[TOPOLOGY_KEY] = topology
+        return copy
 
     def __len__(self) -> int:
         return len(self.events)
 
     def reverse(self) -> "EmbeddedCurve":
         ev = tuple((e, -d, p) for e, d, p in reversed(self.events))
-        return EmbeddedCurve(self.surface, ev, oriented=self.oriented)
+        return self._share_topology(
+            EmbeddedCurve(self.surface, ev, oriented=self.oriented)
+        )
 
     def with_orientation(self, oriented: bool) -> "EmbeddedCurve":
         if oriented == self.oriented:
             return self
-        return EmbeddedCurve(self.surface, self.events, oriented=oriented)
+        return self._share_topology(
+            EmbeddedCurve(self.surface, self.events, oriented=oriented)
+        )
 
     def positions_on_edge(self, edge: str) -> list[Fraction]:
         return sorted(p for e, _, p in self.events if e == edge)
@@ -426,7 +443,7 @@ class EmbeddedCurve:
             for k, p in enumerate(ps):
                 rank[(e, p)] = Fraction(k + 1, m + 1)
         ev = tuple((e, d, rank[(e, p)]) for e, d, p in self.events)
-        return EmbeddedCurve._respaced(self.surface, ev, self.oriented)
+        return EmbeddedCurve._respaced(self.surface, ev, self)
 
     @cached_property
     def canonical_key(self) -> tuple:
