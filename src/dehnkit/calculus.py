@@ -129,17 +129,22 @@ class PairClass:
         return {"tag": self.tag, "count": self.count}
 
 
-def classify_pair(a: EmbeddedCurve, b: EmbeddedCurve) -> PairClass:
-    _require_essential(a, b)
-    k = geometric_intersection_number(a, b)
+def pair_class(system: JointSystem) -> PairClass:
+    """Class of curves 0 and 1 of a minimal-position arrangement.
+
+    The algebraic intersection, needed only at two crossings, is the sum of
+    the crossing signs: bigon removal keeps it, so any position gives it.
+    """
+    k = system.crossing_count(0, 1)
     if k == 0:
         return PairClass("disjoint", 0)
     if k == 1:
         return PairClass("one_point", 1)
-    if k == 2:
-        alg = algebraic_intersection(
-            a.with_orientation(True), b.with_orientation(True)
-        )
-        if alg == 0:
-            return PairClass("two_zero", 2)
+    if k == 2 and sum(c.sign for c in system.crossings_between(0, 1)) == 0:
+        return PairClass("two_zero", 2)
     return PairClass("other", k)
+
+
+def classify_pair(a: EmbeddedCurve, b: EmbeddedCurve) -> PairClass:
+    _require_essential(a, b)
+    return pair_class(_joint_minimal_position(a, b)[2])

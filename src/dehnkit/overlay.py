@@ -17,15 +17,18 @@ of the curve system.  Each region knows its Euler characteristic and its
 boundary circuits, computed on the abstract cut complex by an integer
 union-find over corners (each named by the dart arriving at it), so no
 geometry enters.  That is enough to recognise discs, annuli, bigons, and
-to cut the surface along a curve.
+to cut the surface along a curve.  Minimal position removes bigons by
+pushing one curve across them; a bigon and the rectangles stacked on it
+(nested bigons) are pushed across together.
 
 The single-curve predicates (null-homotopic, boundary-parallel,
 separating) share one arrangement per curve, and their answers are cached
 on the curve and on its isotopic copies.
 
 Degenerate triple concurrencies cannot occur for two curves and are
-dissolved for larger systems by retrying with perturbed polygon points;
-the region structure does not depend on the choice.
+dissolved for larger systems by retrying with polygon points perturbed
+quadratically in their rank; the region structure does not depend on the
+choice.
 """
 
 from __future__ import annotations
@@ -164,7 +167,9 @@ class JointSystem:
         def t_of(rank: int):
             if attempt == 0:
                 return rank  # integer coordinates keep the arithmetic cheap
-            wob = (rank * 2654435761 + attempt * 7919) % 997
+            # quadratic in the rank: an affine wobble would map the points
+            # (t, t^2) affinely and keep their triple concurrencies
+            wob = (rank * rank * 7919 + rank * 104729 + attempt * 2654435761) % 997
             return Fraction(rank) + Fraction(wob, 10000)
 
         # Per-face boundary items (entry index, edge position, point or
@@ -523,6 +528,28 @@ class JointSystem:
     def crossing_count(self, i: int, j: int) -> int:
         return len(self.crossings_between(i, j))
 
+    def crossing_params(self, ci: int) -> dict[Crossing, Fraction]:
+        """Annulus coordinate of each crossing met by curve ci.
+
+        The r-th of the k crossings on gap g sits at g + (r + 1)/(k + 1),
+        strictly inside the gap; only the cyclic order matters.
+        """
+        params = {}
+        for g in range(len(self.events[ci])):
+            hits = self._chord_darts[(ci, g)][1:]
+            for r, (f_id, _) in enumerate(hits):
+                node = self._starts[f_id]
+                params[self._cross_of_node[node]] = g + Fraction(r + 1, len(hits) + 1)
+        return params
+
+    def safe_radius(self, e: str) -> Fraction:
+        """Half the spacing of the joint frame on edge e.
+
+        The m points on e sit at k/(m + 1), so an offset smaller than this
+        around any of them stays clear of the others and of the edge ends.
+        """
+        return Fraction(1, 2 * (len(self.edge_order[e]) + 1))
+
     def crossing_order_along(self, ci: int) -> list[Crossing]:
         """All crossings met by curve ci, in traversal order (cyclically)."""
         out = []
@@ -598,25 +625,69 @@ class JointSystem:
             raise ComputationError("run of darts is not a curve arc")
         return out
 
-    def _bigon_splice(self, region: Region, move: int):
-        """Splice data for pushing curve `move`'s side of a bigon across.
-
-        Returns (g_enter, m, new_events, a_used): the moved curve keeps
-        its event at gap g_enter, drops the next m events and runs
-        new_events in their place; a_used names the stationary curve's
-        events the replacement strand shadows.
-        """
+    def _bigon_runs(self, region: Region, move: int) -> tuple[list, list]:
+        """(stationary run, moving run) of a bigon, as dart lists."""
         if not region.is_disc or len(region.circuits) != 1:
             raise PreconditionError("region is not a bigon")
         runs = self.circuit_curve_runs(region.circuits[0])
         if len(runs) != 2 or None in {runs[0][0], runs[1][0]}:
             raise PreconditionError("region is not a bigon")
-        (ca, darts_a), (cb, darts_b) = runs
-        if cb != move:
-            (ca, darts_a), (cb, darts_b) = (cb, darts_b), (ca, darts_a)
-        if cb != move or ca == cb:
+        if runs[1][0] != move:
+            runs.reverse()
+        if runs[1][0] != move or runs[0][0] == move:
             raise PreconditionError(f"bigon does not involve curve {move}")
+        return runs[0][1], runs[1][1]
 
+    def bigon_stack(self, region: Region, move: int) -> list[tuple[list, list]]:
+        """The bigons nested around an innermost bigon, innermost first.
+
+        Crossing the moving curve's side of the bigon leads into the next
+        region.  While that region is a rectangle (a disc with one circuit
+        whose runs alternate stationary, moving, stationary, moving) the
+        union of the bigon and the rectangle is again a bigon: its
+        stationary side is the bigon's, extended by the rectangle's two
+        stationary sides, and its moving side is the rectangle's far side.
+        Returns (stationary run, moving run) for each bigon of the stack.
+        """
+        a_run, b_run = self._bigon_runs(region, move)
+        _, stay, _, _, fwd = self._labels[a_run[0]]
+        stack = [(a_run, b_run)]
+        seen = {region.index}
+        while True:
+            nxt = self.region_of_cell[self._cell_of[b_run[0] ^ 1]]
+            reg = self.regions[nxt]
+            if nxt in seen or not reg.is_disc or len(reg.circuits) != 1:
+                return stack
+            seen.add(nxt)
+            rect = self.circuit_curve_runs(reg.circuits[0])
+            if [c for c, _ in rect] not in ([stay, move] * 2, [move, stay] * 2):
+                return stack
+            twins = sorted(d ^ 1 for d in b_run)
+            k = next((k for k, (_, darts) in enumerate(rect)
+                      if sorted(darts) == twins), None)
+            if k is None:
+                return stack
+            before, after = rect[k - 1][1], rect[(k + 1) % 4][1]
+            if any(self._labels[d][4] != fwd for d in before + after):
+                return stack
+            a_run = before + a_run + after
+            b_run = rect[(k + 2) % 4][1]
+            stack.append((a_run, b_run))
+
+    def _bigon_splice(self, darts_a: list, darts_b: list, move: int, shift: Fraction):
+        """Splice data for pushing curve `move`'s side of a bigon across.
+
+        The bigon is given by its two runs of darts in circuit order, the
+        stationary curve's and the moving curve's.  Returns (g_enter, m,
+        new_events, a_used): the moved curve keeps its event at gap
+        g_enter, drops the next m events and runs new_events in their
+        place; a_used names the stationary curve's events the replacement
+        strand shadows.  Each replacement event sits the fraction `shift`
+        of the way from the stationary curve's event to its neighbour on
+        the far side.
+        """
+        cb = move
+        ca = self._labels[darts_a[0]][1]
         labels_a = [self._labels[d] for d in darts_a]
         labels_b = [self._labels[d] for d in darts_b]
         a_fwd = labels_a[0][4]
@@ -656,43 +727,60 @@ class JointSystem:
                 )
             else:
                 nb_pos = self.position[order[k - 1]] if k > 0 else Fraction(0)
-            new_events.append((e, d_new, p + (nb_pos - p) * Fraction(1, 3)))
+            new_events.append((e, d_new, p + (nb_pos - p) * shift))
 
         a_used = frozenset((ca, ev) for ev in a_inside)
         return g_enter, len(inside_own), new_events, a_used
 
     def reroute_through_bigons(
-        self, regions: Sequence[Region], move: int
+        self, regions: Sequence[Region], move: int, stacks: bool = True
     ) -> tuple[EmbeddedCurve, int]:
         """Push curve `move` across several independent bigons at once.
 
-        Bigons whose support overlaps one already taken are skipped, so
-        the splices never interfere.  Returns (curve, taken); each taken
-        bigon drops the raw crossing count by exactly two.
+        With `stacks`, each innermost bigon brings the stack of bigons
+        nested around it (see bigon_stack), and every strand of the stack
+        is pushed across in this one call: strand i follows the stationary
+        side of the i-th bigon, and the parallel copies are ordered the way
+        one bigon per call would leave them, the outermost strand nearest
+        the stationary curve.  A strand whose support overlaps one already
+        taken ends its stack there, and a stack whose first strand does is
+        skipped, so the splices never interfere.  Returns (curve, taken);
+        each taken strand drops the raw crossing count by exactly two.
         """
         nb = len(self.curves[move].events)
         splices: list[tuple[int, int, list]] = []
         used_b: set[int] = set()
         used_a: set = set()
         for region in regions:
-            g, m, new_events, a_used = self._bigon_splice(region, move)
-            if m >= nb:
-                # Run wraps the whole curve: every old event is replaced.
-                if splices:
-                    continue
-                if not new_events:
-                    raise ComputationError("bigon removal would erase the curve")
-                whole = EmbeddedCurve(
-                    self.surface, tuple(new_events),
-                    oriented=self.curves[move].oriented,
+            if stacks:
+                stack = self.bigon_stack(region, move)
+            else:
+                stack = [self._bigon_runs(region, move)]
+            depth = len(stack)
+            stack_a: set = set()
+            for i, (darts_a, darts_b) in enumerate(stack):
+                g, m, new_events, a_used = self._bigon_splice(
+                    darts_a, darts_b, move, Fraction(depth - i, 3 * depth)
                 )
-                return whole, 1
-            block = {(g + t) % nb for t in range(m + 1)}
-            if block & used_b or a_used & used_a:
-                continue
-            splices.append((g, m, new_events))
-            used_b |= block
-            used_a |= a_used
+                if m >= nb:
+                    # Run wraps the whole curve: every old event is replaced.
+                    if splices:
+                        break
+                    if not new_events:
+                        raise ComputationError("bigon removal would erase the curve")
+                    whole = EmbeddedCurve(
+                        self.surface, tuple(new_events),
+                        oriented=self.curves[move].oriented,
+                    )
+                    return whole, 1
+                block = {(g + t) % nb for t in range(m + 1)}
+                if block & used_b or a_used & used_a:
+                    break
+                splices.append((g, m, new_events))
+                used_b |= block
+                # nested strands shadow nested runs of the stationary curve
+                stack_a |= a_used
+            used_a |= stack_a
 
         joint_b = self.events[move]
         skip = {g: (m, evs) for g, m, evs in splices}
@@ -731,6 +819,14 @@ def minimal_position(
     to that frame as well or the new points land on the wrong side of it.
     A pair with all crossings of equal sign is already minimal, so the
     common case returns after one arrangement build.
+
+    Each further round builds one arrangement and peels every innermost
+    bigon together with the stack of bigons nested around it (see
+    JointSystem.bigon_stack), so a stack costs one round whatever its
+    depth.  A round removes at least one bigon, so k crossings take at
+    most k/2 rounds; further rounds come only from bigons that pass the
+    same events of a or b as one peeled before them, and from bigons
+    that peeling uncovers.
     """
     if a.surface.faces != b.surface.faces:
         raise PreconditionError("curves live on different surfaces")
@@ -754,7 +850,9 @@ def minimal_position(
         except ValidationError:
             # Independence filtering is conservative, not airtight; one
             # bigon at a time always assembles.
-            b, removed = system.reroute_through_bigons(bigons[:1], move=1)
+            b, removed = system.reroute_through_bigons(
+                bigons[:1], move=1, stacks=False
+            )
         expect = k - 2 * removed
 
 

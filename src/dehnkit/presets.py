@@ -314,10 +314,6 @@ def build_presets_once() -> None:
         build_preset(name)
 
 
-def _frac(n, d):
-    return Fraction(n, d)
-
-
 @lru_cache(maxsize=None)
 def build_preset(name: str) -> PresetSurface:
     """Construct a named preset surface with its registered curve system."""
@@ -346,8 +342,8 @@ def _build_torus() -> PresetSurface:
 
 def _build_one_holed_torus() -> PresetSurface:
     s = CellSurface(_ONE_HOLED_FACES)
-    a1 = EmbeddedCurve(s, (("v", 1, _frac(1, 2)),), oriented=False)
-    dual1 = EmbeddedCurve(s, (("h", -1, _frac(1, 2)),), oriented=False)
+    a1 = EmbeddedCurve(s, (("v", 1, Fraction(1, 2)),), oriented=False)
+    dual1 = EmbeddedCurve(s, (("h", -1, Fraction(1, 2)),), oriented=False)
     bp1 = boundary_parallel_curve(s, 0)
     flows = (Flow("x", s, {"v": 1}), Flow("y", s, {"h": -1}))
     pants = _build_pants(s, [a1], [bp1], [dual1], {0: dual1})
@@ -358,15 +354,15 @@ def _build_one_holed_torus() -> PresetSurface:
 def _build_four_holed_sphere() -> PresetSurface:
     s = CellSurface(_FOUR_HOLED_FACES)
     a1 = EmbeddedCurve(
-        s, (("q", -1, _frac(1, 4)), ("p", -1, _frac(1, 4))), oriented=False
+        s, (("q", -1, Fraction(1, 4)), ("p", -1, Fraction(1, 4))), oriented=False
     )
     dual1 = EmbeddedCurve(
         s,
         (
-            ("q", 1, _frac(1, 4)),
-            ("w", 1, _frac(1, 3)),
-            ("q2", 1, _frac(1, 4)),
-            ("w", -1, _frac(2, 3)),
+            ("q", 1, Fraction(1, 4)),
+            ("w", 1, Fraction(1, 3)),
+            ("q2", 1, Fraction(1, 4)),
+            ("w", -1, Fraction(2, 3)),
         ),
         oriented=False,
     )
@@ -393,10 +389,10 @@ def _build_genus2() -> PresetSurface:
     (dual2,) = subgraph_link(s, {"b0", "c1", "c1p"})  # the separating waist
     (dual3,) = subgraph_link(s, {"b0", "c2", "c2p"})
     t1 = EmbeddedCurve(
-        s, (("b0", 1, _frac(1, 2)), ("b1", -1, _frac(1, 2))), oriented=False
+        s, (("b0", 1, Fraction(1, 2)), ("b1", -1, Fraction(1, 2))), oriented=False
     )
     t2 = EmbeddedCurve(
-        s, (("b1", 1, _frac(1, 2)), ("b2", -1, _frac(1, 2))), oriented=False
+        s, (("b1", 1, Fraction(1, 2)), ("b2", -1, Fraction(1, 2))), oriented=False
     )
     flows = (
         Flow("h1", s, {"c1": 1, "c1p": -1}),

@@ -6,17 +6,21 @@ candidate pool enumerates every splice (crossing pair, either arc of each
 curve, either side for the parallel copies) and keeps the first one that
 passes the descent test; iterating lands in a terminal class in at most the
 initial number of crossings.
+
+Different splices often close up into the same curve.  A candidate whose
+canonical key was already tried in the step is skipped before it is twisted:
+every rejection test (essential, misses `avoid`, descent) is an isotopy
+invariant, so a repeat would be rejected again and the first candidate that
+passes is unchanged.  The descent test puts (a, twisted b) in minimal
+position; that arrangement classifies the new pair and starts the next step,
+so each pair on the way is solved once.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import defaultdict
 from fractions import Fraction
-from itertools import groupby
 
-from .calculus import PairClass, classify_pair
-from .calculus import is_essential
+from .calculus import _require_essential, is_essential, pair_class
 from .errors import ComputationError, TerminalPairError, ValidationError
 from .overlay import geometric_intersection_number
 from .overlay import minimal_position as _joint_minimal_position
@@ -26,36 +30,6 @@ from .twisting import TwistWord, apply_twist
 __all__ = ["find_reduction_curve", "reduce_pair"]
 
 TERMINAL_TAGS = ("disjoint", "one_point", "two_zero")
-
-
-def _crossing_params(system, ci):
-    """Annulus parameter of each crossing along curve ci (cyclic order only)."""
-    params = {}
-    order = system.crossing_order_along(ci)
-    key = (lambda x: x.gap_i) if ci == 0 else (lambda x: x.gap_j)
-    for g, grp in groupby(order, key=key):
-        grp = list(grp)
-        for r, x in enumerate(grp):
-            params[x] = g + Fraction(r + 1, len(grp) + 1)
-    return params
-
-
-def _edge_radius(system):
-    on_edge = defaultdict(list)
-    for ci in (0, 1):
-        for e, _d, p in system.events[ci]:
-            on_edge[e].append(p)
-    for e in on_edge:
-        on_edge[e].sort()
-
-    def radius(e, p):
-        pts = on_edge[e]
-        k = bisect_left(pts, p)
-        lo = pts[k - 1] if k > 0 else Fraction(0)
-        hi = pts[k + 1] if k + 1 < len(pts) else Fraction(1)
-        return min(p - lo, hi - p) / 2
-
-    return radius
 
 
 def _arc_indices(n_events, th_from, th_to):
@@ -72,7 +46,7 @@ def _arc_indices(n_events, th_from, th_to):
     return out
 
 
-def _candidate_events(system, radius, x, y, params_a, params_b, a_fwd, b_fwd, sa, sb):
+def _candidate_events(system, x, y, params_a, params_b, a_fwd, b_fwd, sa, sb):
     """Splice: parallel a-arc from x to y, then parallel b-arc from y to x."""
     chir = system.surface.chirality
     A, B = system.events[0], system.events[1]
@@ -81,7 +55,7 @@ def _candidate_events(system, radius, x, y, params_a, params_b, a_fwd, b_fwd, sa
         part = []
         for i in idxs:
             e, d, p = events[i]
-            pos = p + side * d * chir * radius(e, p) / 2
+            pos = p + side * d * chir * system.safe_radius(e) / 2
             part.append((e, d, pos))
         if not fwd:
             part = [(e, -d, pos) for e, d, pos in reversed(part)]
@@ -127,27 +101,32 @@ def _pair_priority(order_a):
     return [(x, y) for _, _, _, x, y in ranked]
 
 
-def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, avoid=()):
-    """One strict-descent move: returns (c, twisted b, new count).
+def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, avoid=(), system=None):
+    """One strict-descent move: returns (c, twisted b, its arrangement).
 
+    `system` is the minimal-position arrangement of (a, b), built here when
+    the caller has none; the returned arrangement is that of (a, twisted b),
+    left over from the descent test, so the next step can start from it.
     Curves in `avoid` must stay untouched: a candidate is rejected unless it
-    misses every one of them up to isotopy.
+    misses every one of them up to isotopy.  A candidate whose canonical key
+    was already tried is skipped: every test that rejects a candidate is an
+    isotopy invariant, so it would be rejected again.
     """
-    _, _, system = _joint_minimal_position(a, b)
+    if system is None:
+        _, _, system = _joint_minimal_position(a, b)
     count = system.crossing_count(0, 1)
     order_a = system.crossing_order_along(0)
-    params_a = _crossing_params(system, 0)
-    params_b = _crossing_params(system, 1)
-    radius = _edge_radius(system)
+    params_a = system.crossing_params(0)
+    params_b = system.crossing_params(1)
     surf = a.surface
+    tried = set()
 
     for x, y in _pair_priority(order_a):
         for a_fwd, b_fwd in ((True, False), (False, True), (True, True), (False, False)):
             for sa in (1, -1):
                 for sb in (1, -1):
                     events = _candidate_events(
-                        system, radius, x, y,
-                        params_a, params_b, a_fwd, b_fwd, sa, sb,
+                        system, x, y, params_a, params_b, a_fwd, b_fwd, sa, sb,
                     )
                     if len(events) < 1:
                         continue
@@ -155,23 +134,33 @@ def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, avoid=()):
                         c = EmbeddedCurve(surf, events, oriented=False)
                     except ValidationError:
                         continue
+                    if c.canonical_key in tried:
+                        continue
+                    tried.add(c.canonical_key)
                     if not is_essential(c):
                         continue
                     if any(geometric_intersection_number(c, fr) for fr in avoid):
                         continue
                     twisted = apply_twist(c, 1, b)
-                    new_count = geometric_intersection_number(a, twisted)
-                    if new_count < count:
-                        return c.renormalized(), twisted, new_count
+                    _, _, descent = _joint_minimal_position(a, twisted)
+                    if descent.crossing_count(0, 1) < count:
+                        return c.renormalized(), twisted, descent
     raise ComputationError("no splice candidate reduced the crossing count")
+
+
+def _classify(a: EmbeddedCurve, b: EmbeddedCurve):
+    """(PairClass, minimal-position arrangement) of an essential pair."""
+    _require_essential(a, b)
+    _, _, system = _joint_minimal_position(a, b)
+    return pair_class(system), system
 
 
 def find_reduction_curve(a: EmbeddedCurve, b: EmbeddedCurve, *, avoid=()) -> EmbeddedCurve:
     """A simple loop whose positive twist strictly reduces |b ∩ a|."""
-    cls = classify_pair(a, b)
+    cls, system = _classify(a, b)
     if cls.tag in TERMINAL_TAGS:
         raise TerminalPairError(f"pair is terminal ({cls.tag})")
-    c, _, _ = _reduction_step(a, b, avoid)
+    c, _, _ = _reduction_step(a, b, avoid, system)
     return c
 
 
@@ -179,18 +168,22 @@ def reduce_pair(a: EmbeddedCurve, b: EmbeddedCurve, *, avoid=()):
     """Drive b to a terminal class against a using positive twists only.
 
     Returns (word, final b, PairClass); word length never exceeds the initial
-    crossing count and every step strictly decreases it.
+    crossing count and every step strictly decreases it.  Each pair (a, b)
+    the reduction passes through is put in minimal position once: a step's
+    descent test leaves the arrangement that classifies the twisted curve
+    and starts the next step.
     """
-    cls = classify_pair(a, b)
+    cls, system = _classify(a, b)
     letters = []
     b_cur = b
     bound = cls.count
     while cls.tag not in TERMINAL_TAGS:
-        c, b_cur, new_count = _reduction_step(a, b_cur, avoid)
+        c, b_cur, system = _reduction_step(a, b_cur, avoid, system)
         letters.append((c, 1))
-        if new_count >= cls.count:
+        new_cls = pair_class(system)
+        if new_cls.count >= cls.count:
             raise ComputationError("reduction step failed to descend")
         if len(letters) > bound:
             raise ComputationError("reduction exceeded the crossing bound")
-        cls = classify_pair(a, b_cur)
+        cls = new_cls
     return TwistWord(tuple(letters)), b_cur, cls

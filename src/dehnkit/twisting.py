@@ -9,11 +9,9 @@ removes edge-crossing pairs the surgery left reducible.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import groupby
 
 from .calculus import is_essential
 from .errors import ComputationError, PreconditionError
@@ -39,30 +37,60 @@ def _drop_reducible_pairs(events: list) -> list:
     """Remove adjacent (e,d),(e,-d) event pairs nothing else blocks.
 
     Such a pair is a detour across edge e and back; it slides off whenever no
-    other event of the curve sits between the two positions on e.
+    other event of the curve sits between the two positions on e.  Pairs are
+    removed one at a time, always the first removable one in the current
+    cyclic order (the pair closing the cycle last).  Removing events only
+    shortens the list, so that order is the original order of the survivors;
+    the candidate pairs are kept by original index, and blocking is tested
+    by bisecting per-edge sorted position ranks.
     """
-    evs = list(events)
-    changed = True
-    while changed and len(evs) > 2:
-        changed = False
-        n = len(evs)
-        for i in range(n):
-            j = (i + 1) % n
-            e1, d1, p1 = evs[i]
-            e2, d2, p2 = evs[j]
-            if e1 != e2 or d1 != -d2:
-                continue
-            lo, hi = min(p1, p2), max(p1, p2)
-            blocked = any(
-                e == e1 and lo < p < hi
-                for t, (e, _d, p) in enumerate(evs)
-                if t != i and t != j
-            )
-            if not blocked:
-                for t in sorted((i, j), reverse=True):
-                    del evs[t]
-                changed = True
-                break
+    n = len(events)
+    nxt = [(i + 1) % n for i in range(n)]
+    prv = [(i - 1) % n for i in range(n)]
+    # each event's rank among the positions on its edge (ties share one),
+    # and per edge the sorted ranks of the events still there
+    rank = [0] * n
+    by_edge: dict = {}
+    for t, (e, _d, _p) in enumerate(events):
+        by_edge.setdefault(e, []).append(t)
+    on_edge: dict = {}
+    for e, ts in by_edge.items():
+        ts.sort(key=lambda t: (float(events[t][2]), events[t][2]))
+        for k, t in enumerate(ts):
+            same = k and events[t][2] == events[ts[k - 1]][2]
+            rank[t] = rank[ts[k - 1]] if same else k
+        on_edge[e] = [rank[t] for t in ts]
+
+    def paired(i: int) -> bool:
+        e1, d1, _ = events[i]
+        e2, d2, _ = events[nxt[i]]
+        return e1 == e2 and d1 == -d2
+
+    def blocked(i: int) -> bool:
+        r1, r2 = rank[i], rank[nxt[i]]
+        lo, hi = (r1, r2) if r1 < r2 else (r2, r1)
+        rs = on_edge[events[i][0]]
+        return bisect_left(rs, hi) > bisect_right(rs, lo)
+
+    alive = [True] * n
+    left = n
+    candidates = [i for i in range(n) if paired(i)]
+    while left > 2:
+        i = next((i for i in candidates if not blocked(i)), None)
+        if i is None:
+            break
+        j = nxt[i]
+        for t in (i, j):
+            alive[t] = False
+            rs = on_edge[events[t][0]]
+            del rs[bisect_left(rs, rank[t])]
+        before, after = prv[i], nxt[j]
+        nxt[before], prv[after] = after, before
+        left -= 2
+        candidates = [t for t in candidates if t not in (before, i, j)]
+        if paired(before):
+            insort(candidates, before)
+    evs = [ev for ev, keep in zip(events, alive) if keep]
     if len(evs) == 2 and evs[0][0] == evs[1][0] and evs[0][1] == -evs[1][1]:
         raise ComputationError("twist image collapsed to a trivial circle")
     return evs
@@ -90,30 +118,10 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
     sigma = 1 if nu > 0 else -1
     wraps = abs(nu)
 
-    # Annulus coordinate of each crossing: order along a, placed strictly
-    # inside its gap. Only the cyclic order matters.
-    theta = {}
-    order_a = system.crossing_order_along(0)
-    for g, grp in groupby(order_a, key=lambda x: x.gap_i):
-        grp = list(grp)
-        for r, x in enumerate(grp):
-            theta[x] = g + Fraction(r + 1, len(grp) + 1)
-
-    # Safe offset radius around each event of a: half the gap to the nearest
-    # other marked point on the same edge in the joint frame.
-    on_edge = defaultdict(list)
-    for ci in (0, 1):
-        for e, _d, p in system.events[ci]:
-            on_edge[e].append(p)
-    for e in on_edge:
-        on_edge[e].sort()
-    radius = []
-    for e, _d, p in A:
-        pts = on_edge[e]
-        k = bisect_left(pts, p)
-        lo = pts[k - 1] if k > 0 else Fraction(0)
-        hi = pts[k + 1] if k + 1 < len(pts) else Fraction(1)
-        radius.append(min(p - lo, hi - p) / 2)
+    # Annulus coordinate of each crossing and safe offset radius around
+    # each event of a.
+    theta = system.crossing_params(0)
+    radius = [system.safe_radius(e) for e, _d, _p in A]
 
     def spiral_block(x) -> list:
         # Strand of b at crossing x, rerouted to wind `wraps` times around a.

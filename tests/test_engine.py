@@ -5,8 +5,15 @@ with k transverse crossings form a graph of Euler characteristic -k, so
 the regions' characteristics sum to chi(surface) + k.  The perturbed
 rational coordinates of the retry attempts must give the same
 combinatorics as the integer coordinates of the first attempt.
+
+Minimal position is checked against identities of Farb and Margalit, *A
+Primer on Mapping Class Groups*: i(a, b) = i(b, a), and Prop. 3.2,
+i(T_a^k b, b) = |k| i(a, b)^2.  The genus-2 chain curves
+c_r = T_t1 T_a2^-1 c_(r-1), c_0 = dual1, carry nested stacks of bigons
+against these curves, so the oracles exercise stack peeling.
 """
 
+import functools
 import itertools
 from collections import Counter
 
@@ -16,9 +23,11 @@ from dehnkit.calculus import is_essential
 from dehnkit.overlay import (
     JointSystem,
     _Degenerate,
+    geometric_intersection_number,
     is_boundary_parallel,
     is_null_homotopic,
     is_separating,
+    minimal_position,
 )
 from dehnkit.presets import PRESET_NAMES, build_preset
 from dehnkit.surface import EmbeddedCurve
@@ -135,3 +144,73 @@ class TestTopologyCache:
             assert _answers(c) == want
             assert _answers(c.reverse()) == want
             assert _answers(c.with_orientation(not c.oriented)) == want
+
+
+def test_perturbed_retry_dissolves_triple_concurrencies():
+    # integer coordinates make three chords of this system concurrent; the
+    # first perturbed attempt must already separate them
+    g = build_preset("genus2_closed").curves
+    b = apply_twist(g["a2"], 1, apply_twist(g["t1"], 1, g["dual1"]))
+    curves = (g["a2"], b, g["t2"])
+    system = object.__new__(JointSystem)
+    system.surface, system.curves = curves[0].surface, curves
+    with pytest.raises(_Degenerate):
+        system._build(0)
+    system._build(1)
+    assert _shape(system) == _shape(JointSystem(curves[0].surface, curves))
+
+
+@functools.lru_cache(maxsize=None)
+def _chain(r):
+    """The genus-2 chain curve c_r: 4, 8, 18, 44 and 112 events."""
+    g = build_preset("genus2_closed").curves
+    if r == 0:
+        return g["dual1"]
+    return apply_twist(g["t1"], 1, apply_twist(g["a2"], -1, _chain(r - 1)))
+
+
+def _one_bigon_per_round(a, b):
+    """Crossing count left by peeling a single innermost bigon per build."""
+    while True:
+        system = JointSystem(a.surface, (a, b))
+        bigons = system.find_bigons(0, 1)
+        if not bigons:
+            return system.crossing_count(0, 1)
+        a = system.renormalized_curve(0)
+        b, _ = system.reroute_through_bigons(bigons[:1], move=1, stacks=False)
+
+
+def test_a_bigon_stack_is_peeled_in_one_round(count_builds):
+    # c_4 meets a1 in 56 raw crossings, 12 of them in one stack of nested
+    # bigons; peeling one bigon per round takes 7 builds to reach 44
+    g = build_preset("genus2_closed").curves
+    a, b = g["a1"], _chain(4)
+    count_builds.clear()
+    _, _, system = minimal_position(a, b)
+    assert len(count_builds) <= 3
+    assert system.crossing_count(0, 1) == _one_bigon_per_round(a, b) == 44
+
+
+CHAIN_PARTNERS = ("a1", "a2", "t1", "t2")
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_intersection_is_symmetric_on_chain_curves(r):
+    g = build_preset("genus2_closed").curves
+    b = _chain(r)
+    for name in CHAIN_PARTNERS:
+        a = g[name]
+        assert geometric_intersection_number(a, b) == geometric_intersection_number(b, a)
+
+
+@pytest.mark.parametrize("r", range(4))
+@pytest.mark.parametrize("k", (1, -1, 2, -2))
+def test_twist_intersection_squares_on_chain_curves(r, k):
+    g = build_preset("genus2_closed").curves
+    b = _chain(r)
+    for name in CHAIN_PARTNERS:
+        a = g[name]
+        want = abs(k) * geometric_intersection_number(a, b) ** 2
+        image = apply_twist(a, k, b)
+        assert geometric_intersection_number(image, b) == want, (name, k)
+        assert geometric_intersection_number(b, image) == want, (name, k)

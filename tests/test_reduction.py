@@ -12,8 +12,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dehnkit import reduction
 from dehnkit.calculus import classify_pair, geometric_intersection
 from dehnkit.errors import TerminalPairError
+from dehnkit.overlay import JointSystem
 from dehnkit.presets import build_preset, torus_curve
 from dehnkit.reduction import find_reduction_curve, reduce_pair
 from dehnkit.twisting import TwistWord, apply_twist, apply_word
@@ -190,3 +192,55 @@ class TestRandomSlopes:
         assert word.is_positive
         assert len(word) <= pq[1]
         assert cls.tag == "one_point"
+
+
+class TestEachPairSolvedOnce:
+    """Work the reduction must not repeat; the counts come from monkeypatches."""
+
+    def test_no_candidate_is_twisted_twice_in_a_step(self, torus, monkeypatch):
+        # against 2/1, every step on 13/5 meets each of its three distinct
+        # candidates three times over
+        steps = []
+        step, twist = reduction._reduction_step, reduction.apply_twist
+
+        def counting_step(*args):
+            steps.append([])
+            return step(*args)
+
+        def counting_twist(c, n, b):
+            steps[-1].append(c.canonical_key)
+            return twist(c, n, b)
+
+        monkeypatch.setattr(reduction, "_reduction_step", counting_step)
+        monkeypatch.setattr(reduction, "apply_twist", counting_twist)
+        a = torus_curve(torus.surface, 2, 1)
+        b = torus_curve(torus.surface, 13, 5)
+        word, _, cls = reduce_pair(a, b)
+        assert (len(word), cls.tag) == (2, "one_point")
+        assert len(steps) == 2
+        for keys in steps:
+            assert len(keys) == len(set(keys)) == 3
+
+    def test_each_pair_is_put_in_minimal_position_once(self, torus, monkeypatch):
+        a = torus_curve(torus.surface, 2, 1)
+        b = torus_curve(torus.surface, 13, 5)
+        twisted = [b]
+        builds = []
+        twist, init = reduction.apply_twist, JointSystem.__init__
+
+        def recording_twist(c, n, x):
+            twisted.append(twist(c, n, x))
+            return twisted[-1]
+
+        def counting_init(self, surface, curves):
+            builds.append(tuple(curves))
+            init(self, surface, curves)
+
+        monkeypatch.setattr(reduction, "apply_twist", recording_twist)
+        monkeypatch.setattr(JointSystem, "__init__", counting_init)
+        word, b_fin, _ = reduce_pair(a, b)
+        assert len(word) == 2 and b_fin in twisted
+        for x in twisted:
+            # a first build on (a, x) starts every minimal_position of the pair
+            solved = sum(1 for cs in builds if cs[0] is a and cs[-1] is x)
+            assert solved == 1

@@ -7,9 +7,12 @@ checked against that formula in homology and by exact isotopy class.
 
 import pytest
 
+from dehnkit import twisting
+from dehnkit.calculus import is_essential
 from dehnkit.errors import ComputationError, PreconditionError
+from dehnkit.factorization import factorize
 from dehnkit.overlay import curves_isotopic, geometric_intersection_number
-from dehnkit.presets import build_preset, homology_class, torus_curve
+from dehnkit.presets import PRESET_NAMES, build_preset, homology_class, torus_curve
 from dehnkit.surface import CellSurface, EmbeddedCurve
 from dehnkit.twisting import (
     TwistWord,
@@ -245,3 +248,72 @@ class TestIdentityOnSystem:
         assert not is_identity_on_system(
             TwistWord(((oh.curves["a1"], 1),)), filling
         )
+
+
+def _reference_drop_reducible_pairs(events: list) -> list:
+    """The rescanning implementation the indexed one replaced, kept verbatim."""
+    evs = list(events)
+    changed = True
+    while changed and len(evs) > 2:
+        changed = False
+        n = len(evs)
+        for i in range(n):
+            j = (i + 1) % n
+            e1, d1, p1 = evs[i]
+            e2, d2, p2 = evs[j]
+            if e1 != e2 or d1 != -d2:
+                continue
+            lo, hi = min(p1, p2), max(p1, p2)
+            blocked = any(
+                e == e1 and lo < p < hi
+                for t, (e, _d, p) in enumerate(evs)
+                if t != i and t != j
+            )
+            if not blocked:
+                for t in sorted((i, j), reverse=True):
+                    del evs[t]
+                changed = True
+                break
+    if len(evs) == 2 and evs[0][0] == evs[1][0] and evs[0][1] == -evs[1][1]:
+        raise ComputationError("twist image collapsed to a trivial circle")
+    return evs
+
+
+def _twist_sweep_inputs(monkeypatch):
+    """Event lists apply_twist hands to the sweep.
+
+    Preset twists alone leave little to sweep; the factorizations of two
+    genus-2 letters twist along the long curves reduction finds, whose
+    images carry hundreds of reducible pairs.
+    """
+    seen = []
+    sweep = twisting._drop_reducible_pairs
+
+    def recording(events):
+        seen.append(list(events))
+        return sweep(events)
+
+    monkeypatch.setattr(twisting, "_drop_reducible_pairs", recording)
+    for name in PRESET_NAMES:
+        ps = build_preset(name)
+        curves = [c for c in dict.fromkeys(ps.curves.values()) if is_essential(c)]
+        for a in curves:
+            for b in curves:
+                for n in (1, -1, 2):
+                    apply_twist(a, n, b)
+    g2 = build_preset("genus2_closed")
+    for name, k in (("t1", -1), ("dual3", 1)):
+        factorize(TwistWord(((g2.curve(name), k),)), g2.pants)
+    monkeypatch.undo()
+    return seen
+
+
+def test_indexed_sweep_matches_the_rescanning_one(monkeypatch):
+    inputs = _twist_sweep_inputs(monkeypatch)
+    assert len(inputs) > 100
+    removed = 0
+    for events in inputs:
+        want = _reference_drop_reducible_pairs(events)
+        assert twisting._drop_reducible_pairs(events) == want
+        removed += len(events) - len(want)
+    assert removed > 400  # the inputs exercise the sweep, not just pass it
