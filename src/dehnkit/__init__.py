@@ -2,9 +2,9 @@
 
 Core layers:
   surface    cell decompositions, embedded curves, homology flows
-  overlay    exact curve arrangements, regions, minimal position
+  overlay    exact curve arrangements, minimal position, isotopy, cutting
   presets    built-in surfaces with curve systems
-  calculus   intersection numbers, isotopy, classification, cutting
+  calculus   guarded intersection numbers, patterns, pair classes
   twisting   Dehn twists and twist words
   reduction  positive-twist reduction of curve pairs
   factorization  positive factorization of mapping classes

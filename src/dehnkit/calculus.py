@@ -1,9 +1,12 @@
-"""Intersection calculus: minimal position, counts, patterns, pair classes.
+"""Intersection calculus: guarded counts, patterns and pair classes.
 
-A thin layer over the arrangement engine. It adds the precondition guards the
-lower layer leaves out (essentiality, orientation), plus the record types the
-reduction pipeline consumes. Essentiality reads the single-curve topology
-that overlay caches on each curve, so checking a curve again, or a reversed,
+A thin layer over the arrangement engine in overlay, which owns the pair
+API (minimal_position, geometric_intersection_number, curves_isotopic) and
+the single-curve predicates, unguarded so that they apply to peripheral
+curves too.  This module holds only what adds something: the precondition
+guards (essentiality, orientation) and the record types the reduction
+pipeline consumes.  Essentiality reads the single-curve topology that
+overlay caches on each curve, so checking a curve again, or a reversed,
 reoriented or respaced copy of it, builds no new arrangement.
 """
 
@@ -14,12 +17,9 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .overlay import (
     JointSystem,
-    curves_isotopic,
-    cut_along_curve,
     geometric_intersection_number,
     is_boundary_parallel,
     is_null_homotopic,
-    is_separating,
 )
 from .overlay import minimal_position as _joint_minimal_position
 from .surface import EmbeddedCurve
@@ -29,15 +29,10 @@ __all__ = [
     "PairClass",
     "algebraic_intersection",
     "classify_pair",
-    "curves_isotopic",
-    "cut_along_curve",
     "geometric_intersection",
     "intersection_pattern",
-    "is_boundary_parallel",
     "is_essential",
-    "is_null_homotopic",
-    "is_separating",
-    "minimal_position",
+    "pair_class",
 ]
 
 
@@ -49,15 +44,6 @@ def _require_essential(*curves: EmbeddedCurve) -> None:
     for c in curves:
         if not is_essential(c):
             raise PreconditionError("curve is not essential")
-
-
-def minimal_position(
-    a: EmbeddedCurve, b: EmbeddedCurve
-) -> tuple[EmbeddedCurve, EmbeddedCurve]:
-    """Isotope the pair until no bigon remains; crossing count becomes I(a,b)."""
-    _require_essential(a, b)
-    a2, b2, _ = _joint_minimal_position(a, b)
-    return a2, b2
 
 
 def geometric_intersection(a: EmbeddedCurve, b: EmbeddedCurve) -> int:
@@ -107,7 +93,7 @@ class IntersectionPattern:
 
 def intersection_pattern(a: EmbeddedCurve, b: EmbeddedCurve) -> IntersectionPattern:
     _require_essential(a, b)
-    _, _, system = _joint_minimal_position(a, b)
+    system = _joint_minimal_position(a, b)
     order_a = system.crossing_order_along(0)
     order_b = system.crossing_order_along(1)
     ids = {x: i for i, x in enumerate(order_a)}
@@ -147,4 +133,4 @@ def pair_class(system: JointSystem) -> PairClass:
 
 def classify_pair(a: EmbeddedCurve, b: EmbeddedCurve) -> PairClass:
     _require_essential(a, b)
-    return pair_class(_joint_minimal_position(a, b)[2])
+    return pair_class(_joint_minimal_position(a, b))

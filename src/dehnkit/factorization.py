@@ -13,16 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import (
-    classify_pair,
-    curves_isotopic,
-    geometric_intersection,
-    is_separating,
-)
+from .calculus import classify_pair, geometric_intersection
 from .errors import BudgetExceededError, ComputationError, PreconditionError
-from .overlay import JointSystem, connecting_curve
+from .overlay import JointSystem, connecting_curve, curves_isotopic, is_separating
 from .presets import PantsSystem
-from .reduction import TERMINAL_TAGS, reduce_pair
+from .reduction import reduce_pair
 from .surface import EmbeddedCurve
 from .twisting import TwistWord, apply_twist, apply_word
 
@@ -32,18 +27,20 @@ __all__ = [
     "find_connector_curve",
     "fix_orientation",
     "match_curve",
-    "solve_pants_exponents",
 ]
+
+# How many segment pairings the connector router tries before giving up.
+CONNECTOR_BUDGET = 800
 
 
 def find_connector_curve(a: EmbeddedCurve, a_prime: EmbeddedCurve,
-                         *, budget: int = 800, avoid=()) -> EmbeddedCurve:
+                         *, avoid=()) -> EmbeddedCurve:
     """A simple loop crossing each of a, a_prime exactly once.
 
     The loop also misses every curve in `avoid`. It is routed through the
     complement of the joint arrangement of all the input curves, so the
-    crossing counts hold by construction; the budget caps how many segment
-    pairings the router tries before giving up.
+    crossing counts hold by construction; the router tries at most
+    CONNECTOR_BUDGET segment pairings.
     """
     if a.surface is not a_prime.surface and a.surface != a_prime.surface:
         raise PreconditionError("curves live on different surfaces")
@@ -54,16 +51,15 @@ def find_connector_curve(a: EmbeddedCurve, a_prime: EmbeddedCurve,
         raise PreconditionError(f"pair class {cls.tag} admits no connector step")
 
     system = JointSystem(a.surface, (a, a_prime, *avoid))
-    c = connecting_curve(system, 0, 1, max_candidates=budget)
+    c = connecting_curve(system, 0, 1, max_candidates=CONNECTOR_BUDGET)
     if c is None:
         raise BudgetExceededError(
-            "no connector routes through the joint complement", budget=budget
+            "no connector routes through the joint complement", budget=CONNECTOR_BUDGET
         )
     return c
 
 
-def match_curve(a_prime: EmbeddedCurve, a: EmbeddedCurve,
-                *, connector_budget: int = 800, avoid=()) -> TwistWord:
+def match_curve(a_prime: EmbeddedCurve, a: EmbeddedCurve, *, avoid=()) -> TwistWord:
     """All-positive word of at most four letters sending a_prime onto a."""
     for c in (a_prime, a):
         if is_separating(c):
@@ -74,7 +70,7 @@ def match_curve(a_prime: EmbeddedCurve, a: EmbeddedCurve,
     if cls.tag == "one_point":
         word = TwistWord(((a, 1), (a_prime, 1)))
     elif cls.tag in ("disjoint", "two_zero"):
-        c = find_connector_curve(a, a_prime, budget=connector_budget, avoid=avoid)
+        c = find_connector_curve(a, a_prime, avoid=avoid)
         word = TwistWord(((c, 1), (a_prime, 1), (a, 1), (c, 1)))
     else:
         raise PreconditionError(f"pair class {cls.tag} is not terminal")
@@ -151,11 +147,13 @@ def _filling_family(sys: PantsSystem):
 
 
 def _exponents_from_images(sys: PantsSystem, pants_images, dual_images):
-    """Shared arithmetic behind solve_pants_exponents.
+    """Exponents n_i with the measured map acting as the product of D_{a_i}^{n_i}.
 
-    Takes precomputed images of the oriented interior pants curves and of
-    their duals under the map being measured, so callers that already carry
-    those images around do not transit the word again.
+    Takes the images of the oriented interior pants curves and of their
+    duals under the map.  Each dual curve crosses exactly one pants curve,
+    so the twist amount on that curve is |image crossings| / crossings^2,
+    signed by an isotopy test.  Boundary-parallel pants curves twist
+    invisibly and report zero.
     """
     exps = []
     for i in range(sys.interior_count):
@@ -183,26 +181,6 @@ def _exponents_from_images(sys: PantsSystem, pants_images, dual_images):
             raise ComputationError("residual is not in the pants-twist subgroup")
     exps.extend(0 for _ in range(len(sys.pants_curves) - sys.interior_count))
     return tuple(exps)
-
-
-def solve_pants_exponents(residual: TwistWord, sys: PantsSystem) -> tuple[int, ...]:
-    """Exponents n_i with residual acting as the product of D_{a_i}^{n_i}.
-
-    Each dual curve crosses exactly one pants curve, so the twist amount on
-    that curve is |image crossings| / crossings^2, signed by an isotopy test.
-    Boundary-parallel pants curves twist invisibly and report zero.
-    """
-    if residual.letters and residual.surface != sys.surface:
-        raise PreconditionError("residual acts on a different surface")
-    pants_images = [
-        apply_word(residual, sys.pants_curves[i].with_orientation(True))
-        for i in range(sys.interior_count)
-    ]
-    dual_images = [
-        apply_word(residual, sys.dual_for(i).with_orientation(True))
-        for i in range(sys.interior_count)
-    ]
-    return _exponents_from_images(sys, pants_images, dual_images)
 
 
 def factorize(f: TwistWord, sys: PantsSystem) -> FactorizationResult:

@@ -1,25 +1,41 @@
 """Exact overlay arrangements of curve systems on a cell surface.
 
 A JointSystem places several embedded curves on one surface in general
-position: crossing positions on each edge are jointly renormalised (ties
-broken by curve index, a legal isotopy), every face is realised as a
-convex polygon with its boundary items at points (t, t^2) of a parabola,
-and curve chords become straight segments.  The first attempt puts the
-items at integer t, so each crossing's sign, and with it the rotation of
-the four darts at the crossing, is the sign of an integer cross product.
-Edge positions and the parameters of crossings along their chords stay
-exact Fractions; they order the crossings along each chord.
+position and builds their arrangement in five phases:
 
-From the arrangement we build a doubly-connected edge list whose cells
-are the complementary pieces inside single faces; cells glue across the
-skeleton edges into regions, the connected components of the complement
-of the curve system.  Each region knows its Euler characteristic and its
-boundary circuits, computed on the abstract cut complex by an integer
-union-find over corners (each named by the dart arriving at it), so no
-geometry enters.  That is enough to recognise discs, annuli, bigons, and
-to cut the surface along a curve.  Minimal position removes bigons by
-pushing one curve across them; a bigon and the rectangles stacked on it
-(nested bigons) are pushed across together.
+  frame      the crossing points of each edge are jointly renormalised
+             (ties broken by curve index, a legal isotopy): the k-th of
+             the m points on an edge moves to (k + 1)/(m + 1), so its
+             integer rank carries all the information;
+  chords     every face is walked as a ccw list of boundary items (slot
+             corners and points), and each curve gap becomes a chord
+             between two items;
+  crossings  the face is realised as a convex polygon with its items at
+             points (t, t^2) of a parabola, the chords as straight
+             segments; chords cross iff their end ranks interleave, and at
+             integer t each crossing's sign is that of an integer cross
+             product.  The crossing parameters along a chord are exact
+             Fractions that order the crossings on it;
+  darts      a doubly-connected edge list whose cells are the
+             complementary pieces inside single faces; the rotation at a
+             crossing follows from its sign;
+  regions    cells glue across the skeleton edges into regions, the
+             connected components of the complement of the curve system.
+             Each region knows its Euler characteristic and its boundary
+             circuits, computed on the abstract cut complex by an integer
+             union-find over corners (each named by the dart arriving at
+             it), so no geometry enters.
+
+A boundary dart is labelled ("B", e, s, gap, fwd): the segment of face
+slot (e, s) on the gap-th interval of edge e, counted from 0 up the edge
+between the m points, in the direction fwd.  The two forward darts with
+the same (e, gap) are glued.  A chord dart is labelled ("C", curve, gap,
+k, fwd), the k-th segment of the chord of that curve gap.
+
+That is enough to recognise discs, annuli, bigons, and to cut the surface
+along a curve.  Minimal position removes bigons by pushing one curve across
+them; a bigon and the rectangles stacked on it (nested bigons) are pushed
+across together.
 
 The single-curve predicates (null-homotopic, boundary-parallel,
 separating) share one arrangement per curve, and their answers are cached
@@ -43,9 +59,6 @@ from .errors import ComputationError, PreconditionError, ValidationError
 from .surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve
 
 Vec = tuple[Fraction, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _sub(u: Vec, v: Vec) -> Vec:
@@ -136,33 +149,91 @@ class JointSystem:
     # construction
 
     def _build(self, attempt: int) -> None:
-        surf = self.surface
+        """Build the arrangement; attempt > 0 perturbs the polygon points."""
+        self.edge_order, self.events = self._frame()
+        items, chords = self._chords(self.edge_order, self.events)
+        self.crossings, self._cross_of_node, stops = self._crossings(
+            items, chords, attempt
+        )
+        self._starts, self._labels, self._chord_darts, self._cells, self._cell_of = (
+            self._darts(items, chords, stops, self._cross_of_node, self.events)
+        )
+        self._partner, self.region_of_cell, self.regions = self._regions(
+            self._labels, self._cells, self._cell_of
+        )
 
-        # Joint renormalisation: merge all crossing points per edge, sort
-        # by (position, curve, event) and respace.  Order, not position,
-        # carries the combinatorics.
-        edge_points: dict[str, list[tuple[int, int]]] = {}
+    def _frame(self) -> tuple[dict, list]:
+        """Joint renormalisation: (edge_order, events).
+
+        All crossing points of an edge are merged and sorted by (position,
+        curve, event); edge_order[e] lists them as (curve, event) in that
+        order.  The k-th of the m points moves to (k + 1)/(m + 1), which is
+        what events holds; order, not position, carries the combinatorics.
+        """
+        edge_points: dict[str, list[tuple]] = {}
         for ci, c in enumerate(self.curves):
             for ei, (e, _, p) in enumerate(c.events):
                 edge_points.setdefault(e, []).append((p, ci, ei))
-        self.edge_order: dict[str, list[tuple[int, int]]] = {}
-        self.position: dict[tuple[int, int], Fraction] = {}
-        self.edge_rank: dict[tuple[int, int], int] = {}
+        edge_order: dict[str, list[tuple[int, int]]] = {}
+        events = [list(c.events) for c in self.curves]
         for e, pts in edge_points.items():
             # float leads, exact value breaks the (rare) float ties: rounding
             # to nearest is monotone, so the composite order is the exact one
             pts.sort(key=lambda t: (float(t[0]), t[0], t[1], t[2]))
             m = len(pts)
-            refs = []
             for k, (_, ci, ei) in enumerate(pts):
-                refs.append((ci, ei))
-                self.position[(ci, ei)] = Fraction(k + 1, m + 1)
-                self.edge_rank[(ci, ei)] = k
-            self.edge_order[e] = refs
-        self.events: list[list[tuple[str, int, Fraction]]] = [
-            [(e, d, self.position[(ci, ei)]) for ei, (e, d, _) in enumerate(c.events)]
-            for ci, c in enumerate(self.curves)
-        ]
+                events[ci][ei] = (e, events[ci][ei][1], Fraction(k + 1, m + 1))
+            edge_order[e] = [(ci, ei) for _, ci, ei in pts]
+        return edge_order, events
+
+    def _chords(self, edge_order: dict, events: list) -> tuple[list, list]:
+        """Per-face boundary items and chords: (items, chords).
+
+        items[fi] walks face fi ccw, slot by slot: the slot's first corner,
+        then its points in edge order (reversed when the slot runs the edge
+        backwards).  An item (e, s, gap, point) starts the boundary segment
+        on edge interval `gap`, counted from 0 up the edge frame; point is
+        (curve, event, s), or None at a corner.  chords[fi] holds one
+        (curve, gap, ra, rb) per curve gap living in the face, with ra and rb
+        the item ranks of its two ends.
+        """
+        surf = self.surface
+        items: list[list[tuple]] = []
+        rank_of: dict[tuple[int, int, int], int] = {}
+        for face in surf.faces:
+            row: list[tuple] = []
+            for e, s in face:
+                along = edge_order.get(e, ())
+                m = len(along)
+                row.append((e, s, 0 if s > 0 else m, None))
+                for k in range(m) if s > 0 else reversed(range(m)):
+                    ci, ei = along[k]
+                    rank_of[(ci, ei, s)] = len(row)
+                    # the segment leaving the k-th point in the slot's direction
+                    row.append((e, s, k + 1 if s > 0 else k, (ci, ei, s)))
+            items.append(row)
+
+        chords: list[list[tuple]] = [[] for _ in surf.faces]
+        for ci, evs in enumerate(events):
+            n = len(evs)
+            for g in range(n):
+                e1, d1, _ = evs[g]
+                d2 = evs[(g + 1) % n][1]
+                chords[surf.face_of_slot(e1, -d1)].append(
+                    (ci, g, rank_of[(ci, g, -d1)], rank_of[(ci, (g + 1) % n, d2)])
+                )
+        return items, chords
+
+    def _crossings(self, items: list, chords: list, attempt: int) -> tuple:
+        """The chords' crossings: (crossings, cross_of_node, stops).
+
+        Face fi is the convex polygon with its items at (t, t^2), t the
+        item's rank, perturbed quadratically in the rank when attempt > 0.
+        stops[fi][x] lists the crossing nodes along chord x in order.  This
+        is the only phase that depends on the points, so the only one that
+        raises _Degenerate.
+        """
+        chirality = self.surface.chirality
 
         def t_of(rank: int):
             if attempt == 0:
@@ -172,60 +243,20 @@ class JointSystem:
             wob = (rank * rank * 7919 + rank * 104729 + attempt * 2654435761) % 997
             return Fraction(rank) + Fraction(wob, 10000)
 
-        # Per-face boundary items (entry index, edge position, point or
-        # None for the entry's first corner), in ccw order.  Walking the
-        # face slot by slot, taking each slot's points in edge order
-        # (reversed when the slot runs the edge backwards), already yields
-        # the (entry, walk coordinate) order, so no sort is needed.
-        n_faces = len(surf.faces)
-        items: list[list[tuple]] = [[] for _ in range(n_faces)]
-        for fi, face in enumerate(surf.faces):
-            for j, (e, s) in enumerate(face):
-                items[fi].append((j, _ZERO if s > 0 else _ONE, None))
-                along = self.edge_order.get(e, ())
-                if s < 0:
-                    along = reversed(along)
-                for ci, ei in along:  # points on this slot
-                    items[fi].append((j, self.position[(ci, ei)], (ci, ei, s)))
-
-        point_rank: dict[tuple[int, int, int], int] = {}
-        coords: list[list[Vec]] = [[] for _ in range(n_faces)]
-        for fi in range(n_faces):
-            for r, item in enumerate(items[fi]):
-                t = t_of(r)
-                coords[fi].append((t, t * t))
-                if item[2] is not None:
-                    point_rank[item[2]] = r
-
-        # Chords: one per curve gap, living in the face both events share.
-        chords: list[list[dict]] = [[] for _ in range(n_faces)]
-        for ci, evs in enumerate(self.events):
-            n = len(evs)
-            for g in range(n):
-                e1, d1, _ = evs[g]
-                e2, d2, _ = evs[(g + 1) % n]
-                fi = surf.face_of_slot(e1, -d1)
-                ra = point_rank[(ci, g, -d1)]
-                rb = point_rank[(ci, (g + 1) % n, d2)]
-                chords[fi].append(
-                    {"curve": ci, "gap": g, "ra": ra, "rb": rb, "hits": []}
-                )
-
-        # Crossings: straight chords in convex position cross iff their
-        # endpoint ranks interleave.  Sweep the cut boundary circle once;
-        # when a chord closes, the still-open chords that opened inside it
-        # are exactly its interleaving partners (a sorted suffix), so the
-        # work is proportional to the crossings found, not all pairs.
-        self.crossings: list[Crossing] = []
+        crossings: list[Crossing] = []
         cross_of_node: dict[tuple, Crossing] = {}
-        for fi in range(n_faces):
-            pts = coords[fi]
-            ch = chords[fi]
+        stops: list[list[list[tuple]]] = []
+        for fi, ch in enumerate(chords):
+            pts = [(t, t * t) for t in map(t_of, range(len(items[fi])))]
+            # Straight chords in convex position cross iff their endpoint
+            # ranks interleave.  Sweep the cut boundary circle once; when a
+            # chord closes, the still-open chords that opened inside it are
+            # exactly its interleaving partners (a sorted suffix), so the
+            # work is proportional to the crossings found, not all pairs.
             ends = []
-            for x, c in enumerate(ch):
-                lo, hi = sorted((c["ra"], c["rb"]))
-                ends.append((lo, x))
-                ends.append((hi, x))
+            for x, (_, _, ra, rb) in enumerate(ch):
+                ends.append((min(ra, rb), x))
+                ends.append((max(ra, rb), x))
             ends.sort()
             open_at: dict[int, int] = {}  # chord -> its lo rank
             open_by_lo: list[tuple[int, int]] = []  # sorted (lo, chord)
@@ -237,15 +268,16 @@ class JointSystem:
                     continue
                 pos = bisect_left(open_by_lo, (open_at[x], x))
                 for _, y in open_by_lo[pos + 1:]:
-                    if ch[x]["curve"] != ch[y]["curve"]:
+                    if ch[x][0] != ch[y][0]:
                         pairs.append((min(x, y), max(x, y)))
                 open_by_lo.pop(pos)
                 del open_at[x]
             pairs.sort()
+            hits: list[list[tuple]] = [[] for _ in ch]
             for x, y in pairs:
                 A, B = ch[x], ch[y]
-                p, q = pts[A["ra"]], pts[A["rb"]]
-                a, b = pts[B["ra"]], pts[B["rb"]]
+                p, q = pts[A[2]], pts[A[3]]
+                a, b = pts[B[2]], pts[B[3]]
                 d1v, d2v = _sub(q, p), _sub(b, a)
                 den = _cross(d1v, d2v)
                 if den == 0:
@@ -259,116 +291,92 @@ class JointSystem:
                     t = _cross(w, d1v) / den
                 if not (0 < s < 1 and 0 < t < 1):
                     raise ComputationError("interleaved chords failed to cross")
-                node = ("x", fi, len(self.crossings))
+                node = ("x", fi, len(crossings))
                 # (direction of the lower curve, direction of the other) is
                 # (A, B) or (B, A): den's sign, flipped in the second case
-                a_first = A["curve"] < B["curve"]
+                a_first = A[0] < B[0]
                 ij, ji = (A, B) if a_first else (B, A)
                 xg = Crossing(
                     face=fi,
-                    curve_i=ij["curve"],
-                    gap_i=ij["gap"],
-                    curve_j=ji["curve"],
-                    gap_j=ji["gap"],
-                    sign=(1 if (den > 0) == a_first else -1) * surf.chirality,
+                    curve_i=ij[0],
+                    gap_i=ij[1],
+                    curve_j=ji[0],
+                    gap_j=ji[1],
+                    sign=(1 if (den > 0) == a_first else -1) * chirality,
                     node=node,
                 )
-                self.crossings.append(xg)
+                crossings.append(xg)
                 cross_of_node[node] = xg
-                A["hits"].append((s, node))
-                B["hits"].append((t, node))
-            for c in ch:
-                c["hits"].sort(key=lambda h: (float(h[0]), h[0]))
-                lams = [h[0] for h in c["hits"]]
-                if len(set(lams)) != len(lams):
+                hits[x].append((s, node))
+                hits[y].append((t, node))
+            face_stops = []
+            for h in hits:
+                h.sort(key=lambda hit: (float(hit[0]), hit[0]))
+                if len({lam for lam, _ in h}) != len(h):
                     raise _Degenerate
+                face_stops.append([node for _, node in h])
+            stops.append(face_stops)
+        return crossings, cross_of_node, stops
 
-        # ---- darts ----
-        # Boundary nodes ("b", face, rank); crossing nodes as above.  Darts
-        # come in twin pairs 2k, 2k + 1; each has a start node and a label.
+    def _darts(self, items, chords, stops, cross_of_node, events) -> tuple:
+        """Doubly-connected edge list: (starts, labels, chord_darts, cells, cell_of).
+
+        Nodes are boundary items ("b", face, rank) and crossings.  Darts
+        come in twin pairs 2k, 2k + 1, each with a start node and a label:
+        ("B", e, s, gap, fwd) for the boundary segment of face slot (e, s)
+        on edge interval gap, ("C", curve, gap, k, fwd) for the k-th segment
+        of a chord.  Cells are the orbits of phi(d) = sigma-predecessor of
+        twin(d) apart from the face exteriors; cell_of is -1 on those.
+        """
+        chirality = self.surface.chirality
         starts: list[tuple] = []
         labels: list[tuple] = []
-
-        def new_pair(na, nb, label_f, label_b) -> tuple[int, int]:
-            f_id = len(starts)
-            starts.extend((na, nb))
-            labels.extend((label_f, label_b))
-            return f_id, f_id + 1
-
-        # boundary segment darts, and the edge-interval key for gluing
-        fwd_seg: dict[tuple[int, int], int] = {}
-        bwd_seg: dict[tuple[int, int], int] = {}
-        glue_key_of: dict[int, tuple] = {}
-        for fi in range(n_faces):
-            M = len(items[fi])
-            for r in range(M):
-                r2 = (r + 1) % M
-                # entry of this segment and its interval on the edge
-                j, p_lo, point = items[fi][r]
-                e, s = surf.faces[fi][j]
-                if r2 == r or items[fi][r2][0] != j:
-                    p_hi = _ONE if s > 0 else _ZERO  # the entry's far corner
-                else:
-                    p_hi = items[fi][r2][1]
-                lo, hi = (p_lo, p_hi) if s > 0 else (p_hi, p_lo)
-                f_id, b_id = new_pair(
-                    ("b", fi, r), ("b", fi, r2),
-                    ("B", e, s, lo, hi, True), ("B", e, s, lo, hi, False),
-                )
-                fwd_seg[(fi, r)] = f_id
-                bwd_seg[(fi, r)] = b_id
-                # glue identity as an integer gap index: the number of edge
-                # points strictly below the interval in the edge frame
-                if point is None:
-                    gap = 0 if s > 0 else len(self.edge_order.get(e, ()))
-                else:
-                    q = self.edge_rank[point[:2]]
-                    gap = q + 1 if s > 0 else q
-                glue_key_of[f_id] = (e, gap)
+        # boundary segment r of face fi runs from item r to the next one;
+        # its forward dart is seg0[fi] + 2r
+        seg0: list[int] = []
+        for fi, row in enumerate(items):
+            seg0.append(len(starts))
+            M = len(row)
+            for r, (e, s, gap, _) in enumerate(row):
+                starts.extend((("b", fi, r), ("b", fi, (r + 1) % M)))
+                labels.extend((("B", e, s, gap, True), ("B", e, s, gap, False)))
 
         # chord segment darts; at each crossing node, the outgoing pair
         # (forward, backward) each of its two chords contributes
         chord_darts: dict[tuple[int, int], list[tuple[int, int]]] = {}
         node_outs: dict[tuple, dict[tuple[int, int], tuple[int, int]]] = {}
-        for fi in range(n_faces):
-            for c in chords[fi]:
-                ci, g = c["curve"], c["gap"]
-                stops: list[tuple] = [("b", fi, c["ra"])]
-                stops += [h[1] for h in c["hits"]]
-                stops.append(("b", fi, c["rb"]))
-                segs = [
-                    new_pair(stops[k], stops[k + 1],
-                             ("C", ci, g, k, True), ("C", ci, g, k, False))
-                    for k in range(len(stops) - 1)
-                ]
+        for fi, ch in enumerate(chords):
+            for (ci, g, ra, rb), hits in zip(ch, stops[fi]):
+                nodes = [("b", fi, ra), *hits, ("b", fi, rb)]
+                segs = []
+                for k in range(len(nodes) - 1):
+                    segs.append((len(starts), len(starts) + 1))
+                    starts.extend((nodes[k], nodes[k + 1]))
+                    labels.extend((("C", ci, g, k, True), ("C", ci, g, k, False)))
                 chord_darts[(ci, g)] = segs
-                for k in range(1, len(stops) - 1):
-                    node_outs.setdefault(stops[k], {})[(ci, g)] = (
+                for k in range(1, len(nodes) - 1):
+                    node_outs.setdefault(nodes[k], {})[(ci, g)] = (
                         segs[k][0], segs[k - 1][1]
                     )
 
-        # ---- rotation at each node (ccw order of outgoing darts) ----
+        # rotation at each node (ccw order of outgoing darts)
         sigma: dict[tuple, list[int]] = {}
-        for fi in range(n_faces):
-            M = len(items[fi])
-            for r in range(M):
-                node = ("b", fi, r)
-                f_next = fwd_seg[(fi, r)]
-                b_prev = bwd_seg[(fi, (r - 1) % M)]
-                point = items[fi][r][2]
-                if point is None:
-                    sigma[node] = [f_next, b_prev]
+        for fi, row in enumerate(items):
+            M = len(row)
+            for r, item in enumerate(row):
+                f_next = seg0[fi] + 2 * r
+                b_prev = seg0[fi] + 2 * ((r - 1) % M) + 1
+                if item[3] is None:
+                    sigma[("b", fi, r)] = [f_next, b_prev]
+                    continue
+                ci, ei, s = item[3]
+                # chord end here: exit end of gap ei or entry end of gap
+                # ei-1, by which slot side the point occupies
+                if s == -events[ci][ei][1]:
+                    out = chord_darts[(ci, ei)][0][0]
                 else:
-                    ci, ei, s = point
-                    # chord end here: exit end of gap ei or entry end of
-                    # gap ei-1, by which slot side the point occupies
-                    e, d, _ = self.events[ci][ei]
-                    if s == -d:  # exit point: chord of gap ei starts here
-                        out = chord_darts[(ci, ei)][0][0]
-                    else:  # entry point: chord of gap ei-1 ends here
-                        n_ev = len(self.events[ci])
-                        out = chord_darts[(ci, (ei - 1) % n_ev)][-1][1]
-                    sigma[node] = [f_next, out, b_prev]
+                    out = chord_darts[(ci, (ei - 1) % len(events[ci]))][-1][1]
+                sigma[("b", fi, r)] = [f_next, out, b_prev]
         # The outgoing darts at a crossing run along +-(chord of curve i)
         # and +-(chord of curve j); +j lies ccw of +i within a half turn
         # exactly when cross(d_i, d_j) > 0, the sign the crossing records.
@@ -378,12 +386,12 @@ class JointSystem:
             pj = outs.get((xg.curve_j, xg.gap_j))
             if len(outs) != 2 or pi is None or pj is None:
                 raise ComputationError("crossing node without four darts")
-            if xg.sign * surf.chirality > 0:
+            if xg.sign * chirality > 0:
                 sigma[node] = [pi[0], pj[0], pi[1], pj[1]]
             else:
                 sigma[node] = [pi[0], pj[1], pi[1], pj[0]]
 
-        # ---- cells: orbits of phi(d) = sigma-predecessor of twin(d) ----
+        # cells: orbits of phi, apart from each face's exterior walk
         n_darts = len(starts)
         phi: list[int] = [0] * n_darts
         for did in range(n_darts):
@@ -392,20 +400,17 @@ class JointSystem:
             phi[did] = rot[(rot.index(tw) - 1) % len(rot)]
 
         cell_of: list[int] = [-1] * n_darts  # -1 on face exteriors
-        cells: list[list[int]] = []
         exterior: set[int] = set()
-        for fi in range(n_faces):
-            M = len(items[fi])
+        for fi, row in enumerate(items):
             orbit = set()
-            d0 = bwd_seg[(fi, 0)]
-            d = d0
+            d = seg0[fi] + 1
             while d not in orbit:
                 orbit.add(d)
                 d = phi[d]
-            expected = {bwd_seg[(fi, r)] for r in range(M)}
-            if orbit != expected:
+            if orbit != set(range(seg0[fi] + 1, seg0[fi] + 2 * len(row), 2)):
                 raise ComputationError("exterior walk left the face boundary")
             exterior |= orbit
+        cells: list[list[int]] = []
         for did in range(n_darts):
             if cell_of[did] >= 0 or did in exterior:
                 continue
@@ -418,13 +423,25 @@ class JointSystem:
             if d != did:
                 raise ComputationError("broken face orbit")
             cells.append(cycle)
+        return starts, labels, chord_darts, cells, cell_of
 
-        # ---- glue cells across interior-edge intervals into regions ----
-        partner: dict[int, int] = {}
+    def _regions(self, labels, cells, cell_of) -> tuple:
+        """Glue cells into regions: (partner, region_of_cell, regions).
+
+        The forward boundary darts of the two slots of an interior edge
+        that share an edge interval are partners; the cells they bound are
+        merged.  Each region's topology is read off the abstract cut
+        complex by a union-find over corners, so no geometry enters.
+        """
+        interior = self.surface.interior_edges
         by_key: dict[tuple, list[int]] = {}
-        for f_id, key in glue_key_of.items():
-            if key[0] in surf.interior_edges:
-                by_key.setdefault(key, []).append(f_id)
+        for did in range(0, len(labels), 2):
+            lab = labels[did]
+            if lab[0] != "B":
+                break  # boundary darts come first
+            if lab[1] in interior:
+                by_key.setdefault((lab[1], lab[3]), []).append(did)
+        partner: dict[int, int] = {}
         for key, pair in by_key.items():
             if len(pair) != 2:
                 raise ComputationError(f"unmatched edge interval {key}")
@@ -436,26 +453,25 @@ class JointSystem:
         for a, b in partner.items():
             _union(cell_parent, cell_of[a], cell_of[b])
 
-        # ---- region topology on the abstract cut complex ----
         # A corner is named by the dart arriving at it, so the corner a dart
         # leaves from is the one its predecessor in the cell arrives at.
-        pred: list[int] = list(range(n_darts))
+        pred: list[int] = list(range(len(labels)))
         for cyc in cells:
             for k, did in enumerate(cyc):
                 pred[did] = cyc[k - 1]
-        corner_parent: list[int] = list(range(n_darts))
+        corner_parent: list[int] = list(range(len(labels)))
 
         groups: dict[int, list[int]] = {}
         for cidx in range(len(cells)):
             groups.setdefault(_find(cell_parent, cidx), []).append(cidx)
 
         regions: list[Region] = []
-        self.region_of_cell: dict[int, int] = {}
+        region_of_cell: dict[int, int] = {}
         for root in sorted(groups):
             cell_idxs = groups[root]
             ridx = len(regions)
             for cidx in cell_idxs:
-                self.region_of_cell[cidx] = ridx
+                region_of_cell[cidx] = ridx
             region_darts = [d for cidx in cell_idxs for d in cells[cidx]]
             merges = 0
             glued_pairs = 0
@@ -499,15 +515,7 @@ class JointSystem:
                 Region(index=ridx, cells=frozenset(cell_idxs), chi=chi,
                        circuits=tuple(circuits))
             )
-
-        self.regions = tuple(regions)
-        self._starts = starts
-        self._labels = labels
-        self._cells = cells
-        self._cell_of = cell_of
-        self._partner = partner
-        self._chord_darts = chord_darts
-        self._cross_of_node = cross_of_node
+        return partner, region_of_cell, tuple(regions)
 
     # ------------------------------------------------------------------
     # queries
@@ -713,21 +721,14 @@ class JointSystem:
         # strand is pushed across ca to the far side.
         offset_sign = -1 if a_fwd else 1
 
-        joint_a = self.events[ca]
+        # the far neighbour, another point or the edge end, lies exactly
+        # 1/(m + 1) up or down the edge in the joint frame
         new_events: list[tuple[str, int, Fraction]] = []
         for ev_idx in walk:
-            e, d_a, p = joint_a[ev_idx]
+            e, d_a, p = self.events[ca][ev_idx]
             d_new = d_a if along_a else -d_a
-            direction = offset_sign * d_a
-            order = self.edge_order[e]
-            k = self.edge_rank[(ca, ev_idx)]
-            if direction > 0:
-                nb_pos = (
-                    self.position[order[k + 1]] if k + 1 < len(order) else Fraction(1)
-                )
-            else:
-                nb_pos = self.position[order[k - 1]] if k > 0 else Fraction(0)
-            new_events.append((e, d_new, p + (nb_pos - p) * shift))
+            step = offset_sign * d_a * shift / (len(self.edge_order[e]) + 1)
+            new_events.append((e, d_new, p + step))
 
         a_used = frozenset((ca, ev) for ev in a_inside)
         return g_enter, len(inside_own), new_events, a_used
@@ -808,15 +809,14 @@ class JointSystem:
 # minimal position
 
 
-def minimal_position(
-    a: EmbeddedCurve, b: EmbeddedCurve
-) -> tuple[EmbeddedCurve, EmbeddedCurve, JointSystem]:
+def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
     """Isotope b until no bigon with a remains; a is never rerouted.
 
-    Returns (a', b', system) where the system holds the final arrangement.
-    a' differs from a only by sliding points along their edges: rerouting
-    works in the joint coordinate frame, so once b moves, a must be respaced
-    to that frame as well or the new points land on the wrong side of it.
+    Returns the final arrangement; its curves (a', b') are the pair in
+    minimal position.  a' differs from a only by sliding points along their
+    edges: rerouting works in the joint coordinate frame, so once b moves, a
+    must be respaced to that frame as well or the new points land on the
+    wrong side of it.
     A pair with all crossings of equal sign is already minimal, so the
     common case returns after one arrangement build.
 
@@ -837,13 +837,13 @@ def minimal_position(
         if expect is not None and k != expect:
             raise ComputationError(f"bigon removal changed crossings to {k}")
         if k == 0:
-            return a, b, system
+            return system
         signs = {c.sign for c in system.crossings_between(0, 1)}
         if len(signs) == 1:
-            return a, b, system
+            return system
         bigons = system.find_bigons(0, 1)
         if not bigons:
-            return a, b, system
+            return system
         a = system.renormalized_curve(0)
         try:
             b, removed = system.reroute_through_bigons(bigons, move=1)
@@ -857,7 +857,7 @@ def minimal_position(
 
 
 def geometric_intersection_number(a: EmbeddedCurve, b: EmbeddedCurve) -> int:
-    return minimal_position(a, b)[2].crossing_count(0, 1)
+    return minimal_position(a, b).crossing_count(0, 1)
 
 
 # ----------------------------------------------------------------------
@@ -944,7 +944,7 @@ def curves_isotopic(a: EmbeddedCurve, b: EmbeddedCurve) -> bool:
     oriented = a.oriented and b.oriented
     if a.with_orientation(oriented) == b.with_orientation(oriented):
         return True
-    a2, b2, system = minimal_position(a, b)
+    system = minimal_position(a, b)
     if system.crossing_count(0, 1) != 0:
         return False
     for reg in system.regions:
@@ -1102,8 +1102,10 @@ def connecting_curve(system: JointSystem, i: int, j: Optional[int] = None,
         return None
 
     def event_of(f_id):
-        _, e, s, lo, hi, _ = labels[partner[f_id]]
-        return (e, -s, (lo + hi) / 2)
+        # the midpoint of the glued edge interval in the joint frame
+        _, e, s, gap, _ = labels[partner[f_id]]
+        m = len(system.edge_order.get(e, ()))
+        return (e, -s, Fraction(2 * gap + 1, 2 * (m + 1)))
 
     def reversed_path(path):
         out = [(path[-1][0], None)]
@@ -1223,14 +1225,6 @@ def cut_along_curve(
                 raise PreconditionError("carried curve touches the cut curve")
         return k
 
-    # joint interval index of a glued boundary dart, from joint coordinates
-    def joint_interval(did: int) -> tuple[str, int]:
-        lab = system.dart_label(did)
-        e, hi = lab[1], lab[4]
-        order = system.edge_order.get(e, [])
-        k = sum(1 for ref in order if system.position[ref] < hi)
-        return e, k  # intervals count gaps between cut points, 0..m
-
     pieces: list[CutPiece] = []
     piece_of_region: dict[int, int] = {}
     for reg in system.regions:
@@ -1250,11 +1244,10 @@ def cut_along_curve(
                         sgn = 1
                         glued_name[system._partner[did]] = (name, -1)
                         glued_name[did] = (name, 1)
-                        e, k = joint_interval(did)
-                        lab = system.dart_label(did)
-                        # +1 side forward darts ascend the old edge
-                        ascends = 1 if lab[2] > 0 else -1
-                        interval_edges[(e, k)] = (name, ascends)
+                        # the label's gap counts the cut points below the
+                        # interval, 0..m; +1 side forward darts ascend
+                        _, e, s, gap, _ = system.dart_label(did)
+                        interval_edges[(e, gap)] = (name, 1 if s > 0 else -1)
                     word.append((name, sgn))
                 else:
                     lab = system.dart_label(did)

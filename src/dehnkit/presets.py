@@ -201,11 +201,11 @@ def _build_pants(surface, interior, boundary, duals, partners) -> PantsSystem:
                 raise ComputationError(f"pants curves {i}, {j} are not disjoint")
     for i, d in enumerate(duals):
         for j, a in enumerate(curves):
-            k = geometric_intersection_number(d, a)
+            pair = minimal_position(d, a)
+            k = pair.crossing_count(0, 1)
             if j == i:
                 if k == 2:
-                    _, _, system = minimal_position(d, a)
-                    signs = sorted(c.sign for c in system.crossings_between(0, 1))
+                    signs = sorted(c.sign for c in pair.crossings_between(0, 1))
                     if signs != [-1, 1]:
                         raise ComputationError(
                             f"dual {i} meets its curve twice with equal signs"

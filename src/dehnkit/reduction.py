@@ -101,19 +101,17 @@ def _pair_priority(order_a):
     return [(x, y) for _, _, _, x, y in ranked]
 
 
-def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, avoid=(), system=None):
+def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system, avoid=()):
     """One strict-descent move: returns (c, twisted b, its arrangement).
 
-    `system` is the minimal-position arrangement of (a, b), built here when
-    the caller has none; the returned arrangement is that of (a, twisted b),
-    left over from the descent test, so the next step can start from it.
+    `system` is the minimal-position arrangement of (a, b); the returned
+    arrangement is that of (a, twisted b), left over from the descent test,
+    so the next step can start from it.
     Curves in `avoid` must stay untouched: a candidate is rejected unless it
     misses every one of them up to isotopy.  A candidate whose canonical key
     was already tried is skipped: every test that rejects a candidate is an
     isotopy invariant, so it would be rejected again.
     """
-    if system is None:
-        _, _, system = _joint_minimal_position(a, b)
     count = system.crossing_count(0, 1)
     order_a = system.crossing_order_along(0)
     params_a = system.crossing_params(0)
@@ -142,7 +140,7 @@ def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, avoid=(), system=None):
                     if any(geometric_intersection_number(c, fr) for fr in avoid):
                         continue
                     twisted = apply_twist(c, 1, b)
-                    _, _, descent = _joint_minimal_position(a, twisted)
+                    descent = _joint_minimal_position(a, twisted)
                     if descent.crossing_count(0, 1) < count:
                         return c.renormalized(), twisted, descent
     raise ComputationError("no splice candidate reduced the crossing count")
@@ -151,7 +149,7 @@ def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, avoid=(), system=None):
 def _classify(a: EmbeddedCurve, b: EmbeddedCurve):
     """(PairClass, minimal-position arrangement) of an essential pair."""
     _require_essential(a, b)
-    _, _, system = _joint_minimal_position(a, b)
+    system = _joint_minimal_position(a, b)
     return pair_class(system), system
 
 
@@ -160,7 +158,7 @@ def find_reduction_curve(a: EmbeddedCurve, b: EmbeddedCurve, *, avoid=()) -> Emb
     cls, system = _classify(a, b)
     if cls.tag in TERMINAL_TAGS:
         raise TerminalPairError(f"pair is terminal ({cls.tag})")
-    c, _, _ = _reduction_step(a, b, avoid, system)
+    c, _, _ = _reduction_step(a, b, system, avoid)
     return c
 
 
@@ -178,7 +176,7 @@ def reduce_pair(a: EmbeddedCurve, b: EmbeddedCurve, *, avoid=()):
     b_cur = b
     bound = cls.count
     while cls.tag not in TERMINAL_TAGS:
-        c, b_cur, system = _reduction_step(a, b_cur, avoid, system)
+        c, b_cur, system = _reduction_step(a, b_cur, system, avoid)
         letters.append((c, 1))
         new_cls = pair_class(system)
         if new_cls.count >= cls.count:

@@ -104,7 +104,7 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
         raise PreconditionError("twisting needs essential curves")
     if n == 0:
         return b
-    _, _, system = _joint_minimal_position(a, b)
+    system = _joint_minimal_position(a, b)
     crossings = system.crossings_between(0, 1)
     if not crossings:
         return b
@@ -142,8 +142,7 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
 
     by_gap = defaultdict(list)
     for x in system.crossing_order_along(1):
-        if x in theta:  # only crossings with a (always true for a pair)
-            by_gap[x.gap_j].append(x)
+        by_gap[x.gap_j].append(x)
 
     events = []
     for g in range(len(B)):

@@ -15,13 +15,12 @@ from dehnkit.calculus import (
     PairClass,
     algebraic_intersection,
     classify_pair,
-    curves_isotopic,
     geometric_intersection,
     intersection_pattern,
     is_essential,
-    minimal_position,
 )
 from dehnkit.errors import PreconditionError
+from dehnkit.overlay import curves_isotopic, minimal_position
 from dehnkit.presets import build_preset, torus_curve
 from dehnkit.surface import EmbeddedCurve
 
@@ -47,8 +46,8 @@ class TestMinimalPosition:
     def test_returns_pair_and_is_idempotent(self):
         t = build_preset("torus").surface
         a, b = torus_curve(t, 1, 0), torus_curve(t, 0, 1)
-        a2, b2 = minimal_position(a, b)
-        a3, b3 = minimal_position(a2, b2)
+        a2, b2 = minimal_position(a, b).curves
+        a3, b3 = minimal_position(a2, b2).curves
         assert (a3.canonical_key, b3.canonical_key) == (
             a2.canonical_key,
             b2.canonical_key,
@@ -62,8 +61,9 @@ class TestMinimalPosition:
     def test_rejects_trivial_circle(self):
         t = build_preset("torus").surface
         circle = EmbeddedCurve(t, (("v", 1, F(1, 3)), ("v", -1, F(2, 3))))
-        with pytest.raises(PreconditionError):
-            minimal_position(circle, torus_curve(t, 1, 0))
+        for guarded in (geometric_intersection, classify_pair, intersection_pattern):
+            with pytest.raises(PreconditionError):
+                guarded(circle, torus_curve(t, 1, 0))
 
     def test_essential_predicate(self):
         oh = build_preset("one_holed_torus")

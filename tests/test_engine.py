@@ -7,8 +7,11 @@ rational coordinates of the retry attempts must give the same
 combinatorics as the integer coordinates of the first attempt.
 
 Minimal position is checked against identities of Farb and Margalit, *A
-Primer on Mapping Class Groups*: i(a, b) = i(b, a), and Prop. 3.2,
-i(T_a^k b, b) = |k| i(a, b)^2.  The genus-2 chain curves
+Primer on Mapping Class Groups*: i(a, b) = i(b, a); Prop. 3.2,
+i(T_a^k b, b) = |k| i(a, b)^2; Prop. 3.4,
+|i(T_a^k b, c) - |k| i(a, b) i(a, c)| <= i(b, c); and the algebraic
+intersection number î, a signed count of the same crossings, obeys
+|î(a, b)| <= i(a, b) with i(a, b) - î(a, b) even.  The genus-2 chain curves
 c_r = T_t1 T_a2^-1 c_(r-1), c_0 = dual1, carry nested stacks of bigons
 against these curves, so the oracles exercise stack peeling.
 """
@@ -19,7 +22,7 @@ from collections import Counter
 
 import pytest
 
-from dehnkit.calculus import is_essential
+from dehnkit.calculus import algebraic_intersection, is_essential
 from dehnkit.overlay import (
     JointSystem,
     _Degenerate,
@@ -186,12 +189,18 @@ def test_a_bigon_stack_is_peeled_in_one_round(count_builds):
     g = build_preset("genus2_closed").curves
     a, b = g["a1"], _chain(4)
     count_builds.clear()
-    _, _, system = minimal_position(a, b)
+    system = minimal_position(a, b)
     assert len(count_builds) <= 3
     assert system.crossing_count(0, 1) == _one_bigon_per_round(a, b) == 44
 
 
 CHAIN_PARTNERS = ("a1", "a2", "t1", "t2")
+
+
+@functools.lru_cache(maxsize=None)
+def _twisted(name, k, r):
+    """T_a^k c_r for a chain partner a."""
+    return apply_twist(build_preset("genus2_closed").curves[name], k, _chain(r))
 
 
 @pytest.mark.parametrize("r", range(4))
@@ -211,6 +220,30 @@ def test_twist_intersection_squares_on_chain_curves(r, k):
     for name in CHAIN_PARTNERS:
         a = g[name]
         want = abs(k) * geometric_intersection_number(a, b) ** 2
-        image = apply_twist(a, k, b)
+        image = _twisted(name, k, r)
         assert geometric_intersection_number(image, b) == want, (name, k)
         assert geometric_intersection_number(b, image) == want, (name, k)
+
+
+@pytest.mark.parametrize("r", range(4))
+@pytest.mark.parametrize("k", (1, -1, 2, -2))
+def test_twist_intersection_bound_on_chain_curves(r, k):
+    # Prop. 3.4, for every a and c among the chain partners
+    g = build_preset("genus2_closed").curves
+    b = _chain(r)
+    for a_name, c_name in itertools.product(CHAIN_PARTNERS, repeat=2):
+        a, c = g[a_name], g[c_name]
+        i = geometric_intersection_number
+        lhs = i(_twisted(a_name, k, r), c) - abs(k) * i(a, b) * i(a, c)
+        assert abs(lhs) <= i(b, c), (a_name, c_name)
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_algebraic_intersection_bounds_and_matches_parity(r):
+    g = build_preset("genus2_closed").curves
+    b = _chain(r).with_orientation(True)
+    for name in CHAIN_PARTNERS:
+        a = g[name].with_orientation(True)
+        geo = geometric_intersection_number(a, b)
+        alg = algebraic_intersection(a, b)
+        assert abs(alg) <= geo and (geo - alg) % 2 == 0, name

@@ -1,0 +1,76 @@
+"""Connector curves and curve matching on the genus-2 preset.
+
+A connector of two disjoint non-separating curves crosses each of them
+once and is routed through the complement of their arrangement: through
+one region when the two curves together do not separate the surface, with
+two cell-disjoint paths, and through two regions otherwise.  `match_curve`
+turns such a connector, or a single crossing, into a positive word that
+sends one curve onto the other.
+"""
+
+import pytest
+
+from dehnkit import factorization, overlay
+from dehnkit.factorization import find_connector_curve, match_curve
+from dehnkit.overlay import (
+    JointSystem,
+    connecting_curve,
+    curves_isotopic,
+    geometric_intersection_number,
+)
+from dehnkit.presets import build_preset
+from dehnkit.twisting import apply_twist, apply_word
+
+
+@pytest.fixture
+def g():
+    return build_preset("genus2_closed").curves
+
+
+@pytest.fixture
+def cell_path_calls(monkeypatch):
+    calls = []
+    paths = overlay._two_disjoint_cell_paths
+
+    def counting(*args):
+        calls.append(args)
+        return paths(*args)
+
+    monkeypatch.setattr(overlay, "_two_disjoint_cell_paths", counting)
+    return calls
+
+
+@pytest.mark.parametrize("x, y", [("a1", "t2"), ("a3", "t1")])
+def test_connector_through_one_region(g, cell_path_calls, x, y):
+    c = find_connector_curve(g[x], g[y])
+    assert cell_path_calls
+    assert geometric_intersection_number(c, g[x]) == 1
+    assert geometric_intersection_number(c, g[y]) == 1
+
+
+def test_connector_through_two_regions(g, cell_path_calls):
+    a = apply_twist(g["a1"], 1, g["t1"])
+    b = apply_twist(g["a2"], 1, g["t1"])
+    c = find_connector_curve(a, b)
+    assert not cell_path_calls
+    assert geometric_intersection_number(c, a) == 1
+    assert geometric_intersection_number(c, b) == 1
+
+
+@pytest.mark.parametrize("x, y", [("a1", "t2"), ("t2", "a1"), ("a3", "t1")])
+def test_match_curve_through_a_connector(g, x, y):
+    word = match_curve(g[x], g[y])
+    assert len(word) == 4 and word.is_positive
+    image = apply_word(word, g[x].with_orientation(False))
+    assert curves_isotopic(image, g[y].with_orientation(False))
+
+
+def test_routed_orientation_partner_misses_the_frozen_curve(g):
+    # factorize's fallback for a2 once a1 is frozen: no stored curve crosses
+    # a2 once while missing a1, so the partner is routed around a1
+    c = connecting_curve(JointSystem(g["a2"].surface, (g["a2"], g["a1"])), 0)
+    assert geometric_intersection_number(c, g["a2"]) == 1
+    assert geometric_intersection_number(c, g["a1"]) == 0
+    assert factorization._orientation_partner(
+        build_preset("genus2_closed").pants, 1, (g["a1"],)
+    ) == c

@@ -129,7 +129,8 @@ class TestMinimalPosition:
     def test_already_minimal(self):
         s = torus()
         a, b = line(s, 1, 0), line(s, 0, 1)
-        a2, b2, sysm = minimal_position(a, b)
+        sysm = minimal_position(a, b)
+        a2, b2 = sysm.curves
         assert (a2, b2) == (a, b)
         assert sysm.crossing_count(0, 1) == 1
 
@@ -137,7 +138,8 @@ class TestMinimalPosition:
         s = torus()
         a, c = line(s, 1, 0), trivial_circle(s)
         assert JointSystem(s, (a, c)).crossing_count(0, 1) == 2
-        a2, c2, sysm = minimal_position(a, c)
+        sysm = minimal_position(a, c)
+        a2, c2 = sysm.curves
         assert sysm.crossing_count(0, 1) == 0
         assert c2.events == (("v", 1, F(1, 4)), ("v", -1, F(5, 12)))
         assert is_null_homotopic(c2)
@@ -148,7 +150,8 @@ class TestMinimalPosition:
         # (1,0) copy with a finger poked across the v wall around a's point
         b = EmbeddedCurve(s, (("v", 1, F(1, 4)), ("v", 1, F(3, 5)), ("v", -1, F(2, 5))))
         assert JointSystem(s, (a, b)).crossing_count(0, 1) == 2
-        a2, b2, sysm = minimal_position(a, b)
+        sysm = minimal_position(a, b)
+        a2, b2 = sysm.curves
         assert sysm.crossing_count(0, 1) == 0
         assert curves_isotopic(b2, a)
         assert not curves_isotopic(b2, a.reverse())
@@ -161,7 +164,8 @@ class TestMinimalPosition:
             s, (("v", 1, F(1, 5)), ("v", 1, F(8, 15)), ("v", -1, F(2, 5)))
         )
         a = line(s, 1, 0)
-        b2, a2, sysm = minimal_position(b, a)
+        sysm = minimal_position(b, a)
+        b2, a2 = sysm.curves
         assert sysm.crossing_count(0, 1) == 0
         assert a2.events == (("v", 1, F(13, 15)),)
         assert curves_isotopic(a2, a)

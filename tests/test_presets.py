@@ -102,7 +102,7 @@ class TestPantsInvariants:
                 if j == i:
                     assert k in (1, 2)
                     if k == 2:
-                        _, _, system = minimal_position(d, a)
+                        system = minimal_position(d, a)
                         signs = sorted(c.sign for c in system.crossings_between(0, 1))
                         assert signs == [-1, 1]
                 else:
