@@ -3,22 +3,23 @@
 A JointSystem places several embedded curves on one surface in general
 position and builds their arrangement in five phases:
 
-  frame      the crossing points of each edge are jointly renormalised
-             (ties broken by curve index, a legal isotopy): the k-th of
-             the m points on an edge moves to (k + 1)/(m + 1), so its
-             integer rank carries all the information;
+  frame      surface.joint_frame renormalises the crossing points of each
+             edge jointly (ties broken by curve index, a legal isotopy):
+             the k-th of the m points on an edge moves to (k + 1)/(m + 1),
+             so its integer rank carries all the information;
   chords     every face is walked as a ccw list of boundary items (slot
              corners and points), and each curve gap becomes a chord
              between two items;
   crossings  the face is realised as a convex polygon with its items at
-             points (t, t^2) of a parabola, the chords as straight
-             segments; chords cross iff their end ranks interleave, and at
-             integer t each crossing's sign is that of an integer cross
-             product.  The crossing parameters along a chord are exact
-             Fractions that order the crossings on it;
+             integer points (t, t^2) of a parabola, the chords as straight
+             segments; chords cross iff their end ranks interleave, and
+             each crossing's sign is that of an integer cross product.
+             The crossing parameters along a chord are exact Fractions
+             that order the crossings on it;
   darts      a doubly-connected edge list whose cells are the
              complementary pieces inside single faces; the rotation at a
-             crossing follows from its sign;
+             crossing follows from its sign.  Each crossing's slot on
+             both of its curves, (gap, rank on that gap), is recorded;
   regions    cells glue across the skeleton edges into regions, the
              connected components of the complement of the curve system.
              Each region knows its Euler characteristic and its boundary
@@ -37,14 +38,20 @@ along a curve.  Minimal position removes bigons by pushing one curve across
 them; a bigon and the rectangles stacked on it (nested bigons) are pushed
 across together.
 
+Every curve surgery reads its new curve off the joint frame: `arc` lists
+the events of a curve between two of its crossings, from their slots, and
+`beside` moves an event a fraction of the joint spacing to one side of
+its curve.  Bigon removal, the twist spiral (twisting) and the reduction
+splice (reduction) build all their new points this way.
+
 The single-curve predicates (null-homotopic, boundary-parallel,
 separating) share one arrangement per curve, and their answers are cached
 on the curve and on its isotopic copies.
 
 Degenerate triple concurrencies cannot occur for two curves and are
-dissolved for larger systems by retrying with polygon points perturbed
-quadratically in their rank; the region structure does not depend on the
-choice.
+dissolved for larger systems by retrying with polygon points perturbed by
+an integer wobble quadratic in their rank; the region structure does not
+depend on the choice.
 """
 
 from __future__ import annotations
@@ -56,16 +63,16 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ComputationError, PreconditionError, ValidationError
-from .surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve
+from .surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve, joint_frame
 
-Vec = tuple[Fraction, Fraction]
+Vec = tuple[int, int]
 
 
 def _sub(u: Vec, v: Vec) -> Vec:
     return (u[0] - v[0], u[1] - v[1])
 
 
-def _cross(u: Vec, v: Vec) -> Fraction:
+def _cross(u: Vec, v: Vec) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
@@ -150,41 +157,17 @@ class JointSystem:
 
     def _build(self, attempt: int) -> None:
         """Build the arrangement; attempt > 0 perturbs the polygon points."""
-        self.edge_order, self.events = self._frame()
+        self.edge_order, self.events = joint_frame(self.curves)
         items, chords = self._chords(self.edge_order, self.events)
         self.crossings, self._cross_of_node, stops = self._crossings(
             items, chords, attempt
         )
-        self._starts, self._labels, self._chord_darts, self._cells, self._cell_of = (
-            self._darts(items, chords, stops, self._cross_of_node, self.events)
-        )
+        (self._starts, self._labels, self._chord_darts, self._slots, self._cells,
+         self._cell_of) = self._darts(items, chords, stops, self._cross_of_node,
+                                      self.events)
         self._partner, self.region_of_cell, self.regions = self._regions(
             self._labels, self._cells, self._cell_of
         )
-
-    def _frame(self) -> tuple[dict, list]:
-        """Joint renormalisation: (edge_order, events).
-
-        All crossing points of an edge are merged and sorted by (position,
-        curve, event); edge_order[e] lists them as (curve, event) in that
-        order.  The k-th of the m points moves to (k + 1)/(m + 1), which is
-        what events holds; order, not position, carries the combinatorics.
-        """
-        edge_points: dict[str, list[tuple]] = {}
-        for ci, c in enumerate(self.curves):
-            for ei, (e, _, p) in enumerate(c.events):
-                edge_points.setdefault(e, []).append((p, ci, ei))
-        edge_order: dict[str, list[tuple[int, int]]] = {}
-        events = [list(c.events) for c in self.curves]
-        for e, pts in edge_points.items():
-            # float leads, exact value breaks the (rare) float ties: rounding
-            # to nearest is monotone, so the composite order is the exact one
-            pts.sort(key=lambda t: (float(t[0]), t[0], t[1], t[2]))
-            m = len(pts)
-            for k, (_, ci, ei) in enumerate(pts):
-                events[ci][ei] = (e, events[ci][ei][1], Fraction(k + 1, m + 1))
-            edge_order[e] = [(ci, ei) for _, ci, ei in pts]
-        return edge_order, events
 
     def _chords(self, edge_order: dict, events: list) -> tuple[list, list]:
         """Per-face boundary items and chords: (items, chords).
@@ -228,20 +211,23 @@ class JointSystem:
         """The chords' crossings: (crossings, cross_of_node, stops).
 
         Face fi is the convex polygon with its items at (t, t^2), t the
-        item's rank, perturbed quadratically in the rank when attempt > 0.
+        item's rank, or 10^4 times it plus a wobble quadratic in the rank
+        when attempt > 0.
         stops[fi][x] lists the crossing nodes along chord x in order.  This
         is the only phase that depends on the points, so the only one that
         raises _Degenerate.
         """
         chirality = self.surface.chirality
 
-        def t_of(rank: int):
+        def t_of(rank: int) -> int:
             if attempt == 0:
-                return rank  # integer coordinates keep the arithmetic cheap
+                return rank
             # quadratic in the rank: an affine wobble would map the points
-            # (t, t^2) affinely and keep their triple concurrencies
+            # (t, t^2) affinely and keep their triple concurrencies.  This
+            # is t = rank + wob/10^4 with x scaled by 10^4 and y by 10^8,
+            # which changes no crossing parameter and no sign
             wob = (rank * rank * 7919 + rank * 104729 + attempt * 2654435761) % 997
-            return Fraction(rank) + Fraction(wob, 10000)
+            return rank * 10000 + wob
 
         crossings: list[Crossing] = []
         cross_of_node: dict[tuple, Crossing] = {}
@@ -283,12 +269,8 @@ class JointSystem:
                 if den == 0:
                     raise _Degenerate
                 w = _sub(a, p)
-                if isinstance(den, int):
-                    s = Fraction(_cross(w, d2v), den)
-                    t = Fraction(_cross(w, d1v), den)
-                else:
-                    s = _cross(w, d2v) / den
-                    t = _cross(w, d1v) / den
+                s = Fraction(_cross(w, d2v), den)
+                t = Fraction(_cross(w, d1v), den)
                 if not (0 < s < 1 and 0 < t < 1):
                     raise ComputationError("interleaved chords failed to cross")
                 node = ("x", fi, len(crossings))
@@ -319,14 +301,16 @@ class JointSystem:
         return crossings, cross_of_node, stops
 
     def _darts(self, items, chords, stops, cross_of_node, events) -> tuple:
-        """Doubly-connected edge list: (starts, labels, chord_darts, cells, cell_of).
+        """Doubly-connected edge list: (starts, labels, chord_darts, slots,
+        cells, cell_of).
 
         Nodes are boundary items ("b", face, rank) and crossings.  Darts
         come in twin pairs 2k, 2k + 1, each with a start node and a label:
         ("B", e, s, gap, fwd) for the boundary segment of face slot (e, s)
         on edge interval gap, ("C", curve, gap, k, fwd) for the k-th segment
-        of a chord.  Cells are the orbits of phi(d) = sigma-predecessor of
-        twin(d) apart from the face exteriors; cell_of is -1 on those.
+        of a chord.  slots[(node, curve)] is (gap, r) for the r-th crossing
+        on that curve gap.  Cells are the orbits of phi(d) = sigma-predecessor
+        of twin(d) apart from the face exteriors; cell_of is -1 on those.
         """
         chirality = self.surface.chirality
         starts: list[tuple] = []
@@ -344,6 +328,7 @@ class JointSystem:
         # chord segment darts; at each crossing node, the outgoing pair
         # (forward, backward) each of its two chords contributes
         chord_darts: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        slots: dict[tuple, tuple[int, int]] = {}
         node_outs: dict[tuple, dict[tuple[int, int], tuple[int, int]]] = {}
         for fi, ch in enumerate(chords):
             for (ci, g, ra, rb), hits in zip(ch, stops[fi]):
@@ -355,6 +340,7 @@ class JointSystem:
                     labels.extend((("C", ci, g, k, True), ("C", ci, g, k, False)))
                 chord_darts[(ci, g)] = segs
                 for k in range(1, len(nodes) - 1):
+                    slots[(nodes[k], ci)] = (g, k - 1)
                     node_outs.setdefault(nodes[k], {})[(ci, g)] = (
                         segs[k][0], segs[k - 1][1]
                     )
@@ -423,7 +409,7 @@ class JointSystem:
             if d != did:
                 raise ComputationError("broken face orbit")
             cells.append(cycle)
-        return starts, labels, chord_darts, cells, cell_of
+        return starts, labels, chord_darts, slots, cells, cell_of
 
     def _regions(self, labels, cells, cell_of) -> tuple:
         """Glue cells into regions: (partner, region_of_cell, regions).
@@ -550,13 +536,32 @@ class JointSystem:
                 params[self._cross_of_node[node]] = g + Fraction(r + 1, len(hits) + 1)
         return params
 
-    def safe_radius(self, e: str) -> Fraction:
-        """Half the spacing of the joint frame on edge e.
+    def arc(self, ci: int, x: Crossing, y: Crossing) -> list[int]:
+        """Event indices of curve ci strictly between crossings x and y.
 
-        The m points on e sit at k/(m + 1), so an offset smaller than this
-        around any of them stays clear of the others and of the edge ends.
+        The walk runs forward along ci.  From a crossing to itself the arc
+        is empty; from a crossing to an earlier one on the same gap it runs
+        once around the curve.
         """
-        return Fraction(1, 2 * (len(self.edge_order[e]) + 1))
+        n = len(self.events[ci])
+        gx, rx = self._slots[(x.node, ci)]
+        gy, ry = self._slots[(y.node, ci)]
+        span = (gy - gx) % n
+        if span == 0 and ry < rx:
+            span = n
+        return [(gx + 1 + t) % n for t in range(span)]
+
+    def beside(self, ci: int, idx: int, h: Fraction) -> tuple:
+        """Event idx of curve ci moved h joint spacings along its direction.
+
+        That is p + d*h/(m + 1) for the m points of its edge, which sit
+        1/(m + 1) apart in the joint frame, edge ends included: with |h| < 1
+        the moved point stays strictly between its old neighbours.  One h
+        moves every event of ci to the same side of ci, so the moved events
+        of an arc run parallel to it; the sign of h picks the side.
+        """
+        e, d, p = self.events[ci][idx]
+        return e, d, p + d * h / (len(self.edge_order[e]) + 1)
 
     def crossing_order_along(self, ci: int) -> list[Crossing]:
         """All crossings met by curve ci, in traversal order (cyclically)."""
@@ -602,36 +607,6 @@ class JointSystem:
 
     # ------------------------------------------------------------------
     # bigon removal
-
-    def _run_events(self, labels, curve: int, n: int, fwd: bool) -> list[int]:
-        """Event indices a chord-dart run passes, in run order.
-
-        Consecutive darts either step across a crossing on one chord
-        (adjacent segments, no event) or hop to the neighbouring chord
-        through the curve's crossing point on the skeleton; the hop is
-        recognised by segment indices, which keeps single-event curves
-        (whose only chord wraps onto itself) honest.
-        """
-        out: list[int] = []
-        for l1, l2 in zip(labels, labels[1:]):
-            g1, k1 = l1[2], l1[3]
-            g2, k2 = l2[2], l2[3]
-            if fwd:
-                if (g2, k2) == (g1, k1 + 1):
-                    continue
-                last = len(self._chord_darts[(curve, g1)]) - 1
-                if g2 == (g1 + 1) % n and k2 == 0 and k1 == last:
-                    out.append(g2)
-                    continue
-            else:
-                if (g2, k2) == (g1, k1 - 1):
-                    continue
-                last = len(self._chord_darts[(curve, g2)]) - 1
-                if g2 == (g1 - 1) % n and k1 == 0 and k2 == last:
-                    out.append(g1)
-                    continue
-            raise ComputationError("run of darts is not a curve arc")
-        return out
 
     def _bigon_runs(self, region: Region, move: int) -> tuple[list, list]:
         """(stationary run, moving run) of a bigon, as dart lists."""
@@ -686,13 +661,14 @@ class JointSystem:
         """Splice data for pushing curve `move`'s side of a bigon across.
 
         The bigon is given by its two runs of darts in circuit order, the
-        stationary curve's and the moving curve's.  Returns (g_enter, m,
-        new_events, a_used): the moved curve keeps its event at gap
-        g_enter, drops the next m events and runs new_events in their
-        place; a_used names the stationary curve's events the replacement
-        strand shadows.  Each replacement event sits the fraction `shift`
-        of the way from the stationary curve's event to its neighbour on
-        the far side.
+        stationary curve's and the moving curve's; the stationary run goes
+        from corner P to corner Q and the moving run back from Q to P.
+        Returns (g_enter, m, new_events, a_used): the moved curve keeps its
+        event at gap g_enter, drops the next m events and runs new_events in
+        their place; a_used names the stationary curve's events the
+        replacement strand shadows.  Each replacement event is the
+        stationary curve's event moved `shift` joint spacings to the far
+        side (see beside).
         """
         cb = move
         ca = self._labels[darts_a[0]][1]
@@ -702,36 +678,30 @@ class JointSystem:
         b_fwd = labels_b[0][4]
         if any(l[4] != a_fwd for l in labels_a) or any(l[4] != b_fwd for l in labels_b):
             raise ComputationError("bigon run changes direction")
+        starts, corner = self._starts, self._cross_of_node
+        P, Q = corner[starts[darts_a[0]]], corner[starts[darts_a[-1] ^ 1]]
+        if (starts[darts_b[0]], starts[darts_b[-1] ^ 1]) != (Q.node, P.node):
+            raise ComputationError("bigon runs do not share their corners")
 
-        na = len(self.curves[ca].events)
-        nb = len(self.curves[cb].events)
-        a_inside = self._run_events(labels_a, ca, na, a_fwd)
-        b_inside = self._run_events(labels_b, cb, nb, b_fwd)
-
-        # In curve cb's own direction the run enters on this gap:
-        g_enter = labels_b[0][2] if b_fwd else labels_b[-1][2]
-        inside_own = b_inside if b_fwd else list(reversed(b_inside))
-
-        # Replacement path walks curve ca's run from cb's entry crossing to
-        # its exit crossing; that traversal runs against circuit order iff
-        # cb's run is in circuit order.
-        walk = list(reversed(a_inside)) if b_fwd else list(a_inside)
-        along_a = (not a_fwd) if b_fwd else a_fwd
+        # the stationary side, in ca's own order
+        a_arc = self.arc(ca, P, Q) if a_fwd else self.arc(ca, Q, P)
+        # In cb's own direction the run enters at one corner and leaves at
+        # the other; the replacement strand walks ca's side between them,
+        # along ca iff exactly one of the runs follows its curve.
+        enter, leave = (Q, P) if b_fwd else (P, Q)
+        along_a = a_fwd != b_fwd
+        walk = a_arc if along_a else a_arc[::-1]
         # The bigon sits on ca's left iff its run is forward; the rerouted
         # strand is pushed across ca to the far side.
-        offset_sign = -1 if a_fwd else 1
-
-        # the far neighbour, another point or the edge end, lies exactly
-        # 1/(m + 1) up or down the edge in the joint frame
+        h = -shift if a_fwd else shift
         new_events: list[tuple[str, int, Fraction]] = []
         for ev_idx in walk:
-            e, d_a, p = self.events[ca][ev_idx]
-            d_new = d_a if along_a else -d_a
-            step = offset_sign * d_a * shift / (len(self.edge_order[e]) + 1)
-            new_events.append((e, d_new, p + step))
+            e, d_a, p = self.beside(ca, ev_idx, h)
+            new_events.append((e, d_a if along_a else -d_a, p))
 
-        a_used = frozenset((ca, ev) for ev in a_inside)
-        return g_enter, len(inside_own), new_events, a_used
+        a_used = frozenset((ca, ev) for ev in a_arc)
+        g_enter = self._slots[(enter.node, cb)][0]
+        return g_enter, len(self.arc(cb, enter, leave)), new_events, a_used
 
     def reroute_through_bigons(
         self, regions: Sequence[Region], move: int, stacks: bool = True
@@ -1197,8 +1167,8 @@ def cut_along_curve(
     """Cut the surface along c; carried curves must be disjoint from c.
 
     Every piece must be hyperbolic-type (negative Euler characteristic).
-    Carried curves reappear on the piece containing them, crossing the new
-    edges at rescaled positions.
+    Carried curves reappear on the piece containing them, crossing each new
+    edge in the order the joint frame of (c, carried curve) gives them.
     """
     surf = c.surface
     system = JointSystem(surf, (c,))
@@ -1207,23 +1177,6 @@ def cut_along_curve(
             raise PreconditionError(
                 f"cutting would create a piece with Euler characteristic {reg.chi}"
             )
-
-    # interval index of a position among the cut curve's points on an edge
-    cut_positions: dict[str, list[Fraction]] = {}
-    for e, _, p in c.events:
-        cut_positions.setdefault(e, []).append(p)
-    for ps in cut_positions.values():
-        ps.sort()
-
-    def interval_index(e: str, p: Fraction) -> int:
-        ps = cut_positions.get(e, ())
-        k = 0
-        for q in ps:
-            if p > q:
-                k += 1
-            elif p == q:
-                raise PreconditionError("carried curve touches the cut curve")
-        return k
 
     pieces: list[CutPiece] = []
     piece_of_region: dict[int, int] = {}
@@ -1266,28 +1219,35 @@ def cut_along_curve(
 
     transferred = []
     for k in carry:
-        if JointSystem(surf, (c, k)).crossing_count(0, 1) != 0:
+        joint = JointSystem(surf, (c, k))
+        if joint.crossing_count(0, 1) != 0:
             raise PreconditionError("carried curve is not disjoint from the cut curve")
+        # k's events by edge interval, in order up the edge: the interval
+        # counts the cut curve's points below them in the joint frame
+        runs: dict[tuple[str, int], list[int]] = {}
+        for e, along in joint.edge_order.items():
+            gap = 0
+            for ci, ei in along:
+                if ci == 0:
+                    gap += 1
+                else:
+                    runs.setdefault((e, gap), []).append(ei)
         home: set[int] = set()
-        new_events = []
-        for e, d, p in k.events:
-            idx = interval_index(e, p)
-            ps = cut_positions.get(e, [])
-            lo = ps[idx - 1] if idx > 0 else Fraction(0)
-            hi = ps[idx] if idx < len(ps) else Fraction(1)
-            owner = None
-            for ridx, piece in enumerate(pieces):
-                if (e, idx) in piece.interval_edges:
-                    owner = ridx
-                    name, ascends = piece.interval_edges[(e, idx)]
-                    break
+        new_events: list = [None] * len(k.events)
+        for key, eis in runs.items():
+            owner = next((pi for pi, piece in enumerate(pieces)
+                          if key in piece.interval_edges), None)
             if owner is None:
-                raise ComputationError(f"no piece owns interval ({e}, {idx})")
+                raise ComputationError(f"no piece owns interval {key}")
             home.add(owner)
-            if ascends > 0:
-                new_events.append((name, d, (p - lo) / (hi - lo)))
-            else:
-                new_events.append((name, -d, (hi - p) / (hi - lo)))
+            name, ascends = pieces[owner].interval_edges[key]
+            n = len(eis)
+            for r, ei in enumerate(eis):
+                d = k.events[ei][1]
+                if ascends > 0:
+                    new_events[ei] = (name, d, Fraction(r + 1, n + 1))
+                else:
+                    new_events[ei] = (name, -d, Fraction(n - r, n + 1))
         if len(home) != 1:
             raise ComputationError("carried curve straddles several pieces")
         pi = home.pop()

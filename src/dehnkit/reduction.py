@@ -5,7 +5,9 @@ arc of b, whose positive twist strictly drops the crossing count with a. The
 candidate pool enumerates every splice (crossing pair, either arc of each
 curve, either side for the parallel copies) and keeps the first one that
 passes the descent test; iterating lands in a terminal class in at most the
-initial number of crossings.
+initial number of crossings.  The arcs come from JointSystem.arc, and each
+parallel copy runs a quarter of a joint spacing beside its curve
+(JointSystem.beside).
 
 Different splices often close up into the same curve.  A candidate whose
 canonical key was already tried in the step is skipped before it is twisted:
@@ -32,44 +34,19 @@ __all__ = ["find_reduction_curve", "reduce_pair"]
 TERMINAL_TAGS = ("disjoint", "one_point", "two_zero")
 
 
-def _arc_indices(n_events, th_from, th_to):
-    """Event indices strictly inside the forward cyclic interval."""
-    span = (th_to - th_from) % n_events
-    out = []
-    base = int(th_from) + 1
-    for t in range(n_events):
-        off = (Fraction(base + t) - th_from) % n_events
-        if off < span:
-            out.append((base + t) % n_events)
-        else:
-            break
-    return out
-
-
-def _candidate_events(system, x, y, params_a, params_b, a_fwd, b_fwd, sa, sb):
+def _candidate_events(system, x, y, a_fwd, b_fwd, sa, sb):
     """Splice: parallel a-arc from x to y, then parallel b-arc from y to x."""
     chir = system.surface.chirality
-    A, B = system.events[0], system.events[1]
 
-    def copy(events, idxs, fwd, side):
-        part = []
-        for i in idxs:
-            e, d, p = events[i]
-            pos = p + side * d * chir * system.safe_radius(e) / 2
-            part.append((e, d, pos))
+    def copy(ci, start, end, fwd, side):
+        idxs = system.arc(ci, start, end) if fwd else system.arc(ci, end, start)
+        h = Fraction(side * chir, 4)
+        part = [system.beside(ci, i, h) for i in idxs]
         if not fwd:
             part = [(e, -d, pos) for e, d, pos in reversed(part)]
         return part
 
-    if a_fwd:
-        a_part = copy(A, _arc_indices(len(A), params_a[x], params_a[y]), True, sa)
-    else:
-        a_part = copy(A, _arc_indices(len(A), params_a[y], params_a[x]), False, sa)
-    if b_fwd:
-        b_part = copy(B, _arc_indices(len(B), params_b[y], params_b[x]), True, sb)
-    else:
-        b_part = copy(B, _arc_indices(len(B), params_b[x], params_b[y]), False, sb)
-    return tuple(a_part + b_part)
+    return tuple(copy(0, x, y, a_fwd, sa) + copy(1, y, x, b_fwd, sb))
 
 
 def _pair_priority(order_a):
@@ -114,8 +91,6 @@ def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system, avoid=()):
     """
     count = system.crossing_count(0, 1)
     order_a = system.crossing_order_along(0)
-    params_a = system.crossing_params(0)
-    params_b = system.crossing_params(1)
     surf = a.surface
     tried = set()
 
@@ -123,9 +98,7 @@ def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system, avoid=()):
         for a_fwd, b_fwd in ((True, False), (False, True), (True, True), (False, False)):
             for sa in (1, -1):
                 for sb in (1, -1):
-                    events = _candidate_events(
-                        system, x, y, params_a, params_b, a_fwd, b_fwd, sa, sb,
-                    )
+                    events = _candidate_events(system, x, y, a_fwd, b_fwd, sa, sb)
                     if len(events) < 1:
                         continue
                     try:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import PreconditionError, ValidationError
 
@@ -428,22 +428,10 @@ class EmbeddedCurve:
             EmbeddedCurve(self.surface, self.events, oriented=oriented)
         )
 
-    def positions_on_edge(self, edge: str) -> list[Fraction]:
-        return sorted(p for e, _, p in self.events if e == edge)
-
     def renormalized(self) -> "EmbeddedCurve":
         """Move crossing positions to (k+1)/(m+1) by per-edge rank."""
-        rank: dict[tuple[str, Fraction], Fraction] = {}
-        by_edge: dict[str, list[Fraction]] = {}
-        for e, _, p in self.events:
-            by_edge.setdefault(e, []).append(p)
-        for e, ps in by_edge.items():
-            ps.sort(key=lambda p: (float(p), p))
-            m = len(ps)
-            for k, p in enumerate(ps):
-                rank[(e, p)] = Fraction(k + 1, m + 1)
-        ev = tuple((e, d, rank[(e, p)]) for e, d, p in self.events)
-        return EmbeddedCurve._respaced(self.surface, ev, self)
+        _, (events,) = joint_frame((self,))
+        return EmbeddedCurve._respaced(self.surface, tuple(events), self)
 
     @cached_property
     def canonical_key(self) -> tuple:
@@ -480,13 +468,14 @@ class EmbeddedCurve:
     # -- serialization --
 
     def to_json(self, surface_id: str | None = None) -> dict:
-        order: dict[tuple[str, Fraction], int] = {}
-        for e in {e for e, _, _ in self.events}:
-            for k, p in enumerate(self.positions_on_edge(e)):
-                order[(e, p)] = k
+        edge_order, _ = joint_frame((self,))
+        rank = [0] * len(self.events)
+        for along in edge_order.values():
+            for k, (_, ei) in enumerate(along):
+                rank[ei] = k
         data = {
             "format": 1,
-            "itinerary": [[e, order[(e, p)], d] for e, d, p in self.events],
+            "itinerary": [[e, rank[ei], d] for ei, (e, d, _) in enumerate(self.events)],
             "oriented": self.oriented,
         }
         if surface_id is not None:
@@ -511,6 +500,34 @@ class EmbeddedCurve:
                 raise ValidationError(f"crossing index {k} out of range on edge {e!r}")
             events.append((e, d, Fraction(k + 1, m + 1)))
         return cls(surface, tuple(events), oriented=bool(data.get("oriented", True)))
+
+
+def joint_frame(curves: Sequence[EmbeddedCurve]) -> tuple[dict, list]:
+    """Joint renormalisation of curves on one surface: (edge_order, events).
+
+    All crossing points of an edge are merged and sorted by (position,
+    curve, event); edge_order[e] lists them as (curve, event) in that
+    order; a position tie, which only two different curves can have, is
+    broken by curve index, a legal isotopy.  The k-th of the m points moves
+    to (k + 1)/(m + 1), which is what events[curve][event] holds; order,
+    not position, carries the combinatorics.  For one curve this is its
+    renormalisation.
+    """
+    edge_points: dict[str, list[tuple]] = {}
+    for ci, c in enumerate(curves):
+        for ei, (e, _, p) in enumerate(c.events):
+            edge_points.setdefault(e, []).append((p, ci, ei))
+    edge_order: dict[str, list[tuple[int, int]]] = {}
+    events = [list(c.events) for c in curves]
+    for e, pts in edge_points.items():
+        # float leads, exact value breaks the (rare) float ties: rounding
+        # to nearest is monotone, so the composite order is the exact one
+        pts.sort(key=lambda t: (float(t[0]), t[0], t[1], t[2]))
+        m = len(pts)
+        for k, (_, ci, ei) in enumerate(pts):
+            events[ci][ei] = (e, events[ci][ei][1], Fraction(k + 1, m + 1))
+        edge_order[e] = [(ci, ei) for _, ci, ei in pts]
+    return edge_order, events
 
 
 @dataclass(frozen=True)

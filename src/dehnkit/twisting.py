@@ -2,9 +2,10 @@
 
 The twist D_a^n(b) is built literally: put the pair in minimal position, then
 reroute every strand of b through an annulus neighbourhood of a as a spiral
-winding |n| times. Spirals are realized with exact rational offsets near a's
-edge events, so the result validates as an embedded curve; a final sweep
-removes edge-crossing pairs the surgery left reducible.
+winding |n| times. The spiral's points are a's events moved at most half a
+joint spacing to either side (JointSystem.beside), so the result validates
+as an embedded curve; a final sweep removes edge-crossing pairs the surgery
+left reducible.
 """
 
 from __future__ import annotations
@@ -111,17 +112,14 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
 
     surf = a.surface
     chir = surf.chirality
-    A = system.events[0]
     B = system.events[1]
-    m = len(A)
+    m = len(system.events[0])
     nu = n * TWIST_SIGN * chir
     sigma = 1 if nu > 0 else -1
     wraps = abs(nu)
 
-    # Annulus coordinate of each crossing and safe offset radius around
-    # each event of a.
+    # Annulus coordinate of each crossing along a.
     theta = system.crossing_params(0)
-    radius = [system.safe_radius(e) for e, _d, _p in A]
 
     def spiral_block(x) -> list:
         # Strand of b at crossing x, rerouted to wind `wraps` times around a.
@@ -132,11 +130,10 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
         out = []
         for t in range(wraps * m):
             idx = (g + 1 + t) % m if se > 0 else (g - t) % m
-            e, d, p = A[idx]
             w = t // m if mu > 0 else wraps - 1 - t // m
             phi = (sigma * (idx - th)) % m / m
             z = (phi + w) / wraps
-            pos = p + d * chir * (2 * z - 1) * radius[idx]
+            e, d, pos = system.beside(0, idx, chir * (2 * z - 1) / 2)
             out.append((e, se * d, pos))
         return out
 

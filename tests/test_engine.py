@@ -14,11 +14,15 @@ intersection number î, a signed count of the same crossings, obeys
 |î(a, b)| <= i(a, b) with i(a, b) - î(a, b) even.  The genus-2 chain curves
 c_r = T_t1 T_a2^-1 c_(r-1), c_0 = dual1, carry nested stacks of bigons
 against these curves, so the oracles exercise stack peeling.
+
+JointSystem.arc, which reads arcs off the crossings' slots, is checked
+against the annulus-coordinate formula it replaced.
 """
 
 import functools
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -32,7 +36,7 @@ from dehnkit.overlay import (
     is_separating,
     minimal_position,
 )
-from dehnkit.presets import PRESET_NAMES, build_preset
+from dehnkit.presets import PRESET_NAMES, build_preset, torus_curve
 from dehnkit.surface import EmbeddedCurve
 from dehnkit.twisting import apply_twist
 
@@ -247,3 +251,40 @@ def test_algebraic_intersection_bounds_and_matches_parity(r):
         geo = geometric_intersection_number(a, b)
         alg = algebraic_intersection(a, b)
         assert abs(alg) <= geo and (geo - alg) % 2 == 0, name
+
+
+def _arc_indices(n_events, th_from, th_to):
+    """Reference arc: event indices strictly inside the forward cyclic
+    interval (th_from, th_to) of annulus coordinates (crossing_params)."""
+    span = (th_to - th_from) % n_events
+    out = []
+    base = int(th_from) + 1
+    for t in range(n_events):
+        off = (Fraction(base + t) - th_from) % n_events
+        if off < span:
+            out.append((base + t) % n_events)
+        else:
+            break
+    return out
+
+
+def _arc_systems():
+    g = build_preset("genus2_closed").curves
+    for r in range(4):
+        for name in CHAIN_PARTNERS:
+            yield minimal_position(g[name], _chain(r))
+    # a one-event curve whose single chord carries all three crossings
+    t = build_preset("torus").surface
+    yield minimal_position(torus_curve(t, 1, 0), torus_curve(t, 1, 3))
+
+
+def test_arc_matches_the_annulus_coordinate_formula():
+    for system in _arc_systems():
+        for ci in (0, 1):
+            n = len(system.events[ci])
+            theta = system.crossing_params(ci)
+            for x, y in itertools.permutations(system.crossing_order_along(ci), 2):
+                want = _arc_indices(n, theta[x], theta[y])
+                assert system.arc(ci, x, y) == want, (ci, theta[x], theta[y])
+            for x in theta:
+                assert system.arc(ci, x, x) == []

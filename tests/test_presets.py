@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from dehnkit.calculus import is_essential
 from dehnkit.errors import ComputationError, PreconditionError
 from dehnkit.overlay import (
     JointSystem,
@@ -323,6 +324,20 @@ class TestCutting:
         (pi, moved), = res.transferred
         assert pi == 0
         assert len(moved.events) == len(g2.curves["a2"].events)
+
+    @pytest.mark.parametrize("name", ("dual2", "dual3"))
+    def test_carried_curve_sharing_an_edge_position_transfers(self, name):
+        # the carried curve crosses an edge at the same position as a1; the
+        # joint frame breaks the tie by curve index, so the two are disjoint
+        g2 = build_preset("genus2_closed")
+        a1, k = g2.curves["a1"], g2.curves[name]
+        assert JointSystem(a1.surface, (a1, k)).crossing_count(0, 1) == 0
+        res = cut_along_curve(a1, carry=(k,))
+        (pi, moved), = res.transferred
+        assert pi == 0
+        assert len(moved.events) == 4
+        assert is_essential(moved)
+        assert is_separating(moved)
 
     def test_cut_refuses_crossing_carry(self):
         g2 = build_preset("genus2_closed")
