@@ -27,7 +27,25 @@ class ComputationError(DehnkitError):
 
     Raised when a certificate check fails or a result does not satisfy
     its own postcondition.  Always a bug or a genuinely unreachable case.
+
+    `surface` and `curves`, when set, are the inputs of the computation
+    that failed; `replay_json` serializes them so the failure can be
+    reproduced.  They are kept as references and serialized only on demand.
     """
+
+    def __init__(self, message: str, surface=None, curves=()):
+        super().__init__(message)
+        self.surface = surface
+        self.curves = tuple(curves)
+
+    def replay_json(self) -> dict | None:
+        """{"surface": ..., "curves": [...]} of the failed inputs, or None."""
+        if self.surface is None:
+            return None
+        return {
+            "surface": self.surface.to_json(),
+            "curves": [c.to_json() for c in self.curves],
+        }
 
 
 class BudgetExceededError(DehnkitError):

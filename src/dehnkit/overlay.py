@@ -10,28 +10,36 @@ position and builds their arrangement in five phases:
   chords     every face is walked as a ccw list of boundary items (slot
              corners and points), and each curve gap becomes a chord
              between two items;
-  crossings  the face is realised as a convex polygon with its items at
-             integer points (t, t^2) of a parabola, the chords as straight
-             segments; chords cross iff their end ranks interleave, and
-             each crossing's sign is that of an integer cross product.
-             The crossing parameters along a chord are exact Fractions
-             that order the crossings on it;
-  darts      a doubly-connected edge list whose cells are the
-             complementary pieces inside single faces; the rotation at a
-             crossing follows from its sign.  Each crossing's slot on
-             both of its curves, (gap, rank on that gap), is recorded;
+  crossings  the face is a convex polygon with its items in ccw rank
+             order and the chords straight, so chords cross iff their end
+             ranks interleave.  B crosses A from A's right to its left iff
+             B starts on the ccw arc from A's start to A's end, which
+             fixes every sign.  With at most two curves, the chords that
+             cross a chord all belong to the other curve and are pairwise
+             disjoint, so they meet it in the order of their ends along
+             that arc: such builds use ranks only.  Larger systems, where
+             crossing chords can cross each other, place the items at
+             integer points (t, t^2) of a parabola and order the crossings
+             along a chord by exact Fraction parameters;
+  darts      a doubly-connected edge list on integer ids whose cells are
+             the complementary pieces inside single faces.  The nodes are
+             the crossings, crossing k being node k, and the boundary
+             items; the rotation at a crossing follows from its sign.
+             Each crossing's slot on both of its curves, (gap, rank on
+             that gap), is recorded;
   regions    cells glue across the skeleton edges into regions, the
              connected components of the complement of the curve system.
              Each region knows its Euler characteristic and its boundary
              circuits, computed on the abstract cut complex by an integer
-             union-find over corners (each named by the dart arriving at
+             union-find over corners (each named by the dart leaving
              it), so no geometry enters.
 
 A boundary dart is labelled ("B", e, s, gap, fwd): the segment of face
 slot (e, s) on the gap-th interval of edge e, counted from 0 up the edge
 between the m points, in the direction fwd.  The two forward darts with
-the same (e, gap) are glued.  A chord dart is labelled ("C", curve, gap,
-k, fwd), the k-th segment of the chord of that curve gap.
+the same (e, gap) are glued; each is the other's partner.  A chord dart
+is labelled ("C", curve, gap, k, fwd), the k-th segment of the chord of
+that curve gap.
 
 That is enough to recognise discs, annuli, bigons, and to cut the surface
 along a curve.  Minimal position removes bigons by pushing one curve across
@@ -48,10 +56,11 @@ The single-curve predicates (null-homotopic, boundary-parallel,
 separating) share one arrangement per curve, and their answers are cached
 on the curve and on its isotopic copies.
 
-Degenerate triple concurrencies cannot occur for two curves and are
-dissolved for larger systems by retrying with polygon points perturbed by
-an integer wobble quadratic in their rank; the region structure does not
-depend on the choice.
+Degenerate triple concurrencies need three chords through one point, so
+only systems of three or more curves, the only ones that use points, can
+meet one.  They are dissolved by retrying with the polygon points perturbed
+by an integer wobble quadratic in their rank; the region structure does
+not depend on the choice.  Builds of one or two curves never retry.
 """
 
 from __future__ import annotations
@@ -112,7 +121,7 @@ class Crossing:
     curve_j: int
     gap_j: int
     sign: int
-    node: tuple
+    node: int  # its index in JointSystem.crossings
 
 
 @dataclass(frozen=True)
@@ -144,80 +153,98 @@ class JointSystem:
                 raise PreconditionError("curve lives on a different surface")
         self.surface = surface
         self.curves = tuple(curves)
-        for attempt in range(32):
-            try:
-                self._build(attempt)
-                return
-            except _Degenerate:
-                continue
-        raise ComputationError("could not resolve arrangement degeneracies")
+        try:
+            for attempt in range(32):
+                try:
+                    self._build(attempt)
+                    return
+                except _Degenerate:
+                    continue
+            raise ComputationError("could not resolve arrangement degeneracies")
+        except ComputationError as err:
+            if err.surface is None:
+                err.surface, err.curves = surface, self.curves
+            raise
 
     # ------------------------------------------------------------------
     # construction
 
     def _build(self, attempt: int) -> None:
-        """Build the arrangement; attempt > 0 perturbs the polygon points."""
+        """Build the arrangement; attempt > 0 perturbs the polygon points,
+        which only systems of three or more curves use."""
         self.edge_order, self.events = joint_frame(self.curves)
-        items, chords = self._chords(self.edge_order, self.events)
-        self.crossings, self._cross_of_node, stops = self._crossings(
-            items, chords, attempt
-        )
-        (self._starts, self._labels, self._chord_darts, self._slots, self._cells,
-         self._cell_of) = self._darts(items, chords, stops, self._cross_of_node,
-                                      self.events)
+        items, corners, chords = self._chords(self.edge_order, self.events)
+        self.crossings, stops = self._crossings(items, chords, attempt)
+        (self._labels, self._chord_first, self._stops, self._ranks, phi,
+         self._cells, self._cell_of, slot_first) = self._darts(
+            items, corners, chords, stops)
         self._partner, self.region_of_cell, self.regions = self._regions(
-            self._labels, self._cells, self._cell_of
+            self._labels, phi, self._cells, self._cell_of, slot_first
         )
 
-    def _chords(self, edge_order: dict, events: list) -> tuple[list, list]:
-        """Per-face boundary items and chords: (items, chords).
+    def _chords(self, edge_order: dict, events: list) -> tuple[list, list, list]:
+        """Per-face boundary items and chords: (items, corners, chords).
 
-        items[fi] walks face fi ccw, slot by slot: the slot's first corner,
-        then its points in edge order (reversed when the slot runs the edge
-        backwards).  An item (e, s, gap, point) starts the boundary segment
-        on edge interval `gap`, counted from 0 up the edge frame; point is
-        (curve, event, s), or None at a corner.  chords[fi] holds one
-        (curve, gap, ra, rb) per curve gap living in the face, with ra and rb
-        the item ranks of its two ends.
+        items[fi] walks face fi ccw, slot by slot: the slot's corner, then
+        its points in edge order (reversed when the slot runs the edge
+        backwards).  An item (e, s, gap) starts the boundary segment on
+        edge interval `gap`, counted from 0 up the edge frame; corners[fi]
+        holds the item rank of each slot's corner.  chords[fi] holds one
+        (curve, gap, ra, rb) per curve gap living in the face, with ra and
+        rb the item ranks of its two ends.
         """
         surf = self.surface
+        # the item rank of event ei's point in the face of the chord that
+        # starts there (gap ei) and of the chord that ends there (gap ei - 1)
+        start_rank = [[0] * len(evs) for evs in events]
+        end_rank = [[0] * len(evs) for evs in events]
         items: list[list[tuple]] = []
-        rank_of: dict[tuple[int, int, int], int] = {}
+        corners: list[list[int]] = []
         for face in surf.faces:
             row: list[tuple] = []
+            face_corners: list[int] = []
             for e, s in face:
                 along = edge_order.get(e, ())
                 m = len(along)
-                row.append((e, s, 0 if s > 0 else m, None))
+                face_corners.append(len(row))
+                row.append((e, s, 0 if s > 0 else m))
                 for k in range(m) if s > 0 else reversed(range(m)):
                     ci, ei = along[k]
-                    rank_of[(ci, ei, s)] = len(row)
+                    side = start_rank if s == -events[ci][ei][1] else end_rank
+                    side[ci][ei] = len(row)
                     # the segment leaving the k-th point in the slot's direction
-                    row.append((e, s, k + 1 if s > 0 else k, (ci, ei, s)))
+                    row.append((e, s, k + 1 if s > 0 else k))
             items.append(row)
+            corners.append(face_corners)
 
         chords: list[list[tuple]] = [[] for _ in surf.faces]
         for ci, evs in enumerate(events):
             n = len(evs)
             for g in range(n):
                 e1, d1, _ = evs[g]
-                d2 = evs[(g + 1) % n][1]
                 chords[surf.face_of_slot(e1, -d1)].append(
-                    (ci, g, rank_of[(ci, g, -d1)], rank_of[(ci, (g + 1) % n, d2)])
+                    (ci, g, start_rank[ci][g], end_rank[ci][(g + 1) % n])
                 )
-        return items, chords
+        return items, corners, chords
 
     def _crossings(self, items: list, chords: list, attempt: int) -> tuple:
-        """The chords' crossings: (crossings, cross_of_node, stops).
+        """The chords' crossings: (crossings, stops).
 
-        Face fi is the convex polygon with its items at (t, t^2), t the
-        item's rank, or 10^4 times it plus a wobble quadratic in the rank
-        when attempt > 0.
-        stops[fi][x] lists the crossing nodes along chord x in order.  This
-        is the only phase that depends on the points, so the only one that
-        raises _Degenerate.
+        stops[fi][x] lists the crossings along chord x of face fi in order,
+        by index.  Face fi is a convex polygon with its M items in ccw rank
+        order and the chords straight, so chords cross iff their end ranks
+        interleave, and B crosses A from A's right to A's left iff B starts
+        on the ccw arc from A's start to A's end.  In a system of at most
+        two curves the chords crossing a chord x all belong to the other
+        curve and are pairwise disjoint, so they meet x in the order of
+        their ends on that arc.  Larger systems order the crossings on a
+        chord by exact Fraction parameters, with the items at the points
+        (t, t^2) of a parabola, t the item's rank, or 10^4 times it plus a
+        wobble quadratic in the rank when attempt > 0; only they can raise
+        _Degenerate.
         """
         chirality = self.surface.chirality
+        use_points = len(self.curves) > 2
 
         def t_of(rank: int) -> int:
             if attempt == 0:
@@ -230,15 +257,13 @@ class JointSystem:
             return rank * 10000 + wob
 
         crossings: list[Crossing] = []
-        cross_of_node: dict[tuple, Crossing] = {}
-        stops: list[list[list[tuple]]] = []
+        stops: list[list[list[int]]] = []
         for fi, ch in enumerate(chords):
-            pts = [(t, t * t) for t in map(t_of, range(len(items[fi])))]
-            # Straight chords in convex position cross iff their endpoint
-            # ranks interleave.  Sweep the cut boundary circle once; when a
-            # chord closes, the still-open chords that opened inside it are
-            # exactly its interleaving partners (a sorted suffix), so the
-            # work is proportional to the crossings found, not all pairs.
+            M = len(items[fi])
+            # Sweep the cut boundary circle once; when a chord closes, the
+            # still-open chords that opened inside it are exactly its
+            # interleaving partners (a sorted suffix), so the work is
+            # proportional to the crossings found, not all pairs.
             ends = []
             for x, (_, _, ra, rb) in enumerate(ch):
                 ends.append((min(ra, rb), x))
@@ -259,219 +284,235 @@ class JointSystem:
                 open_by_lo.pop(pos)
                 del open_at[x]
             pairs.sort()
+            if use_points:
+                pts = [(t, t * t) for t in map(t_of, range(M))]
             hits: list[list[tuple]] = [[] for _ in ch]
             for x, y in pairs:
                 A, B = ch[x], ch[y]
-                p, q = pts[A[2]], pts[A[3]]
-                a, b = pts[B[2]], pts[B[3]]
-                d1v, d2v = _sub(q, p), _sub(b, a)
-                den = _cross(d1v, d2v)
-                if den == 0:
-                    raise _Degenerate
-                w = _sub(a, p)
-                s = Fraction(_cross(w, d2v), den)
-                t = Fraction(_cross(w, d1v), den)
-                if not (0 < s < 1 and 0 < t < 1):
+                pa, qa, pb, qb = A[2], A[3], B[2], B[3]
+                # offsets of B's ends on the ccw arc from A's start; exactly
+                # one lies before A's end, on A's right
+                span = (qa - pa) % M
+                ob, oq = (pb - pa) % M, (qb - pa) % M
+                b_from_right = ob < span
+                if b_from_right == (oq < span):
                     raise ComputationError("interleaved chords failed to cross")
-                node = ("x", fi, len(crossings))
+                node = len(crossings)
+                if use_points:
+                    p, q, a, b = pts[pa], pts[qa], pts[pb], pts[qb]
+                    d1v, d2v = _sub(q, p), _sub(b, a)
+                    den = _cross(d1v, d2v)
+                    if den == 0:
+                        raise _Degenerate
+                    w = _sub(a, p)
+                    s = Fraction(_cross(w, d2v), den)
+                    t = Fraction(_cross(w, d1v), den)
+                    if not (0 < s < 1 and 0 < t < 1):
+                        raise ComputationError("interleaved chords failed to cross")
+                    hits[x].append((s, node))
+                    hits[y].append((t, node))
+                else:
+                    # each chord meets the other's end on its own right arc
+                    hits[x].append((min(ob, oq), node))
+                    hits[y].append((min((pa - pb) % M, (qa - pb) % M), node))
                 # (direction of the lower curve, direction of the other) is
-                # (A, B) or (B, A): den's sign, flipped in the second case
+                # (A, B) or (B, A): B from A's right is a positive frame
+                # (A, B), flipped in the second case
                 a_first = A[0] < B[0]
                 ij, ji = (A, B) if a_first else (B, A)
-                xg = Crossing(
+                crossings.append(Crossing(
                     face=fi,
                     curve_i=ij[0],
                     gap_i=ij[1],
                     curve_j=ji[0],
                     gap_j=ji[1],
-                    sign=(1 if (den > 0) == a_first else -1) * chirality,
+                    sign=(1 if b_from_right == a_first else -1) * chirality,
                     node=node,
-                )
-                crossings.append(xg)
-                cross_of_node[node] = xg
-                hits[x].append((s, node))
-                hits[y].append((t, node))
+                ))
             face_stops = []
             for h in hits:
-                h.sort(key=lambda hit: (float(hit[0]), hit[0]))
-                if len({lam for lam, _ in h}) != len(h):
-                    raise _Degenerate
+                if use_points:
+                    h.sort(key=lambda hit: (float(hit[0]), hit[0]))
+                    if len({lam for lam, _ in h}) != len(h):
+                        raise _Degenerate
+                else:
+                    h.sort()
                 face_stops.append([node for _, node in h])
             stops.append(face_stops)
-        return crossings, cross_of_node, stops
+        return crossings, stops
 
-    def _darts(self, items, chords, stops, cross_of_node, events) -> tuple:
-        """Doubly-connected edge list: (starts, labels, chord_darts, slots,
-        cells, cell_of).
+    def _darts(self, items, corners, chords, stops) -> tuple:
+        """Doubly-connected edge list: (labels, chord_first, stops, ranks,
+        phi, cells, cell_of, slot_first).
 
-        Nodes are boundary items ("b", face, rank) and crossings.  Darts
-        come in twin pairs 2k, 2k + 1, each with a start node and a label:
+        Nodes are integers: crossing k is node k, and boundary item r of
+        face fi is the node that boundary segment r leaves forward.  Darts
+        are integers too, in twin pairs 2k, 2k + 1, each with a label:
         ("B", e, s, gap, fwd) for the boundary segment of face slot (e, s)
-        on edge interval gap, ("C", curve, gap, k, fwd) for the k-th segment
-        of a chord.  slots[(node, curve)] is (gap, r) for the r-th crossing
-        on that curve gap.  Cells are the orbits of phi(d) = sigma-predecessor
-        of twin(d) apart from the face exteriors; cell_of is -1 on those.
+        on edge interval gap, ("C", curve, gap, k, fwd) for the k-th
+        segment of a chord.  Boundary segment r of face fi has forward dart
+        seg0[fi] + 2r, and slot_first[fi][j] is the forward dart of slot
+        j's first segment.  The chord of a curve gap has forward darts
+        chord_first[curve][gap] + 2k, and stops[curve][gap] lists the
+        crossings along it; ranks (rank_i, rank_j) give each crossing's
+        place on the chords of its curves i and j.  pred[d] is the rotation
+        predecessor of dart d at the node it leaves, so
+        phi(d) = pred[twin(d)]; cells are the orbits of phi apart from the
+        face exteriors, and cell_of is -1 on those.
         """
         chirality = self.surface.chirality
-        starts: list[tuple] = []
+        crossings = self.crossings
+        n_cross = len(crossings)
         labels: list[tuple] = []
-        # boundary segment r of face fi runs from item r to the next one;
-        # its forward dart is seg0[fi] + 2r
         seg0: list[int] = []
-        for fi, row in enumerate(items):
-            seg0.append(len(starts))
-            M = len(row)
-            for r, (e, s, gap, _) in enumerate(row):
-                starts.extend((("b", fi, r), ("b", fi, (r + 1) % M)))
-                labels.extend((("B", e, s, gap, True), ("B", e, s, gap, False)))
+        for row in items:
+            seg0.append(len(labels))
+            labels += [("B", e, s, gap, fwd) for e, s, gap in row for fwd in (True, False)]
+        n_darts = len(labels) + 2 * sum(map(len, chords)) + 4 * n_cross
 
-        # chord segment darts; at each crossing node, the outgoing pair
-        # (forward, backward) each of its two chords contributes
-        chord_darts: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        slots: dict[tuple, tuple[int, int]] = {}
-        node_outs: dict[tuple, dict[tuple[int, int], tuple[int, int]]] = {}
+        # rotation at boundary item r: the segment leaving it forward, the
+        # chord end there if any, the previous segment leaving it backward
+        pred = [0] * n_darts
+        for fi, row in enumerate(items):
+            f, last = seg0[fi], seg0[fi] + 2 * len(row) - 1
+            pred[f], pred[last] = last, f
+            for b in range(f + 1, last, 2):
+                pred[b + 1], pred[b] = b, b + 1
+
+        chord_first: list[list[int]] = [[0] * len(evs) for evs in self.events]
+        curve_stops: list[list[list[int]]] = [[[]] * len(evs) for evs in self.events]
+        # at each crossing, the forward dart each of its chords leaves by;
+        # the backward one is the dart before it
+        out_i, out_j = [-1] * n_cross, [-1] * n_cross
+        rank_i, rank_j = [0] * n_cross, [0] * n_cross
         for fi, ch in enumerate(chords):
+            f, M = seg0[fi], len(items[fi])
             for (ci, g, ra, rb), hits in zip(ch, stops[fi]):
-                nodes = [("b", fi, ra), *hits, ("b", fi, rb)]
-                segs = []
-                for k in range(len(nodes) - 1):
-                    segs.append((len(starts), len(starts) + 1))
-                    starts.extend((nodes[k], nodes[k + 1]))
-                    labels.extend((("C", ci, g, k, True), ("C", ci, g, k, False)))
-                chord_darts[(ci, g)] = segs
-                for k in range(1, len(nodes) - 1):
-                    slots[(nodes[k], ci)] = (g, k - 1)
-                    node_outs.setdefault(nodes[k], {})[(ci, g)] = (
-                        segs[k][0], segs[k - 1][1]
-                    )
-
-        # rotation at each node (ccw order of outgoing darts)
-        sigma: dict[tuple, list[int]] = {}
-        for fi, row in enumerate(items):
-            M = len(row)
-            for r, item in enumerate(row):
-                f_next = seg0[fi] + 2 * r
-                b_prev = seg0[fi] + 2 * ((r - 1) % M) + 1
-                if item[3] is None:
-                    sigma[("b", fi, r)] = [f_next, b_prev]
-                    continue
-                ci, ei, s = item[3]
-                # chord end here: exit end of gap ei or entry end of gap
-                # ei-1, by which slot side the point occupies
-                if s == -events[ci][ei][1]:
-                    out = chord_darts[(ci, ei)][0][0]
-                else:
-                    out = chord_darts[(ci, (ei - 1) % len(events[ci]))][-1][1]
-                sigma[("b", fi, r)] = [f_next, out, b_prev]
+                first = len(labels)
+                labels += [("C", ci, g, k, fwd)
+                           for k in range(len(hits) + 1) for fwd in (True, False)]
+                chord_first[ci][g] = first
+                curve_stops[ci][g] = hits
+                head, tail = first, len(labels) - 1
+                pred[head] = f + 2 * ra
+                pred[f + 2 * ((ra - 1) % M) + 1] = head
+                pred[tail] = f + 2 * rb
+                pred[f + 2 * ((rb - 1) % M) + 1] = tail
+                for k, node in enumerate(hits):
+                    xg = crossings[node]
+                    if ci == xg.curve_i and g == xg.gap_i and out_i[node] < 0:
+                        out_i[node], rank_i[node] = first + 2 * k + 2, k
+                    elif ci == xg.curve_j and g == xg.gap_j and out_j[node] < 0:
+                        out_j[node], rank_j[node] = first + 2 * k + 2, k
+                    else:
+                        raise ComputationError("crossing node without four darts")
         # The outgoing darts at a crossing run along +-(chord of curve i)
         # and +-(chord of curve j); +j lies ccw of +i within a half turn
-        # exactly when cross(d_i, d_j) > 0, the sign the crossing records.
-        for node, xg in cross_of_node.items():
-            outs = node_outs.get(node, {})
-            pi = outs.get((xg.curve_i, xg.gap_i))
-            pj = outs.get((xg.curve_j, xg.gap_j))
-            if len(outs) != 2 or pi is None or pj is None:
+        # exactly when the frame (i, j) is positive: sign * chirality > 0.
+        for node, xg in enumerate(crossings):
+            i0, j0 = out_i[node], out_j[node]
+            if i0 < 0 or j0 < 0:
                 raise ComputationError("crossing node without four darts")
-            if xg.sign * chirality > 0:
-                sigma[node] = [pi[0], pj[0], pi[1], pj[1]]
-            else:
-                sigma[node] = [pi[0], pj[1], pi[1], pj[0]]
+            i1, j1 = i0 - 1, j0 - 1
+            if xg.sign * chirality > 0:  # ccw: +i, +j, -i, -j
+                pred[i0], pred[j0], pred[i1], pred[j1] = j1, i0, j0, i1
+            else:  # ccw: +i, -j, -i, +j
+                pred[i0], pred[j1], pred[i1], pred[j0] = j0, i0, j1, i1
+        phi = [pred[d ^ 1] for d in range(n_darts)]
 
-        # cells: orbits of phi, apart from each face's exterior walk
-        n_darts = len(starts)
-        phi: list[int] = [0] * n_darts
-        for did in range(n_darts):
-            tw = did ^ 1
-            rot = sigma[starts[tw]]
-            phi[did] = rot[(rot.index(tw) - 1) % len(rot)]
-
-        cell_of: list[int] = [-1] * n_darts  # -1 on face exteriors
-        exterior: set[int] = set()
+        # cells: orbits of phi, apart from each face's exterior walk, which
+        # must run through the face's backward boundary darts
+        unset = -2
+        cell_of: list[int] = [unset] * n_darts
         for fi, row in enumerate(items):
-            orbit = set()
-            d = seg0[fi] + 1
-            while d not in orbit:
-                orbit.add(d)
+            lo, hi = seg0[fi], seg0[fi] + 2 * len(row)
+            d = lo + 1
+            for _ in row:
+                if not (lo < d < hi and d & 1 and cell_of[d] == unset):
+                    raise ComputationError("exterior walk left the face boundary")
+                cell_of[d] = -1
                 d = phi[d]
-            if orbit != set(range(seg0[fi] + 1, seg0[fi] + 2 * len(row), 2)):
+            if d != lo + 1:
                 raise ComputationError("exterior walk left the face boundary")
-            exterior |= orbit
         cells: list[list[int]] = []
         for did in range(n_darts):
-            if cell_of[did] >= 0 or did in exterior:
+            if cell_of[did] != unset:
                 continue
             cycle = []
+            cidx = len(cells)
             d = did
-            while cell_of[d] < 0:
-                cell_of[d] = len(cells)
+            while cell_of[d] == unset:
+                cell_of[d] = cidx
                 cycle.append(d)
                 d = phi[d]
             if d != did:
                 raise ComputationError("broken face orbit")
             cells.append(cycle)
-        return starts, labels, chord_darts, slots, cells, cell_of
+        slot_first = [[seg0[fi] + 2 * r for r in rs] for fi, rs in enumerate(corners)]
+        return (labels, chord_first, curve_stops, (rank_i, rank_j), phi, cells,
+                cell_of, slot_first)
 
-    def _regions(self, labels, cells, cell_of) -> tuple:
+    def _regions(self, labels, phi, cells, cell_of, slot_first) -> tuple:
         """Glue cells into regions: (partner, region_of_cell, regions).
 
         The forward boundary darts of the two slots of an interior edge
-        that share an edge interval are partners; the cells they bound are
-        merged.  Each region's topology is read off the abstract cut
-        complex by a union-find over corners, so no geometry enters.
+        that share an edge interval are partners; partner is -1 on the
+        other darts.  The cells they bound are merged.  Each region's
+        topology is read off the abstract cut complex by a union-find over
+        corners, so no geometry enters.
         """
-        interior = self.surface.interior_edges
-        by_key: dict[tuple, list[int]] = {}
-        for did in range(0, len(labels), 2):
-            lab = labels[did]
-            if lab[0] != "B":
-                break  # boundary darts come first
-            if lab[1] in interior:
-                by_key.setdefault((lab[1], lab[3]), []).append(did)
-        partner: dict[int, int] = {}
-        for key, pair in by_key.items():
-            if len(pair) != 2:
-                raise ComputationError(f"unmatched edge interval {key}")
-            a, b = pair
-            partner[a] = b
-            partner[b] = a
+        surf = self.surface
+        n_darts = len(labels)
+        partner = [-1] * n_darts
+        glued: list[tuple[int, int]] = []
+        for e in surf.interior_edges:
+            fa, ja = surf.slot_position(e, 1)
+            fb, jb = surf.slot_position(e, -1)
+            up, down = slot_first[fa][ja], slot_first[fb][jb]
+            m = len(self.edge_order.get(e, ()))
+            # interval g is segment g of the +1 slot, m - g of the -1 slot
+            for g in range(m + 1):
+                a, b = up + 2 * g, down + 2 * (m - g)
+                if labels[a][3] != g or labels[b][3] != g:
+                    raise ComputationError(f"unmatched edge interval {(e, g)}")
+                partner[a], partner[b] = b, a
+                glued.append((a, b) if a < b else (b, a))
+        glued.sort()
 
+        # union cells across glued intervals in ascending dart order
         cell_parent = list(range(len(cells)))
-        for a, b in partner.items():
+        for a, b in glued:
             _union(cell_parent, cell_of[a], cell_of[b])
-
-        # A corner is named by the dart arriving at it, so the corner a dart
-        # leaves from is the one its predecessor in the cell arrives at.
-        pred: list[int] = list(range(len(labels)))
-        for cyc in cells:
-            for k, did in enumerate(cyc):
-                pred[did] = cyc[k - 1]
-        corner_parent: list[int] = list(range(len(labels)))
-
         groups: dict[int, list[int]] = {}
         for cidx in range(len(cells)):
             groups.setdefault(_find(cell_parent, cidx), []).append(cidx)
+        region_of_cell: list[int] = [0] * len(cells)
+        for ridx, root in enumerate(sorted(groups)):
+            for cidx in groups[root]:
+                region_of_cell[cidx] = ridx
+
+        # A corner is named by the dart leaving it, so a dart arrives at the
+        # corner its successor in the cell leaves.  Gluing a to b identifies
+        # the corner a leaves with the one b arrives at, and the other way
+        # round; each merge of two corner classes lowers V by one.
+        corner = list(range(n_darts))
+        merges = [0] * len(groups)
+        glued_pairs = [0] * len(groups)
+        for a, b in glued:
+            ridx = region_of_cell[cell_of[a]]
+            glued_pairs[ridx] += 1
+            merges[ridx] += (_union(corner, a, phi[b])
+                             + _union(corner, phi[a], b))
 
         regions: list[Region] = []
-        region_of_cell: dict[int, int] = {}
-        for root in sorted(groups):
+        seen = bytearray(n_darts)  # unglued darts already on a circuit
+        for ridx, root in enumerate(sorted(groups)):
             cell_idxs = groups[root]
-            ridx = len(regions)
-            for cidx in cell_idxs:
-                region_of_cell[cidx] = ridx
-            region_darts = [d for cidx in cell_idxs for d in cells[cidx]]
-            merges = 0
-            glued_pairs = 0
-            unglued: list[int] = []
-            for did in region_darts:
-                other = partner.get(did)
-                if other is None:
-                    unglued.append(did)
-                elif did < other:
-                    glued_pairs += 1
-                    merges += _union(corner_parent, did, pred[other])
-                    merges += _union(corner_parent, pred[did], other)
-            V = len(region_darts) - merges
-            E = glued_pairs + len(unglued)
+            n_region = sum(len(cells[cidx]) for cidx in cell_idxs)
+            unglued = sorted(d for cidx in cell_idxs for d in cells[cidx]
+                             if partner[d] < 0)
+            V = n_region - merges[ridx]
+            E = glued_pairs[ridx] + len(unglued)
             F = len(cell_idxs)
             chi = V - E + F
 
@@ -479,21 +520,20 @@ class JointSystem:
             # unglued dart departs
             out_at: dict[int, int] = {}
             for did in unglued:
-                key = _find(corner_parent, pred[did])
+                key = _find(corner, did)
                 if key in out_at:
                     raise ComputationError("boundary corner with two outgoing darts")
                 out_at[key] = did
             circuits = []
-            seen: set[int] = set()
-            for did in sorted(unglued):
-                if did in seen:
+            for did in unglued:
+                if seen[did]:
                     continue
                 circuit = []
                 d = did
-                while d not in seen:
-                    seen.add(d)
+                while not seen[d]:
+                    seen[d] = 1
                     circuit.append(d)
-                    d = out_at[_find(corner_parent, d)]
+                    d = out_at[_find(corner, phi[d])]
                 if d != did:
                     raise ComputationError("boundary walk did not close")
                 circuits.append(tuple(circuit))
@@ -529,12 +569,25 @@ class JointSystem:
         strictly inside the gap; only the cyclic order matters.
         """
         params = {}
-        for g in range(len(self.events[ci])):
-            hits = self._chord_darts[(ci, g)][1:]
-            for r, (f_id, _) in enumerate(hits):
-                node = self._starts[f_id]
-                params[self._cross_of_node[node]] = g + Fraction(r + 1, len(hits) + 1)
+        for g, hits in enumerate(self._stops[ci]):
+            for r, node in enumerate(hits):
+                params[self.crossings[node]] = g + Fraction(r + 1, len(hits) + 1)
         return params
+
+    def _slot(self, ci: int, x: Crossing) -> tuple[int, int]:
+        """(gap, r): x is the r-th crossing on that gap of curve ci."""
+        if ci == x.curve_i:
+            return x.gap_i, self._ranks[0][x.node]
+        if ci == x.curve_j:
+            return x.gap_j, self._ranks[1][x.node]
+        raise PreconditionError(f"crossing is not on curve {ci}")
+
+    def _node(self, did: int) -> int:
+        """The crossing chord dart did leaves from, or -1 at a chord end."""
+        _, ci, g, k, fwd = self._labels[did]
+        hits = self._stops[ci][g]
+        r = k - 1 if fwd else k
+        return hits[r] if 0 <= r < len(hits) else -1
 
     def arc(self, ci: int, x: Crossing, y: Crossing) -> list[int]:
         """Event indices of curve ci strictly between crossings x and y.
@@ -544,8 +597,8 @@ class JointSystem:
         once around the curve.
         """
         n = len(self.events[ci])
-        gx, rx = self._slots[(x.node, ci)]
-        gy, ry = self._slots[(y.node, ci)]
+        gx, rx = self._slot(ci, x)
+        gy, ry = self._slot(ci, y)
         span = (gy - gx) % n
         if span == 0 and ry < rx:
             span = n
@@ -565,12 +618,8 @@ class JointSystem:
 
     def crossing_order_along(self, ci: int) -> list[Crossing]:
         """All crossings met by curve ci, in traversal order (cyclically)."""
-        out = []
-        for g in range(len(self.events[ci])):
-            # interior stops of the gap's chord are crossing nodes, in order
-            for f_id, _ in self._chord_darts[(ci, g)][1:]:
-                out.append(self._cross_of_node[self._starts[f_id]])
-        return out
+        crossings = self.crossings
+        return [crossings[node] for hits in self._stops[ci] for node in hits]
 
     def circuit_curve_runs(self, circuit: tuple[int, ...]) -> list[tuple]:
         """Maximal blocks of consecutive chord darts of one curve.
@@ -678,10 +727,11 @@ class JointSystem:
         b_fwd = labels_b[0][4]
         if any(l[4] != a_fwd for l in labels_a) or any(l[4] != b_fwd for l in labels_b):
             raise ComputationError("bigon run changes direction")
-        starts, corner = self._starts, self._cross_of_node
-        P, Q = corner[starts[darts_a[0]]], corner[starts[darts_a[-1] ^ 1]]
-        if (starts[darts_b[0]], starts[darts_b[-1] ^ 1]) != (Q.node, P.node):
+        node = self._node
+        p, q = node(darts_a[0]), node(darts_a[-1] ^ 1)
+        if p < 0 or q < 0 or (node(darts_b[0]), node(darts_b[-1] ^ 1)) != (q, p):
             raise ComputationError("bigon runs do not share their corners")
+        P, Q = self.crossings[p], self.crossings[q]
 
         # the stationary side, in ca's own order
         a_arc = self.arc(ca, P, Q) if a_fwd else self.arc(ca, Q, P)
@@ -700,7 +750,7 @@ class JointSystem:
             new_events.append((e, d_a if along_a else -d_a, p))
 
         a_used = frozenset((ca, ev) for ev in a_arc)
-        g_enter = self._slots[(enter.node, cb)][0]
+        g_enter = self._slot(cb, enter)[0]
         return g_enter, len(self.arc(cb, enter, leave)), new_events, a_used
 
     def reroute_through_bigons(
@@ -797,15 +847,22 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
     most k/2 rounds; further rounds come only from bigons that pass the
     same events of a or b as one peeled before them, and from bigons
     that peeling uncovers.
+
+    If a round drops the crossing count by other than two per peeled strand,
+    the ComputationError raised carries the input pair (a, b), which
+    replays it.
     """
     if a.surface.faces != b.surface.faces:
         raise PreconditionError("curves live on different surfaces")
+    pair = (a, b)
     expect = None
     while True:
         system = JointSystem(a.surface, (a, b))
         k = system.crossing_count(0, 1)
         if expect is not None and k != expect:
-            raise ComputationError(f"bigon removal changed crossings to {k}")
+            raise ComputationError(
+                f"bigon removal changed crossings to {k}", a.surface, pair
+            )
         if k == 0:
             return system
         signs = {c.sign for c in system.crossings_between(0, 1)}
@@ -1040,16 +1097,17 @@ def connecting_curve(system: JointSystem, i: int, j: Optional[int] = None,
     region_of = system.region_of_cell
 
     adj: dict[int, list[tuple[int, int]]] = {c: [] for c in range(len(system._cells))}
-    for f_id in sorted(partner):
-        adj[cell_of[f_id]].append((cell_of[partner[f_id]], f_id))
+    for f_id, other in enumerate(partner):
+        if other >= 0:
+            adj[cell_of[f_id]].append((cell_of[other], f_id))
     for u in adj:
         adj[u].sort(key=lambda t: (t[0], labels[t[1]][1:]))
 
     def flanks(ci):
         out = []
-        for g in range(len(system.events[ci])):
-            for f_id, b_id in system._chord_darts[(ci, g)]:
-                out.append((cell_of[f_id], cell_of[b_id]))
+        for first, hits in zip(system._chord_first[ci], system._stops[ci]):
+            for f_id in range(first, first + 2 * len(hits) + 2, 2):
+                out.append((cell_of[f_id], cell_of[f_id + 1]))
         return out
 
     def bfs(start, goal):
@@ -1189,7 +1247,7 @@ def cut_along_curve(
         for cidx in sorted(reg.cells):
             word: list[tuple[str, int]] = []
             for did in system._cells[cidx]:
-                if did in system._partner:
+                if system._partner[did] >= 0:
                     if did in glued_name:
                         name, sgn = glued_name[did]
                     else:

@@ -3,8 +3,8 @@
 The region structure must satisfy Euler's formula: the curves of a system
 with k transverse crossings form a graph of Euler characteristic -k, so
 the regions' characteristics sum to chi(surface) + k.  The perturbed
-rational coordinates of the retry attempts must give the same
-combinatorics as the integer coordinates of the first attempt.
+integer coordinates of the retry attempts, which only systems of three or
+more curves use, must give the same combinatorics as the first attempt.
 
 Minimal position is checked against identities of Farb and Margalit, *A
 Primer on Mapping Class Groups*: i(a, b) = i(b, a); Prop. 3.2,
@@ -16,7 +16,10 @@ c_r = T_t1 T_a2^-1 c_(r-1), c_0 = dual1, carry nested stacks of bigons
 against these curves, so the oracles exercise stack peeling.
 
 JointSystem.arc, which reads arcs off the crossings' slots, is checked
-against the annulus-coordinate formula it replaced.
+against the annulus-coordinate formula it replaced, and the rank-only
+crossings phase of one- and two-curve builds against the parabola
+construction it replaced: the same crossings, signs and order along every
+chord.
 """
 
 import functools
@@ -25,8 +28,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dehnkit.calculus import algebraic_intersection, is_essential
+from dehnkit.errors import ComputationError
 from dehnkit.overlay import (
     JointSystem,
     _Degenerate,
@@ -78,8 +83,9 @@ def test_perturbed_coordinates_give_the_same_arrangement(name):
     for curves in _systems(name):
         want = _shape(JointSystem(curves[0].surface, curves))
         for attempt in (0, 1, 2, 3):
-            # attempts after 0 place points at rational coordinates; only a
-            # triple concurrency, which needs three curves, sends a build there
+            # attempts after 0 perturb the integer points that only systems
+            # of three or more curves use; only a triple concurrency, which
+            # needs three curves, sends a build there
             other = object.__new__(JointSystem)
             other.surface, other.curves = curves[0].surface, tuple(curves)
             try:
@@ -88,6 +94,21 @@ def test_perturbed_coordinates_give_the_same_arrangement(name):
                 assert len(curves) >= 3
                 continue
             assert _shape(other) == want, (name, attempt)
+
+
+def test_a_build_error_carries_the_build_inputs(monkeypatch):
+    def broken(self, *args):
+        raise ComputationError("broken build")
+
+    g = build_preset("genus2_closed").curves
+    curves = (g["a1"], g["t1"])
+    monkeypatch.setattr(JointSystem, "_regions", broken)
+    with pytest.raises(ComputationError) as raised:
+        JointSystem(curves[0].surface, curves)
+    assert raised.value.surface is curves[0].surface
+    assert raised.value.curves == curves
+    assert raised.value.replay_json()["curves"] == [c.to_json() for c in curves]
+    assert ComputationError("no inputs").replay_json() is None
 
 
 def _answers(c):
@@ -288,3 +309,96 @@ def test_arc_matches_the_annulus_coordinate_formula():
                 assert system.arc(ci, x, y) == want, (ci, theta[x], theta[y])
             for x in theta:
                 assert system.arc(ci, x, x) == []
+
+
+def _parabola_crossings(chirality, items, chords):
+    """Reference crossings phase: items at the points (t, t^2) of a
+    parabola, t the item's rank, and each chord's crossings ordered by
+    their exact Fraction parameter along it.
+
+    Returns ([(face, curve_i, gap_i, curve_j, gap_j, sign)], stops), with
+    stops[fi][x] the indices of the crossings along chord x of face fi.
+    """
+    crossings = []
+    stops = []
+    for fi, ch in enumerate(chords):
+        pts = [(t, t * t) for t in range(len(items[fi]))]
+        pairs = sorted(
+            (x, y)
+            for x, y in itertools.combinations(range(len(ch)), 2)
+            if ch[x][0] != ch[y][0]
+            and (min(ch[x][2:]) < min(ch[y][2:]) < max(ch[x][2:]))
+            != (min(ch[x][2:]) < max(ch[y][2:]) < max(ch[x][2:]))
+        )
+        hits = [[] for _ in ch]
+        for x, y in pairs:
+            A, B = ch[x], ch[y]
+            p, q = pts[A[2]], pts[A[3]]
+            a, b = pts[B[2]], pts[B[3]]
+            d1 = (q[0] - p[0], q[1] - p[1])
+            d2 = (b[0] - a[0], b[1] - a[1])
+            w = (a[0] - p[0], a[1] - p[1])
+            den = d1[0] * d2[1] - d1[1] * d2[0]
+            s = Fraction(w[0] * d2[1] - w[1] * d2[0], den)
+            t = Fraction(w[0] * d1[1] - w[1] * d1[0], den)
+            assert 0 < s < 1 and 0 < t < 1
+            a_first = A[0] < B[0]
+            ij, ji = (A, B) if a_first else (B, A)
+            sign = (1 if (den > 0) == a_first else -1) * chirality
+            hits[x].append((s, len(crossings)))
+            hits[y].append((t, len(crossings)))
+            crossings.append((fi, ij[0], ij[1], ji[0], ji[1], sign))
+        face_stops = []
+        for h in hits:
+            h.sort()
+            assert len({lam for lam, _ in h}) == len(h)
+            face_stops.append([node for _, node in h])
+        stops.append(face_stops)
+    return crossings, stops
+
+
+def _assert_pair_order_matches_the_parabola(curves):
+    system = JointSystem(curves[0].surface, curves)
+    items, _, chords = system._chords(system.edge_order, system.events)
+    want, want_stops = _parabola_crossings(system.surface.chirality, items, chords)
+    got = [(c.face, c.curve_i, c.gap_i, c.curve_j, c.gap_j, c.sign)
+           for c in system.crossings]
+    assert got == want
+    for fi, ch in enumerate(chords):
+        for (ci, g, _, _), stops in zip(ch, want_stops[fi]):
+            assert system._stops[ci][g] == stops, (fi, ci, g)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_pair_order_matches_the_parabola_on_preset_systems(name):
+    for curves in _systems(name):
+        if len(curves) <= 2:
+            _assert_pair_order_matches_the_parabola(curves)
+
+
+def test_pair_order_matches_the_parabola_on_chain_curves():
+    g = build_preset("genus2_closed").curves
+    for r in range(5):
+        for name in CHAIN_PARTNERS:
+            _assert_pair_order_matches_the_parabola((g[name], _chain(r)))
+            _assert_pair_order_matches_the_parabola((_chain(r), g[name]))
+
+
+@functools.lru_cache(maxsize=None)
+def _essential_names(name):
+    return sorted(n for n, c in build_preset(name).curves.items() if is_essential(c))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_pair_order_matches_the_parabola_on_twisted_curves(data):
+    name = data.draw(st.sampled_from(PRESET_NAMES), label="preset")
+    g = build_preset(name).curves
+    pick = st.sampled_from(_essential_names(name))
+    word = data.draw(st.lists(st.tuples(pick, st.sampled_from((1, -1))), max_size=4),
+                     label="word")
+    a, b = g[data.draw(pick, label="a")], g[data.draw(pick, label="b")]
+    for axis, k in word:
+        b = apply_twist(g[axis], k, b)
+    _assert_pair_order_matches_the_parabola((b,))
+    _assert_pair_order_matches_the_parabola((a, b))

@@ -6,20 +6,26 @@ one region when the two curves together do not separate the surface, with
 two cell-disjoint paths, and through two regions otherwise.  `match_curve`
 turns such a connector, or a single crossing, into a positive word that
 sends one curve onto the other.
+
+A ComputationError carries the inputs of the computation that raised it,
+and its JSON replays the failure.
 """
 
 import pytest
 
 from dehnkit import factorization, overlay
+from dehnkit.errors import ComputationError
 from dehnkit.factorization import find_connector_curve, match_curve
 from dehnkit.overlay import (
     JointSystem,
     connecting_curve,
     curves_isotopic,
     geometric_intersection_number,
+    minimal_position,
 )
 from dehnkit.presets import build_preset
-from dehnkit.twisting import apply_twist, apply_word
+from dehnkit.surface import CellSurface, EmbeddedCurve
+from dehnkit.twisting import TwistWord, apply_twist, apply_word
 
 
 @pytest.fixture
@@ -74,3 +80,21 @@ def test_routed_orientation_partner_misses_the_frozen_curve(g):
     assert factorization._orientation_partner(
         build_preset("genus2_closed").pants, 1, (g["a1"],)
     ) == c
+
+
+def test_a_bigon_removal_error_replays_from_its_json():
+    # A known defect: minimal_position's crossing-count guard trips inside
+    # this factorization (a peel drops 4 crossings where 2 are expected).
+    # Once that is fixed, this test needs another input that raises.
+    ps = build_preset("genus2_closed")
+    word = TwistWord(tuple((ps.curve(n), k) for n, k in (("dual3", 1), ("t2", -1), ("a2", 1))))
+    with pytest.raises(ComputationError) as raised:
+        factorization.factorize(word, ps.pants)
+    err = raised.value
+    assert str(err) == "bigon removal changed crossings to 34"
+    data = err.replay_json()
+    surface = CellSurface.from_json(data["surface"])
+    a, b = (EmbeddedCurve.from_json(surface, c) for c in data["curves"])
+    with pytest.raises(ComputationError) as replayed:
+        minimal_position(a, b)
+    assert str(replayed.value) == str(err)
