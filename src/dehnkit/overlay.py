@@ -848,9 +848,9 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
     same events of a or b as one peeled before them, and from bigons
     that peeling uncovers.
 
-    If a round drops the crossing count by other than two per peeled strand,
-    the ComputationError raised carries the input pair (a, b), which
-    replays it.
+    If a round's reroute does not assemble into an embedded curve, or drops
+    the crossing count by other than two per peeled strand, the
+    ComputationError raised carries the input pair (a, b), which replays it.
     """
     if a.surface.faces != b.surface.faces:
         raise PreconditionError("curves live on different surfaces")
@@ -874,12 +874,10 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
         a = system.renormalized_curve(0)
         try:
             b, removed = system.reroute_through_bigons(bigons, move=1)
-        except ValidationError:
-            # Independence filtering is conservative, not airtight; one
-            # bigon at a time always assembles.
-            b, removed = system.reroute_through_bigons(
-                bigons[:1], move=1, stacks=False
-            )
+        except ValidationError as exc:
+            raise ComputationError(
+                f"bigon reroute did not assemble: {exc}", a.surface, pair
+            ) from exc
         expect = k - 2 * removed
 
 

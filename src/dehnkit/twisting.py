@@ -91,10 +91,7 @@ def _drop_reducible_pairs(events: list) -> list:
         candidates = [t for t in candidates if t not in (before, i, j)]
         if paired(before):
             insort(candidates, before)
-    evs = [ev for ev, keep in zip(events, alive) if keep]
-    if len(evs) == 2 and evs[0][0] == evs[1][0] and evs[0][1] == -evs[1][1]:
-        raise ComputationError("twist image collapsed to a trivial circle")
-    return evs
+    return [ev for ev, keep in zip(events, alive) if keep]
 
 
 def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
@@ -148,6 +145,10 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
             events.extend(spiral_block(x))
 
     events = _drop_reducible_pairs(events)
+    if len(events) == 2 and events[0][:2] == (events[1][0], -events[1][1]):
+        raise ComputationError(
+            f"twist image collapsed to a trivial circle (power {n})", surf, (a, b)
+        )
     return EmbeddedCurve(surf, tuple(events), oriented=b.oriented).renormalized()
 
 

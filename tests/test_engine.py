@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dehnkit.calculus import algebraic_intersection, is_essential
-from dehnkit.errors import ComputationError
+from dehnkit.errors import ComputationError, ValidationError
 from dehnkit.overlay import (
     JointSystem,
     _Degenerate,
@@ -109,6 +109,19 @@ def test_a_build_error_carries_the_build_inputs(monkeypatch):
     assert raised.value.curves == curves
     assert raised.value.replay_json()["curves"] == [c.to_json() for c in curves]
     assert ComputationError("no inputs").replay_json() is None
+
+
+def test_a_reroute_that_does_not_assemble_carries_the_pair(monkeypatch):
+    def broken(self, *args, **kwargs):
+        raise ValidationError("curve crosses itself")
+
+    g = build_preset("genus2_closed").curves
+    a, b = g["a1"], _chain(3)  # meets a1 in a bigon
+    monkeypatch.setattr(JointSystem, "reroute_through_bigons", broken)
+    with pytest.raises(ComputationError) as raised:
+        minimal_position(a, b)
+    assert str(raised.value) == "bigon reroute did not assemble: curve crosses itself"
+    assert raised.value.surface is a.surface and raised.value.curves == (a, b)
 
 
 def _answers(c):

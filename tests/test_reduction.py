@@ -14,10 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from dehnkit import reduction
 from dehnkit.calculus import classify_pair, geometric_intersection
-from dehnkit.errors import TerminalPairError
+from dehnkit.errors import ComputationError, TerminalPairError
 from dehnkit.overlay import JointSystem
 from dehnkit.presets import build_preset, torus_curve
 from dehnkit.reduction import find_reduction_curve, reduce_pair
+from dehnkit.surface import CellSurface, EmbeddedCurve
 from dehnkit.twisting import TwistWord, apply_twist, apply_word
 
 
@@ -198,8 +199,8 @@ class TestEachPairSolvedOnce:
     """Work the reduction must not repeat; the counts come from monkeypatches."""
 
     def test_no_candidate_is_twisted_twice_in_a_step(self, torus, monkeypatch):
-        # against 2/1, every step on 13/5 meets each of its three distinct
-        # candidates three times over
+        # against 2/1, each of the two steps on 13/5 twists along the one
+        # curve it builds
         steps = []
         step, twist = reduction._reduction_step, reduction.apply_twist
 
@@ -218,8 +219,7 @@ class TestEachPairSolvedOnce:
         word, _, cls = reduce_pair(a, b)
         assert (len(word), cls.tag) == (2, "one_point")
         assert len(steps) == 2
-        for keys in steps:
-            assert len(keys) == len(set(keys)) == 3
+        assert [len(keys) for keys in steps] == [1, 1]
 
     def test_each_pair_is_put_in_minimal_position_once(self, torus, monkeypatch):
         a = torus_curve(torus.surface, 2, 1)
@@ -244,3 +244,22 @@ class TestEachPairSolvedOnce:
             # a first build on (a, x) starts every minimal_position of the pair
             solved = sum(1 for cs in builds if cs[0] is a and cs[-1] is x)
             assert solved == 1
+
+
+def test_a_step_that_fails_to_descend_replays_from_its_json(torus, monkeypatch):
+    # a twist that leaves b unchanged cannot descend; the step's error
+    # carries (a, b), which reproduces it
+    monkeypatch.setattr(reduction, "apply_twist", lambda c, n, b: b)
+    a = torus_curve(torus.surface, 1, 0)
+    b = torus_curve(torus.surface, 1, 2)
+    with pytest.raises(ComputationError) as raised:
+        reduce_pair(a, b)
+    err = raised.value
+    assert err.surface is a.surface and err.curves == (a, b)
+    data = err.replay_json()
+    surface = CellSurface.from_json(data["surface"])
+    a2, b2 = (EmbeddedCurve.from_json(surface, c) for c in data["curves"])
+    assert (a2, b2) == (a.renormalized(), b.renormalized())
+    with pytest.raises(ComputationError) as replayed:
+        reduce_pair(a2, b2)
+    assert str(replayed.value) == str(err)

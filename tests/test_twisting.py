@@ -317,3 +317,15 @@ def test_indexed_sweep_matches_the_rescanning_one(monkeypatch):
         assert twisting._drop_reducible_pairs(events) == want
         removed += len(events) - len(want)
     assert removed > 400  # the inputs exercise the sweep, not just pass it
+
+
+def test_a_collapsed_twist_image_carries_its_inputs(monkeypatch):
+    t = build_preset("torus").surface
+    a, b = tc(t, 1, 0), tc(t, 0, 1)
+    monkeypatch.setattr(
+        twisting, "_drop_reducible_pairs", lambda events: [("h", 1, 0.5), ("h", -1, 0.5)]
+    )
+    with pytest.raises(ComputationError) as raised:
+        apply_twist(a, 2, b)
+    assert str(raised.value) == "twist image collapsed to a trivial circle (power 2)"
+    assert raised.value.surface is t and raised.value.curves == (a, b)
