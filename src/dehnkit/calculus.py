@@ -6,8 +6,9 @@ the single-curve predicates, unguarded so that they apply to peripheral
 curves too.  This module holds only what adds something: the precondition
 guards (essentiality, orientation) and the record types the reduction
 pipeline consumes.  Essentiality reads the single-curve topology that
-overlay caches on each curve, so checking a curve again, or a reversed,
-reoriented or respaced copy of it, builds no new arrangement.
+overlay caches on each curve, so checking a curve again, a reversed,
+reoriented or respaced copy of it, or its image under a twist, builds no
+new arrangement.
 """
 
 from __future__ import annotations

@@ -7,6 +7,9 @@ terminal class with positive twists, matches it back onto the pants curve
 with the six-letter involution word when needed. What remains after all
 pants curves are fixed is a product of twists on the pants curves
 themselves; its exponents are read off from how it moves each dual curve.
+
+Every ComputationError raised here carries the surface and the curves that
+replay its failed check (see ComputationError.replay_json).
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ def match_curve(a_prime: EmbeddedCurve, a: EmbeddedCurve, *, avoid=()) -> TwistW
         raise PreconditionError(f"pair class {cls.tag} is not terminal")
     image = apply_word(word, a_prime.with_orientation(False))
     if not curves_isotopic(image, a.with_orientation(False)):
-        raise ComputationError("match word failed to align the curves")
+        raise ComputationError("match word failed to align the curves",
+                               a.surface, (a_prime, a, *avoid))
     return word
 
 
@@ -165,12 +169,15 @@ def _exponents_from_images(sys: PantsSystem, pants_images, dual_images):
         img = dual_images[i]
         base = geometric_intersection(a_i, b_i)
         k = geometric_intersection(img, b_i)
+        # what the checks below read, and so what replays them
+        replay = (sys.surface, (a_i, b_i, img))
+        outside = "residual is not in the pants-twist subgroup"
         if k % (base * base):
-            raise ComputationError("residual is not in the pants-twist subgroup")
+            raise ComputationError(outside, *replay)
         m = k // (base * base)
         if m == 0:
             if not curves_isotopic(img, b_i):
-                raise ComputationError("residual is not in the pants-twist subgroup")
+                raise ComputationError(outside, *replay)
             exps.append(0)
             continue
         if curves_isotopic(apply_twist(a_i, m, b_i), img):
@@ -178,7 +185,7 @@ def _exponents_from_images(sys: PantsSystem, pants_images, dual_images):
         elif curves_isotopic(apply_twist(a_i, -m, b_i), img):
             exps.append(-m)
         else:
-            raise ComputationError("residual is not in the pants-twist subgroup")
+            raise ComputationError(outside, *replay)
     exps.extend(0 for _ in range(len(sys.pants_curves) - sys.interior_count))
     return tuple(exps)
 
@@ -219,7 +226,8 @@ def factorize(f: TwistWord, sys: PantsSystem) -> FactorizationResult:
             if not curves_isotopic(b_term.with_orientation(False),
                                    a_i.with_orientation(False)):
                 raise ComputationError(
-                    "separating pants curve not recovered by reduction")
+                    "separating pants curve not recovered by reduction",
+                    sys.surface, (b_term, a_i))
             match_word = TwistWord(())
         else:
             match_word = match_curve(b_term, a_i, avoid=frozen)
@@ -228,16 +236,19 @@ def factorize(f: TwistWord, sys: PantsSystem) -> FactorizationResult:
         orient_word = TwistWord(())
         if not curves_isotopic(image, src):
             if not curves_isotopic(image, src.reverse()):
-                raise ComputationError("matched curve is not the pants curve")
+                raise ComputationError("matched curve is not the pants curve",
+                                       sys.surface, (image, src))
             partner = _orientation_partner(sys, i, frozen)
             if partner is None:
                 raise ComputationError(
-                    "orientation flip with no partner available")
+                    "orientation flip with no partner available",
+                    sys.surface, (a_i, *frozen))
             orient_word = fix_orientation(a_i, partner)
 
         h_i = reduce_word + match_word + orient_word
         if len(h_i) > k0 + 10:
-            raise ComputationError("per-curve move budget exceeded")
+            raise ComputationError("per-curve move budget exceeded",
+                                   sys.surface, (a_i, b_i, *frozen))
         p_word = p_word + h_i
         for t in range(len(images)):
             if t != i:
@@ -259,12 +270,14 @@ def factorize(f: TwistWord, sys: PantsSystem) -> FactorizationResult:
     s_word = TwistWord(tuple(
         (sys.pants_curves[i], n) for i, n in enumerate(s) if n != 0))
 
+    expected = [apply_word(s_word, c) for c in tracked]
     certificate = tuple(
-        curves_isotopic(images[t], apply_word(s_word, tracked[t]))
-        for t in range(len(tracked))
+        curves_isotopic(image, want) for image, want in zip(images, expected)
     )
     if not all(certificate):
-        raise ComputationError("factorization certificate failed")
+        t = certificate.index(False)
+        raise ComputationError("factorization certificate failed",
+                               sys.surface, (images[t], expected[t]))
     return FactorizationResult(
         p=p_word,
         q_exponents=q_exponents,

@@ -6,7 +6,9 @@ position and builds their arrangement in five phases:
   frame      surface.joint_frame renormalises the crossing points of each
              edge jointly (ties broken by curve index, a legal isotopy):
              the k-th of the m points on an edge moves to (k + 1)/(m + 1),
-             so its integer rank carries all the information;
+             so its integer rank carries all the information.  It reads
+             each curve's own per-edge order, sorted once per curve, and
+             merges the curves' sorted runs;
   chords     every face is walked as a ccw list of boundary items (slot
              corners and points), and each curve gap becomes a chord
              between two items;
@@ -562,18 +564,6 @@ class JointSystem:
     def crossing_count(self, i: int, j: int) -> int:
         return len(self.crossings_between(i, j))
 
-    def crossing_params(self, ci: int) -> dict[Crossing, Fraction]:
-        """Annulus coordinate of each crossing met by curve ci.
-
-        The r-th of the k crossings on gap g sits at g + (r + 1)/(k + 1),
-        strictly inside the gap; only the cyclic order matters.
-        """
-        params = {}
-        for g, hits in enumerate(self._stops[ci]):
-            for r, node in enumerate(hits):
-                params[self.crossings[node]] = g + Fraction(r + 1, len(hits) + 1)
-        return params
-
     def _slot(self, ci: int, x: Crossing) -> tuple[int, int]:
         """(gap, r): x is the r-th crossing on that gap of curve ci."""
         if ci == x.curve_i:
@@ -726,11 +716,13 @@ class JointSystem:
         a_fwd = labels_a[0][4]
         b_fwd = labels_b[0][4]
         if any(l[4] != a_fwd for l in labels_a) or any(l[4] != b_fwd for l in labels_b):
-            raise ComputationError("bigon run changes direction")
+            raise ComputationError("bigon run changes direction",
+                                   self.surface, self.curves)
         node = self._node
         p, q = node(darts_a[0]), node(darts_a[-1] ^ 1)
         if p < 0 or q < 0 or (node(darts_b[0]), node(darts_b[-1] ^ 1)) != (q, p):
-            raise ComputationError("bigon runs do not share their corners")
+            raise ComputationError("bigon runs do not share their corners",
+                                   self.surface, self.curves)
         P, Q = self.crossings[p], self.crossings[q]
 
         # the stationary side, in ca's own order
@@ -788,7 +780,9 @@ class JointSystem:
                     if splices:
                         break
                     if not new_events:
-                        raise ComputationError("bigon removal would erase the curve")
+                        raise ComputationError(
+                            "bigon removal would erase the curve",
+                            self.surface, self.curves)
                     whole = EmbeddedCurve(
                         self.surface, tuple(new_events),
                         oriented=self.curves[move].oriented,
@@ -1270,7 +1264,7 @@ def cut_along_curve(
             faces.append(tuple(word))
         piece = CellSurface(tuple(faces), chirality=surf.chirality)
         if piece.euler_characteristic != reg.chi:
-            raise ComputationError("piece does not match its region")
+            raise ComputationError("piece does not match its region", surf, (c,))
         pieces.append(CutPiece(piece, boundary_labels, interval_edges))
 
     transferred = []
@@ -1294,7 +1288,7 @@ def cut_along_curve(
             owner = next((pi for pi, piece in enumerate(pieces)
                           if key in piece.interval_edges), None)
             if owner is None:
-                raise ComputationError(f"no piece owns interval {key}")
+                raise ComputationError(f"no piece owns interval {key}", surf, (c, k))
             home.add(owner)
             name, ascends = pieces[owner].interval_edges[key]
             n = len(eis)
@@ -1305,7 +1299,8 @@ def cut_along_curve(
                 else:
                     new_events[ei] = (name, -d, Fraction(n - r, n + 1))
         if len(home) != 1:
-            raise ComputationError("carried curve straddles several pieces")
+            raise ComputationError(
+                "carried curve straddles several pieces", surf, (c, k))
         pi = home.pop()
         transferred.append(
             (pi, EmbeddedCurve(pieces[pi].surface, tuple(new_events),

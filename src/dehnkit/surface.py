@@ -52,7 +52,8 @@ def tail_end(edge: str, sign: int) -> End:
 
 # Instance-__dict__ key under which overlay caches a curve's single-curve
 # topology (see overlay._curve_topology). The isotopic copies made here
-# (reversed, reoriented, respaced) share it.
+# (reversed, reoriented, respaced) share it, and so do twist images
+# (twisting.apply_twist), since a homeomorphism keeps it.
 TOPOLOGY_KEY = "_topology"
 
 
@@ -307,12 +308,6 @@ class CellSurface:
         return surf
 
 
-def _walk_coord(sign: int, pos: Fraction) -> Fraction:
-    # Parameter of an edge point along the face walk over that slot: a +1
-    # slot walks the edge tail-to-head, a -1 slot head-to-tail.
-    return pos if sign > 0 else 1 - pos
-
-
 @dataclass(frozen=True, eq=False)
 class EmbeddedCurve:
     """Simple closed curve on a CellSurface, given by its crossing itinerary.
@@ -327,6 +322,10 @@ class EmbeddedCurve:
     Equality and hashing compare isotopy-representative normal forms only
     to the extent of reparametrisation (rotation of the itinerary and
     per-edge position renormalisation), not full isotopy.
+
+    Each curve sorts its points along every edge once, on first use
+    (`_edge_points`); validation, renormalisation and every joint frame the
+    curve enters read that order.
     """
 
     surface: CellSurface
@@ -335,43 +334,76 @@ class EmbeddedCurve:
 
     def __post_init__(self):
         events = tuple(
-            (str(e), int(d), Fraction(p)) for e, d, p in self.events
+            (str(e), int(d), p if isinstance(p, Fraction) else Fraction(p))
+            for e, d, p in self.events
         )
         object.__setattr__(self, "events", events)
         self._validate()
 
+    @cached_property
+    def _edge_points(self) -> dict[str, list[tuple[float, Fraction, int]]]:
+        """Per edge, the curve's points (float(p), p, event) up the edge.
+
+        The float leads and the exact value breaks the (rare) float ties:
+        rounding to nearest is monotone, so the composite order is the
+        exact one.  Edges come in the order of their first event.
+        """
+        points: dict[str, list[tuple[float, Fraction, int]]] = {}
+        for ei, (e, _, p) in enumerate(self.events):
+            run = points.get(e)
+            if run is None:
+                points[e] = run = []
+            run.append((p.numerator / p.denominator, p, ei))  # float(p)
+        for run in points.values():
+            run.sort()
+        return points
+
     def _validate(self) -> None:
         surf = self.surface
-        if not self.events:
+        events = self.events
+        n = len(events)
+        if not n:
             raise ValidationError("curve needs at least one crossing event")
-        seen: set[tuple[str, int, int]] = set()
-        for e, d, p in self.events:
-            if e not in surf.interior_edges:
+        # each point's rank up its edge; the first event that repeats an
+        # earlier point of its edge is reported where the scan reaches it
+        rank = [0] * n
+        first_repeat = n
+        for run in self._edge_points.values():
+            for k, (f, p, ei) in enumerate(run):
+                rank[ei] = k
+                # equal points sit together, the earliest event first
+                if k and f == run[k - 1][0] and p == run[k - 1][1]:
+                    first_repeat = min(first_repeat, ei)
+        interior = surf.interior_edges
+        for e, d, p in events[:first_repeat + 1]:
+            if e not in interior:
                 raise ValidationError(f"curve crosses non-interior edge {e!r}")
             if d not in (1, -1):
                 raise ValidationError(f"bad crossing direction {d}")
-            if not 0 < p < 1:
+            if not 0 < p.numerator < p.denominator:
                 raise ValidationError(f"crossing position {p} outside (0, 1)")
-            # integer key: hashing a Fraction costs a modular inverse
-            key = (e, p.numerator, p.denominator)
-            if key in seen:
-                raise ValidationError(f"repeated crossing point ({e!r}, {p})")
-            seen.add(key)
+        if first_repeat < n:
+            e, _, p = events[first_repeat]
+            raise ValidationError(f"repeated crossing point ({e!r}, {p})")
 
-        n = len(self.events)
+        # A chord end is keyed by (slot entry, walk key) in its face: the
+        # face walks a +1 slot up the edge and a -1 slot down it, so the
+        # walk key is the point's rank up the edge or minus that rank.
+        slot_position = surf.slot_position
         chords_by_face: dict[int, list[tuple[tuple, tuple]]] = {}
         for i in range(n):
-            e1, d1, p1 = self.events[i]
-            e2, d2, p2 = self.events[(i + 1) % n]
-            f_exit, ent_exit = surf.slot_position(e1, -d1)
-            f_enter, ent_enter = surf.slot_position(e2, d2)
+            e1, d1, _ = events[i]
+            j = (i + 1) % n
+            e2, d2, _ = events[j]
+            f_exit, ent_exit = slot_position(e1, -d1)
+            f_enter, ent_enter = slot_position(e2, d2)
             if f_exit != f_enter:
                 raise ValidationError(
-                    f"events {i} and {(i + 1) % n} do not share a face: "
+                    f"events {i} and {j} do not share a face: "
                     f"exit into face {f_exit}, enter from face {f_enter}"
                 )
-            key_a = (ent_exit, _walk_coord(-d1, p1))
-            key_b = (ent_enter, _walk_coord(d2, p2))
+            key_a = (ent_exit, -rank[i] if d1 > 0 else rank[i])
+            key_b = (ent_enter, rank[j] if d2 > 0 else -rank[j])
             chords_by_face.setdefault(f_exit, []).append((key_a, key_b))
 
         # Pairwise non-crossing chords of a disc nest like brackets: cut the
@@ -382,7 +414,7 @@ class EmbeddedCurve:
                 lo, hi = (key_a, key_b) if key_a < key_b else (key_b, key_a)
                 ends.append((lo, True, i))
                 ends.append((hi, False, i))
-            ends.sort(key=lambda t: (t[0][0], float(t[0][1]), t[0][1]))
+            ends.sort()
             stack: list[int] = []
             for _, opening, i in ends:
                 if opening:
@@ -424,9 +456,11 @@ class EmbeddedCurve:
     def with_orientation(self, oriented: bool) -> "EmbeddedCurve":
         if oriented == self.oriented:
             return self
-        return self._share_topology(
-            EmbeddedCurve(self.surface, self.events, oriented=oriented)
-        )
+        # the same events: nothing to validate again, and the same order
+        copy = EmbeddedCurve._respaced(self.surface, self.events, self)
+        object.__setattr__(copy, "oriented", oriented)
+        copy.__dict__["_edge_points"] = self._edge_points
+        return copy
 
     def renormalized(self) -> "EmbeddedCurve":
         """Move crossing positions to (k+1)/(m+1) by per-edge rank."""
@@ -468,10 +502,9 @@ class EmbeddedCurve:
     # -- serialization --
 
     def to_json(self, surface_id: str | None = None) -> dict:
-        edge_order, _ = joint_frame((self,))
         rank = [0] * len(self.events)
-        for along in edge_order.values():
-            for k, (_, ei) in enumerate(along):
+        for run in self._edge_points.values():
+            for k, (_, _, ei) in enumerate(run):
                 rank[ei] = k
         data = {
             "format": 1,
@@ -512,21 +545,24 @@ def joint_frame(curves: Sequence[EmbeddedCurve]) -> tuple[dict, list]:
     to (k + 1)/(m + 1), which is what events[curve][event] holds; order,
     not position, carries the combinatorics.  For one curve this is its
     renormalisation.
+
+    Each curve's points come already sorted along every edge
+    (EmbeddedCurve._edge_points), so the sort only merges sorted runs; for
+    one curve it is a single run, checked in linear time.
     """
-    edge_points: dict[str, list[tuple]] = {}
+    merged: dict[str, list[tuple]] = {}
     for ci, c in enumerate(curves):
-        for ei, (e, _, p) in enumerate(c.events):
-            edge_points.setdefault(e, []).append((p, ci, ei))
+        for e, run in c._edge_points.items():
+            merged.setdefault(e, []).extend((f, p, ci, ei) for f, p, ei in run)
     edge_order: dict[str, list[tuple[int, int]]] = {}
     events = [list(c.events) for c in curves]
-    for e, pts in edge_points.items():
-        # float leads, exact value breaks the (rare) float ties: rounding
-        # to nearest is monotone, so the composite order is the exact one
-        pts.sort(key=lambda t: (float(t[0]), t[0], t[1], t[2]))
-        m = len(pts)
-        for k, (_, ci, ei) in enumerate(pts):
-            events[ci][ei] = (e, events[ci][ei][1], Fraction(k + 1, m + 1))
-        edge_order[e] = [(ci, ei) for _, ci, ei in pts]
+    for e, pts in merged.items():
+        pts.sort()  # merges the curves' sorted runs
+        m1 = len(pts) + 1
+        for k, (_, _, ci, ei) in enumerate(pts, 1):
+            evs = events[ci]
+            evs[ei] = (e, evs[ei][1], Fraction(k, m1))
+        edge_order[e] = [(ci, ei) for _, _, ci, ei in pts]
     return edge_order, events
 
 

@@ -3,9 +3,15 @@
 The twist D_a^n(b) is built literally: put the pair in minimal position, then
 reroute every strand of b through an annulus neighbourhood of a as a spiral
 winding |n| times. The spiral's points are a's events moved at most half a
-joint spacing to either side (JointSystem.beside), so the result validates
-as an embedded curve; a final sweep removes edge-crossing pairs the surgery
-left reducible.
+joint spacing to either side (the rule of JointSystem.beside), so the result
+validates as an embedded curve; a final sweep removes edge-crossing pairs
+the surgery left reducible.  Each spiral point is one Fraction made from
+integers: its numerator and denominator are read off the ranks of the joint
+frame and the crossing's place on a.
+
+A twist is a homeomorphism, so the image of b is null-homotopic,
+boundary-parallel or separating exactly when b is: the image inherits b's
+cached single-curve topology and never builds an arrangement for it.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .calculus import is_essential
 from .errors import ComputationError, PreconditionError
@@ -115,23 +122,37 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
     sigma = 1 if nu > 0 else -1
     wraps = abs(nu)
 
-    # Annulus coordinate of each crossing along a.
-    theta = system.crossing_params(0)
+    # a's events as (edge, direction, k, m_e + 1): the joint frame puts the
+    # k-th of the m_e points of an edge at k/(m_e + 1)
+    A = []
+    for e, d, p in system.events[0]:
+        m1 = len(system.edge_order[e]) + 1
+        A.append((e, d, p.numerator * (m1 // p.denominator), m1))
 
     def spiral_block(x) -> list:
         # Strand of b at crossing x, rerouted to wind `wraps` times around a.
+        # x sits at annulus coordinate th = g + (r + 1)/Q along a, the
+        # (r + 1)-th of the Q - 1 crossings on a's gap g.  The spiral point
+        # of turn w at a's event idx has phi = (sigma * (idx - th)) mod m / m
+        # and z = (phi + w)/wraps, and is that event moved h = chir * (2z -
+        # 1)/2 joint spacings to one side (JointSystem.beside):
+        # p + d*h/(m_e + 1).  With D = m * Q * wraps, z = (u + w*m*Q)/D for
+        # the integer u = sigma * (Q * (idx - g) - r - 1) mod m*Q, so every
+        # quantity is an integer over 2 * D * (m_e + 1).
         mu = x.sign * chir  # +1: strand passes right-to-left across a
         se = mu * sigma  # sign of the strand's motion along a's direction
-        g = x.gap_i
-        th = theta[x]
+        g, r = system._slot(0, x)
+        r1, Q = r + 1, len(system._stops[0][g]) + 1
+        mQ = m * Q
+        D = mQ * wraps
         out = []
         for t in range(wraps * m):
             idx = (g + 1 + t) % m if se > 0 else (g - t) % m
             w = t // m if mu > 0 else wraps - 1 - t // m
-            phi = (sigma * (idx - th)) % m / m
-            z = (phi + w) / wraps
-            e, d, pos = system.beside(0, idx, chir * (2 * z - 1) / 2)
-            out.append((e, se * d, pos))
+            u = sigma * (Q * (idx - g) - r1) % mQ
+            e, d, k, m1 = A[idx]
+            H = d * chir * (2 * (u + w * mQ) - D)
+            out.append((e, se * d, Fraction(2 * D * k + H, 2 * D * m1)))
         return out
 
     by_gap = defaultdict(list)
@@ -149,7 +170,9 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
         raise ComputationError(
             f"twist image collapsed to a trivial circle (power {n})", surf, (a, b)
         )
-    return EmbeddedCurve(surf, tuple(events), oriented=b.oriented).renormalized()
+    # a twist is a homeomorphism: the image has b's topology
+    image = EmbeddedCurve(surf, tuple(events), oriented=b.oriented)
+    return b._share_topology(image).renormalized()
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,23 @@ def test_a_reroute_that_does_not_assemble_carries_the_pair(monkeypatch):
     assert raised.value.surface is a.surface and raised.value.curves == (a, b)
 
 
+def test_a_bigon_splice_error_carries_its_arrangement(monkeypatch):
+    # with no crossing at the bigon's corners the splice cannot be read;
+    # the error carries the curves of the arrangement it was read from
+    g = build_preset("genus2_closed").curves
+    a, b = g["a1"], _chain(3)  # meets a1 in a bigon
+    monkeypatch.setattr(JointSystem, "_node", lambda self, did: -1)
+    with pytest.raises(ComputationError) as raised:
+        minimal_position(a, b)
+    err = raised.value
+    assert str(err) == "bigon runs do not share their corners"
+    assert err.surface is a.surface and err.curves == (a, b)
+    system = JointSystem(err.surface, err.curves)
+    with pytest.raises(ComputationError) as replayed:
+        system.reroute_through_bigons(system.find_bigons(0, 1), move=1)
+    assert str(replayed.value) == str(err)
+
+
 def _answers(c):
     return (
         is_null_homotopic(c),
@@ -287,9 +304,22 @@ def test_algebraic_intersection_bounds_and_matches_parity(r):
         assert abs(alg) <= geo and (geo - alg) % 2 == 0, name
 
 
+def _crossing_params(system, ci):
+    """Annulus coordinate of each crossing met by curve ci.
+
+    The r-th of the k crossings on gap g sits at g + (r + 1)/(k + 1),
+    strictly inside the gap; only the cyclic order matters.
+    """
+    params = {}
+    for g, hits in enumerate(system._stops[ci]):
+        for r, node in enumerate(hits):
+            params[system.crossings[node]] = g + Fraction(r + 1, len(hits) + 1)
+    return params
+
+
 def _arc_indices(n_events, th_from, th_to):
     """Reference arc: event indices strictly inside the forward cyclic
-    interval (th_from, th_to) of annulus coordinates (crossing_params)."""
+    interval (th_from, th_to) of annulus coordinates (_crossing_params)."""
     span = (th_to - th_from) % n_events
     out = []
     base = int(th_from) + 1
@@ -316,7 +346,7 @@ def test_arc_matches_the_annulus_coordinate_formula():
     for system in _arc_systems():
         for ci in (0, 1):
             n = len(system.events[ci])
-            theta = system.crossing_params(ci)
+            theta = _crossing_params(system, ci)
             for x, y in itertools.permutations(system.crossing_order_along(ci), 2):
                 want = _arc_indices(n, theta[x], theta[y])
                 assert system.arc(ci, x, y) == want, (ci, theta[x], theta[y])

@@ -98,3 +98,22 @@ def test_a_bigon_removal_error_replays_from_its_json():
     with pytest.raises(ComputationError) as replayed:
         minimal_position(a, b)
     assert str(replayed.value) == str(err)
+
+
+def test_a_failed_match_replays_from_its_json(g, monkeypatch):
+    # a word that moves nothing cannot send a1 onto t2: the error carries
+    # (a_prime, a) and the avoided curves, which reproduce it
+    monkeypatch.setattr(factorization, "apply_word", lambda word, c: c)
+    with pytest.raises(ComputationError) as raised:
+        match_curve(g["a1"], g["t2"], avoid=(g["a3"],))
+    err = raised.value
+    assert str(err) == "match word failed to align the curves"
+    assert err.surface is g["a1"].surface
+    assert err.curves == (g["a1"], g["t2"], g["a3"])
+    data = err.replay_json()
+    surface = CellSurface.from_json(data["surface"])
+    a_prime, a, *avoid = (EmbeddedCurve.from_json(surface, c) for c in data["curves"])
+    assert (a_prime, a, *avoid) == tuple(c.renormalized() for c in err.curves)
+    with pytest.raises(ComputationError) as replayed:
+        match_curve(a_prime, a, avoid=avoid)
+    assert str(replayed.value) == str(err)

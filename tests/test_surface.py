@@ -7,10 +7,13 @@ characteristics and boundary circuits were worked out by hand.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from dehnkit.calculus import is_essential
 from dehnkit.errors import PreconditionError, ValidationError
+from dehnkit.presets import PRESET_NAMES, build_preset
 from dehnkit.surface import CellSurface, EmbeddedCurve, Flow
+from dehnkit.twisting import apply_twist
 
 F = Fraction
 
@@ -257,3 +260,123 @@ class TestFlow:
         c = EmbeddedCurve(s, (("v", 1, F(1, 2)),), oriented=False)
         with pytest.raises(PreconditionError):
             x.pair(c)
+
+
+def _reference_validate(surf, events) -> None:
+    """The validator the per-edge order replaced, kept as a reference.
+
+    It checks each event's edge, direction and position, and repeated
+    points, in event order, then nests each face's chords by their ends'
+    Fraction walk coordinates: p on a +1 slot, 1 - p on a -1 slot.
+    """
+
+    def walk_coord(sign, pos):
+        return pos if sign > 0 else 1 - pos
+
+    if not events:
+        raise ValidationError("curve needs at least one crossing event")
+    seen = set()
+    for e, d, p in events:
+        if e not in surf.interior_edges:
+            raise ValidationError(f"curve crosses non-interior edge {e!r}")
+        if d not in (1, -1):
+            raise ValidationError(f"bad crossing direction {d}")
+        if not 0 < p < 1:
+            raise ValidationError(f"crossing position {p} outside (0, 1)")
+        key = (e, p.numerator, p.denominator)
+        if key in seen:
+            raise ValidationError(f"repeated crossing point ({e!r}, {p})")
+        seen.add(key)
+
+    n = len(events)
+    chords_by_face = {}
+    for i in range(n):
+        e1, d1, p1 = events[i]
+        e2, d2, p2 = events[(i + 1) % n]
+        f_exit, ent_exit = surf.slot_position(e1, -d1)
+        f_enter, ent_enter = surf.slot_position(e2, d2)
+        if f_exit != f_enter:
+            raise ValidationError(
+                f"events {i} and {(i + 1) % n} do not share a face: "
+                f"exit into face {f_exit}, enter from face {f_enter}"
+            )
+        key_a = (ent_exit, walk_coord(-d1, p1))
+        key_b = (ent_enter, walk_coord(d2, p2))
+        chords_by_face.setdefault(f_exit, []).append((key_a, key_b))
+
+    for f, chords in chords_by_face.items():
+        ends = []
+        for i, (key_a, key_b) in enumerate(chords):
+            lo, hi = (key_a, key_b) if key_a < key_b else (key_b, key_a)
+            ends.append((lo, True, i))
+            ends.append((hi, False, i))
+        ends.sort(key=lambda t: (t[0][0], float(t[0][1]), t[0][1]))
+        stack = []
+        for _, opening, i in ends:
+            if opening:
+                stack.append(i)
+            elif not stack or stack.pop() != i:
+                raise ValidationError(f"curve crosses itself inside face {f}")
+
+
+def _verdict(check):
+    """None if check() accepts, else the ValidationError message."""
+    try:
+        check()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+CORRUPTIONS = ("duplicate", "swap", "zero", "one", "outside", "non-interior",
+               "direction", "flip")
+
+
+def _corrupt(draw, surf, events, kind):
+    """events with one defect of the given kind."""
+    events = list(events)
+    n = len(events)
+    i = draw(st.integers(0, n - 1))
+    e, d, p = events[i]
+    if kind == "duplicate":  # one or two points, so that repeats race
+        for k in range(draw(st.integers(1, 2))):
+            j = draw(st.integers(0, n - 1 + k))
+            events.insert(draw(st.integers(0, n + k)), events[j])
+    elif kind == "swap":
+        same = [j for j in range(n) if events[j][0] == e and j != i]
+        if same:
+            j = draw(st.sampled_from(same))
+            events[i], events[j] = (e, d, events[j][2]), (e, events[j][1], p)
+    elif kind in ("zero", "one", "outside"):
+        bad = {"zero": [F(0)], "one": [F(1)], "outside": [F(3, 2), F(-1, 3), F(7, 5)]}
+        events[i] = (e, d, draw(st.sampled_from(bad[kind])))
+    elif kind == "non-interior":
+        # a boundary edge, or an edge the surface does not have
+        others = sorted(surf.boundary_edges) or ["zz"]
+        events[i] = (draw(st.sampled_from(others)), d, p)
+    elif kind == "direction":
+        events[i] = (e, draw(st.sampled_from((0, 2, -3))), p)
+    else:  # crossing the edge the other way: the faces may no longer meet
+        events[i] = (e, -d, p)
+    return events
+
+
+@st.composite
+def twist_image_events(draw):
+    """(surface, events): a twist image on a preset, maybe with defects."""
+    ps = build_preset(draw(st.sampled_from(PRESET_NAMES)))
+    curves = [c for c in dict.fromkeys(ps.curves.values()) if is_essential(c)]
+    a, b = draw(st.sampled_from(curves)), draw(st.sampled_from(curves))
+    image = apply_twist(a, draw(st.sampled_from((1, -1, 2, -2))), b)
+    events = list(image.events)
+    for kind in draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=2)):
+        events = _corrupt(draw, ps.surface, events, kind)
+    return ps.surface, events
+
+
+@given(case=twist_image_events())
+@settings(max_examples=150, deadline=None)
+def test_validator_matches_the_walk_coordinate_reference(case):
+    surf, events = case
+    want = _verdict(lambda: _reference_validate(surf, events))
+    assert _verdict(lambda: EmbeddedCurve(surf, tuple(events))) == want

@@ -5,15 +5,18 @@ D_{(p,q)}^n(r,s) = (r,s) + n(ps - qr)(p,q); every surgery result below is
 checked against that formula in homology and by exact isotopy class.
 """
 
-import pytest
+import functools
 
-from dehnkit import twisting
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dehnkit import overlay, twisting
 from dehnkit.calculus import is_essential
 from dehnkit.errors import ComputationError, PreconditionError
 from dehnkit.factorization import factorize
 from dehnkit.overlay import curves_isotopic, geometric_intersection_number
 from dehnkit.presets import PRESET_NAMES, build_preset, homology_class, torus_curve
-from dehnkit.surface import CellSurface, EmbeddedCurve
+from dehnkit.surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve
 from dehnkit.twisting import (
     TwistWord,
     act_on_system,
@@ -329,3 +332,49 @@ def test_a_collapsed_twist_image_carries_its_inputs(monkeypatch):
         apply_twist(a, 2, b)
     assert str(raised.value) == "twist image collapsed to a trivial circle (power 2)"
     assert raised.value.surface is t and raised.value.curves == (a, b)
+
+
+@functools.lru_cache(maxsize=None)
+def _essential_names(name):
+    return sorted(n for n, c in build_preset(name).curves.items() if is_essential(c))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_twist_images_inherit_the_topology_of_a_fresh_copy(data):
+    # a twist is a homeomorphism, so each image keeps the topology of the
+    # curve it was made from; a fresh copy, with no cache, computes its own
+    name = data.draw(st.sampled_from(PRESET_NAMES), label="preset")
+    g = build_preset(name).curves
+    pick = st.sampled_from(_essential_names(name))
+    word = data.draw(st.lists(st.tuples(pick, st.sampled_from((1, -1, 2, -2))),
+                              min_size=1, max_size=3), label="word")
+    c = g[data.draw(pick, label="start")]
+    for axis, k in word:
+        c = apply_twist(g[axis], k, c)
+        inherited = c.__dict__[TOPOLOGY_KEY]
+        fresh = EmbeddedCurve(c.surface, c.events, oriented=c.oriented)
+        assert TOPOLOGY_KEY not in fresh.__dict__
+        assert overlay._curve_topology(fresh) == inherited
+
+
+@pytest.mark.parametrize("name, axis, target", [
+    ("torus", "x", "y"),
+    ("one_holed_torus", "a1", "dual1"),
+    ("four_holed_sphere", "dual1", "a1"),
+    ("genus2_closed", "t1", "dual1"),
+])
+def test_a_twist_image_needs_no_topology_build(monkeypatch, name, axis, target):
+    g = build_preset(name).curves
+    image = apply_twist(g[axis], 1, g[target])
+    assert geometric_intersection_number(image, g[target]) > 0
+    sizes = []
+    build = overlay.JointSystem.__init__
+
+    def counting(self, surface, curves):
+        sizes.append(len(curves))
+        build(self, surface, curves)
+
+    monkeypatch.setattr(overlay.JointSystem, "__init__", counting)
+    assert is_essential(image)
+    assert sizes.count(1) == 0
