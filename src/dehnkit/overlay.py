@@ -32,9 +32,10 @@ position and builds their arrangement in five phases:
   regions    cells glue across the skeleton edges into regions, the
              connected components of the complement of the curve system.
              Each region knows its Euler characteristic and its boundary
-             circuits, computed on the abstract cut complex by an integer
-             union-find over corners (each named by the dart leaving
-             it), so no geometry enters.
+             circuits, read off the abstract cut complex by walking its
+             corners (each named by the dart leaving it), which are cycles
+             of glued darts or chains ending at a boundary dart, so no
+             geometry enters.
 
 A boundary dart is labelled ("B", e, s, gap, fwd): the segment of face
 slot (e, s) on the gap-th interval of edge e, counted from 0 up the edge
@@ -67,7 +68,6 @@ not depend on the choice.  Builds of one or two curves never retry.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,13 +96,8 @@ def _find(parent: list[int], x: int) -> int:
     return root
 
 
-def _union(parent: list[int], a: int, b: int) -> int:
-    """Merge the classes of a and b; 1 if they were apart, else 0."""
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return 0
-    parent[ra] = rb
-    return 1
+def _union(parent: list[int], a: int, b: int) -> None:
+    parent[_find(parent, a)] = _find(parent, b)
 
 
 class _Degenerate(Exception):
@@ -235,15 +230,16 @@ class JointSystem:
         stops[fi][x] lists the crossings along chord x of face fi in order,
         by index.  Face fi is a convex polygon with its M items in ccw rank
         order and the chords straight, so chords cross iff their end ranks
-        interleave, and B crosses A from A's right to A's left iff B starts
-        on the ccw arc from A's start to A's end.  In a system of at most
-        two curves the chords crossing a chord x all belong to the other
-        curve and are pairwise disjoint, so they meet x in the order of
-        their ends on that arc.  Larger systems order the crossings on a
-        chord by exact Fraction parameters, with the items at the points
-        (t, t^2) of a parabola, t the item's rank, or 10^4 times it plus a
-        wobble quadratic in the rank when attempt > 0; only they can raise
-        _Degenerate.
+        interleave.  Each item ends at most one chord of the face, so one
+        sweep of the ranks finds every interleaving pair.  B crosses A from
+        A's right to A's left iff B starts on the ccw arc from A's start to
+        A's end.  In a system of at most two curves the chords crossing a
+        chord x all belong to the other curve and are pairwise disjoint, so
+        they meet x in the order of their ends on that arc.  Larger systems
+        order the crossings on a chord by exact Fraction parameters, with
+        the items at the points (t, t^2) of a parabola, t the item's rank,
+        or 10^4 times it plus a wobble quadratic in the rank when
+        attempt > 0; only they can raise _Degenerate.
         """
         chirality = self.surface.chirality
         use_points = len(self.curves) > 2
@@ -262,29 +258,27 @@ class JointSystem:
         stops: list[list[list[int]]] = []
         for fi, ch in enumerate(chords):
             M = len(items[fi])
-            # Sweep the cut boundary circle once; when a chord closes, the
-            # still-open chords that opened inside it are exactly its
-            # interleaving partners (a sorted suffix), so the work is
-            # proportional to the crossings found, not all pairs.
-            ends = []
+            # A chord opens at its first end; when it closes, the chords
+            # opened after it and still open are exactly its interleaving
+            # partners, so the work is proportional to the crossings found.
+            chord_at = [-1] * M
             for x, (_, _, ra, rb) in enumerate(ch):
-                ends.append((min(ra, rb), x))
-                ends.append((max(ra, rb), x))
-            ends.sort()
-            open_at: dict[int, int] = {}  # chord -> its lo rank
-            open_by_lo: list[tuple[int, int]] = []  # sorted (lo, chord)
+                chord_at[ra] = chord_at[rb] = x
+            is_open = bytearray(len(ch))
+            open_chords: list[int] = []  # in opening order
             pairs: list[tuple[int, int]] = []
-            for rank, x in ends:
-                if x not in open_at:
-                    open_at[x] = rank
-                    insort(open_by_lo, (rank, x))
+            for x in chord_at:
+                if x < 0:
                     continue
-                pos = bisect_left(open_by_lo, (open_at[x], x))
-                for _, y in open_by_lo[pos + 1:]:
+                if not is_open[x]:
+                    is_open[x] = 1
+                    open_chords.append(x)
+                    continue
+                pos = open_chords.index(x)
+                for y in open_chords[pos + 1:]:
                     if ch[x][0] != ch[y][0]:
-                        pairs.append((min(x, y), max(x, y)))
-                open_by_lo.pop(pos)
-                del open_at[x]
+                        pairs.append((x, y) if x < y else (y, x))
+                del open_chords[pos]
             pairs.sort()
             if use_points:
                 pts = [(t, t * t) for t in map(t_of, range(M))]
@@ -459,14 +453,18 @@ class JointSystem:
 
         The forward boundary darts of the two slots of an interior edge
         that share an edge interval are partners; partner is -1 on the
-        other darts.  The cells they bound are merged.  Each region's
-        topology is read off the abstract cut complex by a union-find over
-        corners, so no geometry enters.
+        other darts.  The cells they bound are merged by a union-find,
+        whose sorted roots order the regions.  A corner is named by the
+        dart leaving it, and gluing x to its partner makes the corner x
+        leaves the one phi[partner[x]] leaves.  That map is injective, so a
+        corner class is a cycle of glued darts (an interior corner) or a
+        chain that ends at the one unglued dart leaving a boundary corner:
+        a region has V = unglued darts + cycles, and a boundary circuit
+        steps from an unglued dart d to the end of the chain from phi[d].
         """
         surf = self.surface
         n_darts = len(labels)
         partner = [-1] * n_darts
-        glued: list[tuple[int, int]] = []
         for e in surf.interior_edges:
             fa, ja = surf.slot_position(e, 1)
             fb, jb = surf.slot_position(e, -1)
@@ -478,56 +476,61 @@ class JointSystem:
                 if labels[a][3] != g or labels[b][3] != g:
                     raise ComputationError(f"unmatched edge interval {(e, g)}")
                 partner[a], partner[b] = b, a
-                glued.append((a, b) if a < b else (b, a))
-        glued.sort()
 
         # union cells across glued intervals in ascending dart order
         cell_parent = list(range(len(cells)))
-        for a, b in glued:
-            _union(cell_parent, cell_of[a], cell_of[b])
-        groups: dict[int, list[int]] = {}
+        for a, b in enumerate(partner):
+            if b > a:
+                _union(cell_parent, cell_of[a], cell_of[b])
+        by_root: dict[int, list[int]] = {}
         for cidx in range(len(cells)):
-            groups.setdefault(_find(cell_parent, cidx), []).append(cidx)
+            by_root.setdefault(_find(cell_parent, cidx), []).append(cidx)
+        groups = [by_root[root] for root in sorted(by_root)]
         region_of_cell: list[int] = [0] * len(cells)
-        for ridx, root in enumerate(sorted(groups)):
-            for cidx in groups[root]:
+        for ridx, cell_idxs in enumerate(groups):
+            for cidx in cell_idxs:
                 region_of_cell[cidx] = ridx
 
-        # A corner is named by the dart leaving it, so a dart arrives at the
-        # corner its successor in the cell leaves.  Gluing a to b identifies
-        # the corner a leaves with the one b arrives at, and the other way
-        # round; each merge of two corner classes lowers V by one.
-        corner = list(range(n_darts))
-        merges = [0] * len(groups)
-        glued_pairs = [0] * len(groups)
-        for a, b in glued:
-            ridx = region_of_cell[cell_of[a]]
-            glued_pairs[ridx] += 1
-            merges[ridx] += (_union(corner, a, phi[b])
-                             + _union(corner, phi[a], b))
+        # per region its darts and, ascending, its unglued darts; the
+        # chain that starts at phi of each unglued dart is walked to its end
+        size = [0] * len(groups)
+        unglued: list[list[int]] = [[] for _ in groups]
+        placed = bytearray(n_darts)  # darts already in a corner class
+        chain_end: dict[int, int] = {}
+        for d, cidx in enumerate(cell_of):
+            if cidx < 0:
+                continue
+            ridx = region_of_cell[cidx]
+            size[ridx] += 1
+            if partner[d] >= 0:
+                continue
+            unglued[ridx].append(d)
+            x = phi[d]
+            while partner[x] >= 0 and not placed[x]:
+                placed[x] = 1
+                x = phi[partner[x]]
+            if placed[x]:
+                raise ComputationError("boundary corner with two outgoing darts")
+            placed[x] = 1
+            chain_end[d] = x
+        # the glued darts left over lie on cycles
+        cycles = [0] * len(groups)
+        for d, b in enumerate(partner):
+            if b >= 0 and not placed[d]:
+                cycles[region_of_cell[cell_of[d]]] += 1
+                x = d
+                while not placed[x]:
+                    placed[x] = 1
+                    x = phi[partner[x]]
 
         regions: list[Region] = []
         seen = bytearray(n_darts)  # unglued darts already on a circuit
-        for ridx, root in enumerate(sorted(groups)):
-            cell_idxs = groups[root]
-            n_region = sum(len(cells[cidx]) for cidx in cell_idxs)
-            unglued = sorted(d for cidx in cell_idxs for d in cells[cidx]
-                             if partner[d] < 0)
-            V = n_region - merges[ridx]
-            E = glued_pairs[ridx] + len(unglued)
-            F = len(cell_idxs)
-            chi = V - E + F
-
-            # boundary circuits: at each boundary corner class exactly one
-            # unglued dart departs
-            out_at: dict[int, int] = {}
-            for did in unglued:
-                key = _find(corner, did)
-                if key in out_at:
-                    raise ComputationError("boundary corner with two outgoing darts")
-                out_at[key] = did
+        for ridx, cell_idxs in enumerate(groups):
+            bare = unglued[ridx]
+            # V - E + F, with V = bare + cycles and E = glued pairs + bare
+            chi = cycles[ridx] - (size[ridx] - len(bare)) // 2 + len(cell_idxs)
             circuits = []
-            for did in unglued:
+            for did in bare:
                 if seen[did]:
                     continue
                 circuit = []
@@ -535,7 +538,7 @@ class JointSystem:
                 while not seen[d]:
                     seen[d] = 1
                     circuit.append(d)
-                    d = out_at[_find(corner, phi[d])]
+                    d = chain_end[d]
                 if d != did:
                     raise ComputationError("boundary walk did not close")
                 circuits.append(tuple(circuit))
@@ -746,16 +749,16 @@ class JointSystem:
         return g_enter, len(self.arc(cb, enter, leave)), new_events, a_used
 
     def reroute_through_bigons(
-        self, regions: Sequence[Region], move: int, stacks: bool = True
+        self, regions: Sequence[Region], move: int
     ) -> tuple[EmbeddedCurve, int]:
         """Push curve `move` across several independent bigons at once.
 
-        With `stacks`, each innermost bigon brings the stack of bigons
-        nested around it (see bigon_stack), and every strand of the stack
-        is pushed across in this one call: strand i follows the stationary
-        side of the i-th bigon, and the parallel copies are ordered the way
-        one bigon per call would leave them, the outermost strand nearest
-        the stationary curve.  A strand whose support overlaps one already
+        Each innermost bigon brings the stack of bigons nested around it
+        (see bigon_stack), and every strand of the stack is pushed across
+        in this one call: strand i follows the stationary side of the i-th
+        bigon, and the parallel copies are ordered the way one bigon per
+        call would leave them, the outermost strand nearest the stationary
+        curve.  A strand whose support overlaps one already
         taken ends its stack there, and a stack whose first strand does is
         skipped, so the splices never interfere.  Returns (curve, taken);
         each taken strand drops the raw crossing count by exactly two.
@@ -765,10 +768,7 @@ class JointSystem:
         used_b: set[int] = set()
         used_a: set = set()
         for region in regions:
-            if stacks:
-                stack = self.bigon_stack(region, move)
-            else:
-                stack = [self._bigon_runs(region, move)]
+            stack = self.bigon_stack(region, move)
             depth = len(stack)
             stack_a: set = set()
             for i, (darts_a, darts_b) in enumerate(stack):

@@ -19,7 +19,10 @@ JointSystem.arc, which reads arcs off the crossings' slots, is checked
 against the annulus-coordinate formula it replaced, and the rank-only
 crossings phase of one- and two-curve builds against the parabola
 construction it replaced: the same crossings, signs and order along every
-chord.
+chord.  The regions phase, which walks corner chains and cycles, is
+checked against the union-find over corners it replaced: the same
+regions in the same order, with the same Euler characteristics and
+boundary circuits.
 """
 
 import functools
@@ -34,6 +37,7 @@ from dehnkit.calculus import algebraic_intersection, is_essential
 from dehnkit.errors import ComputationError, ValidationError
 from dehnkit.overlay import (
     JointSystem,
+    Region,
     _Degenerate,
     geometric_intersection_number,
     is_boundary_parallel,
@@ -227,18 +231,22 @@ def _chain(r):
     return apply_twist(g["t1"], 1, apply_twist(g["a2"], -1, _chain(r - 1)))
 
 
-def _one_bigon_per_round(a, b):
+def _one_bigon_per_round(a, b, monkeypatch):
     """Crossing count left by peeling a single innermost bigon per build."""
-    while True:
-        system = JointSystem(a.surface, (a, b))
-        bigons = system.find_bigons(0, 1)
-        if not bigons:
-            return system.crossing_count(0, 1)
-        a = system.renormalized_curve(0)
-        b, _ = system.reroute_through_bigons(bigons[:1], move=1, stacks=False)
+    with monkeypatch.context() as patch:
+        # a stack of one: the innermost bigon alone
+        patch.setattr(JointSystem, "bigon_stack",
+                      lambda self, region, move: [self._bigon_runs(region, move)])
+        while True:
+            system = JointSystem(a.surface, (a, b))
+            bigons = system.find_bigons(0, 1)
+            if not bigons:
+                return system.crossing_count(0, 1)
+            a = system.renormalized_curve(0)
+            b, _ = system.reroute_through_bigons(bigons[:1], move=1)
 
 
-def test_a_bigon_stack_is_peeled_in_one_round(count_builds):
+def test_a_bigon_stack_is_peeled_in_one_round(count_builds, monkeypatch):
     # c_4 meets a1 in 56 raw crossings, 12 of them in one stack of nested
     # bigons; peeling one bigon per round takes 7 builds to reach 44
     g = build_preset("genus2_closed").curves
@@ -246,7 +254,7 @@ def test_a_bigon_stack_is_peeled_in_one_round(count_builds):
     count_builds.clear()
     system = minimal_position(a, b)
     assert len(count_builds) <= 3
-    assert system.crossing_count(0, 1) == _one_bigon_per_round(a, b) == 44
+    assert system.crossing_count(0, 1) == _one_bigon_per_round(a, b, monkeypatch) == 44
 
 
 CHAIN_PARTNERS = ("a1", "a2", "t1", "t2")
@@ -432,9 +440,8 @@ def _essential_names(name):
     return sorted(n for n, c in build_preset(name).curves.items() if is_essential(c))
 
 
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_pair_order_matches_the_parabola_on_twisted_curves(data):
+def _draw_twisted_pair(data):
+    """A preset curve a and the image b of one under a word of <= 4 twists."""
     name = data.draw(st.sampled_from(PRESET_NAMES), label="preset")
     g = build_preset(name).curves
     pick = st.sampled_from(_essential_names(name))
@@ -443,5 +450,123 @@ def test_pair_order_matches_the_parabola_on_twisted_curves(data):
     a, b = g[data.draw(pick, label="a")], g[data.draw(pick, label="b")]
     for axis, k in word:
         b = apply_twist(g[axis], k, b)
+    return a, b
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_pair_order_matches_the_parabola_on_twisted_curves(data):
+    a, b = _draw_twisted_pair(data)
     _assert_pair_order_matches_the_parabola((b,))
     _assert_pair_order_matches_the_parabola((a, b))
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, a, b):
+    """Merge the classes of a and b; 1 if they were apart, else 0."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return 0
+    parent[ra] = rb
+    return 1
+
+
+def _reference_regions(system):
+    """Reference regions phase: a union-find over corners.
+
+    A corner is named by the dart leaving it, so a dart arrives at the
+    corner its successor in the cell leaves.  Gluing a to b identifies the
+    corner a leaves with the one b arrives at, and the other way round;
+    each merge of two corner classes lowers V by one.  phi is read back
+    off the cells, which are its orbits, and the gluing off the partners.
+    """
+    partner, cells, cell_of = system._partner, system._cells, system._cell_of
+    n_darts = len(partner)
+    phi = [-1] * n_darts
+    for cycle in cells:
+        for k, d in enumerate(cycle):
+            phi[d] = cycle[(k + 1) % len(cycle)]
+    glued = [(a, b) for a, b in enumerate(partner) if a < b]
+
+    cell_parent = list(range(len(cells)))
+    for a, b in glued:
+        _union(cell_parent, cell_of[a], cell_of[b])
+    groups = {}
+    for cidx in range(len(cells)):
+        groups.setdefault(_find(cell_parent, cidx), []).append(cidx)
+    region_of_cell = [0] * len(cells)
+    for ridx, root in enumerate(sorted(groups)):
+        for cidx in groups[root]:
+            region_of_cell[cidx] = ridx
+
+    corner = list(range(n_darts))
+    merges = [0] * len(groups)
+    glued_pairs = [0] * len(groups)
+    for a, b in glued:
+        ridx = region_of_cell[cell_of[a]]
+        glued_pairs[ridx] += 1
+        merges[ridx] += _union(corner, a, phi[b]) + _union(corner, phi[a], b)
+
+    regions = []
+    seen = set()
+    for ridx, root in enumerate(sorted(groups)):
+        cell_idxs = groups[root]
+        n_region = sum(len(cells[cidx]) for cidx in cell_idxs)
+        unglued = sorted(d for cidx in cell_idxs for d in cells[cidx] if partner[d] < 0)
+        chi = (n_region - merges[ridx]) - (glued_pairs[ridx] + len(unglued)) + len(cell_idxs)
+        # at each boundary corner class exactly one unglued dart departs
+        out_at = {}
+        for did in unglued:
+            key = _find(corner, did)
+            assert key not in out_at
+            out_at[key] = did
+        circuits = []
+        for did in unglued:
+            if did in seen:
+                continue
+            circuit = []
+            d = did
+            while d not in seen:
+                seen.add(d)
+                circuit.append(d)
+                d = out_at[_find(corner, phi[d])]
+            assert d == did
+            circuits.append(tuple(circuit))
+        regions.append(Region(index=ridx, cells=frozenset(cell_idxs), chi=chi,
+                              circuits=tuple(circuits)))
+    return tuple(regions), region_of_cell
+
+
+def _assert_regions_match_the_reference(curves):
+    system = JointSystem(curves[0].surface, curves)
+    regions, region_of_cell = _reference_regions(system)
+    assert system.regions == regions
+    assert system.region_of_cell == region_of_cell
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_regions_match_the_reference_on_preset_systems(name):
+    for curves in _systems(name):
+        _assert_regions_match_the_reference(curves)
+
+
+def test_regions_match_the_reference_on_chain_curves():
+    g = build_preset("genus2_closed").curves
+    for r in range(5):
+        for name in CHAIN_PARTNERS:
+            _assert_regions_match_the_reference((g[name], _chain(r)))
+            _assert_regions_match_the_reference((_chain(r), g[name]))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_regions_match_the_reference_on_twisted_curves(data):
+    a, b = _draw_twisted_pair(data)
+    _assert_regions_match_the_reference((b,))
+    _assert_regions_match_the_reference((a, b))

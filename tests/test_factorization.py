@@ -9,6 +9,10 @@ sends one curve onto the other.
 
 A ComputationError carries the inputs of the computation that raised it,
 and its JSON replays the failure.
+
+`factorize` is pinned on the genus-2 words it factors today: each result
+is verified and positive, keeps the per-curve letter budget, and has the
+word length and pants exponents recorded for it.
 """
 
 import pytest
@@ -117,3 +121,34 @@ def test_a_failed_match_replays_from_its_json(g, monkeypatch):
     with pytest.raises(ComputationError) as replayed:
         match_curve(a_prime, a, avoid=avoid)
     assert str(replayed.value) == str(err)
+
+
+# (word, (len(p), q_exponents)); a word is (curve name, exponent) pairs
+# applied left to right
+FACTORED_WORDS = [
+    ((("a1", -1),), (0, (-1, 0, 0))),
+    ((("dual3", 1),), (1, (0, 0, 0))),
+    ((("t2", 1),), (2, (0, -1, 0))),
+    ((("dual1", 1), ("a1", -1)), (1, (-1, 0, 0))),
+    ((("t1", 1), ("a2", -1)), (2, (-1, -1, 0))),
+    ((("t1", -1),), (9, (1, 1, -2))),
+    ((("t2", -1), ("a3", 1)), (9, (-2, 1, 2))),
+    ((("t2", 1), ("dual1", -1), ("a3", 1)), (3, (1, -3, -1))),
+    ((("a3", -1), ("dual3", 1), ("a3", 1), ("a1", 1)), (1, (1, 0, 0))),
+    ((("dual1", 1), ("t2", -1), ("a2", 1), ("t1", 1)), (11, (-2, 2, 1))),
+]
+
+
+@pytest.mark.parametrize(
+    "word, want", FACTORED_WORDS,
+    ids=["*".join(f"{n}^{k}" for n, k in word) for word, _ in FACTORED_WORDS])
+def test_factorize_genus2_words(word, want):
+    ps = build_preset("genus2_closed")
+    result = factorization.factorize(
+        TwistWord(tuple((ps.curve(n), k) for n, k in word)), ps.pants)
+    assert result.verified
+    assert result.p.is_positive
+    for step in result.step_log:
+        used = step["reduce"] + step["match"] + step["orient"]
+        assert used <= step["initial_crossings"] + 10, step
+    assert (len(result.p), result.q_exponents) == want

@@ -1,0 +1,120 @@
+"""Check that the working tree gives the same output as HEAD on every benchmark op.
+
+    python3 tools/compare_outputs.py --seeds 2 3
+
+Run from anywhere inside the repository. HEAD is exported with
+`bench_pairs.export_head` into a temporary directory. Every op of the
+workloads in bench/workloads.py is then run once per seed in each tree, one
+subprocess per tree, importing that tree's `dehnkit` and `bench/workloads.py`.
+An op's output is compared as plain data: curve events with exact
+positions, word letters, pair classes, the p, q exponents, certificate and
+step log of `factorize`, or the type and text of the error it raised.
+
+Prints the first op whose output differs, or else the number of identical
+ops; exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from bench_pairs import _git, export_head  # noqa: E402
+
+
+def _plain(obj, curve_type):
+    """An op output as JSON data, with every position written exactly."""
+    if isinstance(obj, curve_type):
+        return {"events": [[e, d, str(p)] for e, d, p in obj.events],
+                "oriented": obj.oriented}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name), curve_type)
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(x, curve_type) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): _plain(v, curve_type) for k, v in obj.items()}
+    if isinstance(obj, Fraction):
+        return str(obj)
+    return obj
+
+
+def dump(seeds: list[int]) -> list[dict]:
+    """Run every op of every workload in the checkout at the working
+    directory; one record per op."""
+    root = Path.cwd()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    from dehnkit.surface import EmbeddedCurve
+    import workloads
+
+    records = []
+    for seed in seeds:
+        for name in workloads.WORKLOADS:
+            for op in workloads.build(name, seed).ops:
+                record = {"workload": name, "seed": seed, "op": op.label}
+                try:
+                    record["output"] = _plain(op.run(), EmbeddedCurve)
+                except Exception as exc:  # an op's error is part of its output
+                    record["raised"] = f"{type(exc).__name__}: {exc}"
+                records.append(record)
+    return records
+
+
+def run_tree(checkout: Path, seeds: list[int]) -> list[dict]:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--dump",
+           "--seeds", *map(str, seeds)]
+    out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True)
+    return json.loads(out.stdout)
+
+
+def _short(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 300 else text[:300] + "..."
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[2, 3])
+    parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.dump:
+        json.dump(dump(args.seeds), sys.stdout)
+        return 0
+
+    root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel",
+                     capture_output=True, text=True).stdout.strip())
+    with tempfile.TemporaryDirectory() as tmp:
+        base_dir = Path(tmp) / "base"
+        sha = export_head(root, base_dir)
+        base = run_tree(base_dir, args.seeds)
+    change = run_tree(root, args.seeds)
+
+    for b, c in zip(base, change):
+        if b != c:
+            print(f"{b['workload']} seed {b['seed']}: {b['op']}")
+            if (b["workload"], b["seed"], b["op"]) != (c["workload"], c["seed"], c["op"]):
+                print(f"  the working tree runs {c['op']} here instead")
+            print(f"  HEAD {sha[:12]}: {_short(b.get('output', b.get('raised')))}")
+            print(f"  working tree: {_short(c.get('output', c.get('raised')))}")
+            return 1
+    if len(base) != len(change):
+        print(f"HEAD ran {len(base)} ops, the working tree {len(change)}")
+        return 1
+    print(f"{len(base)} ops identical to HEAD {sha[:12]} on seeds "
+          f"{' '.join(map(str, args.seeds))}")
+    raised = Counter(r["raised"] for r in base if "raised" in r)
+    for text, n in sorted(raised.items()):
+        print(f"  {n} ops raise in both trees: {text}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
