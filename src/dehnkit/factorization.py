@@ -20,7 +20,7 @@ from .calculus import classify_pair, geometric_intersection
 from .errors import BudgetExceededError, ComputationError, PreconditionError
 from .overlay import JointSystem, connecting_curve, curves_isotopic, is_separating
 from .presets import PantsSystem
-from .reduction import reduce_pair
+from .reduction import _reduce_counted
 from .surface import EmbeddedCurve
 from .twisting import TwistWord, apply_twist, apply_word
 
@@ -97,7 +97,14 @@ def fix_orientation(a: EmbeddedCurve, partner: EmbeddedCurve) -> TwistWord:
 
 @dataclass(frozen=True)
 class FactorizationResult:
-    """Outcome of factorize: f agrees with (pants twists) after (positive p)."""
+    """Outcome of factorize: f agrees with (pants twists) after (positive p).
+
+    `q_exponents` has one entry per pants curve, in the order of
+    PantsSystem.pants_curves.  The boundary-parallel entries are always 0:
+    curves are taken up to isotopies that may rotate the boundary, so a
+    twist along a boundary curve is not seen.  `certificate` has one entry
+    per tracked curve of the filling family.
+    """
 
     p: TwistWord
     q_exponents: tuple[int, ...]
@@ -156,8 +163,16 @@ def _exponents_from_images(sys: PantsSystem, pants_images, dual_images):
     Takes the images of the oriented interior pants curves and of their
     duals under the map.  Each dual curve crosses exactly one pants curve,
     so the twist amount on that curve is |image crossings| / crossings^2,
-    signed by an isotopy test.  Boundary-parallel pants curves twist
-    invisibly and report zero.
+    signed by an isotopy test.
+
+    There is one exponent per pants curve, interior curves first; the
+    boundary-parallel entries are padded with 0.  Curves are taken up to
+    isotopies that may rotate the boundary, and those undo a twist along a
+    boundary curve, so no exponent is measured for one.
+
+    Its isotopy tests are certificate entries too: each pants image is
+    compared with its curve and each dual image with D_{a_i}^{n_i}(b_i),
+    the twisted curve first, and a failed test raises.
     """
     exps = []
     for i in range(sys.interior_count):
@@ -190,6 +205,40 @@ def _exponents_from_images(sys: PantsSystem, pants_images, dual_images):
     return tuple(exps)
 
 
+def _certify(sys: PantsSystem, tracked, fam_index, images):
+    """Pants exponents s of the residual map, and the certificate entries.
+
+    `images` are the images of the tracked curves under the residual map,
+    which must equal the product of the D_{a_i}^{s_i}; raises unless it
+    does on every tracked curve.
+    """
+    dual_at = [fam_index[sys.dual_for(i).canonical_key]
+               for i in range(sys.interior_count)]
+    s = _exponents_from_images(sys, images[:sys.interior_count],
+                               [images[t] for t in dual_at])
+    s_word = TwistWord(tuple(
+        (sys.pants_curves[i], n) for i, n in enumerate(s) if n != 0))
+
+    # The read-off has already tested the interior pants images and the dual
+    # images against what s_word makes of their curves.  s_word's letters
+    # miss every pants curve, and dual i misses every pants curve but a_i
+    # (the pants system checks that when it is built), so s_word sends b_i
+    # to apply_twist(a_i, s_i, b_i) event for event, the curve read against
+    # dual image i.  Only the other tracked curves are twisted and tested.
+    read_off = {*range(sys.interior_count), *dual_at}
+    expected = {t: apply_word(s_word, c)
+                for t, c in enumerate(tracked) if t not in read_off}
+    certificate = tuple(
+        t in read_off or curves_isotopic(images[t], expected[t])
+        for t in range(len(tracked))
+    )
+    if not all(certificate):
+        t = certificate.index(False)
+        raise ComputationError("factorization certificate failed",
+                               sys.surface, (images[t], expected[t]))
+    return s, certificate
+
+
 def factorize(f: TwistWord, sys: PantsSystem) -> FactorizationResult:
     """Split f into pants twists following a positive word, with certificate.
 
@@ -217,9 +266,8 @@ def factorize(f: TwistWord, sys: PantsSystem) -> FactorizationResult:
         frozen = sys.pants_curves[:i]
         src = a_i.with_orientation(True)
         b_i = images[i]
-        k0 = geometric_intersection(a_i, b_i)
-
-        reduce_word, b_term, _cls = reduce_pair(a_i, b_i, avoid=frozen)
+        # k0 = |a_i ∩ b_i|, read off the arrangement that classifies the pair
+        reduce_word, b_term, _cls, k0 = _reduce_counted(a_i, b_i, frozen)
         if is_separating(a_i):
             # homology pins separating curves: the terminal pullback must
             # already be the curve itself, and its orientation must agree
@@ -263,24 +311,10 @@ def factorize(f: TwistWord, sys: PantsSystem) -> FactorizationResult:
             "orient": len(orient_word),
         })
 
-    dual_images = [images[fam_index[sys.dual_for(i).canonical_key]]
-                   for i in range(sys.interior_count)]
-    s = _exponents_from_images(sys, images[:sys.interior_count], dual_images)
-    q_exponents = tuple(-v for v in s)
-    s_word = TwistWord(tuple(
-        (sys.pants_curves[i], n) for i, n in enumerate(s) if n != 0))
-
-    expected = [apply_word(s_word, c) for c in tracked]
-    certificate = tuple(
-        curves_isotopic(image, want) for image, want in zip(images, expected)
-    )
-    if not all(certificate):
-        t = certificate.index(False)
-        raise ComputationError("factorization certificate failed",
-                               sys.surface, (images[t], expected[t]))
+    s, certificate = _certify(sys, tracked, fam_index, images)
     return FactorizationResult(
         p=p_word,
-        q_exponents=q_exponents,
+        q_exponents=tuple(-v for v in s),
         certificate=certificate,
         step_log=tuple(step_log),
     )

@@ -133,6 +133,16 @@ def reduce_pair(a: EmbeddedCurve, b: EmbeddedCurve, *, avoid=()):
     descent check leaves the arrangement that classifies the twisted curve
     and starts the next step.
     """
+    word, b_term, cls, _ = _reduce_counted(a, b, avoid)
+    return word, b_term, cls
+
+
+def _reduce_counted(a: EmbeddedCurve, b: EmbeddedCurve, avoid):
+    """reduce_pair's result and the initial crossing count |a ∩ b|.
+
+    The count is read off the arrangement that classifies (a, b), so a
+    caller that needs it solves the pair once.
+    """
     cls, system = _classify(a, b)
     letters = []
     b_cur = b
@@ -150,4 +160,4 @@ def reduce_pair(a: EmbeddedCurve, b: EmbeddedCurve, *, avoid=()):
                 "reduction exceeded the crossing bound", a.surface, (a, b)
             )
         cls, b_cur = new_cls, twisted
-    return TwistWord(tuple(letters)), b_cur, cls
+    return TwistWord(tuple(letters)), b_cur, cls, bound

@@ -220,10 +220,25 @@ class TwistWord:
 
 
 def apply_word(w: TwistWord, c: EmbeddedCurve) -> EmbeddedCurve:
+    """Image of c under w, one letter at a time.
+
+    apply_twist hands back the very curve it was given when its axis misses
+    it, and it is deterministic; so while c stays that object, a later
+    letter on an axis already seen to miss it (the same object, any power)
+    is skipped.
+    """
     if w.letters and w.surface != c.surface:
         raise PreconditionError("word and curve live on different surfaces")
+    missed = set()  # ids of letter curves that left the current c as it is
     for curve, k in w.letters:
-        c = apply_twist(curve, k, c)
+        if id(curve) in missed:
+            continue
+        image = apply_twist(curve, k, c)
+        if image is c:
+            missed.add(id(curve))
+        else:
+            missed.clear()
+            c = image
     return c
 
 

@@ -18,7 +18,7 @@ word length and pants exponents recorded for it.
 import pytest
 
 from dehnkit import factorization, overlay
-from dehnkit.errors import ComputationError
+from dehnkit.errors import ComputationError, PreconditionError
 from dehnkit.factorization import find_connector_curve, match_curve
 from dehnkit.overlay import (
     JointSystem,
@@ -152,3 +152,47 @@ def test_factorize_genus2_words(word, want):
         used = step["reduce"] + step["match"] + step["orient"]
         assert used <= step["initial_crossings"] + 10, step
     assert (len(result.p), result.q_exponents) == want
+
+
+def _corrupt_pants(ps, image):
+    return image.reverse()
+
+
+def _corrupt_dual(ps, image):
+    # one more twist along the pants curve it crosses
+    return apply_twist(ps.curve("a1"), 1, image)
+
+
+def _corrupt_partner(ps, image):
+    return apply_twist(ps.curve("a2"), 1, image)
+
+
+# (tracked curve, corruption, error factorize raises).  A dual image twisted
+# once more along its pants curve reads off another exponent, which the
+# image of the partner t1, crossing a1 and a2, then contradicts.
+CORRUPTED_IMAGES = [
+    ("a1", _corrupt_pants, (PreconditionError, "residual moves a pants curve")),
+    ("dual1", _corrupt_dual, (ComputationError, "factorization certificate failed")),
+    ("t1", _corrupt_partner, (ComputationError, "factorization certificate failed")),
+]
+
+
+@pytest.mark.parametrize("name, corrupt, error", CORRUPTED_IMAGES,
+                         ids=[name for name, _, _ in CORRUPTED_IMAGES])
+def test_the_certificate_catches_a_corrupted_image(monkeypatch, name, corrupt, error):
+    ps = build_preset("genus2_closed")
+    word = TwistWord(((ps.curve("dual1"), 1), (ps.curve("a1"), -1)))
+    certify = factorization._certify
+
+    def corrupted(sys, tracked, fam_index, images):
+        images = list(images)
+        t = fam_index[ps.curve(name).canonical_key]
+        images[t] = corrupt(ps, images[t])
+        return certify(sys, tracked, fam_index, images)
+
+    monkeypatch.setattr(factorization, "_certify", corrupted)
+    kind, text = error
+    with pytest.raises(kind) as raised:
+        factorization.factorize(word, ps.pants)
+    assert type(raised.value) is kind
+    assert str(raised.value) == text

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from dehnkit import overlay, twisting
 from dehnkit.calculus import is_essential
 from dehnkit.errors import ComputationError, PreconditionError
-from dehnkit.factorization import factorize
+from dehnkit.factorization import factorize, fix_orientation
 from dehnkit.overlay import curves_isotopic, geometric_intersection_number
 from dehnkit.presets import PRESET_NAMES, build_preset, homology_class, torus_curve
 from dehnkit.surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve
@@ -378,3 +378,52 @@ def test_a_twist_image_needs_no_topology_build(monkeypatch, name, axis, target):
     monkeypatch.setattr(overlay.JointSystem, "__init__", counting)
     assert is_essential(image)
     assert sizes.count(1) == 0
+
+
+def _crossing_once_pairs(name):
+    g = build_preset(name).curves
+    names = _essential_names(name)
+    return [(a, p) for a in names for p in names
+            if geometric_intersection_number(g[a], g[p]) == 1]
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_apply_word_matches_a_letter_by_letter_fold(data):
+    # apply_word skips a letter whose axis, the same object, has already left
+    # the current curve as it is; twisting letter by letter skips nothing
+    name = data.draw(st.sampled_from(PRESET_NAMES), label="preset")
+    g = build_preset(name).curves
+    pick = st.sampled_from(_essential_names(name))
+    letters = data.draw(st.lists(st.tuples(pick, st.sampled_from((1, -1))),
+                                 max_size=3), label="letters")
+    pairs = _crossing_once_pairs(name)
+    if pairs and data.draw(st.booleans(), label="orientation word"):
+        a, p = data.draw(st.sampled_from(pairs), label="a, partner")
+        letters += [(a, 1), (p, 1), (a, 1), (a, 1), (p, 1), (a, 1)]
+    word = TwistWord(tuple((g[n], k) for n, k in letters))
+    c = g[data.draw(pick, label="start")]
+    c = c.with_orientation(data.draw(st.booleans(), label="oriented"))
+    folded = functools.reduce(lambda cur, letter: apply_twist(*letter, cur),
+                              word.letters, c)
+    image = apply_word(word, c)
+    assert (image.events, image.oriented) == (folded.events, folded.oriented)
+
+
+def test_the_orientation_word_on_a_curve_it_misses_builds_twice(monkeypatch):
+    # a3 misses a1 and t1: once a twist along each has left it as it is,
+    # the other four letters of (a1, t1, a1, a1, t1, a1) are skipped
+    g = build_preset("genus2_closed").curves
+    word = fix_orientation(g["a1"], g["t1"])
+    target = g["a3"].with_orientation(True)
+    assert all(is_essential(c) for c in (g["a1"], g["t1"], target))
+    sizes = []
+    build = overlay.JointSystem.__init__
+
+    def counting(self, surface, curves):
+        sizes.append(len(curves))
+        build(self, surface, curves)
+
+    monkeypatch.setattr(overlay.JointSystem, "__init__", counting)
+    assert apply_word(word, target) is target
+    assert len(sizes) <= 2

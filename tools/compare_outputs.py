@@ -11,7 +11,8 @@ positions, word letters, pair classes, the p, q exponents, certificate and
 step log of `factorize`, or the type and text of the error it raised.
 
 Prints the first op whose output differs, or else the number of identical
-ops; exits 1 on any difference.
+ops; exits 1 on any difference, and quietly with 1 when its reader closes
+the pipe early.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -117,4 +119,10 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # the reader (say, `head`) has closed the pipe: stop quietly, and
+        # point stdout at devnull so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
