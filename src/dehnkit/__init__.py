@@ -2,9 +2,9 @@
 
 Core layers:
   surface    cell decompositions, embedded curves, homology flows
-  overlay    exact curve arrangements, minimal position, isotopy, cutting
+  overlay    exact curve arrangements, minimal position, isotopy
   presets    built-in surfaces with curve systems
-  calculus   guarded intersection numbers, patterns, pair classes
+  calculus   guarded intersection numbers, pair classes
   twisting   Dehn twists and twist words
   reduction  positive-twist reduction of curve pairs
   factorization  positive factorization of mapping classes
@@ -15,7 +15,6 @@ from .errors import (
     ComputationError,
     DehnkitError,
     PreconditionError,
-    TerminalPairError,
     ValidationError,
 )
 from .presets import (
@@ -39,7 +38,6 @@ __all__ = [
     "PantsSystem",
     "PreconditionError",
     "PresetSurface",
-    "TerminalPairError",
     "ValidationError",
     "build_preset",
     "homology_class",

@@ -1,4 +1,4 @@
-"""Intersection calculus: guarded counts, patterns and pair classes.
+"""Intersection calculus: guarded counts and pair classes.
 
 A thin layer over the arrangement engine in overlay, which owns the pair
 API (minimal_position, geometric_intersection_number, curves_isotopic) and
@@ -26,12 +26,10 @@ from .overlay import minimal_position as _joint_minimal_position
 from .surface import EmbeddedCurve
 
 __all__ = [
-    "IntersectionPattern",
     "PairClass",
     "algebraic_intersection",
     "classify_pair",
     "geometric_intersection",
-    "intersection_pattern",
     "is_essential",
     "pair_class",
 ]
@@ -60,49 +58,6 @@ def algebraic_intersection(a: EmbeddedCurve, b: EmbeddedCurve) -> int:
         raise PreconditionError("curves live on different surfaces")
     system = JointSystem(a.surface, (a, b))
     return sum(c.sign for c in system.crossings_between(0, 1))
-
-
-@dataclass(frozen=True)
-class IntersectionPattern:
-    """Crossing points of a minimal-position pair, in both cyclic orders.
-
-    Point ids are assigned in traversal order along the first curve, so
-    `along_a` is always ((0, s0), (1, s1), ...); `along_b` carries the same
-    ids in the second curve's order. `adjacency` lists consecutive id pairs
-    along the first curve.
-    """
-
-    along_a: tuple[tuple[int, int], ...]
-    along_b: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, int], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.along_a)
-
-    @property
-    def signed_total(self) -> int:
-        return sum(s for _, s in self.along_a)
-
-    def to_json(self) -> dict:
-        return {
-            "along_a": [list(p) for p in self.along_a],
-            "along_b": [list(p) for p in self.along_b],
-            "adjacency": [list(p) for p in self.adjacency],
-        }
-
-
-def intersection_pattern(a: EmbeddedCurve, b: EmbeddedCurve) -> IntersectionPattern:
-    _require_essential(a, b)
-    system = _joint_minimal_position(a, b)
-    order_a = system.crossing_order_along(0)
-    order_b = system.crossing_order_along(1)
-    ids = {x: i for i, x in enumerate(order_a)}
-    along_a = tuple((i, x.sign) for i, x in enumerate(order_a))
-    along_b = tuple((ids[x], x.sign) for x in order_b)
-    n = len(order_a)
-    adjacency = tuple((i, (i + 1) % n) for i in range(n)) if n > 1 else ()
-    return IntersectionPattern(along_a, along_b, adjacency)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,6 @@ class PreconditionError(DehnkitError):
     """Structurally valid input that violates an operation's precondition."""
 
 
-class TerminalPairError(PreconditionError):
-    """A curve pair is already terminal: no reduction step applies."""
-
-
 class ComputationError(DehnkitError):
     """An internal invariant failed mid-computation.
 

@@ -16,13 +16,13 @@ position and builds their arrangement in five phases:
              order and the chords straight, so chords cross iff their end
              ranks interleave.  B crosses A from A's right to its left iff
              B starts on the ccw arc from A's start to A's end, which
-             fixes every sign.  With at most two curves, the chords that
-             cross a chord all belong to the other curve and are pairwise
-             disjoint, so they meet it in the order of their ends along
-             that arc: such builds use ranks only.  Larger systems, where
-             crossing chords can cross each other, place the items at
-             integer points (t, t^2) of a parabola and order the crossings
-             along a chord by exact Fraction parameters;
+             fixes every sign.  The chords that cross a chord meet it in
+             the order of their ends along that arc, provided they are
+             pairwise disjoint.  That holds in every build of one or two
+             curves, since chords of one curve never cross.  A system in
+             which three chords of one face cross pairwise is refused with
+             a PreconditionError, because the ranks do not fix the order
+             of their crossings;
   darts      a doubly-connected edge list on integer ids whose cells are
              the complementary pieces inside single faces.  The nodes are
              the crossings, crossing k being node k, and the boundary
@@ -44,10 +44,9 @@ the same (e, gap) are glued; each is the other's partner.  A chord dart
 is labelled ("C", curve, gap, k, fwd), the k-th segment of the chord of
 that curve gap.
 
-That is enough to recognise discs, annuli, bigons, and to cut the surface
-along a curve.  Minimal position removes bigons by pushing one curve across
-them; a bigon and the rectangles stacked on it (nested bigons) are pushed
-across together.
+That is enough to recognise discs, annuli and bigons.  Minimal position
+removes bigons by pushing one curve across them; a bigon and the
+rectangles stacked on it (nested bigons) are pushed across together.
 
 Every curve surgery reads its new curve off the joint frame: `arc` lists
 the events of a curve between two of its crossings, from their slots, and
@@ -58,12 +57,6 @@ splice (reduction) build all their new points this way.
 The single-curve predicates (null-homotopic, boundary-parallel,
 separating) share one arrangement per curve, and their answers are cached
 on the curve and on its isotopic copies.
-
-Degenerate triple concurrencies need three chords through one point, so
-only systems of three or more curves, the only ones that use points, can
-meet one.  They are dissolved by retrying with the polygon points perturbed
-by an integer wobble quadratic in their rank; the region structure does
-not depend on the choice.  Builds of one or two curves never retry.
 """
 
 from __future__ import annotations
@@ -76,17 +69,6 @@ from typing import Optional, Sequence
 from .errors import ComputationError, PreconditionError, ValidationError
 from .surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve, joint_frame
 
-Vec = tuple[int, int]
-
-
-def _sub(u: Vec, v: Vec) -> Vec:
-    return (u[0] - v[0], u[1] - v[1])
-
-
-def _cross(u: Vec, v: Vec) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def _find(parent: list[int], x: int) -> int:
     root = x
     while parent[root] != root:
@@ -98,10 +80,6 @@ def _find(parent: list[int], x: int) -> int:
 
 def _union(parent: list[int], a: int, b: int) -> None:
     parent[_find(parent, a)] = _find(parent, b)
-
-
-class _Degenerate(Exception):
-    """Triple concurrency in one face; rebuild with perturbed points."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +118,15 @@ class Region:
 
 
 class JointSystem:
-    """Exact arrangement of one or more curves on a common surface."""
+    """Exact arrangement of one or more curves on a common surface.
+
+    Three chords of one face must not cross pairwise: the ranks do not fix
+    the order of their crossings, so such a system raises
+    PreconditionError.  A pair never has them, since chords of one curve
+    never cross.  Neither does a system whose curves, all but one, are
+    pairwise disjoint as placed, such as the pants curves of a preset and
+    one more curve.
+    """
 
     def __init__(self, surface: CellSurface, curves: Sequence[EmbeddedCurve]):
         if not curves:
@@ -151,13 +137,7 @@ class JointSystem:
         self.surface = surface
         self.curves = tuple(curves)
         try:
-            for attempt in range(32):
-                try:
-                    self._build(attempt)
-                    return
-                except _Degenerate:
-                    continue
-            raise ComputationError("could not resolve arrangement degeneracies")
+            self._build()
         except ComputationError as err:
             if err.surface is None:
                 err.surface, err.curves = surface, self.curves
@@ -166,12 +146,11 @@ class JointSystem:
     # ------------------------------------------------------------------
     # construction
 
-    def _build(self, attempt: int) -> None:
-        """Build the arrangement; attempt > 0 perturbs the polygon points,
-        which only systems of three or more curves use."""
+    def _build(self) -> None:
+        """The five phases of the module docstring, in order."""
         self.edge_order, self.events = joint_frame(self.curves)
         items, corners, chords = self._chords(self.edge_order, self.events)
-        self.crossings, stops = self._crossings(items, chords, attempt)
+        self.crossings, stops = self._crossings(items, chords)
         (self._labels, self._chord_first, self._stops, self._ranks, phi,
          self._cells, self._cell_of, slot_first) = self._darts(
             items, corners, chords, stops)
@@ -224,7 +203,7 @@ class JointSystem:
                 )
         return items, corners, chords
 
-    def _crossings(self, items: list, chords: list, attempt: int) -> tuple:
+    def _crossings(self, items: list, chords: list) -> tuple:
         """The chords' crossings: (crossings, stops).
 
         stops[fi][x] lists the crossings along chord x of face fi in order,
@@ -233,27 +212,18 @@ class JointSystem:
         interleave.  Each item ends at most one chord of the face, so one
         sweep of the ranks finds every interleaving pair.  B crosses A from
         A's right to A's left iff B starts on the ccw arc from A's start to
-        A's end.  In a system of at most two curves the chords crossing a
-        chord x all belong to the other curve and are pairwise disjoint, so
-        they meet x in the order of their ends on that arc.  Larger systems
-        order the crossings on a chord by exact Fraction parameters, with
-        the items at the points (t, t^2) of a parabola, t the item's rank,
-        or 10^4 times it plus a wobble quadratic in the rank when
-        attempt > 0; only they can raise _Degenerate.
+        A's end.  When the chords crossing a chord x are pairwise disjoint
+        they meet x in the order of their ends on that arc, and their other
+        ends run the opposite way round the rest of the face.  A system
+        whose chords violate this has three chords crossing pairwise in one
+        face, whose order along each chord the ranks do not fix: it raises
+        PreconditionError.
         """
         chirality = self.surface.chirality
-        use_points = len(self.curves) > 2
-
-        def t_of(rank: int) -> int:
-            if attempt == 0:
-                return rank
-            # quadratic in the rank: an affine wobble would map the points
-            # (t, t^2) affinely and keep their triple concurrencies.  This
-            # is t = rank + wob/10^4 with x scaled by 10^4 and y by 10^8,
-            # which changes no crossing parameter and no sign
-            wob = (rank * rank * 7919 + rank * 104729 + attempt * 2654435761) % 997
-            return rank * 10000 + wob
-
+        # In a pair the chords crossing a chord all belong to the other
+        # curve, and chords of one curve never cross: there is nothing to
+        # check.
+        check_triangles = len(self.curves) > 2
         crossings: list[Crossing] = []
         stops: list[list[list[int]]] = []
         for fi, ch in enumerate(chords):
@@ -280,8 +250,8 @@ class JointSystem:
                         pairs.append((x, y) if x < y else (y, x))
                 del open_chords[pos]
             pairs.sort()
-            if use_points:
-                pts = [(t, t * t) for t in map(t_of, range(M))]
+            # per chord, (near end, far end, crossing) of each chord crossing
+            # it, as offsets on the ccw walk round the face from its start
             hits: list[list[tuple]] = [[] for _ in ch]
             for x, y in pairs:
                 A, B = ch[x], ch[y]
@@ -294,23 +264,10 @@ class JointSystem:
                 if b_from_right == (oq < span):
                     raise ComputationError("interleaved chords failed to cross")
                 node = len(crossings)
-                if use_points:
-                    p, q, a, b = pts[pa], pts[qa], pts[pb], pts[qb]
-                    d1v, d2v = _sub(q, p), _sub(b, a)
-                    den = _cross(d1v, d2v)
-                    if den == 0:
-                        raise _Degenerate
-                    w = _sub(a, p)
-                    s = Fraction(_cross(w, d2v), den)
-                    t = Fraction(_cross(w, d1v), den)
-                    if not (0 < s < 1 and 0 < t < 1):
-                        raise ComputationError("interleaved chords failed to cross")
-                    hits[x].append((s, node))
-                    hits[y].append((t, node))
-                else:
-                    # each chord meets the other's end on its own right arc
-                    hits[x].append((min(ob, oq), node))
-                    hits[y].append((min((pa - pb) % M, (qa - pb) % M), node))
+                # each chord meets the other's end on its own right arc first
+                hits[x].append((min(ob, oq), max(ob, oq), node))
+                oa, oz = (pa - pb) % M, (qa - pb) % M
+                hits[y].append((min(oa, oz), max(oa, oz), node))
                 # (direction of the lower curve, direction of the other) is
                 # (A, B) or (B, A): B from A's right is a positive frame
                 # (A, B), flipped in the second case
@@ -327,13 +284,12 @@ class JointSystem:
                 ))
             face_stops = []
             for h in hits:
-                if use_points:
-                    h.sort(key=lambda hit: (float(hit[0]), hit[0]))
-                    if len({lam for lam, _ in h}) != len(h):
-                        raise _Degenerate
-                else:
-                    h.sort()
-                face_stops.append([node for _, node in h])
+                h.sort()
+                if check_triangles and any(
+                        h[k][1] < h[k + 1][1] for k in range(len(h) - 1)):
+                    raise PreconditionError(
+                        f"three curves cross pairwise in face {fi}")
+                face_stops.append([node for _, _, node in h])
             stops.append(face_stops)
         return crossings, stops
 
@@ -1187,123 +1143,3 @@ def connecting_curve(system: JointSystem, i: int, j: Optional[int] = None,
             if c is not None:
                 return c
     return None
-
-
-# ----------------------------------------------------------------------
-# cutting
-
-
-@dataclass(frozen=True)
-class CutPiece:
-    surface: CellSurface
-    # new boundary edge -> ("cut", "left"/"right") or ("boundary", old edge)
-    boundary_labels: dict
-    # (old edge, interval index) -> (new edge name, +1 if the new edge runs
-    # up the old positions, -1 if down); intervals count gaps between the
-    # cut curve's points, 0 .. m along each old edge
-    interval_edges: dict
-
-
-@dataclass(frozen=True)
-class CutResult:
-    pieces: tuple[CutPiece, ...]
-    piece_of_region: dict
-    transferred: tuple  # (piece index, EmbeddedCurve) per carried curve
-
-
-def cut_along_curve(
-    c: EmbeddedCurve, carry: Sequence[EmbeddedCurve] = ()
-) -> CutResult:
-    """Cut the surface along c; carried curves must be disjoint from c.
-
-    Every piece must be hyperbolic-type (negative Euler characteristic).
-    Carried curves reappear on the piece containing them, crossing each new
-    edge in the order the joint frame of (c, carried curve) gives them.
-    """
-    surf = c.surface
-    system = JointSystem(surf, (c,))
-    for reg in system.regions:
-        if reg.chi >= 0:
-            raise PreconditionError(
-                f"cutting would create a piece with Euler characteristic {reg.chi}"
-            )
-
-    pieces: list[CutPiece] = []
-    piece_of_region: dict[int, int] = {}
-    for reg in system.regions:
-        piece_of_region[reg.index] = len(pieces)
-        glued_name: dict[int, tuple[str, int]] = {}
-        interval_edges: dict[tuple[str, int], tuple[str, int]] = {}
-        boundary_labels: dict[str, tuple] = {}
-        faces: list[tuple[tuple[str, int], ...]] = []
-        for cidx in sorted(reg.cells):
-            word: list[tuple[str, int]] = []
-            for did in system._cells[cidx]:
-                if system._partner[did] >= 0:
-                    if did in glued_name:
-                        name, sgn = glued_name[did]
-                    else:
-                        name = f"g{len(interval_edges)}"
-                        sgn = 1
-                        glued_name[system._partner[did]] = (name, -1)
-                        glued_name[did] = (name, 1)
-                        # the label's gap counts the cut points below the
-                        # interval, 0..m; +1 side forward darts ascend
-                        _, e, s, gap, _ = system.dart_label(did)
-                        interval_edges[(e, gap)] = (name, 1 if s > 0 else -1)
-                    word.append((name, sgn))
-                else:
-                    lab = system.dart_label(did)
-                    name = f"u{did}"
-                    if lab[0] == "C":
-                        side = "left" if lab[4] else "right"
-                        boundary_labels[name] = ("cut", side)
-                    else:
-                        boundary_labels[name] = ("boundary", lab[1])
-                    word.append((name, 1))
-            faces.append(tuple(word))
-        piece = CellSurface(tuple(faces), chirality=surf.chirality)
-        if piece.euler_characteristic != reg.chi:
-            raise ComputationError("piece does not match its region", surf, (c,))
-        pieces.append(CutPiece(piece, boundary_labels, interval_edges))
-
-    transferred = []
-    for k in carry:
-        joint = JointSystem(surf, (c, k))
-        if joint.crossing_count(0, 1) != 0:
-            raise PreconditionError("carried curve is not disjoint from the cut curve")
-        # k's events by edge interval, in order up the edge: the interval
-        # counts the cut curve's points below them in the joint frame
-        runs: dict[tuple[str, int], list[int]] = {}
-        for e, along in joint.edge_order.items():
-            gap = 0
-            for ci, ei in along:
-                if ci == 0:
-                    gap += 1
-                else:
-                    runs.setdefault((e, gap), []).append(ei)
-        home: set[int] = set()
-        new_events: list = [None] * len(k.events)
-        for key, eis in runs.items():
-            owner = next((pi for pi, piece in enumerate(pieces)
-                          if key in piece.interval_edges), None)
-            if owner is None:
-                raise ComputationError(f"no piece owns interval {key}", surf, (c, k))
-            home.add(owner)
-            name, ascends = pieces[owner].interval_edges[key]
-            n = len(eis)
-            for r, ei in enumerate(eis):
-                d = k.events[ei][1]
-                if ascends > 0:
-                    new_events[ei] = (name, d, Fraction(r + 1, n + 1))
-                else:
-                    new_events[ei] = (name, -d, Fraction(n - r, n + 1))
-        if len(home) != 1:
-            raise ComputationError(
-                "carried curve straddles several pieces", surf, (c, k))
-        pi = home.pop()
-        transferred.append(
-            (pi, EmbeddedCurve(pieces[pi].surface, tuple(new_events),
-                               oriented=k.oriented))
-        )
-    return CutResult(tuple(pieces), piece_of_region, tuple(transferred))

@@ -23,13 +23,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .calculus import _require_essential, is_essential, pair_class
-from .errors import ComputationError, TerminalPairError, ValidationError
+from .errors import ComputationError, ValidationError
 from .overlay import geometric_intersection_number
 from .overlay import minimal_position as _joint_minimal_position
 from .surface import EmbeddedCurve
 from .twisting import TwistWord, apply_twist
 
-__all__ = ["find_reduction_curve", "reduce_pair"]
+__all__ = ["reduce_pair"]
 
 TERMINAL_TAGS = ("disjoint", "one_point", "two_zero")
 
@@ -113,15 +113,6 @@ def _classify(a: EmbeddedCurve, b: EmbeddedCurve):
     _require_essential(a, b)
     system = _joint_minimal_position(a, b)
     return pair_class(system), system
-
-
-def find_reduction_curve(a: EmbeddedCurve, b: EmbeddedCurve, *, avoid=()) -> EmbeddedCurve:
-    """A simple loop whose positive twist strictly reduces |b ∩ a|."""
-    cls, system = _classify(a, b)
-    if cls.tag in TERMINAL_TAGS:
-        raise TerminalPairError(f"pair is terminal ({cls.tag})")
-    c, _, _ = _reduction_step(a, b, system, avoid)
-    return c
 
 
 def reduce_pair(a: EmbeddedCurve, b: EmbeddedCurve, *, avoid=()):

@@ -1,4 +1,4 @@
-"""Dehn-twist surgery on embedded curves, twist words, identity testing.
+"""Dehn-twist surgery on embedded curves and twist words.
 
 The twist D_a^n(b) is built literally: put the pair in minimal position, then
 reroute every strand of b through an annulus neighbourhood of a as a spiral
@@ -23,17 +23,14 @@ from fractions import Fraction
 
 from .calculus import is_essential
 from .errors import ComputationError, PreconditionError
-from .overlay import JointSystem, curves_isotopic, is_boundary_parallel
 from .overlay import minimal_position as _joint_minimal_position
 from .surface import EmbeddedCurve
 
 __all__ = [
     "TWIST_SIGN",
     "TwistWord",
-    "act_on_system",
     "apply_twist",
     "apply_word",
-    "is_identity_on_system",
 ]
 
 # Global handedness of a positive twist, calibrated on the square torus:
@@ -179,8 +176,7 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
 class TwistWord:
     """Formal product of twist powers, applied left to right.
 
-    Stored uncollapsed: a word may contain a letter and its inverse; semantic
-    equality is is_identity_on_system against a filling system.
+    Stored uncollapsed: a word may contain a letter and its inverse.
     """
 
     letters: tuple[tuple[EmbeddedCurve, int], ...] = ()
@@ -240,49 +236,3 @@ def apply_word(w: TwistWord, c: EmbeddedCurve) -> EmbeddedCurve:
             missed.clear()
             c = image
     return c
-
-
-def act_on_system(w: TwistWord, system) -> list:
-    return [apply_word(w, c) for c in system]
-
-
-def _system_fills(surface, curves) -> bool:
-    """Complement of the non-peripheral members is discs and boundary collars."""
-    kept = [c for c in curves if not is_boundary_parallel(c)]
-    if not kept:
-        return False
-    joint = JointSystem(surface, kept)
-    boundary = surface.boundary_edges
-    for region in joint.regions:
-        if region.is_disc:
-            continue
-        if region.is_annulus:
-            touches = any(
-                joint.dart_label(did)[0] == "B"
-                and joint.dart_label(did)[1] in boundary
-                for circuit in region.circuits
-                for did in circuit
-            )
-            if touches:
-                continue
-        return False
-    return True
-
-
-def is_identity_on_system(w: TwistWord, filling) -> bool:
-    """Does w fix every curve of a filling system, with orientation?"""
-    filling = list(filling)
-    if not filling:
-        raise PreconditionError("empty curve system")
-    surface = filling[0].surface
-    if any(c.surface != surface for c in filling):
-        raise PreconditionError("system curves live on different surfaces")
-    if w.letters and w.surface != surface:
-        raise PreconditionError("word acts on a different surface")
-    if not _system_fills(surface, filling):
-        raise PreconditionError("curve system does not fill the surface")
-    for c in filling:
-        src = c.with_orientation(True)
-        if not curves_isotopic(apply_word(w, src), src):
-            return False
-    return True

@@ -1,0 +1,82 @@
+"""Reference crossings phase: chords as straight segments between points
+of a parabola.
+
+Each face's boundary items sit at the integer points (t, t^2), t the
+item's rank, and each chord's crossings are ordered by their exact
+Fraction parameter along it.  Unlike the rank rule of the package, this
+places any system of straight chords, three chords crossing pairwise in
+one face included, as long as no three of them pass through one point.
+"""
+
+import itertools
+from fractions import Fraction
+
+from dehnkit.overlay import Crossing, JointSystem
+
+
+def parabola_crossings(chirality, items, chords):
+    """Returns ([(face, curve_i, gap_i, curve_j, gap_j, sign)], stops), with
+    stops[fi][x] the indices of the crossings along chord x of face fi."""
+    crossings = []
+    stops = []
+    for fi, ch in enumerate(chords):
+        pts = [(t, t * t) for t in range(len(items[fi]))]
+        pairs = sorted(
+            (x, y)
+            for x, y in itertools.combinations(range(len(ch)), 2)
+            if ch[x][0] != ch[y][0]
+            and (min(ch[x][2:]) < min(ch[y][2:]) < max(ch[x][2:]))
+            != (min(ch[x][2:]) < max(ch[y][2:]) < max(ch[x][2:]))
+        )
+        hits = [[] for _ in ch]
+        for x, y in pairs:
+            A, B = ch[x], ch[y]
+            p, q = pts[A[2]], pts[A[3]]
+            a, b = pts[B[2]], pts[B[3]]
+            d1 = (q[0] - p[0], q[1] - p[1])
+            d2 = (b[0] - a[0], b[1] - a[1])
+            w = (a[0] - p[0], a[1] - p[1])
+            den = d1[0] * d2[1] - d1[1] * d2[0]
+            s = Fraction(w[0] * d2[1] - w[1] * d2[0], den)
+            t = Fraction(w[0] * d1[1] - w[1] * d1[0], den)
+            assert 0 < s < 1 and 0 < t < 1
+            a_first = A[0] < B[0]
+            ij, ji = (A, B) if a_first else (B, A)
+            sign = (1 if (den > 0) == a_first else -1) * chirality
+            hits[x].append((s, len(crossings)))
+            hits[y].append((t, len(crossings)))
+            crossings.append((fi, ij[0], ij[1], ji[0], ji[1], sign))
+        face_stops = []
+        for h in hits:
+            h.sort()
+            assert len({lam for lam, _ in h}) == len(h), "three chords concurrent"
+            face_stops.append([node for _, node in h])
+        stops.append(face_stops)
+    return crossings, stops
+
+
+def assert_matches_the_parabola(curves):
+    """The package's arrangement of curves has the reference's crossings:
+    the same crossings in the same order, with the same signs, and the
+    same order along every chord."""
+    system = JointSystem(curves[0].surface, curves)
+    items, _, chords = system._chords(system.edge_order, system.events)
+    want, want_stops = parabola_crossings(system.surface.chirality, items, chords)
+    got = [(c.face, c.curve_i, c.gap_i, c.curve_j, c.gap_j, c.sign)
+           for c in system.crossings]
+    assert got == want
+    for fi, ch in enumerate(chords):
+        for (ci, g, _, _), stops in zip(ch, want_stops[fi]):
+            assert system._stops[ci][g] == stops, (fi, ci, g)
+
+
+class ParabolaSystem(JointSystem):
+    """A JointSystem whose crossings phase is parabola_crossings.
+
+    The darts and regions phases are the package's, so this arrangement
+    can answer region questions about systems the package refuses.
+    """
+
+    def _crossings(self, items, chords):
+        found, stops = parabola_crossings(self.surface.chirality, items, chords)
+        return [Crossing(*c, node=k) for k, c in enumerate(found)], stops

@@ -11,12 +11,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dehnkit.calculus import (
-    IntersectionPattern,
     PairClass,
     algebraic_intersection,
     classify_pair,
     geometric_intersection,
-    intersection_pattern,
     is_essential,
 )
 from dehnkit.errors import PreconditionError
@@ -61,7 +59,7 @@ class TestMinimalPosition:
     def test_rejects_trivial_circle(self):
         t = build_preset("torus").surface
         circle = EmbeddedCurve(t, (("v", 1, F(1, 3)), ("v", -1, F(2, 3))))
-        for guarded in (geometric_intersection, classify_pair, intersection_pattern):
+        for guarded in (geometric_intersection, classify_pair):
             with pytest.raises(PreconditionError):
                 guarded(circle, torus_curve(t, 1, 0))
 
@@ -112,50 +110,51 @@ class TestCounts:
             algebraic_intersection(g2.curves["a1"], g2.curves["t1"])
 
 
+def _pattern(a, b):
+    """The crossings of a minimal-position pair along a and along b.
+
+    Crossings are numbered in order along a, so the first list is always
+    ((0, s0), (1, s1), ...) and the second carries the same numbers in b's
+    order, each with its sign.
+    """
+    system = minimal_position(a, b)
+    order_a = system.crossing_order_along(0)
+    ids = {x: i for i, x in enumerate(order_a)}
+    along_a = tuple((i, x.sign) for i, x in enumerate(order_a))
+    along_b = tuple((ids[x], x.sign) for x in system.crossing_order_along(1))
+    return along_a, along_b
+
+
 class TestPattern:
     def test_empty_for_disjoint(self):
         g2 = build_preset("genus2_closed")
-        pat = intersection_pattern(g2.curves["a1"], g2.curves["a2"])
-        assert pat.count == 0
-        assert pat.along_a == () and pat.along_b == () and pat.adjacency == ()
+        assert _pattern(g2.curves["a1"], g2.curves["a2"]) == ((), ())
 
     def test_single_point(self):
         t = build_preset("torus").surface
-        pat = intersection_pattern(torus_curve(t, 1, 0), torus_curve(t, 0, 1))
-        assert pat.along_a == ((0, 1),)
-        assert pat.along_b == ((0, 1),)
-        assert pat.adjacency == ()
+        along_a, along_b = _pattern(torus_curve(t, 1, 0), torus_curve(t, 0, 1))
+        assert along_a == ((0, 1),)
+        assert along_b == ((0, 1),)
 
     def test_orders_can_differ(self):
         # slope 2/3 meets the horizontal loop in an arithmetic progression of
         # step 2 mod 3, so the b-order is a genuine reshuffle of the a-order
         t = build_preset("torus").surface
-        pat = intersection_pattern(torus_curve(t, 1, 0), torus_curve(t, 2, 3))
-        assert pat.along_a == ((0, 1), (1, 1), (2, 1))
-        assert pat.along_b == ((0, 1), (2, 1), (1, 1))
-        assert pat.adjacency == ((0, 1), (1, 2), (2, 0))
+        along_a, along_b = _pattern(torus_curve(t, 1, 0), torus_curve(t, 2, 3))
+        assert along_a == ((0, 1), (1, 1), (2, 1))
+        assert along_b == ((0, 1), (2, 1), (1, 1))
 
     def test_two_zero_pattern_alternates(self):
         g2 = build_preset("genus2_closed")
-        pat = intersection_pattern(g2.curves["dual1"], g2.curves["a1"])
-        assert pat.along_a == ((0, 1), (1, -1))
-        assert pat.signed_total == 0
+        along_a, _ = _pattern(g2.curves["dual1"], g2.curves["a1"])
+        assert along_a == ((0, 1), (1, -1))
 
     def test_point_multisets_agree(self):
         t = build_preset("torus").surface
-        pat = intersection_pattern(torus_curve(t, 1, 0), torus_curve(t, 3, 5))
-        assert sorted(pat.along_a) == sorted(pat.along_b)
-        assert pat.signed_total == algebraic_intersection(
-            torus_curve(t, 1, 0), torus_curve(t, 3, 5)
-        )
-
-    def test_json_round_trip_fields(self):
-        t = build_preset("torus").surface
-        pat = intersection_pattern(torus_curve(t, 1, 1), torus_curve(t, 1, -1))
-        data = pat.to_json()
-        assert data["along_a"] == [list(p) for p in pat.along_a]
-        assert data["along_b"] == [list(p) for p in pat.along_b]
-        assert len(data["adjacency"]) == 2
+        a, b = torus_curve(t, 1, 0), torus_curve(t, 3, 5)
+        along_a, along_b = _pattern(a, b)
+        assert sorted(along_a) == sorted(along_b)
+        assert sum(s for _, s in along_a) == algebraic_intersection(a, b)
 
 
 class TestClassify:

@@ -2,9 +2,7 @@
 
 The region structure must satisfy Euler's formula: the curves of a system
 with k transverse crossings form a graph of Euler characteristic -k, so
-the regions' characteristics sum to chi(surface) + k.  The perturbed
-integer coordinates of the retry attempts, which only systems of three or
-more curves use, must give the same combinatorics as the first attempt.
+the regions' characteristics sum to chi(surface) + k.
 
 Minimal position is checked against identities of Farb and Margalit, *A
 Primer on Mapping Class Groups*: i(a, b) = i(b, a); Prop. 3.2,
@@ -17,28 +15,29 @@ against these curves, so the oracles exercise stack peeling.
 
 JointSystem.arc, which reads arcs off the crossings' slots, is checked
 against the annulus-coordinate formula it replaced, and the rank-only
-crossings phase of one- and two-curve builds against the parabola
-construction it replaced: the same crossings, signs and order along every
-chord.  The regions phase, which walks corner chains and cycles, is
-checked against the union-find over corners it replaced: the same
-regions in the same order, with the same Euler characteristics and
-boundary circuits.
+crossings phase against the parabola construction it replaced (see
+parabola.py): the same crossings, signs and order along every chord, on
+curve pairs and on systems of three or more curves in which no three
+chords of a face cross pairwise.  On such a system the parabola cannot
+meet a triple concurrency either, since two disjoint chords never meet.
+A system with three such chords is refused.  The regions phase, which
+walks corner chains and cycles, is checked against the union-find over
+corners it replaced: the same regions in the same order, with the same
+Euler characteristics and boundary circuits.
 """
 
 import functools
 import itertools
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dehnkit.calculus import algebraic_intersection, is_essential
-from dehnkit.errors import ComputationError, ValidationError
+from dehnkit.errors import ComputationError, PreconditionError, ValidationError
 from dehnkit.overlay import (
     JointSystem,
     Region,
-    _Degenerate,
     geometric_intersection_number,
     is_boundary_parallel,
     is_null_homotopic,
@@ -48,10 +47,13 @@ from dehnkit.overlay import (
 from dehnkit.presets import PRESET_NAMES, build_preset, torus_curve
 from dehnkit.surface import EmbeddedCurve
 from dehnkit.twisting import apply_twist
+from parabola import assert_matches_the_parabola
 
 
 def _systems(name):
-    """Single curves, curve pairs and the interior pants system of a preset."""
+    """Single curves, curve pairs and the interior pants system of a preset.
+
+    No system here has three chords crossing pairwise in one face."""
     ps = build_preset(name)
     curves = list(dict.fromkeys(ps.curves.values()))  # "waist" aliases "dual2"
     out = [(c,) for c in curves]
@@ -62,16 +64,9 @@ def _systems(name):
         # longer curves whose pairs carry bigons and mixed signs
         g = ps.curves
         b = apply_twist(g["a2"], 1, apply_twist(g["t1"], 1, g["dual1"]))
-        out += [(g["a1"], b), (b, g["t2"]), (g["a2"], b, g["t2"])]
+        out += [(g["a1"], b), (b, g["t2"]), (g["a1"], b, g["a3"]),
+                (g["a1"], b, g["t2"])]
     return out
-
-
-def _shape(system):
-    return (
-        len(system.crossings),
-        Counter(c.sign for c in system.crossings),
-        Counter((r.chi, len(r.circuits)) for r in system.regions),
-    )
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -80,24 +75,6 @@ def test_region_euler_characteristics_sum_to_surface_plus_crossings(name):
         system = JointSystem(curves[0].surface, curves)
         total = sum(r.chi for r in system.regions)
         assert total == system.surface.euler_characteristic + len(system.crossings)
-
-
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_perturbed_coordinates_give_the_same_arrangement(name):
-    for curves in _systems(name):
-        want = _shape(JointSystem(curves[0].surface, curves))
-        for attempt in (0, 1, 2, 3):
-            # attempts after 0 perturb the integer points that only systems
-            # of three or more curves use; only a triple concurrency, which
-            # needs three curves, sends a build there
-            other = object.__new__(JointSystem)
-            other.surface, other.curves = curves[0].surface, tuple(curves)
-            try:
-                other._build(attempt)
-            except _Degenerate:
-                assert len(curves) >= 3
-                continue
-            assert _shape(other) == want, (name, attempt)
 
 
 def test_a_build_error_carries_the_build_inputs(monkeypatch):
@@ -208,18 +185,18 @@ class TestTopologyCache:
             assert _answers(c.with_orientation(not c.oriented)) == want
 
 
-def test_perturbed_retry_dissolves_triple_concurrencies():
-    # integer coordinates make three chords of this system concurrent; the
-    # first perturbed attempt must already separate them
-    g = build_preset("genus2_closed").curves
-    b = apply_twist(g["a2"], 1, apply_twist(g["t1"], 1, g["dual1"]))
-    curves = (g["a2"], b, g["t2"])
-    system = object.__new__(JointSystem)
-    system.surface, system.curves = curves[0].surface, curves
-    with pytest.raises(_Degenerate):
-        system._build(0)
-    system._build(1)
-    assert _shape(system) == _shape(JointSystem(curves[0].surface, curves))
+@pytest.mark.parametrize("system", ("triple", "pants_duals"))
+def test_three_chords_crossing_pairwise_are_refused(system):
+    # genus-2 systems with three chords crossing pairwise in one face
+    ps = build_preset("genus2_closed")
+    if system == "triple":
+        g = ps.curves
+        b = apply_twist(g["a2"], 1, apply_twist(g["t1"], 1, g["dual1"]))
+        curves = (g["a2"], b, g["t2"])
+    else:
+        curves = ps.pants.pants_curves + ps.pants.dual_curves
+    with pytest.raises(PreconditionError, match=r"^three curves cross pairwise in face \d+$"):
+        JointSystem(ps.surface, curves)
 
 
 @functools.lru_cache(maxsize=None)
@@ -362,77 +339,18 @@ def test_arc_matches_the_annulus_coordinate_formula():
                 assert system.arc(ci, x, x) == []
 
 
-def _parabola_crossings(chirality, items, chords):
-    """Reference crossings phase: items at the points (t, t^2) of a
-    parabola, t the item's rank, and each chord's crossings ordered by
-    their exact Fraction parameter along it.
-
-    Returns ([(face, curve_i, gap_i, curve_j, gap_j, sign)], stops), with
-    stops[fi][x] the indices of the crossings along chord x of face fi.
-    """
-    crossings = []
-    stops = []
-    for fi, ch in enumerate(chords):
-        pts = [(t, t * t) for t in range(len(items[fi]))]
-        pairs = sorted(
-            (x, y)
-            for x, y in itertools.combinations(range(len(ch)), 2)
-            if ch[x][0] != ch[y][0]
-            and (min(ch[x][2:]) < min(ch[y][2:]) < max(ch[x][2:]))
-            != (min(ch[x][2:]) < max(ch[y][2:]) < max(ch[x][2:]))
-        )
-        hits = [[] for _ in ch]
-        for x, y in pairs:
-            A, B = ch[x], ch[y]
-            p, q = pts[A[2]], pts[A[3]]
-            a, b = pts[B[2]], pts[B[3]]
-            d1 = (q[0] - p[0], q[1] - p[1])
-            d2 = (b[0] - a[0], b[1] - a[1])
-            w = (a[0] - p[0], a[1] - p[1])
-            den = d1[0] * d2[1] - d1[1] * d2[0]
-            s = Fraction(w[0] * d2[1] - w[1] * d2[0], den)
-            t = Fraction(w[0] * d1[1] - w[1] * d1[0], den)
-            assert 0 < s < 1 and 0 < t < 1
-            a_first = A[0] < B[0]
-            ij, ji = (A, B) if a_first else (B, A)
-            sign = (1 if (den > 0) == a_first else -1) * chirality
-            hits[x].append((s, len(crossings)))
-            hits[y].append((t, len(crossings)))
-            crossings.append((fi, ij[0], ij[1], ji[0], ji[1], sign))
-        face_stops = []
-        for h in hits:
-            h.sort()
-            assert len({lam for lam, _ in h}) == len(h)
-            face_stops.append([node for _, node in h])
-        stops.append(face_stops)
-    return crossings, stops
-
-
-def _assert_pair_order_matches_the_parabola(curves):
-    system = JointSystem(curves[0].surface, curves)
-    items, _, chords = system._chords(system.edge_order, system.events)
-    want, want_stops = _parabola_crossings(system.surface.chirality, items, chords)
-    got = [(c.face, c.curve_i, c.gap_i, c.curve_j, c.gap_j, c.sign)
-           for c in system.crossings]
-    assert got == want
-    for fi, ch in enumerate(chords):
-        for (ci, g, _, _), stops in zip(ch, want_stops[fi]):
-            assert system._stops[ci][g] == stops, (fi, ci, g)
-
-
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_pair_order_matches_the_parabola_on_preset_systems(name):
     for curves in _systems(name):
-        if len(curves) <= 2:
-            _assert_pair_order_matches_the_parabola(curves)
+        assert_matches_the_parabola(curves)
 
 
 def test_pair_order_matches_the_parabola_on_chain_curves():
     g = build_preset("genus2_closed").curves
     for r in range(5):
         for name in CHAIN_PARTNERS:
-            _assert_pair_order_matches_the_parabola((g[name], _chain(r)))
-            _assert_pair_order_matches_the_parabola((_chain(r), g[name]))
+            assert_matches_the_parabola((g[name], _chain(r)))
+            assert_matches_the_parabola((_chain(r), g[name]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -457,8 +375,8 @@ def _draw_twisted_pair(data):
 @settings(max_examples=100, deadline=None)
 def test_pair_order_matches_the_parabola_on_twisted_curves(data):
     a, b = _draw_twisted_pair(data)
-    _assert_pair_order_matches_the_parabola((b,))
-    _assert_pair_order_matches_the_parabola((a, b))
+    assert_matches_the_parabola((b,))
+    assert_matches_the_parabola((a, b))
 
 
 def _find(parent, x):

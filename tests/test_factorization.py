@@ -30,6 +30,7 @@ from dehnkit.overlay import (
 from dehnkit.presets import build_preset
 from dehnkit.surface import CellSurface, EmbeddedCurve
 from dehnkit.twisting import TwistWord, apply_twist, apply_word
+from parabola import assert_matches_the_parabola
 
 
 @pytest.fixture
@@ -73,6 +74,28 @@ def test_match_curve_through_a_connector(g, x, y):
     assert len(word) == 4 and word.is_positive
     image = apply_word(word, g[x].with_orientation(False))
     assert curves_isotopic(image, g[y].with_orientation(False))
+
+
+def test_connector_arrangements_match_the_parabola(g, monkeypatch):
+    # the arrangements find_connector_curve builds for the connectors and
+    # matches above, (a, a_prime, *avoid), one of them with a third curve
+    built = []
+
+    class Recording(JointSystem):
+        def __init__(self, surface, curves):
+            built.append(tuple(curves))
+            super().__init__(surface, curves)
+
+    monkeypatch.setattr(factorization, "JointSystem", Recording)
+    for x, y in (("a1", "t2"), ("a3", "t1")):
+        find_connector_curve(g[x], g[y])
+    find_connector_curve(apply_twist(g["a1"], 1, g["t1"]), apply_twist(g["a2"], 1, g["t1"]))
+    for x, y in (("a1", "t2"), ("t2", "a1"), ("a3", "t1")):
+        match_curve(g[x], g[y])
+    match_curve(g["a1"], g["t2"], avoid=(g["a3"],))
+    assert [len(curves) for curves in built] == [2] * 6 + [3]
+    for curves in built:
+        assert_matches_the_parabola(curves)
 
 
 def test_routed_orientation_partner_misses_the_frozen_curve(g):

@@ -6,13 +6,9 @@ event lists) was derived by drawing the curves in the flat square picture.
 
 from fractions import Fraction
 
-import pytest
-
-from dehnkit.errors import ComputationError, PreconditionError
 from dehnkit.overlay import (
     JointSystem,
     curves_isotopic,
-    cut_along_curve,
     geometric_intersection_number,
     is_boundary_parallel,
     is_null_homotopic,
@@ -177,14 +173,3 @@ class TestMinimalPosition:
         assert geometric_intersection_number(line(s, 1, 0), trivial_circle(s)) == 0
         assert geometric_intersection_number(line(s, 1, 0), line(s, 1, 0)) == 0
 
-
-class TestCutting:
-    def test_torus_cut_refused(self):
-        s = torus()
-        with pytest.raises(PreconditionError):
-            cut_along_curve(line(s, 1, 0))
-
-    def test_trivial_cut_refused(self):
-        s = torus()
-        with pytest.raises(PreconditionError):
-            cut_along_curve(trivial_circle(s))

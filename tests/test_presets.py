@@ -9,12 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from dehnkit.calculus import is_essential
 from dehnkit.errors import ComputationError, PreconditionError
 from dehnkit.overlay import (
     JointSystem,
     curves_isotopic,
-    cut_along_curve,
     geometric_intersection_number,
     is_boundary_parallel,
     is_separating,
@@ -29,10 +27,26 @@ from dehnkit.presets import (
     torus_curve,
 )
 from dehnkit.surface import CellSurface, EmbeddedCurve
+from parabola import ParabolaSystem
 
 F = Fraction
 
 gin = geometric_intersection_number
+
+
+def _fills(surface, curves):
+    """The complement of the non-peripheral curves is discs and collars of
+    the boundary, in the reference arrangement (see parabola.py)."""
+    kept = [c for c in curves if not is_boundary_parallel(c)]
+    system = ParabolaSystem(surface, kept)
+    boundary = surface.boundary_edges
+    return all(
+        region.is_disc
+        or region.is_annulus and any(
+            system.dart_label(d)[0] == "B" and system.dart_label(d)[1] in boundary
+            for circuit in region.circuits for d in circuit)
+        for region in system.regions
+    )
 
 
 def coprime_pairs(bound):
@@ -145,12 +159,16 @@ class TestPantsInvariants:
                 assert gin(partner, pants.pants_curves[i]) == 1
 
     def test_genus2_full_system_fills(self):
+        # factorize certifies on a filling family; three of these curves
+        # cross pairwise in one face, which only the reference places
         g2 = build_preset("genus2_closed")
         pants = g2.pants
-        system = JointSystem(
-            g2.surface, pants.pants_curves + pants.dual_curves
-        )
-        assert all(r.is_disc for r in system.regions)
+        assert _fills(g2.surface, pants.pants_curves + pants.dual_curves)
+
+    def test_one_holed_torus_system_fills(self):
+        oh = build_preset("one_holed_torus")
+        assert _fills(oh.surface, [oh.curves[n] for n in ("a1", "dual1", "bp1")])
+        assert not _fills(oh.surface, [oh.curves["a1"], oh.curves["bp1"]])
 
     def test_genus2_pinned_events(self):
         g2 = build_preset("genus2_closed")
@@ -303,43 +321,24 @@ class TestTorusOracle:
 
 
 class TestCutting:
+    """The pieces left by cutting along a curve, read off the regions of the
+    curve's arrangement: a region of Euler characteristic chi with b
+    boundary circuits is a piece of genus (2 - chi - b) / 2."""
+
     def test_cut_genus2_along_nonseparating(self):
         g2 = build_preset("genus2_closed")
-        res = cut_along_curve(g2.curves["a1"])
-        assert len(res.pieces) == 1
-        piece = res.pieces[0].surface
-        assert (piece.genus, piece.num_boundary, piece.norm) == (1, 2, 2)
+        regions = JointSystem(g2.surface, (g2.curves["a1"],)).regions
+        assert [(r.chi, len(r.circuits)) for r in regions] == [(-2, 2)]
 
     def test_cut_genus2_along_waist(self):
         g2 = build_preset("genus2_closed")
-        res = cut_along_curve(g2.curves["waist"])
-        assert len(res.pieces) == 2
-        for piece in res.pieces:
-            s = piece.surface
-            assert (s.genus, s.num_boundary, s.norm) == (1, 1, 1)
-
-    def test_carried_curve_transfers(self):
-        g2 = build_preset("genus2_closed")
-        res = cut_along_curve(g2.curves["a1"], carry=(g2.curves["a2"],))
-        (pi, moved), = res.transferred
-        assert pi == 0
-        assert len(moved.events) == len(g2.curves["a2"].events)
+        regions = JointSystem(g2.surface, (g2.curves["waist"],)).regions
+        assert [(r.chi, len(r.circuits)) for r in regions] == [(-1, 1), (-1, 1)]
 
     @pytest.mark.parametrize("name", ("dual2", "dual3"))
-    def test_carried_curve_sharing_an_edge_position_transfers(self, name):
-        # the carried curve crosses an edge at the same position as a1; the
-        # joint frame breaks the tie by curve index, so the two are disjoint
+    def test_a_curve_sharing_an_edge_position_with_a1_misses_it(self, name):
+        # the curve crosses an edge at the same position as a1; the joint
+        # frame breaks the tie by curve index, so the two are disjoint
         g2 = build_preset("genus2_closed")
         a1, k = g2.curves["a1"], g2.curves[name]
         assert JointSystem(a1.surface, (a1, k)).crossing_count(0, 1) == 0
-        res = cut_along_curve(a1, carry=(k,))
-        (pi, moved), = res.transferred
-        assert pi == 0
-        assert len(moved.events) == 4
-        assert is_essential(moved)
-        assert is_separating(moved)
-
-    def test_cut_refuses_crossing_carry(self):
-        g2 = build_preset("genus2_closed")
-        with pytest.raises(PreconditionError):
-            cut_along_curve(g2.curves["a1"], carry=(g2.curves["dual1"],))
