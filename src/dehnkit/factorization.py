@@ -43,7 +43,10 @@ def find_connector_curve(a: EmbeddedCurve, a_prime: EmbeddedCurve,
     The loop also misses every curve in `avoid`. It is routed through the
     complement of the joint arrangement of all the input curves, so the
     crossing counts hold by construction; the router tries at most
-    CONNECTOR_BUDGET segment pairings.  That arrangement refuses three of
+    CONNECTOR_BUDGET segment pairings.  A pairing may have one cell beside
+    both segments, as every pairing of two disjoint genus-2 pants curves
+    does; the loop then crosses from a to a_prime inside that cell (see
+    overlay.connecting_curve).  That arrangement refuses three of
     the curves crossing pairwise in one face (PreconditionError, see
     JointSystem), which cannot happen when a and the curves of `avoid` are
     pairwise disjoint as placed, as the pants curves of a preset are.

@@ -61,25 +61,13 @@ on the curve and on its isotopic copies.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ComputationError, PreconditionError, ValidationError
-from .surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve, joint_frame
-
-def _find(parent: list[int], x: int) -> int:
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
-
-
-def _union(parent: list[int], a: int, b: int) -> None:
-    parent[_find(parent, a)] = _find(parent, b)
+from .surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve, _find, _union, joint_frame
 
 
 @dataclass(frozen=True)
@@ -947,79 +935,57 @@ def curves_isotopic(a: EmbeddedCurve, b: EmbeddedCurve) -> bool:
 # connector construction
 
 
-def _two_disjoint_cell_paths(adj, sources, sinks):
-    """Two cell-disjoint paths joining {s1, s2} to {t1, t2}, either pairing.
+def _disjoint_cell_paths(adj, sources, sinks):
+    """Cell-disjoint paths from every source, each to a sink of its own.
 
-    Unit vertex capacities via node splitting; two augmenting rounds find
-    the pair exactly when it exists (Menger). Each returned path is
-    [(cell, None), (cell, dart), ...] with the dart on the previous cell's
-    side of the glued interval; the first path starts at s1.
+    A unit flow in which every cell carries at most one path: cell u splits
+    into an in-node 2u and an out-node 2u + 1.  One augmenting BFS per
+    source, trying neighbours in adj order, finds the paths exactly when
+    they exist (Menger).  A cell that is both a source and a sink is a path
+    by itself.  Each path is [(cell, None), (cell, dart), ...] with the dart
+    on the previous cell's side of the glued interval; the k-th path starts
+    at sources[k].  Returns None when some source cannot be routed.
     """
-    s1, s2 = sources
-    res: dict = {}
-    orig: set = set()
-
-    def arc(u, v):
-        res.setdefault(u, {})
-        if res[u].get(v, 0) == 0:
-            res[u][v] = 1
-        res.setdefault(v, {}).setdefault(u, 0)
-        orig.add((u, v))
-
-    pair_dart = {}
-    for u in sorted(adj):
-        arc(("in", u), ("out", u))
-        for v, d in adj[u]:
-            if (u, v) not in pair_dart:
-                pair_dart[(u, v)] = d
-            arc(("out", u), ("in", v))
+    S, T = -1, -2
+    res: dict[int, dict[int, int]] = defaultdict(dict)  # residual capacities
+    for u, nbrs in adj.items():
+        res[2 * u][2 * u + 1] = 1
+        for v, _ in nbrs:
+            if v != u:
+                res[2 * u + 1][2 * v] = 1
     for s in sources:
-        arc("S", ("in", s))
+        res[S][2 * s] = 1
     for t in sinks:
-        arc(("out", t), "T")
+        res[2 * t + 1][T] = 1
 
-    def augment():
-        prev = {"S": None}
-        queue = deque(["S"])
-        while queue:
+    for _ in sources:
+        prev = {S: S}
+        queue = deque([S])
+        while queue and T not in prev:
             u = queue.popleft()
-            for v in sorted(res.get(u, {}), key=repr):
-                if v not in prev and res[u][v] > 0:
+            for v, free in res[u].items():
+                if free and v not in prev:
                     prev[v] = u
-                    if v == "T":
-                        queue.clear()
-                        break
                     queue.append(v)
-        if "T" not in prev:
-            return False
-        v = "T"
-        while prev[v] is not None:
+        if T not in prev:
+            return None
+        v = T
+        while v != S:
             u = prev[v]
             res[u][v] -= 1
             res[v][u] = res[v].get(u, 0) + 1
             v = u
-        return True
 
-    if not (augment() and augment()):
-        return None
+    def walk(u):
+        # the flow leaves a cell's out-node along exactly one arc; it goes
+        # through the first dart to that cell in adj order
+        path = [(u, None)]
+        while not res[T].get(2 * u + 1):
+            u, d = next((v, d) for v, d in adj[u] if res[2 * v].get(2 * u + 1))
+            path.append((u, d))
+        return path
 
-    def flow(u, v):
-        return res[v].get(u, 0) if (u, v) in orig else 0
-
-    def walk(start):
-        path = [(start, None)]
-        node = ("out", start)
-        while True:
-            nxt = next(v for v in sorted(res.get(node, {}), key=repr)
-                       if flow(node, v) > 0)
-            res[nxt][node] -= 1
-            if nxt == "T":
-                return path
-            cell = nxt[1]
-            path.append((cell, pair_dart[(node[1], cell)]))
-            node = ("out", cell)
-
-    return walk(s1), walk(s2)
+    return [walk(s) for s in sources]
 
 
 def connecting_curve(system: JointSystem, i: int, j: Optional[int] = None,
@@ -1029,15 +995,21 @@ def connecting_curve(system: JointSystem, i: int, j: Optional[int] = None,
     Such a loop meets the complement of the system in two arcs, each inside
     a single region, pinned at one crossing with curve i and one with
     curve j. Candidates pair a chord segment of i with one of j whose
-    flanking regions agree; the two arcs are then routed cell by cell
-    through glued edge intervals, and the loop is read off as one event
-    per interval crossed. Cells are convex, each hosts at most one piece
-    of the loop, and the arcs never touch a chord, so the crossing counts
-    are exactly 1, 1, and 0 by construction; a final check guards the
-    bookkeeping. Returns None when no candidate pairing routes.
+    flanking regions agree and whose four flank cells hold at least three
+    distinct cells.  The two arcs are cell-disjoint paths, one from each
+    flank cell of i's segment to a flank cell of j's segment, found by one
+    flow search (_disjoint_cell_paths) through glued edge intervals; the
+    loop is read off as one event per interval crossed.  A flank cell
+    shared by the two segments holds a whole arc, the straight piece from
+    the crossing with i to the crossing with j, and crosses no interval.
+    Cells are convex, each hosts at most one piece of the loop, and the
+    arcs never touch a chord, so the crossing counts are exactly 1, 1, and
+    0 by construction; a final check guards the bookkeeping. Returns None
+    when no candidate pairing routes, or after max_candidates candidates.
 
     With j omitted the loop is pinned at a single crossing with curve i
-    and meets the complement in one arc joining the two sides.
+    and meets the complement in one arc, the path from one flank cell of
+    i's segment to the other.
     """
     labels = system._labels
     partner = system._partner
@@ -1057,25 +1029,6 @@ def connecting_curve(system: JointSystem, i: int, j: Optional[int] = None,
             for f_id in range(first, first + 2 * len(hits) + 2, 2):
                 out.append((cell_of[f_id], cell_of[f_id + 1]))
         return out
-
-    def bfs(start, goal):
-        prev = {start: (None, None)}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            if u == goal:
-                path = []
-                while u is not None:
-                    pu, d = prev[u]
-                    path.append((u, d))
-                    u = pu
-                path.reverse()
-                return path
-            for v, d in adj[u]:
-                if v not in prev:
-                    prev[v] = (u, d)
-                    queue.append(v)
-        return None
 
     def event_of(f_id):
         # the midpoint of the glued edge interval in the joint frame
@@ -1100,46 +1053,23 @@ def connecting_curve(system: JointSystem, i: int, j: Optional[int] = None,
                 return None
         return c.renormalized()
 
-    tried = 0
-    if j is None:
+    def candidates():
         for af, ab in flanks(i):
-            if af == ab or region_of[af] != region_of[ab]:
+            if j is None:
+                if region_of[af] == region_of[ab]:
+                    yield (af,), (ab,)
                 continue
-            tried += 1
-            if max_candidates is not None and tried > max_candidates:
-                return None
-            path = bfs(af, ab)
-            if path is None:
-                continue
-            c = synthesize(path)
-            if c is not None:
-                return c
-        return None
+            for bf, bb in flanks(j):
+                if (len({af, ab, bf, bb}) >= 3
+                        and {region_of[af], region_of[ab]} == {region_of[bf], region_of[bb]}):
+                    yield (af, ab), (bf, bb)
 
-    for af, ab in flanks(i):
-        if af == ab:
-            continue
-        for bf, bb in flanks(j):
-            if len({af, ab, bf, bb}) != 4:
-                continue
-            ra = {region_of[af], region_of[ab]}
-            if ra != {region_of[bf], region_of[bb]}:
-                continue
-            tried += 1
-            if max_candidates is not None and tried > max_candidates:
-                return None
-            if len(ra) == 2:
-                bx, by = (bf, bb) if region_of[bf] == region_of[af] else (bb, bf)
-                p1 = bfs(af, bx)
-                p2 = bfs(by, ab)
-                if p1 is None or p2 is None:
-                    continue
-                c = synthesize(p1, p2)
-            else:
-                pair = _two_disjoint_cell_paths(adj, (af, ab), (bf, bb))
-                if pair is None:
-                    continue
-                c = synthesize(pair[0], reversed_path(pair[1]))
+    for tried, (sources, sinks) in enumerate(candidates(), 1):
+        if max_candidates is not None and tried > max_candidates:
+            return None
+        paths = _disjoint_cell_paths(adj, sources, sinks)
+        if paths is not None:
+            c = synthesize(paths[0], *map(reversed_path, paths[1:]))
             if c is not None:
                 return c
     return None

@@ -57,32 +57,17 @@ def tail_end(edge: str, sign: int) -> End:
 TOPOLOGY_KEY = "_topology"
 
 
-class UnionFind:
-    def __init__(self):
-        self._parent: dict = {}
+def _find(parent: list[int], x: int) -> int:
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
 
-    def find(self, x):
-        parent = self._parent
-        if x not in parent:
-            parent[x] = x
-            return x
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
 
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
-
-    def groups(self) -> dict:
-        out: dict = {}
-        for x in self._parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
+def _union(parent: list[int], a: int, b: int) -> None:
+    parent[_find(parent, a)] = _find(parent, b)
 
 
 @dataclass(frozen=True)
@@ -140,62 +125,39 @@ class CellSurface:
 
         # Corners: consecutive slots f[i], f[i+1] meet at a vertex, with
         # head_end(f[i]) the immediate ccw neighbour of tail_end(f[i+1]).
-        uf = UnionFind()
         ccw_next: dict[End, End] = {}
         for face in self.faces:
             m = len(face)
             for i in range(m):
-                arrive = head_end(*face[i])
-                depart = tail_end(*face[(i + 1) % m])
-                uf.union(arrive, depart)
-                ccw_next[depart] = arrive
-        for e in edges:
-            uf.find((e, 0))
-            uf.find((e, 1))
+                ccw_next[tail_end(*face[(i + 1) % m])] = head_end(*face[i])
 
-        # Each end has at most one ccw successor and one predecessor, so a
-        # connected component is automatically a single cycle (interior
-        # vertex) or a single source-to-sink path (boundary vertex).
+        # Each end has at most one ccw successor and one predecessor, so the
+        # ends around a vertex form one orbit of ccw_next: a path from an end
+        # without predecessor (boundary vertex), or else a cycle (interior
+        # vertex).
         has_pred = set(ccw_next.values())
+        ends = [(e, k) for e in edges for k in (0, 1)]
         rotations: list[tuple[End, ...]] = []
         is_interior_vertex: list[bool] = []
-        for _, ends in sorted(uf.groups().items()):
-            ends_set = set(ends)
-            sources = [x for x in ends_set if x not in has_pred]
-            if sources:
-                cur = sources[0]
-                rot = [cur]
-                while cur in ccw_next:
-                    cur = ccw_next[cur]
-                    rot.append(cur)
-                if len(rot) != len(ends_set):
-                    raise ValidationError(f"broken rotation at vertex {sorted(ends_set)}")
-                rotations.append(tuple(rot))
-                is_interior_vertex.append(False)
-            else:
-                start = min(ends_set)
-                rot = [start]
-                cur = ccw_next[start]
-                while cur != start:
-                    rot.append(cur)
-                    cur = ccw_next[cur]
-                if len(rot) != len(ends_set):
-                    raise ValidationError(f"broken rotation at vertex {sorted(ends_set)}")
-                rotations.append(tuple(rot))
-                is_interior_vertex.append(True)
-
         vertex_of_end: dict[End, int] = {}
-        for vi, rot in enumerate(rotations):
+        for start in [x for x in ends if x not in has_pred] + ends:
+            if start in vertex_of_end:
+                continue
+            rot = [start]
+            cur = ccw_next.get(start)
+            while cur is not None and cur != start:
+                rot.append(cur)
+                cur = ccw_next.get(cur)
             for end in rot:
-                vertex_of_end[end] = vi
+                vertex_of_end[end] = len(rotations)
+            rotations.append(tuple(rot))
+            is_interior_vertex.append(cur is not None)
 
         # Connectivity through interior edges.
-        fuf = UnionFind()
-        for fi in range(len(self.faces)):
-            fuf.find(fi)
+        parent = list(range(len(self.faces)))
         for e in interior:
-            fuf.union(slot_map[(e, 1)][0], slot_map[(e, -1)][0])
-        if len(fuf.groups()) != 1:
+            _union(parent, slot_map[(e, 1)][0], slot_map[(e, -1)][0])
+        if len({_find(parent, fi) for fi in range(len(parent))}) != 1:
             raise ValidationError("surface is disconnected")
 
         # Boundary circuits: after walking boundary slot (e, s) the walk

@@ -1,11 +1,16 @@
-"""Every name a dehnkit module exports resolves.
+"""Every name a dehnkit module exports, or the bench tracer wraps, resolves.
 
 A helper deleted from a module but left in its `__all__` would make
-`from dehnkit.<module> import *` fail; this catches it.
+`from dehnkit.<module> import *` fail; this catches it.  A renamed or
+deleted function that `bench/tracer.py` still lists in TARGETS would stop
+the traced bench runs; this catches that too, without running the bench.
 """
 
 import importlib
+import importlib.util
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,15 @@ MODULES = ["dehnkit"] + [
 ]
 
 
+def _traced_targets():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
@@ -23,3 +37,8 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported), "duplicate names in __all__"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("target", _traced_targets(), ids=lambda t: t.name)
+def test_every_traced_name_resolves(target):
+    assert hasattr(importlib.import_module(target.module), target.attr)

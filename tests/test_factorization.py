@@ -1,11 +1,14 @@
 """Connector curves and curve matching on the genus-2 preset.
 
 A connector of two disjoint non-separating curves crosses each of them
-once and is routed through the complement of their arrangement: through
-one region when the two curves together do not separate the surface, with
-two cell-disjoint paths, and through two regions otherwise.  `match_curve`
-turns such a connector, or a single crossing, into a positive word that
-sends one curve onto the other.
+once.  It is routed through the complement of their arrangement as two
+cell-disjoint paths, one from each side of a chord segment of the first
+curve to a side of a chord segment of the second.  The paths stay in one
+region when the two curves together do not separate the surface, and run
+in two regions otherwise.  A cell flanking both segments is a path by
+itself; every connector of two disjoint genus-2 pants curves needs one.
+`match_curve` turns such a connector, or a single crossing, into a
+positive word that sends one curve onto the other.
 
 A ComputationError carries the inputs of the computation that raised it,
 and its JSON replays the failure.
@@ -15,13 +18,16 @@ is verified and positive, keeps the per-curve letter budget, and has the
 word length and pants exponents recorded for it.
 """
 
+import random
+
 import pytest
 
-from dehnkit import factorization, overlay
+from dehnkit import factorization
 from dehnkit.errors import ComputationError, PreconditionError
 from dehnkit.factorization import find_connector_curve, match_curve
 from dehnkit.overlay import (
     JointSystem,
+    _disjoint_cell_paths,
     connecting_curve,
     curves_isotopic,
     geometric_intersection_number,
@@ -38,34 +44,77 @@ def g():
     return build_preset("genus2_closed").curves
 
 
-@pytest.fixture
-def cell_path_calls(monkeypatch):
-    calls = []
-    paths = overlay._two_disjoint_cell_paths
+def _cells(*edges):
+    # an adjacency in the router's format, the dart of u -> v being 10u + v
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append((v, 10 * u + v))
+        adj.setdefault(v, []).append((u, 10 * v + u))
+    return adj
 
-    def counting(*args):
-        calls.append(args)
-        return paths(*args)
 
-    monkeypatch.setattr(overlay, "_two_disjoint_cell_paths", counting)
-    return calls
+def _route(adj, sources, sinks):
+    paths = _disjoint_cell_paths(adj, sources, sinks)
+    return paths and [[cell for cell, _ in path] for path in paths]
+
+
+def test_disjoint_cell_paths():
+    # a shared cell is a path of its own
+    assert _route(_cells((0, 1), (1, 2), (2, 3)), (0, 2), (0, 3)) == [[0], [2, 3]]
+    # two sources behind one cut cell
+    assert _route(_cells((0, 1), (2, 1), (1, 3), (1, 4)), (0, 2), (3, 4)) is None
+    # the first round takes 0-4-3; the second reroutes 0 through 5
+    adj = _cells((0, 4), (4, 3), (1, 4), (0, 5), (5, 2))
+    assert _route(adj, (0, 1), (2, 3)) == [[0, 5, 2], [1, 4, 3]]
+    assert _disjoint_cell_paths(adj, (0, 1), (2, 3))[0] == [(0, None), (5, 5), (2, 52)]
+    # one source is a plain shortest path
+    assert _route(adj, (2,), (3,)) == [[2, 5, 0, 4, 3]]
 
 
 @pytest.mark.parametrize("x, y", [("a1", "t2"), ("a3", "t1")])
-def test_connector_through_one_region(g, cell_path_calls, x, y):
+def test_connector_through_one_region(g, x, y):
+    assert len(JointSystem(g[x].surface, (g[x], g[y])).regions) == 1
     c = find_connector_curve(g[x], g[y])
-    assert cell_path_calls
     assert geometric_intersection_number(c, g[x]) == 1
     assert geometric_intersection_number(c, g[y]) == 1
 
 
-def test_connector_through_two_regions(g, cell_path_calls):
+def test_connector_through_two_regions(g):
     a = apply_twist(g["a1"], 1, g["t1"])
     b = apply_twist(g["a2"], 1, g["t1"])
+    assert len(JointSystem(a.surface, (a, b)).regions) == 2
     c = find_connector_curve(a, b)
-    assert not cell_path_calls
     assert geometric_intersection_number(c, a) == 1
     assert geometric_intersection_number(c, b) == 1
+
+
+PANTS_PAIRS = [("a1", "a2"), ("a1", "a3"), ("a2", "a3")]
+
+
+@pytest.mark.parametrize("x, y", PANTS_PAIRS)
+def test_disjoint_pants_curves_have_a_connector(g, x, y):
+    # their flank cells are shared, so the connector runs through such a cell
+    c = find_connector_curve(g[x], g[y])
+    assert geometric_intersection_number(c, g[x]) == 1
+    assert geometric_intersection_number(c, g[y]) == 1
+    word = match_curve(g[x], g[y])
+    assert len(word) == 4 and word.is_positive
+    image = apply_word(word, g[x].with_orientation(False))
+    assert curves_isotopic(image, g[y].with_orientation(False))
+
+
+def test_images_of_disjoint_pants_curves_have_a_connector(g):
+    # a word of 1-2 random letters moves each pair to another disjoint pair
+    rng = random.Random(12)
+    names = sorted(g)
+    for k in range(120):
+        x, y = PANTS_PAIRS[k % 3]
+        word = TwistWord(tuple((g[rng.choice(names)], rng.choice((1, -1)))
+                               for _ in range(rng.randint(1, 2))))
+        a, b = apply_word(word, g[x]), apply_word(word, g[y])
+        c = find_connector_curve(a, b)
+        assert geometric_intersection_number(c, a) == 1, (x, y, word)
+        assert geometric_intersection_number(c, b) == 1, (x, y, word)
 
 
 @pytest.mark.parametrize("x, y", [("a1", "t2"), ("t2", "a1"), ("a3", "t1")])
