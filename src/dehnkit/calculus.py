@@ -67,9 +67,6 @@ class PairClass:
     tag: str  # disjoint | one_point | two_zero | other
     count: int
 
-    def to_json(self) -> dict:
-        return {"tag": self.tag, "count": self.count}
-
 
 def pair_class(system: JointSystem) -> PairClass:
     """Class of curves 0 and 1 of a minimal-position arrangement.

@@ -121,14 +121,6 @@ class FactorizationResult:
     def verified(self) -> bool:
         return bool(self.certificate) and all(self.certificate)
 
-    def to_json(self):
-        return {
-            "positive_letters": len(self.p),
-            "q_exponents": list(self.q_exponents),
-            "certificate": list(self.certificate),
-            "step_log": list(self.step_log),
-        }
-
 
 def _orientation_partner(sys: PantsSystem, i: int, frozen):
     """A curve crossing pants curve i once and missing every frozen curve.
@@ -249,10 +241,13 @@ def factorize(f: TwistWord, sys: PantsSystem) -> FactorizationResult:
     """Split f into pants twists following a positive word, with certificate.
 
     Walks interior pants curves in listed order; twists emitted for a later
-    curve never touch an earlier one, so fixes persist. Images of a filling
-    family are carried along one letter at a time, and the certificate
-    compares each of them against the pants-twist word the leftover map has
-    to equal: agreement on a filling family forces agreement everywhere.
+    curve never touch an earlier one, so fixes persist: the pullback b_i of
+    a_i misses each earlier pants curve, as a_i does, and every reduction
+    letter is homotopic into a_i ∪ b_i, so it misses them too.  Images of a
+    filling family are carried along one letter at a time, and the
+    certificate compares each of them against the pants-twist word the
+    leftover map has to equal: agreement on a filling family forces
+    agreement everywhere.
     """
     if f.letters and f.surface != sys.surface:
         raise PreconditionError("word acts on a different surface")
@@ -273,7 +268,7 @@ def factorize(f: TwistWord, sys: PantsSystem) -> FactorizationResult:
         src = a_i.with_orientation(True)
         b_i = images[i]
         # k0 = |a_i ∩ b_i|, read off the arrangement that classifies the pair
-        reduce_word, b_term, _cls, k0 = _reduce_counted(a_i, b_i, frozen)
+        reduce_word, b_term, _cls, k0 = _reduce_counted(a_i, b_i)
         if is_separating(a_i):
             # homology pins separating curves: the terminal pullback must
             # already be the curve itself, and its orientation must agree

@@ -207,7 +207,6 @@ class JointSystem:
         face, whose order along each chord the ranks do not fix: it raises
         PreconditionError.
         """
-        chirality = self.surface.chirality
         # In a pair the chords crossing a chord all belong to the other
         # curve, and chords of one curve never cross: there is nothing to
         # check.
@@ -267,7 +266,7 @@ class JointSystem:
                     gap_i=ij[1],
                     curve_j=ji[0],
                     gap_j=ji[1],
-                    sign=(1 if b_from_right == a_first else -1) * chirality,
+                    sign=1 if b_from_right == a_first else -1,
                     node=node,
                 ))
             face_stops = []
@@ -300,7 +299,6 @@ class JointSystem:
         phi(d) = pred[twin(d)]; cells are the orbits of phi apart from the
         face exteriors, and cell_of is -1 on those.
         """
-        chirality = self.surface.chirality
         crossings = self.crossings
         n_cross = len(crossings)
         labels: list[tuple] = []
@@ -348,13 +346,13 @@ class JointSystem:
                         raise ComputationError("crossing node without four darts")
         # The outgoing darts at a crossing run along +-(chord of curve i)
         # and +-(chord of curve j); +j lies ccw of +i within a half turn
-        # exactly when the frame (i, j) is positive: sign * chirality > 0.
+        # exactly when the frame (i, j) is positive: sign > 0.
         for node, xg in enumerate(crossings):
             i0, j0 = out_i[node], out_j[node]
             if i0 < 0 or j0 < 0:
                 raise ComputationError("crossing node without four darts")
             i1, j1 = i0 - 1, j0 - 1
-            if xg.sign * chirality > 0:  # ccw: +i, +j, -i, -j
+            if xg.sign > 0:  # ccw: +i, +j, -i, -j
                 pred[i0], pred[j0], pred[i1], pred[j1] = j1, i0, j0, i1
             else:  # ccw: +i, -j, -i, +j
                 pred[i0], pred[j1], pred[i1], pred[j0] = j0, i0, j1, i1

@@ -64,10 +64,9 @@ def subgraph_link(surface: CellSurface, edges) -> tuple[EmbeddedCurve, ...]:
                 f"subgraph edge {end[0]!r} touches a boundary vertex"
             )
 
-    def ccw_next(end):
-        rot = surface.rotations[surface.vertex_at(end)]
-        return rot[(rot.index(end) + 1) % len(rot)]
-
+    # every end here sits at an interior vertex, whose rotation is one
+    # cycle of ccw_next
+    ccw_next = surface.ccw_next
     seen = set()
     components = []
     for start in sorted(sub_ends):
@@ -77,13 +76,13 @@ def subgraph_link(surface: CellSurface, edges) -> tuple[EmbeddedCurve, ...]:
         state = start
         while True:
             seen.add(state)
-            x = ccw_next(state)
+            x = ccw_next[state]
             while x not in sub_ends:
                 e, j = x
                 d = -1 if j == 0 else 1
                 p = _QUARTER if j == 0 else 1 - _QUARTER
                 events.append((e, d, p))
-                x = ccw_next(x)
+                x = ccw_next[x]
             state = (x[0], 1 - x[1])
             if state == start:
                 break
@@ -173,7 +172,6 @@ class PantsSystem:
     interior_count: int
     dual_curves: tuple[EmbeddedCurve, ...]
     partners: Mapping[int, EmbeddedCurve]
-    incidence: tuple[frozenset[int], ...]
 
     @property
     def interior_curves(self) -> tuple[EmbeddedCurve, ...]:
@@ -223,25 +221,7 @@ def _build_pants(surface, interior, boundary, duals, partners) -> PantsSystem:
     for region in system.regions:
         if region.chi != -1 or len(region.circuits) != 3:
             raise ComputationError("complement piece is not a 3-holed sphere")
-
-    edge_circuit = {
-        e: k
-        for k, circ in enumerate(surface.boundary_circuits)
-        for e, _s in circ
-    }
-    touched = [set() for _ in curves]
-    for ri, region in enumerate(system.regions):
-        for circuit in region.circuits:
-            for did in circuit:
-                label = system.dart_label(did)
-                if label[0] == "C":
-                    touched[label[1]].add(ri)
-                elif label[1] in edge_circuit:
-                    touched[len(interior) + edge_circuit[label[1]]].add(ri)
-    incidence = tuple(frozenset(s) for s in touched)
-    return PantsSystem(
-        surface, curves, len(interior), tuple(duals), dict(partners), incidence
-    )
+    return PantsSystem(surface, curves, len(interior), tuple(duals), dict(partners))
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +270,16 @@ _GENUS2_FACES = (
 _FLOW_REGISTRY: dict[tuple, tuple[Flow, ...]] = {}
 
 
-def _surface_key(surface: CellSurface) -> tuple:
-    return (surface.faces, surface.chirality)
-
-
 def homology_class(surface: CellSurface, c: EmbeddedCurve) -> tuple[int, ...]:
     """Integer homology coordinates of c in the preset's fixed basis."""
     if not c.oriented:
         raise PreconditionError("homology class needs an oriented curve")
     if c.surface is not surface and c.surface != surface:
         raise PreconditionError("curve does not live on this surface")
-    flows = _FLOW_REGISTRY.get(_surface_key(surface))
+    flows = _FLOW_REGISTRY.get(surface.faces)
     if flows is None:
         build_presets_once()
-        flows = _FLOW_REGISTRY.get(_surface_key(surface))
+        flows = _FLOW_REGISTRY.get(surface.faces)
     if flows is None:
         raise PreconditionError("no homology basis registered for this surface")
     return tuple(f.pair(c) for f in flows)
@@ -329,7 +305,7 @@ def build_preset(name: str) -> PresetSurface:
         raise PreconditionError(
             f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
         )
-    _FLOW_REGISTRY[_surface_key(preset.surface)] = preset.flows
+    _FLOW_REGISTRY[preset.surface.faces] = preset.flows
     return preset
 
 

@@ -9,9 +9,15 @@ runs from X forward along a to Y and back to X along b, in the direction the
 sign of X gives, both arcs as parallel copies a quarter of a joint spacing
 to one side of their curves (JointSystem.arc, JointSystem.beside).  The a-arc
 goes the short way round first, and round the far side when that splice is
-not an embedded curve, is inessential or meets a curve of `avoid`; then the
-next pair is tried.  The twist along the first splice kept must descend, or
-the ComputationError raised carries (a, b), which replays the step.
+not an embedded curve or is inessential; then the next pair is tried.  The
+twist along the first splice kept must descend, or the ComputationError
+raised carries (a, b), which replays the step.
+
+A splice is an arc of a followed by an arc of b, so it is homotopic into
+a ∪ b, and geodesic representatives are pairwise in minimal position
+(Farb-Margalit, Primer, 1.2): a curve that misses a and b up to isotopy
+misses every splice.  A twist along a splice therefore fixes every curve
+disjoint from a and b, so no filter is needed to keep such curves fixed.
 
 The descent check puts (a, twisted b) in minimal position; that arrangement
 classifies the new pair and starts the next step, so each pair on the way is
@@ -24,7 +30,6 @@ from fractions import Fraction
 
 from .calculus import _require_essential, is_essential, pair_class
 from .errors import ComputationError, ValidationError
-from .overlay import geometric_intersection_number
 from .overlay import minimal_position as _joint_minimal_position
 from .surface import EmbeddedCurve
 from .twisting import TwistWord, apply_twist
@@ -77,26 +82,22 @@ def _pair_priority(order_a):
     return pairs
 
 
-def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system, avoid=()):
+def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system):
     """One strict-descent move: returns (c, twisted b, its arrangement).
 
     `system` is the minimal-position arrangement of (a, b); the returned
     arrangement is that of (a, twisted b), left over from the descent check,
     so the next step can start from it.
-    Curves in `avoid` must stay untouched: a splice is passed over unless it
-    misses every one of them up to isotopy.
     """
     count = system.crossing_count(0, 1)
     surf = a.surface
     for x, y in _pair_priority(system.crossing_order_along(0)):
-        events = _candidate_events(system, x, y, x.sign * surf.chirality < 0)
+        events = _candidate_events(system, x, y, x.sign < 0)
         try:
             c = EmbeddedCurve(surf, events, oriented=False)
         except ValidationError:
             continue
         if not is_essential(c):
-            continue
-        if any(geometric_intersection_number(c, fr) for fr in avoid):
             continue
         twisted = apply_twist(c, 1, b)
         descent = _joint_minimal_position(a, twisted)
@@ -115,20 +116,21 @@ def _classify(a: EmbeddedCurve, b: EmbeddedCurve):
     return pair_class(system), system
 
 
-def reduce_pair(a: EmbeddedCurve, b: EmbeddedCurve, *, avoid=()):
+def reduce_pair(a: EmbeddedCurve, b: EmbeddedCurve):
     """Drive b to a terminal class against a using positive twists only.
 
     Returns (word, final b, PairClass); word length never exceeds the initial
     crossing count and every step strictly decreases it.  Each pair (a, b)
     the reduction passes through is put in minimal position once: a step's
     descent check leaves the arrangement that classifies the twisted curve
-    and starts the next step.
+    and starts the next step.  Every letter's curve is homotopic into a ∪ b,
+    so the word fixes each curve disjoint from both a and b.
     """
-    word, b_term, cls, _ = _reduce_counted(a, b, avoid)
+    word, b_term, cls, _ = _reduce_counted(a, b)
     return word, b_term, cls
 
 
-def _reduce_counted(a: EmbeddedCurve, b: EmbeddedCurve, avoid):
+def _reduce_counted(a: EmbeddedCurve, b: EmbeddedCurve):
     """reduce_pair's result and the initial crossing count |a ∩ b|.
 
     The count is read off the arrangement that classifies (a, b), so a
@@ -139,7 +141,7 @@ def _reduce_counted(a: EmbeddedCurve, b: EmbeddedCurve, avoid):
     b_cur = b
     bound = cls.count
     while cls.tag not in TERMINAL_TAGS:
-        c, twisted, system = _reduction_step(a, b_cur, system, avoid)
+        c, twisted, system = _reduction_step(a, b_cur, system)
         letters.append((c, 1))
         new_cls = pair_class(system)
         if new_cls.count >= cls.count:

@@ -75,25 +75,23 @@ class CellSurface:
     """Compact connected oriented surface with a cell decomposition.
 
     `faces` is a tuple of faces; each face is a tuple of (edge, sign)
-    slots read counterclockwise.  `chirality` fixes the global handedness
-    convention: +1 means crossing an edge from the +1 side to the -1 side
-    counts as a left-to-right crossing.  Flipping it mirrors every signed
-    convention downstream (crossing signs, positive twist direction).
+    slots read counterclockwise.  That face order is the orientation:
+    crossing an edge from its +1 side to its -1 side is a left-to-right
+    crossing, and crossing signs and the positive twist direction follow
+    from it.  The mirror surface is the same faces, each reversed, with
+    every slot sign negated.
 
     All topology (vertices, rotations, boundary circuits, genus) is
     derived in __post_init__ and cached on the instance.
     """
 
     faces: tuple[tuple[Slot, ...], ...]
-    chirality: int = 1
 
     def __post_init__(self):
         faces = tuple(
             tuple((str(e), int(s)) for e, s in face) for face in self.faces
         )
         object.__setattr__(self, "faces", faces)
-        if self.chirality not in (1, -1):
-            raise ValidationError(f"chirality must be +1 or -1, got {self.chirality}")
         self._validate_and_index()
 
     # -- construction-time validation and indexing --
@@ -245,7 +243,6 @@ class CellSurface:
     def to_json(self) -> dict:
         return {
             "format": 1,
-            "chirality": self.chirality,
             "genus": self.genus,
             "boundary": self.num_boundary,
             "faces": [[[e, s] for e, s in face] for face in self.faces],
@@ -261,7 +258,12 @@ class CellSurface:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad faces field: {exc}") from exc
-        surf = cls(faces=faces, chirality=int(data.get("chirality", 1)))
+        if data.get("chirality", 1) != 1:
+            raise ValidationError(
+                "chirality other than 1 is not supported; "
+                "give the mirrored faces instead"
+            )
+        surf = cls(faces=faces)
         for key, got in (("genus", surf.genus), ("boundary", surf.num_boundary)):
             if key in data and int(data[key]) != got:
                 raise ValidationError(
@@ -463,19 +465,16 @@ class EmbeddedCurve:
 
     # -- serialization --
 
-    def to_json(self, surface_id: str | None = None) -> dict:
+    def to_json(self) -> dict:
         rank = [0] * len(self.events)
         for run in self._edge_points.values():
             for k, (_, _, ei) in enumerate(run):
                 rank[ei] = k
-        data = {
+        return {
             "format": 1,
             "itinerary": [[e, rank[ei], d] for ei, (e, d, _) in enumerate(self.events)],
             "oriented": self.oriented,
         }
-        if surface_id is not None:
-            data["surface"] = surface_id
-        return data
 
     @classmethod
     def from_json(cls, surface: CellSurface, data: Mapping) -> "EmbeddedCurve":

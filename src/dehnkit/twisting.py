@@ -27,15 +27,10 @@ from .overlay import minimal_position as _joint_minimal_position
 from .surface import EmbeddedCurve
 
 __all__ = [
-    "TWIST_SIGN",
     "TwistWord",
     "apply_twist",
     "apply_word",
 ]
-
-# Global handedness of a positive twist, calibrated on the square torus:
-# a positive twist along (1,0) sends (0,1) to (1,1).
-TWIST_SIGN = 1
 
 
 def _drop_reducible_pairs(events: list) -> list:
@@ -99,7 +94,11 @@ def _drop_reducible_pairs(events: list) -> list:
 
 
 def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
-    """Image of b under the n-th power of the twist along a."""
+    """Image of b under the n-th power of the twist along a.
+
+    A positive twist turns left, as the surface's face order fixes: on the
+    square torus a positive twist along (1,0) sends (0,1) to (1,1).
+    """
     if a.surface != b.surface:
         raise PreconditionError("curves live on different surfaces")
     if not is_essential(a) or not is_essential(b):
@@ -112,12 +111,10 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
         return b
 
     surf = a.surface
-    chir = surf.chirality
     B = system.events[1]
     m = len(system.events[0])
-    nu = n * TWIST_SIGN * chir
-    sigma = 1 if nu > 0 else -1
-    wraps = abs(nu)
+    sigma = 1 if n > 0 else -1
+    wraps = abs(n)
 
     # a's events as (edge, direction, k, m_e + 1): the joint frame puts the
     # k-th of the m_e points of an edge at k/(m_e + 1)
@@ -131,12 +128,12 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
         # x sits at annulus coordinate th = g + (r + 1)/Q along a, the
         # (r + 1)-th of the Q - 1 crossings on a's gap g.  The spiral point
         # of turn w at a's event idx has phi = (sigma * (idx - th)) mod m / m
-        # and z = (phi + w)/wraps, and is that event moved h = chir * (2z -
-        # 1)/2 joint spacings to one side (JointSystem.beside):
+        # and z = (phi + w)/wraps, and is that event moved h = (2z - 1)/2
+        # joint spacings to one side (JointSystem.beside):
         # p + d*h/(m_e + 1).  With D = m * Q * wraps, z = (u + w*m*Q)/D for
         # the integer u = sigma * (Q * (idx - g) - r - 1) mod m*Q, so every
         # quantity is an integer over 2 * D * (m_e + 1).
-        mu = x.sign * chir  # +1: strand passes right-to-left across a
+        mu = x.sign  # +1: strand passes right-to-left across a
         se = mu * sigma  # sign of the strand's motion along a's direction
         g, r = system._slot(0, x)
         r1, Q = r + 1, len(system._stops[0][g]) + 1
@@ -148,7 +145,7 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
             w = t // m if mu > 0 else wraps - 1 - t // m
             u = sigma * (Q * (idx - g) - r1) % mQ
             e, d, k, m1 = A[idx]
-            H = d * chir * (2 * (u + w * mQ) - D)
+            H = d * (2 * (u + w * mQ) - D)
             out.append((e, se * d, Fraction(2 * D * k + H, 2 * D * m1)))
         return out
 

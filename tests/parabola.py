@@ -14,7 +14,7 @@ from fractions import Fraction
 from dehnkit.overlay import Crossing, JointSystem
 
 
-def parabola_crossings(chirality, items, chords):
+def parabola_crossings(items, chords):
     """Returns ([(face, curve_i, gap_i, curve_j, gap_j, sign)], stops), with
     stops[fi][x] the indices of the crossings along chord x of face fi."""
     crossings = []
@@ -42,7 +42,7 @@ def parabola_crossings(chirality, items, chords):
             assert 0 < s < 1 and 0 < t < 1
             a_first = A[0] < B[0]
             ij, ji = (A, B) if a_first else (B, A)
-            sign = (1 if (den > 0) == a_first else -1) * chirality
+            sign = 1 if (den > 0) == a_first else -1
             hits[x].append((s, len(crossings)))
             hits[y].append((t, len(crossings)))
             crossings.append((fi, ij[0], ij[1], ji[0], ji[1], sign))
@@ -61,7 +61,7 @@ def assert_matches_the_parabola(curves):
     same order along every chord."""
     system = JointSystem(curves[0].surface, curves)
     items, _, chords = system._chords(system.edge_order, system.events)
-    want, want_stops = parabola_crossings(system.surface.chirality, items, chords)
+    want, want_stops = parabola_crossings(items, chords)
     got = [(c.face, c.curve_i, c.gap_i, c.curve_j, c.gap_j, c.sign)
            for c in system.crossings]
     assert got == want
@@ -78,5 +78,5 @@ class ParabolaSystem(JointSystem):
     """
 
     def _crossings(self, items, chords):
-        found, stops = parabola_crossings(self.surface.chirality, items, chords)
+        found, stops = parabola_crossings(items, chords)
         return [Crossing(*c, node=k) for k, c in enumerate(found)], stops

@@ -15,7 +15,9 @@ and its JSON replays the failure.
 
 `factorize` is pinned on the genus-2 words it factors today: each result
 is verified and positive, keeps the per-curve letter budget, and has the
-word length and pants exponents recorded for it.
+word length and pants exponents recorded for it.  Every reduction letter
+of a step misses the pants curves fixed before it, with no filter to make
+it so.
 """
 
 import random
@@ -224,6 +226,14 @@ def test_factorize_genus2_words(word, want):
         used = step["reduce"] + step["match"] + step["orient"]
         assert used <= step["initial_crossings"] + 10, step
     assert (len(result.p), result.q_exponents) == want
+    # each reduction letter misses the pants curves fixed before its step
+    pants, start = ps.pants.pants_curves, 0
+    for step in result.step_log:
+        i = step["curve"]
+        for c, _ in result.p.letters[start:start + step["reduce"]]:
+            assert all(geometric_intersection_number(c, pants[j]) == 0
+                       for j in range(i)), (i, c)
+        start += step["reduce"] + step["match"] + step["orient"]
 
 
 def _corrupt_pants(ps, image):

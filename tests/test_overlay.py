@@ -20,10 +20,12 @@ from dehnkit.surface import CellSurface, EmbeddedCurve
 F = Fraction
 
 SQUARE_TORUS = ((("h", 1), ("v", 1), ("h", -1), ("v", -1)),)
+# the mirror image: the face reversed, every slot sign negated
+MIRRORED_TORUS = ((("v", 1), ("h", 1), ("v", -1), ("h", -1)),)
 
 
-def torus(chirality=1):
-    return CellSurface(SQUARE_TORUS, chirality=chirality)
+def torus():
+    return CellSurface(SQUARE_TORUS)
 
 
 def line(s, p, q):
@@ -49,7 +51,7 @@ class TestArrangement:
         assert [c.sign for c in sysm.crossings_between(0, 1)] == [1]
 
     def test_chirality_flips_crossing_sign(self):
-        s = torus(chirality=-1)
+        s = CellSurface(MIRRORED_TORUS)
         sysm = JointSystem(s, (line(s, 1, 0), line(s, 0, 1)))
         assert [c.sign for c in sysm.crossings_between(0, 1)] == [-1]
 

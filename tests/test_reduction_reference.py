@@ -34,11 +34,10 @@ from dehnkit.twisting import TwistWord, apply_twist, apply_word
 
 def _candidate_events(system, x, y, a_fwd, b_fwd, sa, sb):
     """Splice: parallel a-arc from x to y, then parallel b-arc from y to x."""
-    chir = system.surface.chirality
 
     def copy(ci, start, end, fwd, side):
         idxs = system.arc(ci, start, end) if fwd else system.arc(ci, end, start)
-        h = Fraction(side * chir, 4)
+        h = Fraction(side, 4)
         part = [system.beside(ci, i, h) for i in idxs]
         if not fwd:
             part = [(e, -d, pos) for e, d, pos in reversed(part)]

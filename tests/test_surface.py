@@ -130,8 +130,14 @@ class TestCellSurface:
             CellSurface(((("e", 2),),))
 
     def test_rejects_bad_chirality(self):
-        with pytest.raises(ValidationError):
-            CellSurface(SQUARE_TORUS, chirality=0)
+        # the face order is the orientation: a payload asking for the other
+        # one is refused, while one that carries the default still loads
+        data = torus().to_json()
+        assert "chirality" not in data
+        assert CellSurface.from_json({**data, "chirality": 1}) == torus()
+        for value in (-1, 0):
+            with pytest.raises(ValidationError, match="mirrored faces"):
+                CellSurface.from_json({**data, "chirality": value})
 
     def test_json_round_trip(self):
         s = CellSurface(GENUS2)

@@ -55,7 +55,8 @@ class TestTorusOracle:
             assert curves_isotopic(img, tc(t, n, 1).with_orientation(True))
 
     def test_mirrored_surface_twists_the_other_way(self):
-        tm = CellSurface(((("h", 1), ("v", 1), ("h", -1), ("v", -1)),), chirality=-1)
+        # the square torus's face reversed, every slot sign negated
+        tm = CellSurface(((("v", 1), ("h", 1), ("v", -1), ("h", -1)),))
         img = apply_twist(tc(tm, 1, 0), 1, tc(tm, 0, 1))
         assert curves_isotopic(img, tc(tm, -1, 1).with_orientation(True))
 
