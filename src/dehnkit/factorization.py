@@ -16,9 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import classify_pair, geometric_intersection
+from .calculus import PairClass, _require_essential, classify_pair, geometric_intersection
 from .errors import BudgetExceededError, ComputationError, PreconditionError
-from .overlay import JointSystem, connecting_curve, curves_isotopic, is_separating
+from .overlay import (
+    JointSystem,
+    _isotopic_in,
+    connecting_curve,
+    curves_isotopic,
+    is_separating,
+    minimal_position,
+)
 from .presets import PantsSystem
 from .reduction import _reduce_counted
 from .surface import EmbeddedCurve
@@ -73,9 +80,20 @@ def match_curve(a_prime: EmbeddedCurve, a: EmbeddedCurve, *, avoid=()) -> TwistW
     for c in (a_prime, a):
         if is_separating(c):
             raise PreconditionError("match_curve requires non-separating curves")
-    if curves_isotopic(a_prime.with_orientation(False), a.with_orientation(False)):
-        return TwistWord(())
-    cls = classify_pair(a_prime, a)
+    return _match(a_prime, a, classify_pair(a_prime, a), avoid)[0]
+
+
+def _match(a_prime: EmbeddedCurve, a: EmbeddedCurve, cls: PairClass, avoid):
+    """match_curve's word for a non-separating pair of class cls, and the image
+    of a_prime under it.
+
+    Isotopic curves do not cross, so only a disjoint pair is tested for
+    isotopy.  The image keeps a_prime's orientation; the check that it lands
+    on a ignores orientation.
+    """
+    a_flat = a.with_orientation(False)
+    if cls.count == 0 and curves_isotopic(a_prime.with_orientation(False), a_flat):
+        return TwistWord(()), a_prime
     if cls.tag == "one_point":
         word = TwistWord(((a, 1), (a_prime, 1)))
     elif cls.tag in ("disjoint", "two_zero"):
@@ -83,11 +101,11 @@ def match_curve(a_prime: EmbeddedCurve, a: EmbeddedCurve, *, avoid=()) -> TwistW
         word = TwistWord(((c, 1), (a_prime, 1), (a, 1), (c, 1)))
     else:
         raise PreconditionError(f"pair class {cls.tag} is not terminal")
-    image = apply_word(word, a_prime.with_orientation(False))
-    if not curves_isotopic(image, a.with_orientation(False)):
+    image = apply_word(word, a_prime)
+    if not curves_isotopic(image.with_orientation(False), a_flat):
         raise ComputationError("match word failed to align the curves",
                                a.surface, (a_prime, a, *avoid))
-    return word
+    return word, image
 
 
 def fix_orientation(a: EmbeddedCurve, partner: EmbeddedCurve) -> TwistWord:
@@ -159,9 +177,11 @@ def _exponents_from_images(sys: PantsSystem, pants_images, dual_images):
     """Exponents n_i with the measured map acting as the product of D_{a_i}^{n_i}.
 
     Takes the images of the oriented interior pants curves and of their
-    duals under the map.  Each dual curve crosses exactly one pants curve,
-    so the twist amount on that curve is |image crossings| / crossings^2,
-    signed by an isotopy test.
+    duals under the map.  Each dual curve b_i crosses exactly one pants
+    curve a_i, so the twist amount on that curve is i(image, b_i) divided by
+    i(a_i, b_i)^2, the dual count the pants system stores, and is signed by
+    an isotopy test.  The pair (image, b_i) is put in minimal position once:
+    an untwisted image is tested for isotopy with b_i in that arrangement.
 
     There is one exponent per pants curve, interior curves first; the
     boundary-parallel entries are padded with 0.  Curves are taken up to
@@ -180,8 +200,10 @@ def _exponents_from_images(sys: PantsSystem, pants_images, dual_images):
             raise PreconditionError("residual moves a pants curve")
         b_i = sys.dual_for(i).with_orientation(True)
         img = dual_images[i]
-        base = geometric_intersection(a_i, b_i)
-        k = geometric_intersection(img, b_i)
+        base = sys.dual_counts[i]
+        _require_essential(img, b_i)
+        pair = minimal_position(img, b_i)
+        k = pair.crossing_count(0, 1)
         # what the checks below read, and so what replays them
         replay = (sys.surface, (a_i, b_i, img))
         outside = "residual is not in the pants-twist subgroup"
@@ -189,7 +211,7 @@ def _exponents_from_images(sys: PantsSystem, pants_images, dual_images):
             raise ComputationError(outside, *replay)
         m = k // (base * base)
         if m == 0:
-            if not curves_isotopic(img, b_i):
+            if not _isotopic_in(pair, img.oriented):
                 raise ComputationError(outside, *replay)
             exps.append(0)
             continue
@@ -268,7 +290,7 @@ def factorize(f: TwistWord, sys: PantsSystem) -> FactorizationResult:
         src = a_i.with_orientation(True)
         b_i = images[i]
         # k0 = |a_i ∩ b_i|, read off the arrangement that classifies the pair
-        reduce_word, b_term, _cls, k0 = _reduce_counted(a_i, b_i)
+        reduce_word, b_term, cls, k0 = _reduce_counted(a_i, b_i)
         if is_separating(a_i):
             # homology pins separating curves: the terminal pullback must
             # already be the curve itself, and its orientation must agree
@@ -277,11 +299,11 @@ def factorize(f: TwistWord, sys: PantsSystem) -> FactorizationResult:
                 raise ComputationError(
                     "separating pants curve not recovered by reduction",
                     sys.surface, (b_term, a_i))
-            match_word = TwistWord(())
+            match_word, image = TwistWord(()), b_term
         else:
-            match_word = match_curve(b_term, a_i, avoid=frozen)
+            # cls, the class of (a_i, b_term), is that of (b_term, a_i)
+            match_word, image = _match(b_term, a_i, cls, frozen)
 
-        image = apply_word(match_word, b_term)
         orient_word = TwistWord(())
         if not curves_isotopic(image, src):
             if not curves_isotopic(image, src.reverse()):

@@ -46,7 +46,9 @@ that curve gap.
 
 That is enough to recognise discs, annuli and bigons.  Minimal position
 removes bigons by pushing one curve across them; a bigon and the
-rectangles stacked on it (nested bigons) are pushed across together.
+rectangles stacked on it (nested bigons), across either of its sides, are
+pushed across together.  A strand that clears r runs of the stationary
+curve drops 2r crossings.
 
 Every curve surgery reads its new curve off the joint frame: `arc` lists
 the events of a curve between two of its crossings, from their slots, and
@@ -608,74 +610,113 @@ class JointSystem:
     def bigon_stack(self, region: Region, move: int) -> list[tuple[list, list]]:
         """The bigons nested around an innermost bigon, innermost first.
 
-        Crossing the moving curve's side of the bigon leads into the next
-        region.  While that region is a rectangle (a disc with one circuit
-        whose runs alternate stationary, moving, stationary, moving) the
-        union of the bigon and the rectangle is again a bigon: its
-        stationary side is the bigon's, extended by the rectangle's two
-        stationary sides, and its moving side is the rectangle's far side.
-        Returns (stationary run, moving run) for each bigon of the stack.
+        Returns (stationary runs, moving run) for each bigon of the stack.
+        The last stationary run is the side the moving strand is pushed
+        across; the runs before it are cleared on the way.
+
+        Crossing either side of a bigon leads into the next region.  When
+        that region is a rectangle (a disc with one circuit whose runs
+        alternate stationary, moving, stationary, moving) the union of the
+        bigon and the rectangle is again a bigon (Farb-Margalit, Primer,
+        Prop. 1.7).  Across the stationary side, its stationary side is the
+        rectangle's far run and its moving side is the bigon's, extended by
+        the rectangle's two moving sides: one strand then clears both
+        stationary runs.  The stack grows across the stationary side first,
+        as far as it goes, and is then returned as that one bigon.
+        Otherwise it grows across the moving side: the union's stationary
+        side is the bigon's, extended by the rectangle's two stationary
+        sides, its moving side is the rectangle's far side, and each
+        bigon of the stack is one strand clearing one stationary run.
         """
         a_run, b_run = self._bigon_runs(region, move)
-        _, stay, _, _, fwd = self._labels[a_run[0]]
-        stack = [(a_run, b_run)]
         seen = {region.index}
-        while True:
-            nxt = self.region_of_cell[self._cell_of[b_run[0] ^ 1]]
-            reg = self.regions[nxt]
-            if nxt in seen or not reg.is_disc or len(reg.circuits) != 1:
-                return stack
-            seen.add(nxt)
-            rect = self.circuit_curve_runs(reg.circuits[0])
-            if [c for c, _ in rect] not in ([stay, move] * 2, [move, stay] * 2):
-                return stack
-            twins = sorted(d ^ 1 for d in b_run)
-            k = next((k for k, (_, darts) in enumerate(rect)
-                      if sorted(darts) == twins), None)
-            if k is None:
-                return stack
-            before, after = rect[k - 1][1], rect[(k + 1) % 4][1]
-            if any(self._labels[d][4] != fwd for d in before + after):
-                return stack
-            a_run = before + a_run + after
-            b_run = rect[(k + 2) % 4][1]
-            stack.append((a_run, b_run))
+        cleared = [a_run]
+        while (grown := self._grow_bigon(a_run, b_run, seen)) is not None:
+            a_run, b_run = grown
+            cleared.append(a_run)
+        if len(cleared) > 1:
+            return [(cleared, b_run)]
+        stack = [([a_run], b_run)]
+        while (grown := self._grow_bigon(b_run, a_run, seen)) is not None:
+            b_run, a_run = grown
+            stack.append(([a_run], b_run))
+        return stack
 
-    def _bigon_splice(self, darts_a: list, darts_b: list, move: int, shift: Fraction):
-        """Splice data for pushing curve `move`'s side of a bigon across.
+    def _grow_bigon(self, side: list, other: list, seen: set):
+        """The bigon with runs `side` and `other`, grown across `side`.
 
-        The bigon is given by its two runs of darts in circuit order, the
-        stationary curve's and the moving curve's; the stationary run goes
-        from corner P to corner Q and the moving run back from Q to P.
-        Returns (g_enter, m, new_events, a_used): the moved curve keeps its
-        event at gap g_enter, drops the next m events and runs new_events in
-        their place; a_used names the stationary curve's events the
-        replacement strand shadows.  Each replacement event is the
-        stationary curve's event moved `shift` joint spacings to the far
-        side (see beside).
+        Returns (the rectangle's far run, `other` extended by the two runs
+        beside the rectangle's twin of `side`).  Returns None when the
+        region across `side` is in `seen` or is not a rectangle of the two
+        curves, or when the extension would change direction.  A rectangle
+        taken joins `seen`.
         """
-        cb = move
-        ca = self._labels[darts_a[0]][1]
-        labels_a = [self._labels[d] for d in darts_a]
-        labels_b = [self._labels[d] for d in darts_b]
-        a_fwd = labels_a[0][4]
-        b_fwd = labels_b[0][4]
-        if any(l[4] != a_fwd for l in labels_a) or any(l[4] != b_fwd for l in labels_b):
+        nxt = self.region_of_cell[self._cell_of[side[0] ^ 1]]
+        reg = self.regions[nxt]
+        if nxt in seen or not reg.is_disc or len(reg.circuits) != 1:
+            return None
+        rect = self.circuit_curve_runs(reg.circuits[0])
+        _, cs, _, _, _ = self._labels[side[0]]
+        _, co, _, _, fwd = self._labels[other[0]]
+        if [c for c, _ in rect] not in ([cs, co] * 2, [co, cs] * 2):
+            return None
+        twins = sorted(d ^ 1 for d in side)
+        k = next((k for k, (_, darts) in enumerate(rect)
+                  if sorted(darts) == twins), None)
+        if k is None:
+            return None
+        before, after = rect[k - 1][1], rect[(k + 1) % 4][1]
+        if any(self._labels[d][4] != fwd for d in before + after):
+            return None
+        seen.add(nxt)
+        return rect[(k + 2) % 4][1], before + other + after
+
+    def _run_arc(self, darts: list) -> tuple[Crossing, Crossing, list[int]]:
+        """(P, Q, events) of a run of one curve's darts from corner P to Q.
+
+        The events are those of its curve between P and Q, in the curve's
+        own order.
+        """
+        labels = [self._labels[d] for d in darts]
+        _, ci, _, _, fwd = labels[0]
+        if any(l[4] != fwd for l in labels):
             raise ComputationError("bigon run changes direction",
                                    self.surface, self.curves)
-        node = self._node
-        p, q = node(darts_a[0]), node(darts_a[-1] ^ 1)
-        if p < 0 or q < 0 or (node(darts_b[0]), node(darts_b[-1] ^ 1)) != (q, p):
+        p, q = self._node(darts[0]), self._node(darts[-1] ^ 1)
+        if p < 0 or q < 0:
             raise ComputationError("bigon runs do not share their corners",
                                    self.surface, self.curves)
         P, Q = self.crossings[p], self.crossings[q]
+        return P, Q, self.arc(ci, P, Q) if fwd else self.arc(ci, Q, P)
 
-        # the stationary side, in ca's own order
-        a_arc = self.arc(ca, P, Q) if a_fwd else self.arc(ca, Q, P)
+    def _bigon_splice(self, runs_a: list, darts_b: list, move: int, shift: Fraction):
+        """Splice data for pushing curve `move`'s side of a bigon across.
+
+        The bigon is given by its runs of darts in circuit order, the
+        stationary curve's and the moving curve's; the last stationary run
+        goes from corner P to corner Q and the moving run back from Q to P.
+        Returns (g_enter, m, new_events, a_used): the moved curve keeps its
+        event at gap g_enter, drops the next m events and runs new_events in
+        their place; a_used names the stationary curve's events that the
+        replacement strand shadows or clears, those of every run in runs_a.
+        Each replacement event is the stationary curve's event moved `shift`
+        joint spacings to the far side (see beside).
+        """
+        cb = move
+        darts_a = runs_a[-1]
+        _, ca, _, _, a_fwd = self._labels[darts_a[0]]
+        b_fwd = self._labels[darts_b[0]][4]
+        P, Q, a_arc = self._run_arc(darts_a)
+        # b_arc: the events the moving run drops, in cb's own order
+        Q_b, P_b, b_arc = self._run_arc(darts_b)
+        if (Q_b.node, P_b.node) != (Q.node, P.node):
+            raise ComputationError("bigon runs do not share their corners",
+                                   self.surface, self.curves)
+
         # In cb's own direction the run enters at one corner and leaves at
         # the other; the replacement strand walks ca's side between them,
         # along ca iff exactly one of the runs follows its curve.
-        enter, leave = (Q, P) if b_fwd else (P, Q)
+        enter = Q if b_fwd else P
         along_a = a_fwd != b_fwd
         walk = a_arc if along_a else a_arc[::-1]
         # The bigon sits on ca's left iff its run is forward; the rerouted
@@ -686,9 +727,9 @@ class JointSystem:
             e, d_a, p = self.beside(ca, ev_idx, h)
             new_events.append((e, d_a if along_a else -d_a, p))
 
-        a_used = frozenset((ca, ev) for ev in a_arc)
-        g_enter = self._slot(cb, enter)[0]
-        return g_enter, len(self.arc(cb, enter, leave)), new_events, a_used
+        inner = [ev for run in runs_a[:-1] for ev in self._run_arc(run)[2]]
+        a_used = frozenset((ca, ev) for ev in inner + a_arc)
+        return self._slot(cb, enter)[0], len(b_arc), new_events, a_used
 
     def reroute_through_bigons(
         self, regions: Sequence[Region], move: int
@@ -697,25 +738,27 @@ class JointSystem:
 
         Each innermost bigon brings the stack of bigons nested around it
         (see bigon_stack), and every strand of the stack is pushed across
-        in this one call: strand i follows the stationary side of the i-th
-        bigon, and the parallel copies are ordered the way one bigon per
-        call would leave them, the outermost strand nearest the stationary
-        curve.  A strand whose support overlaps one already
+        in this one call: strand i follows the last stationary run of the
+        i-th bigon, and the parallel copies are ordered the way one bigon
+        per call would leave them, the outermost strand nearest the
+        stationary curve.  A strand whose support overlaps one already
         taken ends its stack there, and a stack whose first strand does is
-        skipped, so the splices never interfere.  Returns (curve, taken);
-        each taken strand drops the raw crossing count by exactly two.
+        skipped, so the splices never interfere.  Returns (curve, cleared),
+        the number of stationary runs the taken strands clear; a strand
+        that clears r runs drops the raw crossing count by exactly 2r.
         """
         nb = len(self.curves[move].events)
         splices: list[tuple[int, int, list]] = []
+        cleared = 0
         used_b: set[int] = set()
         used_a: set = set()
         for region in regions:
             stack = self.bigon_stack(region, move)
             depth = len(stack)
             stack_a: set = set()
-            for i, (darts_a, darts_b) in enumerate(stack):
+            for i, (runs_a, darts_b) in enumerate(stack):
                 g, m, new_events, a_used = self._bigon_splice(
-                    darts_a, darts_b, move, Fraction(depth - i, 3 * depth)
+                    runs_a, darts_b, move, Fraction(depth - i, 3 * depth)
                 )
                 if m >= nb:
                     # Run wraps the whole curve: every old event is replaced.
@@ -729,11 +772,12 @@ class JointSystem:
                         self.surface, tuple(new_events),
                         oriented=self.curves[move].oriented,
                     )
-                    return whole, 1
+                    return whole, len(runs_a)
                 block = {(g + t) % nb for t in range(m + 1)}
                 if block & used_b or a_used & used_a:
                     break
                 splices.append((g, m, new_events))
+                cleared += len(runs_a)
                 used_b |= block
                 # nested strands shadow nested runs of the stationary curve
                 stack_a |= a_used
@@ -758,7 +802,7 @@ class JointSystem:
         curve = EmbeddedCurve(
             self.surface, tuple(out), oriented=self.curves[move].oriented
         )
-        return curve, len(splices)
+        return curve, cleared
 
 
 # ----------------------------------------------------------------------
@@ -785,8 +829,9 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
     that peeling uncovers.
 
     If a round's reroute does not assemble into an embedded curve, or drops
-    the crossing count by other than two per peeled strand, the
-    ComputationError raised carries the input pair (a, b), which replays it.
+    the crossing count by other than two per stationary run its strands
+    clear, the ComputationError raised carries the input pair (a, b), which
+    replays it.
     """
     if a.surface.faces != b.surface.faces:
         raise PreconditionError("curves live on different surfaces")
@@ -905,7 +950,15 @@ def curves_isotopic(a: EmbeddedCurve, b: EmbeddedCurve) -> bool:
     oriented = a.oriented and b.oriented
     if a.with_orientation(oriented) == b.with_orientation(oriented):
         return True
-    system = minimal_position(a, b)
+    return _isotopic_in(minimal_position(a, b), oriented)
+
+
+def _isotopic_in(system: JointSystem, oriented: bool) -> bool:
+    """Whether curves 0 and 1 of a minimal-position arrangement are isotopic.
+
+    They are when they do not cross and cobound an annulus; with `oriented`
+    their orientations must agree as well.
+    """
     if system.crossing_count(0, 1) != 0:
         return False
     for reg in system.regions:

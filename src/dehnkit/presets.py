@@ -164,7 +164,8 @@ class PantsSystem:
     curves exist only for the interior entries: nothing crosses a
     boundary-parallel curve essentially, so boundary entries have no dual.
     `partners` maps an interior index i to a curve crossing pants curve i
-    exactly once, where one is available.
+    exactly once, where one is available.  `dual_counts[i]` is i(a_i, b_i),
+    1 or 2, as measured when the system is built.
     """
 
     surface: CellSurface
@@ -172,6 +173,7 @@ class PantsSystem:
     interior_count: int
     dual_curves: tuple[EmbeddedCurve, ...]
     partners: Mapping[int, EmbeddedCurve]
+    dual_counts: tuple[int, ...]
 
     @property
     def interior_curves(self) -> tuple[EmbeddedCurve, ...]:
@@ -197,11 +199,13 @@ def _build_pants(surface, interior, boundary, duals, partners) -> PantsSystem:
         for j in range(i + 1, len(curves)):
             if geometric_intersection_number(curves[i], curves[j]):
                 raise ComputationError(f"pants curves {i}, {j} are not disjoint")
+    dual_counts = []
     for i, d in enumerate(duals):
         for j, a in enumerate(curves):
             pair = minimal_position(d, a)
             k = pair.crossing_count(0, 1)
             if j == i:
+                dual_counts.append(k)
                 if k == 2:
                     signs = sorted(c.sign for c in pair.crossings_between(0, 1))
                     if signs != [-1, 1]:
@@ -221,7 +225,8 @@ def _build_pants(surface, interior, boundary, duals, partners) -> PantsSystem:
     for region in system.regions:
         if region.chi != -1 or len(region.circuits) != 3:
             raise ComputationError("complement piece is not a 3-holed sphere")
-    return PantsSystem(surface, curves, len(interior), tuple(duals), dict(partners))
+    return PantsSystem(surface, curves, len(interior), tuple(duals), dict(partners),
+                       tuple(dual_counts))
 
 
 # ---------------------------------------------------------------------------

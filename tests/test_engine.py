@@ -11,7 +11,11 @@ i(T_a^k b, b) = |k| i(a, b)^2; Prop. 3.4,
 intersection number î, a signed count of the same crossings, obeys
 |î(a, b)| <= i(a, b) with i(a, b) - î(a, b) even.  The genus-2 chain curves
 c_r = T_t1 T_a2^-1 c_(r-1), c_0 = dual1, carry nested stacks of bigons
-against these curves, so the oracles exercise stack peeling.
+against these curves, so the oracles exercise stack peeling.  A stack
+grown across the stationary side clears several stationary runs with one
+strand; on the pairs where that once tripped the crossing-count guard,
+minimal position must reach the count that peeling one innermost bigon
+per round reaches.
 
 JointSystem.arc, which reads arcs off the crossings' slots, is checked
 against the annulus-coordinate formula it replaced, and the rank-only
@@ -28,7 +32,9 @@ Euler characteristics and boundary circuits.
 
 import functools
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,7 +51,7 @@ from dehnkit.overlay import (
     minimal_position,
 )
 from dehnkit.presets import PRESET_NAMES, build_preset, torus_curve
-from dehnkit.surface import EmbeddedCurve
+from dehnkit.surface import CellSurface, EmbeddedCurve
 from dehnkit.twisting import apply_twist
 from parabola import assert_matches_the_parabola
 
@@ -211,9 +217,12 @@ def _chain(r):
 def _one_bigon_per_round(a, b, monkeypatch):
     """Crossing count left by peeling a single innermost bigon per build."""
     with monkeypatch.context() as patch:
-        # a stack of one: the innermost bigon alone
-        patch.setattr(JointSystem, "bigon_stack",
-                      lambda self, region, move: [self._bigon_runs(region, move)])
+        # a stack of one: the innermost bigon alone, clearing its own side
+        def innermost(self, region, move):
+            a_run, b_run = self._bigon_runs(region, move)
+            return [([a_run], b_run)]
+
+        patch.setattr(JointSystem, "bigon_stack", innermost)
         while True:
             system = JointSystem(a.surface, (a, b))
             bigons = system.find_bigons(0, 1)
@@ -241,6 +250,35 @@ CHAIN_PARTNERS = ("a1", "a2", "t1", "t2")
 def _twisted(name, k, r):
     """T_a^k c_r for a chain partner a."""
     return apply_twist(build_preset("genus2_closed").curves[name], k, _chain(r))
+
+
+# Pairs on which peeling each bigon as a strand of its own tripped the
+# crossing-count guard, as the errors of factorize on these genus-2 words
+# replayed them: a bigon whose stationary side, and the rectangle across
+# it, are single chord segments of one face.  Its strand runs straight
+# through the rectangle too, so it clears two stationary runs.
+BIGON_2B_PAIRS = json.loads(
+    (Path(__file__).parent / "bigon_2b_pairs.json").read_text())
+
+
+@pytest.mark.parametrize("word", sorted(BIGON_2B_PAIRS))
+def test_a_rectangle_across_the_stationary_side_is_cleared_too(word, monkeypatch):
+    data = BIGON_2B_PAIRS[word]
+    surface = CellSurface.from_json(data["surface"])
+    a, b = (EmbeddedCurve.from_json(surface, c) for c in data["curves"])
+    want = _one_bigon_per_round(a, b, monkeypatch)
+    assert minimal_position(a, b).crossing_count(0, 1) == want
+
+
+@pytest.mark.parametrize("k", (2, -2))
+def test_a_stack_across_the_stationary_side_takes_few_builds(count_builds, k):
+    # T_a1^k c_3 against c_3 in either order; with c_3 moving, its stacks
+    # grow across the stationary side
+    image, b = _twisted("a1", k, 3), _chain(3)
+    for pair in ((image, b), (b, image)):
+        count_builds.clear()
+        assert geometric_intersection_number(*pair) == 648
+        assert len(count_builds) <= 8
 
 
 @pytest.mark.parametrize("r", range(4))

@@ -21,6 +21,7 @@ it so.
 """
 
 import random
+import re
 
 import pytest
 
@@ -160,16 +161,23 @@ def test_routed_orientation_partner_misses_the_frozen_curve(g):
     ) == c
 
 
-def test_a_bigon_removal_error_replays_from_its_json():
-    # A known defect: minimal_position's crossing-count guard trips inside
-    # this factorization (a peel drops 4 crossings where 2 are expected).
-    # Once that is fixed, this test needs another input that raises.
+def test_a_bigon_removal_error_replays_from_its_json(monkeypatch):
+    # an injected fault: the reroute reports one stationary run more than
+    # it cleared, so minimal_position's crossing-count guard trips inside
+    # this factorization, and the pair it carries trips it again
+    reroute = JointSystem.reroute_through_bigons
+
+    def overcounted(self, regions, move):
+        curve, cleared = reroute(self, regions, move)
+        return curve, cleared + 1
+
+    monkeypatch.setattr(JointSystem, "reroute_through_bigons", overcounted)
     ps = build_preset("genus2_closed")
     word = TwistWord(tuple((ps.curve(n), k) for n, k in (("dual3", 1), ("t2", -1), ("a2", 1))))
     with pytest.raises(ComputationError) as raised:
         factorization.factorize(word, ps.pants)
     err = raised.value
-    assert str(err) == "bigon removal changed crossings to 34"
+    assert re.fullmatch(r"bigon removal changed crossings to \d+", str(err))
     data = err.replay_json()
     surface = CellSurface.from_json(data["surface"])
     a, b = (EmbeddedCurve.from_json(surface, c) for c in data["curves"])
@@ -210,6 +218,12 @@ FACTORED_WORDS = [
     ((("t2", 1), ("dual1", -1), ("a3", 1)), (3, (1, -3, -1))),
     ((("a3", -1), ("dual3", 1), ("a3", 1), ("a1", 1)), (1, (1, 0, 0))),
     ((("dual1", 1), ("t2", -1), ("a2", 1), ("t1", 1)), (11, (-2, 2, 1))),
+    # each once tripped minimal_position's crossing-count guard (a bigon
+    # strand that also cleared the rectangle across its stationary side)
+    ((("waist", -1), ("t1", -1), ("dual1", 1)), (6, (-4, 9, -2))),
+    ((("dual3", 1), ("t2", -1), ("a2", 1)), (8, (0, 4, 0))),
+    ((("t1", 1), ("a1", -1), ("waist", -1), ("dual1", -1)), (13, (-4, 3, -6))),
+    ((("dual1", -1), ("dual1", -1), ("dual3", -1)), (3, (0, -6, -3))),
 ]
 
 

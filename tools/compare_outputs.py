@@ -10,9 +10,9 @@ An op's output is compared as plain data: curve events with exact
 positions, word letters, pair classes, the p, q exponents, certificate and
 step log of `factorize`, or the type and text of the error it raised.
 
-Prints the first op whose output differs, or else the number of identical
-ops; exits 1 on any difference, and quietly with 1 when its reader closes
-the pipe early.
+Prints every op whose output differs and how many differ, or else the
+number of identical ops; exits 1 on any difference, and quietly with 1 when
+its reader closes the pipe early.
 """
 
 from __future__ import annotations
@@ -99,16 +99,20 @@ def main(argv=None) -> int:
         base = run_tree(base_dir, args.seeds)
     change = run_tree(root, args.seeds)
 
+    differ = 0
     for b, c in zip(base, change):
         if b != c:
+            differ += 1
             print(f"{b['workload']} seed {b['seed']}: {b['op']}")
             if (b["workload"], b["seed"], b["op"]) != (c["workload"], c["seed"], c["op"]):
                 print(f"  the working tree runs {c['op']} here instead")
             print(f"  HEAD {sha[:12]}: {_short(b.get('output', b.get('raised')))}")
             print(f"  working tree: {_short(c.get('output', c.get('raised')))}")
-            return 1
     if len(base) != len(change):
         print(f"HEAD ran {len(base)} ops, the working tree {len(change)}")
+        return 1
+    if differ:
+        print(f"{differ} of {len(base)} ops differ from HEAD {sha[:12]}")
         return 1
     print(f"{len(base)} ops identical to HEAD {sha[:12]} on seeds "
           f"{' '.join(map(str, args.seeds))}")
