@@ -45,10 +45,15 @@ is labelled ("C", curve, gap, k, fwd), the k-th segment of the chord of
 that curve gap.
 
 That is enough to recognise discs, annuli and bigons.  Minimal position
-removes bigons by pushing one curve across them; a bigon and the
-rectangles stacked on it (nested bigons), across either of its sides, are
-pushed across together.  A strand that clears r runs of the stationary
-curve drops 2r crossings.
+removes bigons by pushing one curve across them.  A bigon and the
+rectangles stacked on it are again a bigon, so they are pushed across
+together: the stack grows across the stationary side first and then
+across every piece of the moving side, and a grid of nested rectangles
+goes in one round.  A strand that clears r runs of the stationary curve
+drops 2r crossings.  Each round builds every stack before it takes any,
+takes those that clear the most stationary runs first, and reads the
+curve runs of each region once, from a table of that round's
+arrangement.
 
 Every curve surgery reads its new curve off the joint frame: `arc` lists
 the events of a curve between two of its crossings, from their slots, and
@@ -65,6 +70,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -577,99 +583,124 @@ class JointSystem:
             blocks[0] = (blocks[0][0], last[1] + blocks[0][1])
         return blocks
 
+    @cached_property
+    def _disc_runs(self) -> list:
+        """Per region, circuit_curve_runs of its circuit when it is a disc
+        with one circuit, else None.
+
+        The bigon search and the stack growth of a round read every region's
+        runs from this one table of the round's arrangement; its lists are
+        shared and never changed.
+        """
+        return [self.circuit_curve_runs(reg.circuits[0])
+                if reg.is_disc and len(reg.circuits) == 1 else None
+                for reg in self.regions]
+
     def find_bigons(self, i: int, j: int) -> list[Region]:
         """Innermost discs bounded by one run of curve i and one of curve j."""
-        out = []
-        for reg in self.regions:
-            if not reg.is_disc or len(reg.circuits) != 1:
-                continue
-            runs = self.circuit_curve_runs(reg.circuits[0])
-            if len(runs) != 2:
-                continue
-            curves = {runs[0][0], runs[1][0]}
-            if curves == {i, j}:
-                out.append(reg)
-        return out
+        return [reg for reg, runs in zip(self.regions, self._disc_runs)
+                if runs is not None and len(runs) == 2
+                and {runs[0][0], runs[1][0]} == {i, j}]
 
     # ------------------------------------------------------------------
     # bigon removal
 
     def _bigon_runs(self, region: Region, move: int) -> tuple[list, list]:
         """(stationary run, moving run) of a bigon, as dart lists."""
-        if not region.is_disc or len(region.circuits) != 1:
+        runs = self._disc_runs[region.index]
+        if runs is None or len(runs) != 2 or None in {runs[0][0], runs[1][0]}:
             raise PreconditionError("region is not a bigon")
-        runs = self.circuit_curve_runs(region.circuits[0])
-        if len(runs) != 2 or None in {runs[0][0], runs[1][0]}:
-            raise PreconditionError("region is not a bigon")
-        if runs[1][0] != move:
-            runs.reverse()
-        if runs[1][0] != move or runs[0][0] == move:
+        (ca, a_run), (cb, b_run) = runs if runs[1][0] == move else runs[::-1]
+        if cb != move or ca == move:
             raise PreconditionError(f"bigon does not involve curve {move}")
-        return runs[0][1], runs[1][1]
+        return a_run, b_run
 
     def bigon_stack(self, region: Region, move: int) -> list[tuple[list, list]]:
         """The bigons nested around an innermost bigon, innermost first.
 
         Returns (stationary runs, moving run) for each bigon of the stack.
-        The last stationary run is the side the moving strand is pushed
-        across; the runs before it are cleared on the way.
+        Each bigon's moving run is one strand, pushed across the last of its
+        stationary runs; the runs before that one are cleared on the way.
 
-        Crossing either side of a bigon leads into the next region.  When
-        that region is a rectangle (a disc with one circuit whose runs
-        alternate stationary, moving, stationary, moving) the union of the
-        bigon and the rectangle is again a bigon (Farb-Margalit, Primer,
-        Prop. 1.7).  Across the stationary side, its stationary side is the
-        rectangle's far run and its moving side is the bigon's, extended by
-        the rectangle's two moving sides: one strand then clears both
-        stationary runs.  The stack grows across the stationary side first,
-        as far as it goes, and is then returned as that one bigon.
-        Otherwise it grows across the moving side: the union's stationary
-        side is the bigon's, extended by the rectangle's two stationary
-        sides, its moving side is the rectangle's far side, and each
-        bigon of the stack is one strand clearing one stationary run.
+        Crossing a side of a bigon leads into the regions beside it.  When
+        they are rectangles (discs with one circuit whose runs alternate
+        stationary, moving, stationary, moving) the union of the bigon and
+        the rectangles is again a bigon (Farb-Margalit, Primer, Prop. 1.7).
+        The stack grows across the stationary side first, as far as it
+        goes: the union's stationary side is the rectangle's far run and its
+        moving side is the bigon's, extended by the rectangle's two moving
+        sides, so after r rectangles one strand clears r + 1 stationary
+        runs.  Its moving side then runs through crossings with the inner
+        stationary runs, in pieces.  The stack then grows across the moving
+        side for as long as the region across every piece is a rectangle:
+        the union's moving side is the rectangles' far runs, and each of the
+        stationary runs is extended by the rectangle sides at its two ends.
+        A grid of nested rectangles is peeled in one round this way, and
+        every strand of the stack clears all of the stationary runs.
         """
         a_run, b_run = self._bigon_runs(region, move)
         seen = {region.index}
-        cleared = [a_run]
-        while (grown := self._grow_bigon(a_run, b_run, seen)) is not None:
-            a_run, b_run = grown
-            cleared.append(a_run)
-        if len(cleared) > 1:
-            return [(cleared, b_run)]
-        stack = [([a_run], b_run)]
-        while (grown := self._grow_bigon(b_run, a_run, seen)) is not None:
-            b_run, a_run = grown
-            stack.append(([a_run], b_run))
-        return stack
+        # a run is kept as its pieces between crossings
+        cleared, b_pieces = [[a_run]], [b_run]
+        while (grown := self._grow_bigon(cleared[-1], [b_pieces], seen)) is not None:
+            far, (b_pieces,) = grown
+            cleared.append(far)
+        stack = [(cleared, b_pieces)]
+        while (grown := self._grow_bigon(b_pieces, cleared, seen)) is not None:
+            b_pieces, cleared = grown
+            stack.append((cleared, b_pieces))
+        return [([_joined(run) for run in runs_a], _joined(b)) for runs_a, b in stack]
 
-    def _grow_bigon(self, side: list, other: list, seen: set):
-        """The bigon with runs `side` and `other`, grown across `side`.
+    def _grow_bigon(self, side: list, others: list, seen: set):
+        """A bigon grown across its side `side`.
 
-        Returns (the rectangle's far run, `other` extended by the two runs
-        beside the rectangle's twin of `side`).  Returns None when the
-        region across `side` is in `seen` or is not a rectangle of the two
-        curves, or when the extension would change direction.  A rectangle
-        taken joins `seen`.
+        `side` is given as its pieces in circuit order, the runs of one curve
+        between consecutive crossings, and `others` are runs of the other
+        curve, each a list of pieces, that start and end at crossings on
+        `side`.  Returns (far pieces, grown others): the far run of the
+        rectangle across each piece, in the order of the pieces, and each run
+        of `others` extended at both ends by the rectangle sides that end and
+        start at its end crossings.  Returns None when the region across a
+        piece is in `seen`, lies across another piece, or is not a rectangle
+        of the two curves with that piece as a side; or when an end of a run
+        has no rectangle side or an extension would change direction.  The
+        rectangles taken join `seen`.
         """
-        nxt = self.region_of_cell[self._cell_of[side[0] ^ 1]]
-        reg = self.regions[nxt]
-        if nxt in seen or not reg.is_disc or len(reg.circuits) != 1:
-            return None
-        rect = self.circuit_curve_runs(reg.circuits[0])
-        _, cs, _, _, _ = self._labels[side[0]]
-        _, co, _, _, fwd = self._labels[other[0]]
-        if [c for c, _ in rect] not in ([cs, co] * 2, [co, cs] * 2):
-            return None
-        twins = sorted(d ^ 1 for d in side)
-        k = next((k for k, (_, darts) in enumerate(rect)
-                  if sorted(darts) == twins), None)
-        if k is None:
-            return None
-        before, after = rect[k - 1][1], rect[(k + 1) % 4][1]
-        if any(self._labels[d][4] != fwd for d in before + after):
-            return None
-        seen.add(nxt)
-        return rect[(k + 2) % 4][1], before + other + after
+        labels = self._labels
+        cs, co = labels[side[0][0]][1], labels[others[0][0][0]][1]
+        shapes = ([cs, co] * 2, [co, cs] * 2)
+        taken: list[int] = []
+        far: list[list] = []
+        ending: dict[int, list] = {}  # crossing -> the rectangle side ending there
+        starting: dict[int, list] = {}  # crossing -> the one starting there
+        for piece in side:
+            nxt = self.region_of_cell[self._cell_of[piece[0] ^ 1]]
+            rect = self._disc_runs[nxt]
+            if (nxt in seen or nxt in taken or rect is None
+                    or [c for c, _ in rect] not in shapes):
+                return None
+            twins = sorted(d ^ 1 for d in piece)
+            k = next((k for k, (_, darts) in enumerate(rect)
+                      if sorted(darts) == twins), None)
+            if k is None:
+                return None
+            before, after = rect[k - 1][1], rect[(k + 1) % 4][1]
+            ending[self._node(before[-1] ^ 1)] = before
+            starting[self._node(after[0])] = after
+            far.append(rect[(k + 2) % 4][1])
+            taken.append(nxt)
+        grown = []
+        for run in others:
+            head = ending.get(self._node(run[0][0]))
+            tail = starting.get(self._node(run[-1][-1] ^ 1))
+            if head is None or tail is None:
+                return None
+            fwd = labels[run[0][0]][4]
+            if any(labels[d][4] != fwd for d in head + tail):
+                return None
+            grown.append([head, *run, tail])
+        seen.update(taken)
+        return far, grown
 
     def _run_arc(self, darts: list) -> tuple[Crossing, Crossing, list[int]]:
         """(P, Q, events) of a run of one curve's darts from corner P to Q.
@@ -741,19 +772,23 @@ class JointSystem:
         in this one call: strand i follows the last stationary run of the
         i-th bigon, and the parallel copies are ordered the way one bigon
         per call would leave them, the outermost strand nearest the
-        stationary curve.  A strand whose support overlaps one already
-        taken ends its stack there, and a stack whose first strand does is
-        skipped, so the splices never interfere.  Returns (curve, cleared),
-        the number of stationary runs the taken strands clear; a strand
-        that clears r runs drops the raw crossing count by exactly 2r.
+        stationary curve.  Every stack is built before any is taken, and
+        they are taken in decreasing order of the stationary runs their
+        strands clear, stacks that clear as many keeping the order of
+        `regions`.  A strand whose support overlaps one already taken ends
+        its stack there, and a stack whose first strand does is skipped, so
+        the splices never interfere.  Returns (curve, cleared), the number
+        of stationary runs the taken strands clear; a strand that clears r
+        runs drops the raw crossing count by exactly 2r.
         """
         nb = len(self.curves[move].events)
+        stacks = [self.bigon_stack(region, move) for region in regions]
+        stacks.sort(key=lambda stack: -sum(len(runs_a) for runs_a, _ in stack))
         splices: list[tuple[int, int, list]] = []
         cleared = 0
         used_b: set[int] = set()
         used_a: set = set()
-        for region in regions:
-            stack = self.bigon_stack(region, move)
+        for stack in stacks:
             depth = len(stack)
             stack_a: set = set()
             for i, (runs_a, darts_b) in enumerate(stack):
@@ -805,6 +840,11 @@ class JointSystem:
         return curve, cleared
 
 
+def _joined(pieces: list) -> list:
+    """A run kept as its pieces, as one dart list."""
+    return [d for piece in pieces for d in piece]
+
+
 # ----------------------------------------------------------------------
 # minimal position
 
@@ -823,10 +863,14 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
     Each further round builds one arrangement and peels every innermost
     bigon together with the stack of bigons nested around it (see
     JointSystem.bigon_stack), so a stack costs one round whatever its
-    depth.  A round removes at least one bigon, so k crossings take at
-    most k/2 rounds; further rounds come only from bigons that pass the
-    same events of a or b as one peeled before them, and from bigons
-    that peeling uncovers.
+    depth; a stack grows across both sides of its bigon, so a grid of
+    nested rectangles costs one round too.  The stacks that clear the most
+    stationary runs are taken first (JointSystem.reroute_through_bigons),
+    so a small stack that overlaps a large one waits for a later round
+    instead of holding the large one back.  A round removes at least one
+    bigon, so k crossings take at most k/2 rounds; further rounds come only
+    from bigons that pass the same events of a or b as one peeled before
+    them, and from bigons that peeling uncovers.
 
     If a round's reroute does not assemble into an embedded curve, or drops
     the crossing count by other than two per stationary run its strands

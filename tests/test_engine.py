@@ -13,9 +13,11 @@ intersection number î, a signed count of the same crossings, obeys
 c_r = T_t1 T_a2^-1 c_(r-1), c_0 = dual1, carry nested stacks of bigons
 against these curves, so the oracles exercise stack peeling.  A stack
 grown across the stationary side clears several stationary runs with one
-strand; on the pairs where that once tripped the crossing-count guard,
-minimal position must reach the count that peeling one innermost bigon
-per round reaches.
+strand, and a grid grown across both sides clears them with every strand.
+Minimal position must reach the count that peeling one innermost bigon
+per round reaches: on the pairs where a stationary-side stack once
+tripped the crossing-count guard, on a grid pair, and on random genus-2
+pairs in either order.
 
 JointSystem.arc, which reads arcs off the crossings' slots, is checked
 against the annulus-coordinate formula it replaced, and the rank-only
@@ -41,6 +43,7 @@ from hypothesis import given, settings, strategies as st
 
 from dehnkit.calculus import algebraic_intersection, is_essential
 from dehnkit.errors import ComputationError, PreconditionError, ValidationError
+from dehnkit.factorization import factorize
 from dehnkit.overlay import (
     JointSystem,
     Region,
@@ -52,7 +55,7 @@ from dehnkit.overlay import (
 )
 from dehnkit.presets import PRESET_NAMES, build_preset, torus_curve
 from dehnkit.surface import CellSurface, EmbeddedCurve
-from dehnkit.twisting import apply_twist
+from dehnkit.twisting import TwistWord, apply_twist
 from parabola import assert_matches_the_parabola
 
 
@@ -214,9 +217,9 @@ def _chain(r):
     return apply_twist(g["t1"], 1, apply_twist(g["a2"], -1, _chain(r - 1)))
 
 
-def _one_bigon_per_round(a, b, monkeypatch):
+def _one_bigon_per_round(a, b):
     """Crossing count left by peeling a single innermost bigon per build."""
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         # a stack of one: the innermost bigon alone, clearing its own side
         def innermost(self, region, move):
             a_run, b_run = self._bigon_runs(region, move)
@@ -232,7 +235,7 @@ def _one_bigon_per_round(a, b, monkeypatch):
             b, _ = system.reroute_through_bigons(bigons[:1], move=1)
 
 
-def test_a_bigon_stack_is_peeled_in_one_round(count_builds, monkeypatch):
+def test_a_bigon_stack_is_peeled_in_one_round(count_builds):
     # c_4 meets a1 in 56 raw crossings, 12 of them in one stack of nested
     # bigons; peeling one bigon per round takes 7 builds to reach 44
     g = build_preset("genus2_closed").curves
@@ -240,7 +243,7 @@ def test_a_bigon_stack_is_peeled_in_one_round(count_builds, monkeypatch):
     count_builds.clear()
     system = minimal_position(a, b)
     assert len(count_builds) <= 3
-    assert system.crossing_count(0, 1) == _one_bigon_per_round(a, b, monkeypatch) == 44
+    assert system.crossing_count(0, 1) == _one_bigon_per_round(a, b) == 44
 
 
 CHAIN_PARTNERS = ("a1", "a2", "t1", "t2")
@@ -261,13 +264,34 @@ BIGON_2B_PAIRS = json.loads(
     (Path(__file__).parent / "bigon_2b_pairs.json").read_text())
 
 
-@pytest.mark.parametrize("word", sorted(BIGON_2B_PAIRS))
-def test_a_rectangle_across_the_stationary_side_is_cleared_too(word, monkeypatch):
-    data = BIGON_2B_PAIRS[word]
+def _replayed_pair(data):
     surface = CellSurface.from_json(data["surface"])
-    a, b = (EmbeddedCurve.from_json(surface, c) for c in data["curves"])
-    want = _one_bigon_per_round(a, b, monkeypatch)
+    return tuple(EmbeddedCurve.from_json(surface, c) for c in data["curves"])
+
+
+@pytest.mark.parametrize("word", sorted(BIGON_2B_PAIRS))
+def test_a_rectangle_across_the_stationary_side_is_cleared_too(word):
+    a, b = _replayed_pair(BIGON_2B_PAIRS[word])
+    want = _one_bigon_per_round(a, b)
     assert minimal_position(a, b).crossing_count(0, 1) == want
+
+
+# The read-off's isotopy test of D_a2^-9(dual2) against the dual image in
+# factorize(waist^-1 t1^-1 dual1), which holds: 210 raw crossings.  Stacks
+# grown across one side only left a grid of rectangles nested across both
+# sides of a bigon, and peeled its last 28 crossings 4 per round, in 15
+# rounds in all; grown across both sides they take 5.
+BIGON_GRID_PAIR = json.loads(
+    (Path(__file__).parent / "bigon_grid_pair.json").read_text())
+
+
+def test_a_grid_of_rectangles_is_peeled_in_few_rounds(count_builds):
+    (data,) = BIGON_GRID_PAIR.values()
+    a, b = _replayed_pair(data)
+    want = _one_bigon_per_round(a, b)
+    count_builds.clear()
+    assert minimal_position(a, b).crossing_count(0, 1) == want == 0
+    assert len(count_builds) <= 7
 
 
 @pytest.mark.parametrize("k", (2, -2))
@@ -279,6 +303,35 @@ def test_a_stack_across_the_stationary_side_takes_few_builds(count_builds, k):
         count_builds.clear()
         assert geometric_intersection_number(*pair) == 648
         assert len(count_builds) <= 8
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_minimal_position_reaches_the_one_bigon_per_round_count(data):
+    # a genus-2 preset curve against the image of one under 1-3 twists
+    g = build_preset("genus2_closed").curves
+    pick = st.sampled_from(sorted(g))
+    a, b = g[data.draw(pick, label="a")], g[data.draw(pick, label="b")]
+    word = data.draw(st.lists(st.tuples(pick, st.sampled_from((1, -1))),
+                              min_size=1, max_size=3), label="word")
+    for axis, k in word:
+        b = apply_twist(g[axis], k, b)
+    want = _one_bigon_per_round(a, b)
+    assert minimal_position(a, b).crossing_count(0, 1) == want
+    assert minimal_position(b, a).crossing_count(0, 1) == want
+
+
+def test_the_largest_bench_factorization_takes_few_builds(count_builds):
+    # factorize(waist^-1 t1^-1 dual1) on warm curves, as in every bench
+    # pass after the first: 185 builds while stacks grew across one side
+    # only, 168 since they grow into grids
+    ps = build_preset("genus2_closed")
+    word = TwistWord(tuple((ps.curve(n), k)
+                           for n, k in (("waist", -1), ("t1", -1), ("dual1", 1))))
+    factorize(word, ps.pants)
+    count_builds.clear()
+    factorize(word, ps.pants)
+    assert len(count_builds) <= 170
 
 
 @pytest.mark.parametrize("r", range(4))

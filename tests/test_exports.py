@@ -7,27 +7,16 @@ the traced bench runs; this catches that too, without running the bench.
 """
 
 import importlib
-import importlib.util
 import pkgutil
-import sys
-from pathlib import Path
 
 import pytest
 
 import dehnkit
+from bench_modules import load_bench_module
 
 MODULES = ["dehnkit"] + [
     f"dehnkit.{info.name}" for info in pkgutil.iter_modules(dehnkit.__path__)
 ]
-
-
-def _traced_targets():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module.TARGETS
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -39,6 +28,7 @@ def test_every_exported_name_resolves(name):
     assert not missing, missing
 
 
-@pytest.mark.parametrize("target", _traced_targets(), ids=lambda t: t.name)
+@pytest.mark.parametrize("target", load_bench_module("tracer").TARGETS,
+                         ids=lambda t: t.name)
 def test_every_traced_name_resolves(target):
     assert hasattr(importlib.import_module(target.module), target.attr)

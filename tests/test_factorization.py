@@ -14,16 +14,19 @@ A ComputationError carries the inputs of the computation that raised it,
 and its JSON replays the failure.
 
 `factorize` is pinned on the genus-2 words it factors today: each result
-is verified and positive, keeps the per-curve letter budget, and has the
-word length and pants exponents recorded for it.  Every reduction letter
-of a step misses the pants curves fixed before it, with no filter to make
-it so.
+is verified and positive, keeps the per-curve letter budget, passes the
+bench's check of its action on homology, and has the word length and
+pants exponents recorded for it.  Random genus-2 words of one to three
+letters must pass the same checks, with no filter that skips a failure.
+Every reduction letter of a step misses the pants curves fixed before
+it, with no filter to make it so.
 """
 
 import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dehnkit import factorization
 from dehnkit.errors import ComputationError, PreconditionError
@@ -39,7 +42,11 @@ from dehnkit.overlay import (
 from dehnkit.presets import build_preset
 from dehnkit.surface import CellSurface, EmbeddedCurve
 from dehnkit.twisting import TwistWord, apply_twist, apply_word
+from bench_modules import load_bench_module
 from parabola import assert_matches_the_parabola
+
+# the bench's op checks judge factorize's results here too
+WORKLOADS = load_bench_module("workloads")
 
 
 @pytest.fixture
@@ -227,18 +234,32 @@ FACTORED_WORDS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "word, want", FACTORED_WORDS,
-    ids=["*".join(f"{n}^{k}" for n, k in word) for word, _ in FACTORED_WORDS])
-def test_factorize_genus2_words(word, want):
+def _factorize_genus2(word):
+    """factorize on a genus-2 word, checked as the bench checks its ops.
+
+    The bench's check repeats the certificate, positivity and per-curve
+    budget, and compares the action on homology of the word with that of p
+    followed by the pants twists.
+    """
     ps = build_preset("genus2_closed")
-    result = factorization.factorize(
-        TwistWord(tuple((ps.curve(n), k) for n, k in word)), ps.pants)
+    letters = tuple((ps.curve(n), k) for n, k in word)
+    result = factorization.factorize(TwistWord(letters), ps.pants)
     assert result.verified
     assert result.p.is_positive
     for step in result.step_log:
         used = step["reduce"] + step["match"] + step["orient"]
         assert used <= step["initial_crossings"] + 10, step
+    form = WORKLOADS.INTERSECTION_FORMS["genus2_closed"]
+    assert WORKLOADS._factorize_op(letters, ps.pants, form, "").check(result) == []
+    return result
+
+
+@pytest.mark.parametrize(
+    "word, want", FACTORED_WORDS,
+    ids=["*".join(f"{n}^{k}" for n, k in word) for word, _ in FACTORED_WORDS])
+def test_factorize_genus2_words(word, want):
+    ps = build_preset("genus2_closed")
+    result = _factorize_genus2(word)
     assert (len(result.p), result.q_exponents) == want
     # each reduction letter misses the pants curves fixed before its step
     pants, start = ps.pants.pants_curves, 0
@@ -248,6 +269,15 @@ def test_factorize_genus2_words(word, want):
             assert all(geometric_intersection_number(c, pants[j]) == 0
                        for j in range(i)), (i, c)
         start += step["reduce"] + step["match"] + step["orient"]
+
+
+@given(word=st.lists(
+    st.tuples(st.sampled_from(sorted(build_preset("genus2_closed").curves)),
+              st.sampled_from((1, -1))),
+    min_size=1, max_size=3))
+@settings(max_examples=20, deadline=None)
+def test_factorize_random_genus2_words(word):
+    _factorize_genus2(word)
 
 
 def _corrupt_pants(ps, image):
