@@ -1,7 +1,11 @@
 """Exact overlay arrangements of curve systems on a cell surface.
 
 A JointSystem places several embedded curves on one surface in general
-position and builds their arrangement in five phases:
+position and builds their arrangement in five phases.  The first three
+run when it is made; the darts and regions phases run on the first read
+of a dart, cell or region, so a caller that reads only crossings (an
+intersection count, a pair whose crossings all have one sign, a twist)
+never pays for them:
 
   frame      surface.joint_frame renormalises the crossing points of each
              edge jointly (ties broken by curve index, a legal isotopy):
@@ -22,13 +26,13 @@ position and builds their arrangement in five phases:
              curves, since chords of one curve never cross.  A system in
              which three chords of one face cross pairwise is refused with
              a PreconditionError, because the ranks do not fix the order
-             of their crossings;
+             of their crossings.  Each crossing's slot on both of its
+             curves, (gap, rank on that gap), is recorded;
   darts      a doubly-connected edge list on integer ids whose cells are
              the complementary pieces inside single faces.  The nodes are
              the crossings, crossing k being node k, and the boundary
-             items; the rotation at a crossing follows from its sign.
-             Each crossing's slot on both of its curves, (gap, rank on
-             that gap), is recorded;
+             items; the rotation at a crossing follows from its sign, and
+             its four darts from its slots;
   regions    cells glue across the skeleton edges into regions, the
              connected components of the complement of the curve system.
              Each region knows its Euler characteristic and its boundary
@@ -113,8 +117,22 @@ class Region:
         return self.chi == 0 and len(self.circuits) == 2
 
 
+# what JointSystem._build_cells sets, on the first read of any of them
+_CELL_NAMES = frozenset((
+    "_labels", "_chord_first", "_cells", "_cell_of", "_partner",
+    "region_of_cell", "regions",
+))
+
+
 class JointSystem:
     """Exact arrangement of one or more curves on a common surface.
+
+    Construction runs the frame, chords and crossings phases and records
+    each crossing's slots: that is all the crossing queries, `arc`,
+    `beside` and the twist read.  The darts and regions phases run on the
+    first read of any of the names they set (_CELL_NAMES), which are plain
+    attributes from then on.  A ComputationError from either half carries
+    the surface and curves of the build.
 
     Three chords of one face must not cross pairwise: the ranks do not fix
     the order of their crossings, so such a system raises
@@ -132,27 +150,46 @@ class JointSystem:
                 raise PreconditionError("curve lives on a different surface")
         self.surface = surface
         self.curves = tuple(curves)
-        try:
-            self._build()
-        except ComputationError as err:
-            if err.surface is None:
-                err.surface, err.curves = surface, self.curves
-            raise
+        self._carrying_inputs(self._build)
+
+    def __getattr__(self, name: str):
+        # reached only while name is not yet an instance attribute
+        if name not in _CELL_NAMES:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._carrying_inputs(self._build_cells)
+        return self.__dict__[name]
 
     # ------------------------------------------------------------------
     # construction
 
+    def _carrying_inputs(self, phases) -> None:
+        try:
+            phases()
+        except ComputationError as err:
+            if err.surface is None:
+                err.surface, err.curves = self.surface, self.curves
+            raise
+
     def _build(self) -> None:
-        """The five phases of the module docstring, in order."""
+        """The frame, chords and crossings phases of the module docstring,
+        then the crossings' slots; the rest waits in _pending for
+        _build_cells."""
         self.edge_order, self.events = joint_frame(self.curves)
         items, corners, chords = self._chords(self.edge_order, self.events)
         self.crossings, stops = self._crossings(items, chords)
-        (self._labels, self._chord_first, self._stops, self._ranks, phi,
-         self._cells, self._cell_of, slot_first) = self._darts(
-            items, corners, chords, stops)
+        self._stops, self._ranks = self._slots(chords, stops)
+        self._pending = items, corners, chords
+
+    def _build_cells(self) -> None:
+        """The darts and regions phases, which set _CELL_NAMES."""
+        items, corners, chords = self._pending
+        (self._labels, self._chord_first, phi, self._cells, self._cell_of,
+         slot_first) = self._darts(items, corners, chords)
         self._partner, self.region_of_cell, self.regions = self._regions(
             self._labels, phi, self._cells, self._cell_of, slot_first
         )
+        del self._pending
 
     def _chords(self, edge_order: dict, events: list) -> tuple[list, list, list]:
         """Per-face boundary items and chords: (items, corners, chords).
@@ -288,9 +325,36 @@ class JointSystem:
             stops.append(face_stops)
         return crossings, stops
 
-    def _darts(self, items, corners, chords, stops) -> tuple:
-        """Doubly-connected edge list: (labels, chord_first, stops, ranks,
-        phi, cells, cell_of, slot_first).
+    def _slots(self, chords: list, stops: list) -> tuple:
+        """Each chord's stops and each crossing's ranks: (curve_stops, ranks).
+
+        curve_stops[curve][gap] lists the crossings along the chord of that
+        curve gap, in order, and ranks (rank_i, rank_j) give each crossing's
+        place on the chords of its curves i and j.  Every crossing must sit
+        exactly once on each of its two chords, or its node could not get
+        four darts.
+        """
+        crossings = self.crossings
+        curve_stops: list[list[list[int]]] = [[[]] * len(evs) for evs in self.events]
+        rank_i, rank_j = [-1] * len(crossings), [-1] * len(crossings)
+        for ch, face_stops in zip(chords, stops):
+            for (ci, g, _, _), hits in zip(ch, face_stops):
+                curve_stops[ci][g] = hits
+                for k, node in enumerate(hits):
+                    xg = crossings[node]
+                    if ci == xg.curve_i and g == xg.gap_i and rank_i[node] < 0:
+                        rank_i[node] = k
+                    elif ci == xg.curve_j and g == xg.gap_j and rank_j[node] < 0:
+                        rank_j[node] = k
+                    else:
+                        raise ComputationError("crossing node without four darts")
+        if -1 in rank_i or -1 in rank_j:
+            raise ComputationError("crossing node without four darts")
+        return curve_stops, (rank_i, rank_j)
+
+    def _darts(self, items, corners, chords) -> tuple:
+        """Doubly-connected edge list: (labels, chord_first, phi, cells,
+        cell_of, slot_first).
 
         Nodes are integers: crossing k is node k, and boundary item r of
         face fi is the node that boundary segment r leaves forward.  Darts
@@ -300,9 +364,9 @@ class JointSystem:
         segment of a chord.  Boundary segment r of face fi has forward dart
         seg0[fi] + 2r, and slot_first[fi][j] is the forward dart of slot
         j's first segment.  The chord of a curve gap has forward darts
-        chord_first[curve][gap] + 2k, and stops[curve][gap] lists the
-        crossings along it; ranks (rank_i, rank_j) give each crossing's
-        place on the chords of its curves i and j.  pred[d] is the rotation
+        chord_first[curve][gap] + 2k, one more than it has stops (_slots),
+        so a crossing of rank r on it leaves forward by dart
+        chord_first[curve][gap] + 2r + 2.  pred[d] is the rotation
         predecessor of dart d at the node it leaves, so
         phi(d) = pred[twin(d)]; cells are the orbits of phi apart from the
         face exteriors, and cell_of is -1 on those.
@@ -325,40 +389,28 @@ class JointSystem:
             for b in range(f + 1, last, 2):
                 pred[b + 1], pred[b] = b, b + 1
 
+        stops = self._stops
         chord_first: list[list[int]] = [[0] * len(evs) for evs in self.events]
-        curve_stops: list[list[list[int]]] = [[[]] * len(evs) for evs in self.events]
-        # at each crossing, the forward dart each of its chords leaves by;
-        # the backward one is the dart before it
-        out_i, out_j = [-1] * n_cross, [-1] * n_cross
-        rank_i, rank_j = [0] * n_cross, [0] * n_cross
         for fi, ch in enumerate(chords):
             f, M = seg0[fi], len(items[fi])
-            for (ci, g, ra, rb), hits in zip(ch, stops[fi]):
+            for ci, g, ra, rb in ch:
                 first = len(labels)
                 labels += [("C", ci, g, k, fwd)
-                           for k in range(len(hits) + 1) for fwd in (True, False)]
+                           for k in range(len(stops[ci][g]) + 1) for fwd in (True, False)]
                 chord_first[ci][g] = first
-                curve_stops[ci][g] = hits
                 head, tail = first, len(labels) - 1
                 pred[head] = f + 2 * ra
                 pred[f + 2 * ((ra - 1) % M) + 1] = head
                 pred[tail] = f + 2 * rb
                 pred[f + 2 * ((rb - 1) % M) + 1] = tail
-                for k, node in enumerate(hits):
-                    xg = crossings[node]
-                    if ci == xg.curve_i and g == xg.gap_i and out_i[node] < 0:
-                        out_i[node], rank_i[node] = first + 2 * k + 2, k
-                    elif ci == xg.curve_j and g == xg.gap_j and out_j[node] < 0:
-                        out_j[node], rank_j[node] = first + 2 * k + 2, k
-                    else:
-                        raise ComputationError("crossing node without four darts")
         # The outgoing darts at a crossing run along +-(chord of curve i)
-        # and +-(chord of curve j); +j lies ccw of +i within a half turn
-        # exactly when the frame (i, j) is positive: sign > 0.
+        # and +-(chord of curve j), each leaving forward by dart i0 or j0
+        # and backward by the dart before it; +j lies ccw of +i within a
+        # half turn exactly when the frame (i, j) is positive: sign > 0.
+        rank_i, rank_j = self._ranks
         for node, xg in enumerate(crossings):
-            i0, j0 = out_i[node], out_j[node]
-            if i0 < 0 or j0 < 0:
-                raise ComputationError("crossing node without four darts")
+            i0 = chord_first[xg.curve_i][xg.gap_i] + 2 * rank_i[node] + 2
+            j0 = chord_first[xg.curve_j][xg.gap_j] + 2 * rank_j[node] + 2
             i1, j1 = i0 - 1, j0 - 1
             if xg.sign > 0:  # ccw: +i, +j, -i, -j
                 pred[i0], pred[j0], pred[i1], pred[j1] = j1, i0, j0, i1
@@ -395,8 +447,7 @@ class JointSystem:
                 raise ComputationError("broken face orbit")
             cells.append(cycle)
         slot_first = [[seg0[fi] + 2 * r for r in rs] for fi, rs in enumerate(corners)]
-        return (labels, chord_first, curve_stops, (rank_i, rank_j), phi, cells,
-                cell_of, slot_first)
+        return labels, chord_first, phi, cells, cell_of, slot_first
 
     def _regions(self, labels, phi, cells, cell_of, slot_first) -> tuple:
         """Glue cells into regions: (partner, region_of_cell, regions).
@@ -858,7 +909,9 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
     must be respaced to that frame as well or the new points land on the
     wrong side of it.
     A pair with all crossings of equal sign is already minimal, so the
-    common case returns after one arrangement build.
+    common case returns after one arrangement build, with only its
+    crossings made: the darts and regions of an arrangement are built
+    when a round looks for bigons in it or when a caller reads them.
 
     Each further round builds one arrangement and peels every innermost
     bigon together with the stack of bigons nested around it (see

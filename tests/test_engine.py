@@ -29,7 +29,12 @@ meet a triple concurrency either, since two disjoint chords never meet.
 A system with three such chords is refused.  The regions phase, which
 walks corner chains and cycles, is checked against the union-find over
 corners it replaced: the same regions in the same order, with the same
-Euler characteristics and boundary circuits.
+Euler characteristics and boundary circuits.  Every crossing sits once on
+each of its two chords, at the slot the crossings phase records, and
+leaves each chord by the dart its rank names.  The darts phase runs only
+for a caller that reads darts or regions: the crossing queries of a pair
+already in minimal position build none, and an error of the deferred
+phases still carries the inputs of the build.
 """
 
 import functools
@@ -86,19 +91,37 @@ def test_region_euler_characteristics_sum_to_surface_plus_crossings(name):
         assert total == system.surface.euler_characteristic + len(system.crossings)
 
 
-def test_a_build_error_carries_the_build_inputs(monkeypatch):
-    def broken(self, *args):
-        raise ComputationError("broken build")
+def _broken(self, *args):
+    raise ComputationError("broken build")
 
+
+def _assert_carries(err, curves):
+    assert err.surface is curves[0].surface
+    assert err.curves == curves
+    assert err.replay_json()["curves"] == [c.to_json() for c in curves]
+
+
+def test_a_build_error_carries_the_build_inputs(monkeypatch):
+    # the regions phase runs on the first read of the regions, and its
+    # error carries the inputs of the build
     g = build_preset("genus2_closed").curves
     curves = (g["a1"], g["t1"])
-    monkeypatch.setattr(JointSystem, "_regions", broken)
+    monkeypatch.setattr(JointSystem, "_regions", _broken)
+    system = JointSystem(curves[0].surface, curves)
+    with pytest.raises(ComputationError) as raised:
+        system.regions
+    _assert_carries(raised.value, curves)
+    assert ComputationError("no inputs").replay_json() is None
+
+
+def test_a_crossings_error_carries_the_build_inputs(monkeypatch):
+    # the crossings phase runs at construction
+    g = build_preset("genus2_closed").curves
+    curves = (g["a1"], g["t1"])
+    monkeypatch.setattr(JointSystem, "_crossings", _broken)
     with pytest.raises(ComputationError) as raised:
         JointSystem(curves[0].surface, curves)
-    assert raised.value.surface is curves[0].surface
-    assert raised.value.curves == curves
-    assert raised.value.replay_json()["curves"] == [c.to_json() for c in curves]
-    assert ComputationError("no inputs").replay_json() is None
+    _assert_carries(raised.value, curves)
 
 
 def test_a_reroute_that_does_not_assemble_carries_the_pair(monkeypatch):
@@ -192,6 +215,36 @@ class TestTopologyCache:
             assert _answers(c) == want
             assert _answers(c.reverse()) == want
             assert _answers(c.with_orientation(not c.oriented)) == want
+
+
+@pytest.fixture
+def count_cells(monkeypatch):
+    """Curve counts of the arrangements whose darts phase ran."""
+    calls = []
+    darts = JointSystem._darts
+
+    def counting(self, *args):
+        calls.append(len(self.curves))
+        return darts(self, *args)
+
+    monkeypatch.setattr(JointSystem, "_darts", counting)
+    return calls
+
+
+def test_crossing_queries_build_no_cells(count_cells):
+    # the torus pair 2/1, 3/5 has 7 crossings of one sign, so it is
+    # minimal as placed and nothing below reads a dart or a region
+    t = build_preset("torus").surface
+    a = torus_curve(t, 2, 1).with_orientation(True)
+    b = torus_curve(t, 3, 5).with_orientation(True)
+    assert is_essential(a) and count_cells == [1]
+    assert is_essential(b) and count_cells == [1, 1]
+    count_cells.clear()
+    assert minimal_position(a, b).crossing_count(0, 1) == 7
+    assert geometric_intersection_number(a, b) == 7
+    assert abs(algebraic_intersection(a, b)) == 7
+    apply_twist(a, 1, b)
+    assert count_cells == []
 
 
 @pytest.mark.parametrize("system", ("triple", "pants_duals"))
@@ -305,10 +358,8 @@ def test_a_stack_across_the_stationary_side_takes_few_builds(count_builds, k):
         assert len(count_builds) <= 8
 
 
-@given(data=st.data())
-@settings(max_examples=60, deadline=None)
-def test_minimal_position_reaches_the_one_bigon_per_round_count(data):
-    # a genus-2 preset curve against the image of one under 1-3 twists
+def _draw_genus2_pair(data):
+    """A genus-2 preset curve and the image of one under 1-3 twists."""
     g = build_preset("genus2_closed").curves
     pick = st.sampled_from(sorted(g))
     a, b = g[data.draw(pick, label="a")], g[data.draw(pick, label="b")]
@@ -316,6 +367,13 @@ def test_minimal_position_reaches_the_one_bigon_per_round_count(data):
                               min_size=1, max_size=3), label="word")
     for axis, k in word:
         b = apply_twist(g[axis], k, b)
+    return a, b
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_minimal_position_reaches_the_one_bigon_per_round_count(data):
+    a, b = _draw_genus2_pair(data)
     want = _one_bigon_per_round(a, b)
     assert minimal_position(a, b).crossing_count(0, 1) == want
     assert minimal_position(b, a).crossing_count(0, 1) == want
@@ -428,6 +486,40 @@ def test_arc_matches_the_annulus_coordinate_formula():
                 assert system.arc(ci, x, y) == want, (ci, theta[x], theta[y])
             for x in theta:
                 assert system.arc(ci, x, x) == []
+
+
+def _assert_slots_name_their_darts(curves):
+    """Each crossing sits once on each of its two chords, at its slot, and
+    leaves that chord forward by the dart its rank names."""
+    system = JointSystem(curves[0].surface, curves)
+    seen = sorted(node for stops in system._stops for hits in stops for node in hits)
+    assert seen == sorted(2 * list(range(len(system.crossings))))
+    for x in system.crossings:
+        for ci in (x.curve_i, x.curve_j):
+            gap, rank = system._slot(ci, x)
+            assert system._stops[ci][gap][rank] == x.node
+            assert system._node(system._chord_first[ci][gap] + 2 * rank + 2) == x.node
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_slots_name_their_darts_on_preset_pairs(name):
+    curves = list(dict.fromkeys(build_preset(name).curves.values()))
+    for pair in itertools.combinations(curves, 2):
+        _assert_slots_name_their_darts(pair)
+
+
+def test_slots_name_their_darts_on_pants_curves_and_one_more():
+    ps = build_preset("genus2_closed")
+    interior = ps.pants.interior_curves
+    for c in dict.fromkeys(ps.curves.values()):
+        if c not in interior:
+            _assert_slots_name_their_darts((*interior, c))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_slots_name_their_darts_on_genus2_pairs(data):
+    _assert_slots_name_their_darts(_draw_genus2_pair(data))
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

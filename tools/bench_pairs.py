@@ -6,11 +6,14 @@
 Run from anywhere inside the repository. The base is HEAD, the parent of
 the uncommitted change; it is exported with `git archive` into a temporary
 directory, so it is measured from its committed files alone, as a fresh
-checkout would be. Pair i runs `bench/run.py --workload W --seed S+i
---seconds T --trace 0` once in each checkout, one process at a time, through
-the command and the run_seconds T that BENCHMARK.json declares; the base
-runs first in even pairs and the working tree first in odd ones, so drift
-in machine load favours neither.
+checkout would be. The working tree is copied next to it, its tracked
+files and its untracked files that are not ignored, so that both sides run
+from fresh copies in the same place: a checkout's start-up time depends on
+where it lives and what it has cached, not only on its code. Pair i runs
+`bench/run.py --workload W --seed S+i --seconds T --trace 0` once in each
+copy, one process at a time, through the command and the run_seconds T
+that BENCHMARK.json declares; the base runs first in even pairs and the
+working tree first in odd ones, so drift in machine load favours neither.
 
 For every workload the output file records, per end-to-end metric of
 BENCHMARK.json, the median and quartiles of each side and the number of
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -46,6 +51,19 @@ def export_head(root: Path, dest: Path) -> str:
         tar.extractall(dest, filter="data")
     archive.unlink()
     return sha
+
+
+def export_worktree(root: Path, dest: Path) -> None:
+    """Copy the working tree's tracked files, and its untracked files that
+    are not ignored, under dest; a tracked file deleted from the working
+    tree is left out."""
+    names = _git(root, "ls-files", "-z", "--cached", "--others", "--exclude-standard",
+                 capture_output=True).stdout.split(b"\0")
+    for name in filter(None, map(os.fsdecode, names)):
+        src = root / name
+        if src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def run_bench(command: list[str], checkout: Path, workload: str, seed: int,
@@ -104,15 +122,16 @@ def main(argv=None) -> int:
     report = json.loads(out_path.read_text()) if out_path.exists() else {"workloads": {}}
 
     with tempfile.TemporaryDirectory() as tmp:
-        base_dir = Path(tmp) / "base"
+        base_dir, change_dir = Path(tmp) / "base", Path(tmp) / "change"
         sha = export_head(root, base_dir)
+        export_worktree(root, change_dir)
         for workload in workloads:
             seeds = [args.seed + i for i in range(args.pairs)]
             runs = {"base": [], "change": []}
             for i, seed in enumerate(seeds):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 for side in order:
-                    checkout = base_dir if side == "base" else root
+                    checkout = base_dir if side == "base" else change_dir
                     runs[side].append(
                         run_bench(spec["command"], checkout, workload, seed, seconds))
                 print(f"{workload} seed {seed}: wall_s base "
