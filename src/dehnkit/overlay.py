@@ -4,8 +4,8 @@ A JointSystem places several embedded curves on one surface in general
 position and builds their arrangement in five phases.  The first three
 run when it is made; the darts and regions phases run on the first read
 of a dart, cell or region, so a caller that reads only crossings (an
-intersection count, a pair whose crossings all have one sign, a twist)
-never pays for them:
+intersection count, a bigon-free pair that the crossings certify, a
+twist) never pays for them:
 
   frame      surface.joint_frame renormalises the crossing points of each
              edge jointly (ties broken by curve index, a legal isotopy):
@@ -49,9 +49,12 @@ is labelled ("C", curve, gap, k, fwd), the k-th segment of the chord of
 that curve gap.
 
 That is enough to recognise discs, annuli and bigons.  Minimal position
-removes bigons by pushing one curve across them.  A bigon and the
-rectangles stacked on it are again a bigon, so they are pushed across
-together: the stack grows across the stationary side first and then
+removes bigons by pushing one curve across them.  A round whose pair is
+bigon-free builds no darts and no regions when the crossings prove it:
+all of one sign, or every loop that could bound a bigon pairing nonzero
+with the surface's cocycle (JointSystem.certifies_no_bigon).  A bigon
+and the rectangles stacked on it are again a bigon, so they are pushed
+across together: the stack grows across the stationary side first and then
 across every piece of the moving side, and a grid of nested rectangles
 goes in one round.  A strand that clears r runs of the stationary curve
 drops 2r crossings.  Each round builds every stack before it takes any,
@@ -647,6 +650,44 @@ class JointSystem:
                 if reg.is_disc and len(reg.circuits) == 1 else None
                 for reg in self.regions]
 
+    def certifies_no_bigon(self) -> bool:
+        """Whether the crossings alone prove curves 0 and 1 bound no bigon.
+
+        An innermost bigon (find_bigons) has its corners at two crossings of
+        opposite sign that follow each other along both curves.  Its
+        boundary, the arc of curve 0 from one corner to the other and the
+        crossing-free arc of curve 1 back, bounds a disc, so it pairs to 0
+        with every cocycle.  So if every such loop pairs nonzero with the
+        surface's cocycle (CellSurface.cocycle), there is no bigon; with two
+        crossings, both arcs of curve 1 are tried.  Reads the crossings,
+        their slots and the events only, never a dart or a region.  False
+        says nothing: some loop pairs to 0, or the cocycle is empty.
+        """
+        weight = self.surface.cocycle
+        if not weight:
+            return False
+
+        def flux(ci: int, x: Crossing, y: Crossing) -> int:
+            evs = self.events[ci]
+            return sum(evs[t][1] * weight[evs[t][0]] for t in self.arc(ci, x, y))
+
+        along_a = self.crossing_order_along(0)
+        place_b = {x.node: t for t, x in enumerate(self.crossing_order_along(1))}
+        k = len(place_b)
+        for x, y in zip(along_a, along_a[1:] + along_a[:1]):
+            if x.sign == y.sign:
+                continue
+            # back from y to x along curve 1, against it or along it
+            tx, ty = place_b[x.node], place_b[y.node]
+            against, along = (tx + 1) % k == ty, (ty + 1) % k == tx
+            if not (against or along):
+                continue
+            around = flux(0, x, y)
+            if (against and around == flux(1, x, y)
+                    or along and around == -flux(1, y, x)):
+                return False
+        return True
+
     def find_bigons(self, i: int, j: int) -> list[Region]:
         """Innermost discs bounded by one run of curve i and one of curve j."""
         return [reg for reg, runs in zip(self.regions, self._disc_runs)
@@ -908,10 +949,12 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
     edges: rerouting works in the joint coordinate frame, so once b moves, a
     must be respaced to that frame as well or the new points land on the
     wrong side of it.
-    A pair with all crossings of equal sign is already minimal, so the
-    common case returns after one arrangement build, with only its
-    crossings made: the darts and regions of an arrangement are built
-    when a round looks for bigons in it or when a caller reads them.
+    The common case returns after one arrangement build, with only its
+    crossings made, by one of three exits: no crossings; all crossings of
+    one sign; or crossings of both signs that the cocycle certifies
+    bigon-free (JointSystem.certifies_no_bigon).  The darts and regions of
+    an arrangement are built only when a round's certificate fails and it
+    looks for bigons, or when a caller reads them.
 
     Each further round builds one arrangement and peels every innermost
     bigon together with the stack of bigons nested around it (see
@@ -944,7 +987,7 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
         if k == 0:
             return system
         signs = {c.sign for c in system.crossings_between(0, 1)}
-        if len(signs) == 1:
+        if len(signs) == 1 or system.certifies_no_bigon():
             return system
         bigons = system.find_bigons(0, 1)
         if not bigons:

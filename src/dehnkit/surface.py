@@ -23,6 +23,8 @@ on chord interleaving along face boundaries.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -82,7 +84,8 @@ class CellSurface:
     every slot sign negated.
 
     All topology (vertices, rotations, boundary circuits, genus) is
-    derived in __post_init__ and cached on the instance.
+    derived in __post_init__ and cached on the instance; a generic integer
+    cocycle (`cocycle`) is derived on first use and cached there too.
     """
 
     faces: tuple[tuple[Slot, ...], ...]
@@ -231,6 +234,57 @@ class CellSurface:
     def norm(self) -> int:
         """3g - 3 + n, the number of curves in a maximal disjoint system."""
         return 3 * self.genus - 3 + self.num_boundary
+
+    @cached_property
+    def cocycle(self) -> dict[str, int]:
+        """A generic integer cocycle: edge -> weight, for every interior edge.
+
+        The weights have zero flux at every interior vertex (the Flow
+        condition), so a loop pairs with them by its homology class alone,
+        and a loop that bounds a disc pairs to 0.  They combine an exact
+        basis of all such weightings with fixed pseudo-random coefficients,
+        so a loop whose class is not zero pairs nonzero unless the
+        coefficients happen to cancel.  Empty when only the zero weighting
+        has zero flux.
+        """
+        edges = sorted(self.interior_edges)
+        column = {e: k for k, e in enumerate(edges)}
+        rows = []
+        for vi, rot in enumerate(self.rotations):
+            if not self.vertex_is_interior(vi):
+                continue
+            row = [Fraction(0)] * len(edges)
+            for e, which in rot:
+                row[column[e]] += 1 if which == 1 else -1
+            rows.append(row)
+        # reduced row echelon form; the free columns span the nullspace
+        pivots: list[int] = []
+        for col in range(len(edges)):
+            top = len(pivots)
+            r = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+            if r is None:
+                continue
+            rows[top], rows[r] = rows[r], rows[top]
+            lead = rows[top]
+            lead[:] = [x / lead[col] for x in lead]
+            for other in rows:
+                if other is not lead and other[col]:
+                    f = other[col]
+                    other[:] = [x - f * y for x, y in zip(other, lead)]
+            pivots.append(col)
+        free_columns = [c for c in range(len(edges)) if c not in pivots]
+        if not free_columns:
+            return {}
+        coefficients = random.Random(len(edges))
+        weights = [Fraction(0)] * len(edges)
+        for free in free_columns:
+            # the basis vector that is 1 on this free column and 0 on the others
+            coeff = coefficients.randrange(1, 1 << 30)
+            weights[free] += coeff
+            for row, col in zip(rows, pivots):
+                weights[col] -= coeff * row[free]
+        scale = math.lcm(*(w.denominator for w in weights))
+        return {e: int(w * scale) for e, w in zip(edges, weights)}
 
     def __repr__(self) -> str:
         return (

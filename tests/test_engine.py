@@ -33,8 +33,11 @@ Euler characteristics and boundary circuits.  Every crossing sits once on
 each of its two chords, at the slot the crossings phase records, and
 leaves each chord by the dart its rank names.  The darts phase runs only
 for a caller that reads darts or regions: the crossing queries of a pair
-already in minimal position build none, and an error of the deferred
-phases still carries the inputs of the build.
+already in minimal position build none, whether its crossings have one
+sign or the cocycle certifies it bigon-free, and an error of the deferred
+phases still carries the inputs of the build.  The certificate is sound:
+on every round of random pairs on each preset, a certified arrangement
+has no bigon, and the replayed pairs with bigons are not certified.
 """
 
 import functools
@@ -247,6 +250,27 @@ def test_crossing_queries_build_no_cells(count_cells):
     assert count_cells == []
 
 
+def test_a_certified_pair_builds_no_cells(count_cells):
+    # a1 and dual1 cross twice with opposite signs and bound no bigon: the
+    # cocycle certifies it, so no query below reads a dart or a region
+    g = build_preset("genus2_closed").curves
+    a, b = g["a1"], g["dual1"]
+    assert is_essential(a) and is_essential(b)
+    system = JointSystem(a.surface, (a, b))
+    assert sorted(x.sign for x in system.crossings) == [-1, 1]
+    count_cells.clear()
+    assert minimal_position(a, b).crossing_count(0, 1) == 2
+    assert count_cells == []
+    assert geometric_intersection_number(a, b) == 2
+    assert count_cells == []
+    apply_twist(a, 1, b)
+    assert count_cells == []
+    # a pair with a bigon still looks for it in the darts and regions
+    a, b = _replayed_pair(next(iter(BIGON_2B_PAIRS.values())))
+    minimal_position(a, b)
+    assert count_cells
+
+
 @pytest.mark.parametrize("system", ("triple", "pants_duals"))
 def test_three_chords_crossing_pairwise_are_refused(system):
     # genus-2 systems with three chords crossing pairwise in one face
@@ -379,6 +403,62 @@ def test_minimal_position_reaches_the_one_bigon_per_round_count(data):
     assert minimal_position(b, a).crossing_count(0, 1) == want
 
 
+def _rounds_of(a, b):
+    """The arrangements that the rounds of minimal_position(a, b) build."""
+    systems = []
+    init = JointSystem.__init__
+
+    def keeping(self, surface, curves):
+        init(self, surface, curves)
+        systems.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(JointSystem, "__init__", keeping)
+        minimal_position(a, b)
+    return systems
+
+
+def test_a_certified_round_has_no_bigon():
+    # Soundness of the bigon certificate on every round's arrangement, and
+    # it must certify some of them, or the oracle checks nothing.
+    certified = []
+
+    def check(a, b):
+        for pair in ((a, b), (b, a)):
+            for system in _rounds_of(*pair):
+                if system.certifies_no_bigon():
+                    certified.append(system)
+                    assert system.find_bigons(0, 1) == []
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def on_genus2(data):
+        check(*_draw_genus2_pair(data))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def off_genus2(data):
+        check(*_draw_twisted_pair(
+            data, ("torus", "one_holed_torus", "four_holed_sphere")))
+
+    on_genus2()
+    assert certified
+    certified.clear()
+    off_genus2()
+    assert certified
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(pairs[word], id=f"{source}-{word}")
+    for source, pairs in (("2b", BIGON_2B_PAIRS), ("grid", BIGON_GRID_PAIR))
+    for word in sorted(pairs)])
+def test_the_replayed_bigon_pairs_are_not_certified(data):
+    a, b = _replayed_pair(data)
+    system = JointSystem(a.surface, (a, b))
+    assert not system.certifies_no_bigon()
+    assert system.find_bigons(0, 1)
+
+
 def test_the_largest_bench_factorization_takes_few_builds(count_builds):
     # factorize(waist^-1 t1^-1 dual1) on warm curves, as in every bench
     # pass after the first: 185 builds while stacks grew across one side
@@ -390,6 +470,19 @@ def test_the_largest_bench_factorization_takes_few_builds(count_builds):
     count_builds.clear()
     factorize(word, ps.pants)
     assert len(count_builds) <= 170
+
+
+def test_the_largest_bench_factorization_runs_few_darts_phases(count_cells):
+    # the same warm factorization: 133 darts phases while every round with
+    # crossings of both signs looked for bigons in the regions, 87 since the
+    # cocycle certifies the bigon-free ones from the crossings
+    ps = build_preset("genus2_closed")
+    word = TwistWord(tuple((ps.curve(n), k)
+                           for n, k in (("waist", -1), ("t1", -1), ("dual1", 1))))
+    factorize(word, ps.pants)
+    count_cells.clear()
+    factorize(word, ps.pants)
+    assert len(count_cells) <= 90
 
 
 @pytest.mark.parametrize("r", range(4))
@@ -541,9 +634,10 @@ def _essential_names(name):
     return sorted(n for n, c in build_preset(name).curves.items() if is_essential(c))
 
 
-def _draw_twisted_pair(data):
-    """A preset curve a and the image b of one under a word of <= 4 twists."""
-    name = data.draw(st.sampled_from(PRESET_NAMES), label="preset")
+def _draw_twisted_pair(data, names=PRESET_NAMES):
+    """A preset curve a and the image b of one under a word of <= 4 twists,
+    on one of the presets `names`."""
+    name = data.draw(st.sampled_from(names), label="preset")
     g = build_preset(name).curves
     pick = st.sampled_from(_essential_names(name))
     word = data.draw(st.lists(st.tuples(pick, st.sampled_from((1, -1))), max_size=4),

@@ -268,6 +268,40 @@ class TestFlow:
             x.pair(c)
 
 
+def _mirror(s):
+    return CellSurface(tuple(tuple((e, -sign) for e, sign in reversed(face))
+                             for face in s.faces))
+
+
+class TestCocycle:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_it_is_a_flow_on_every_interior_edge(self, name):
+        s = build_preset(name).surface
+        for surf in (s, _mirror(s), CellSurface.from_json(s.to_json())):
+            assert set(surf.cocycle) == surf.interior_edges
+            assert any(surf.cocycle.values())
+            Flow("cocycle", surf, surf.cocycle)
+
+    def test_it_pairs_by_homology_on_genus2(self):
+        ps = build_preset("genus2_closed")
+        flow = Flow("cocycle", ps.surface, ps.surface.cocycle)
+        pair = {n: flow.pair(c.with_orientation(True)) for n, c in ps.curves.items()}
+        for n in ("waist", "dual1", "dual2", "dual3"):
+            assert pair[n] == 0
+        for n in ("a1", "a2", "a3", "t1", "t2"):
+            assert pair[n] != 0
+
+    def test_it_pairs_to_zero_on_the_boundary_of_a_one_holed_torus(self):
+        ps = build_preset("one_holed_torus")
+        flow = Flow("cocycle", ps.surface, ps.surface.cocycle)
+        assert flow.pair(ps.curves["bp1"].with_orientation(True)) == 0
+        assert flow.pair(ps.curves["a1"].with_orientation(True)) != 0
+
+    def test_it_is_empty_without_a_nonzero_flow(self):
+        # a disc: one face, no interior edge
+        assert CellSurface(((("e", 1),),)).cocycle == {}
+
+
 def _reference_validate(surf, events) -> None:
     """The validator the per-edge order replaced, kept as a reference.
 
