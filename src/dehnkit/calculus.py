@@ -8,7 +8,9 @@ guards (essentiality, orientation) and the record types the reduction
 pipeline consumes.  Essentiality reads the single-curve topology that
 overlay caches on each curve, so checking a curve again, a reversed,
 reoriented or respaced copy of it, or its image under a twist, builds no
-new arrangement.
+new arrangement.  A curve that pairs nonzero with the surface's cocycle,
+on a surface with at most one boundary component, is essential without
+any arrangement, even the first time.
 """
 
 from __future__ import annotations

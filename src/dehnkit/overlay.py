@@ -65,12 +65,16 @@ arrangement.
 Every curve surgery reads its new curve off the joint frame: `arc` lists
 the events of a curve between two of its crossings, from their slots, and
 `beside` moves an event a fraction of the joint spacing to one side of
-its curve.  Bigon removal, the twist spiral (twisting) and the reduction
-splice (reduction) build all their new points this way.
+its curve, one Fraction of integers from the event's rank (`joint_rank`).
+Bigon removal, the twist spiral (twisting) and the reduction splice
+(reduction) build all their new points this way.
 
 The single-curve predicates (null-homotopic, boundary-parallel,
-separating) share one arrangement per curve, and their answers are cached
-on the curve and on its isotopic copies.
+separating) are answered together and cached on the curve and on its
+isotopic copies.  On a surface with at most one boundary component, a
+curve that pairs nonzero with the surface's cocycle is non-separating,
+hence neither of the others, and builds nothing; every other curve is
+answered from the regions of one arrangement of its own.
 """
 
 from __future__ import annotations
@@ -601,6 +605,14 @@ class JointSystem:
             span = n
         return [(gx + 1 + t) % n for t in range(span)]
 
+    def joint_rank(self, ci: int, idx: int) -> tuple[str, int, int, int]:
+        """(e, d, k, m + 1): event idx of curve ci crosses edge e in
+        direction d at the k-th of the edge's m points, k/(m + 1) in the
+        joint frame."""
+        e, d, p = self.events[ci][idx]
+        m1 = len(self.edge_order[e]) + 1
+        return e, d, p.numerator * (m1 // p.denominator), m1
+
     def beside(self, ci: int, idx: int, h: Fraction) -> tuple:
         """Event idx of curve ci moved h joint spacings along its direction.
 
@@ -608,10 +620,13 @@ class JointSystem:
         1/(m + 1) apart in the joint frame, edge ends included: with |h| < 1
         the moved point stays strictly between its old neighbours.  One h
         moves every event of ci to the same side of ci, so the moved events
-        of an arc run parallel to it; the sign of h picks the side.
+        of an arc run parallel to it; the sign of h picks the side.  With
+        p = k/(m + 1) (joint_rank) the point is one Fraction of integers,
+        (k*h.den + d*h.num)/((m + 1)*h.den).
         """
-        e, d, p = self.events[ci][idx]
-        return e, d, p + d * h / (len(self.edge_order[e]) + 1)
+        e, d, k, m1 = self.joint_rank(ci, idx)
+        hn, hd = h.numerator, h.denominator
+        return e, d, Fraction(k * hd + d * hn, m1 * hd)
 
     def crossing_order_along(self, ci: int) -> list[Crossing]:
         """All crossings met by curve ci, in traversal order (cyclically)."""
@@ -1054,19 +1069,47 @@ def _cobounds_collar(system: JointSystem) -> bool:
     return False
 
 
-def _curve_topology(c: EmbeddedCurve) -> CurveTopology:
-    """Topology of c from one arrangement, cached on c and its copies.
+_NON_SEPARATING = CurveTopology(False, False, False)
 
-    Only the answers are kept, not the arrangement.
+
+def _region_topology(c: EmbeddedCurve) -> CurveTopology:
+    """Topology of c read off the regions of its own arrangement."""
+    system = JointSystem(c.surface, (c,))
+    return CurveTopology(
+        null_homotopic=_bounds_disc(system),
+        boundary_parallel=_cobounds_collar(system),
+        separating=len(system.regions) == 2,
+    )
+
+
+def _cocycle_decides(c: EmbeddedCurve) -> bool:
+    """Whether the cocycle shows c non-separating, so neither null-homotopic
+    nor boundary-parallel.
+
+    The pairing of c with CellSurface.cocycle depends only on its class in
+    H1(S).  A null-homotopic curve has class 0, and so does a separating
+    one when S has at most one boundary component: one side of it holds no
+    boundary, and c bounds that side.  A boundary-parallel curve separates.
+    So a nonzero pairing decides, on such a surface; with two or more
+    boundary components a separating curve can pair nonzero.  False says
+    nothing.
+    """
+    surf = c.surface
+    weight = surf.cocycle
+    return (surf.num_boundary <= 1 and bool(weight)
+            and sum(d * weight[e] for e, d, _ in c.events) != 0)
+
+
+def _curve_topology(c: EmbeddedCurve) -> CurveTopology:
+    """Topology of c, cached on c and its copies.
+
+    A curve that the cocycle decides (_cocycle_decides) builds nothing;
+    any other is answered from one arrangement of its own, of which only
+    the answers are kept.
     """
     topology = c.__dict__.get(TOPOLOGY_KEY)
     if topology is None:
-        system = JointSystem(c.surface, (c,))
-        topology = CurveTopology(
-            null_homotopic=_bounds_disc(system),
-            boundary_parallel=_cobounds_collar(system),
-            separating=len(system.regions) == 2,
-        )
+        topology = _NON_SEPARATING if _cocycle_decides(c) else _region_topology(c)
         c.__dict__[TOPOLOGY_KEY] = topology
     return topology
 

@@ -246,6 +246,14 @@ class CellSurface:
         so a loop whose class is not zero pairs nonzero unless the
         coefficients happen to cancel.  Empty when only the zero weighting
         has zero flux.
+
+        The flux at a boundary vertex is free: the weights are a cycle
+        relative to the boundary, and a loop around a boundary component
+        has a class that is not zero once there are two or more of them.
+        So with two or more boundary components a boundary-parallel or
+        other separating curve can pair nonzero (the four-holed sphere's
+        do); with at most one, a separating curve bounds a piece that holds
+        no boundary and pairs to 0.
         """
         edges = sorted(self.interior_edges)
         column = {e: k for k, e in enumerate(edges)}

@@ -118,10 +118,7 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
 
     # a's events as (edge, direction, k, m_e + 1): the joint frame puts the
     # k-th of the m_e points of an edge at k/(m_e + 1)
-    A = []
-    for e, d, p in system.events[0]:
-        m1 = len(system.edge_order[e]) + 1
-        A.append((e, d, p.numerator * (m1 // p.denominator), m1))
+    A = [system.joint_rank(0, idx) for idx in range(m)]
 
     def spiral_block(x) -> list:
         # Strand of b at crossing x, rerouted to wind `wraps` times around a.

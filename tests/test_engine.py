@@ -38,6 +38,15 @@ sign or the cocycle certifies it bigon-free, and an error of the deferred
 phases still carries the inputs of the build.  The certificate is sound:
 on every round of random pairs on each preset, a certified arrangement
 has no bigon, and the replayed pairs with bigons are not certified.
+
+The single-curve topology that the cocycle decides without an
+arrangement is checked against the regions of the curve's own
+arrangement: preset curves, reduction splices and random twisted curves
+on the torus, the one-holed torus and genus 2 that pair nonzero are
+non-separating there, and on the four-holed sphere, where boundary curves
+pair nonzero, the cocycle decides nothing.  JointSystem.beside, which
+places a point from its joint-frame rank, is checked against the Fraction
+sum p + d*h/(m + 1) it replaced.
 """
 
 import functools
@@ -53,8 +62,11 @@ from dehnkit.calculus import algebraic_intersection, is_essential
 from dehnkit.errors import ComputationError, PreconditionError, ValidationError
 from dehnkit.factorization import factorize
 from dehnkit.overlay import (
+    CurveTopology,
     JointSystem,
     Region,
+    _cocycle_decides,
+    _region_topology,
     geometric_intersection_number,
     is_boundary_parallel,
     is_null_homotopic,
@@ -62,6 +74,7 @@ from dehnkit.overlay import (
     minimal_position,
 )
 from dehnkit.presets import PRESET_NAMES, build_preset, torus_curve
+from dehnkit.reduction import reduce_pair
 from dehnkit.surface import CellSurface, EmbeddedCurve
 from dehnkit.twisting import TwistWord, apply_twist
 from parabola import assert_matches_the_parabola
@@ -198,17 +211,20 @@ class TestTopologyCache:
         assert count_builds == [1]
 
     def test_respaced_curves_of_an_arrangement_share_it(self, count_builds):
+        # a1 pairs nonzero with the cocycle and builds nothing; bp1 pairs to
+        # 0 and builds its own arrangement
         oh = build_preset("one_holed_torus")
+        count_builds.clear()  # building the preset, when not yet cached
         a, b = (
             EmbeddedCurve(oh.surface, oh.curves[n].events, oriented=False)
             for n in ("a1", "bp1")
         )
         assert is_essential(a) and not is_essential(b)
         system = JointSystem(oh.surface, (a, b))
-        assert len(count_builds) == 3
+        assert count_builds == [1, 2]
         assert is_essential(system.renormalized_curve(0))
         assert is_boundary_parallel(system.renormalized_curve(1))
-        assert len(count_builds) == 3
+        assert count_builds == [1, 2]
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_answers_match_a_fresh_copy(self, name):
@@ -218,6 +234,67 @@ class TestTopologyCache:
             assert _answers(c) == want
             assert _answers(c.reverse()) == want
             assert _answers(c.with_orientation(not c.oriented)) == want
+
+
+def test_reducing_a_fresh_torus_pair_builds_no_single_curve_arrangement(count_builds):
+    # every splice that the reduction twists along pairs nonzero with the
+    # cocycle, so no essentiality test builds an arrangement of one curve
+    t = build_preset("torus").surface
+    count_builds.clear()
+    word, _, cls = reduce_pair(torus_curve(t, 2, 1), torus_curve(t, 3, 5))
+    assert word.letters and cls.tag in ("disjoint", "one_point")
+    assert count_builds and 1 not in count_builds
+
+
+def _fresh(c):
+    return EmbeddedCurve(c.surface, c.events, oriented=c.oriented)
+
+
+def test_a_curve_the_cocycle_decides_is_non_separating():
+    # Soundness of the cocycle shortcut against the regions of the curve's
+    # own arrangement, per family of curves; each family must meet the
+    # shortcut, or the oracle checks nothing.
+    decided = {}
+    non_separating = CurveTopology(False, False, False)
+
+    def check(family, *curves):
+        decided.setdefault(family, 0)
+        for c in map(_fresh, curves):
+            if _cocycle_decides(c):
+                decided[family] += 1
+                assert _region_topology(c) == non_separating, (family, c)
+
+    for name in ("torus", "one_holed_torus", "genus2_closed"):
+        check("preset", *build_preset(name).curves.values())
+    t = build_preset("torus").surface
+    for slopes in (((2, 1), (3, 5)), ((1, 4), (5, 2)), ((1, 0), (2, 7))):
+        word, _, _ = reduce_pair(*(torus_curve(t, *pq) for pq in slopes))
+        check("splice", *(c for c, _ in word.letters))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def twisted(data):
+        check("twisted", *_draw_twisted_pair(
+            data, ("torus", "one_holed_torus", "genus2_closed")))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def genus2(data):
+        check("genus2", *_draw_genus2_pair(data))
+
+    twisted()
+    genus2()
+    assert sorted(decided) == ["genus2", "preset", "splice", "twisted"]
+    assert all(decided.values()), decided
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_cocycle_decides_nothing_on_the_four_holed_sphere(data):
+    # its boundary-parallel curves and the separating a1 pair nonzero
+    ps = build_preset("four_holed_sphere")
+    curves = [*ps.curves.values(), *_draw_twisted_pair(data, ("four_holed_sphere",))]
+    assert not any(_cocycle_decides(_fresh(c)) for c in curves)
 
 
 @pytest.fixture
@@ -236,13 +313,13 @@ def count_cells(monkeypatch):
 
 def test_crossing_queries_build_no_cells(count_cells):
     # the torus pair 2/1, 3/5 has 7 crossings of one sign, so it is
-    # minimal as placed and nothing below reads a dart or a region
+    # minimal as placed and nothing below reads a dart or a region; both
+    # curves pair nonzero with the cocycle, so is_essential reads none either
     t = build_preset("torus").surface
     a = torus_curve(t, 2, 1).with_orientation(True)
     b = torus_curve(t, 3, 5).with_orientation(True)
-    assert is_essential(a) and count_cells == [1]
-    assert is_essential(b) and count_cells == [1, 1]
-    count_cells.clear()
+    assert is_essential(a) and is_essential(b)
+    assert count_cells == []
     assert minimal_position(a, b).crossing_count(0, 1) == 7
     assert geometric_intersection_number(a, b) == 7
     assert abs(algebraic_intersection(a, b)) == 7
@@ -579,6 +656,36 @@ def test_arc_matches_the_annulus_coordinate_formula():
                 assert system.arc(ci, x, y) == want, (ci, theta[x], theta[y])
             for x in theta:
                 assert system.arc(ci, x, x) == []
+
+
+_SHIFTS = [Fraction(1, 4)] + [s * Fraction(k, 3 * depth) for depth in (1, 2, 3)
+                              for k in range(1, depth + 1) for s in (1, -1)]
+
+
+def _assert_beside_matches_the_reference(a, b):
+    """beside against p + d*h/(m + 1), the Fraction sum it replaced, for
+    the reduction splice's h and the bigon strands' shifts."""
+    system = JointSystem(a.surface, (a, b))
+    for ci in (0, 1):
+        for idx, (e, d, p) in enumerate(system.events[ci]):
+            m1 = len(system.edge_order[e]) + 1
+            _, _, k, got_m1 = system.joint_rank(ci, idx)
+            assert (got_m1, Fraction(k, m1)) == (m1, p)
+            for h in _SHIFTS:
+                assert system.beside(ci, idx, h) == (e, d, p + d * h / m1)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_beside_matches_the_reference_on_preset_pairs(name):
+    curves = list(dict.fromkeys(build_preset(name).curves.values()))
+    for pair in itertools.combinations(curves, 2):
+        _assert_beside_matches_the_reference(*pair)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_beside_matches_the_reference_on_genus2_pairs(data):
+    _assert_beside_matches_the_reference(*_draw_genus2_pair(data))
 
 
 def _assert_slots_name_their_darts(curves):

@@ -297,6 +297,14 @@ class TestCocycle:
         assert flow.pair(ps.curves["bp1"].with_orientation(True)) == 0
         assert flow.pair(ps.curves["a1"].with_orientation(True)) != 0
 
+    def test_it_pairs_nonzero_on_the_boundaries_of_a_four_holed_sphere(self):
+        # a relative cycle: with two or more boundary components a
+        # boundary-parallel curve can pair nonzero
+        ps = build_preset("four_holed_sphere")
+        flow = Flow("cocycle", ps.surface, ps.surface.cocycle)
+        for n in ("bp1", "bp2", "bp3", "bp4"):
+            assert flow.pair(ps.curves[n].with_orientation(True)) != 0
+
     def test_it_is_empty_without_a_nonzero_flow(self):
         # a disc: one face, no interior edge
         assert CellSurface(((("e", 1),),)).cocycle == {}

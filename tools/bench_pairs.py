@@ -16,10 +16,15 @@ that BENCHMARK.json declares; the base runs first in even pairs and the
 working tree first in odd ones, so drift in machine load favours neither.
 
 For every workload the output file records, per end-to-end metric of
-BENCHMARK.json, the median and quartiles of each side and the number of
-pairs in which the working tree was strictly better, and per side the
-summed attempted and failed op counts of its runs. Workloads already in
-the file and not run again are kept.
+BENCHMARK.json, the median and quartiles of each side, the number of
+pairs in which the working tree was strictly better and a verdict, and
+per side the summed attempted and failed op counts of its runs. The
+verdict is `gain` when the working tree wins at least 9 of every 10 pairs
+and its median is better than the base's by more than the base's
+interquartile range, `worse` when its median is worse than the base's by
+more than the metric's relative bound, and `within bound` otherwise. One
+line per workload prints the verdicts. Workloads already in the file and
+not run again are kept.
 """
 
 from __future__ import annotations
@@ -81,6 +86,21 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(better: str, bound: float, base: dict, change: dict, wins: int,
+            pairs: int) -> str:
+    """`gain`, `worse` or `within bound` for one metric (see the module
+    docstring); base and change are `summarize` results."""
+    # how much better the change's median is, in the metric's unit
+    lead = change["median"] - base["median"]
+    if better == "lower":
+        lead = -lead
+    if 10 * wins >= 9 * pairs and lead > base["q3"] - base["q1"]:
+        return "gain"
+    if -lead > bound * abs(base["median"]):
+        return "worse"
+    return "within bound"
+
+
 def compare(metrics: list[dict], base_runs: list[dict], change_runs: list[dict]) -> dict:
     out = {}
     for m in metrics:
@@ -91,14 +111,25 @@ def compare(metrics: list[dict], base_runs: list[dict], change_runs: list[dict])
             wins = sum(c < b for b, c in zip(base, change))
         else:
             wins = sum(c > b for b, c in zip(base, change))
+        base_sum, change_sum = summarize(base), summarize(change)
         out[name] = {
             "unit": m["unit"],
             "better": m["better"],
-            "base": summarize(base),
-            "change": summarize(change),
+            "base": base_sum,
+            "change": change_sum,
             "change_wins": wins,
+            "verdict": verdict(m["better"], m["bound"], base_sum, change_sum,
+                               wins, len(base)),
         }
     return out
+
+
+def verdict_line(workload: str, metrics: dict, pairs: int) -> str:
+    """One line: each metric's verdict, pairs won and medians."""
+    return f"{workload}: " + "; ".join(
+        f"{name} {m['verdict']} ({m['change_wins']}/{pairs}, "
+        f"{m['base']['median']:.4g} -> {m['change']['median']:.4g})"
+        for name, m in metrics.items())
 
 
 def main(argv=None) -> int:
@@ -150,6 +181,8 @@ def main(argv=None) -> int:
                 "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
                 "metrics": compare(spec["end_to_end"], runs["base"], runs["change"]),
             }
+            print(verdict_line(workload, report["workloads"][workload]["metrics"],
+                               args.pairs))
     report["workloads"] = dict(sorted(report["workloads"].items()))
     out_path.write_text(json.dumps(report, indent=1) + "\n")
     return 0
