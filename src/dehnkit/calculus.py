@@ -59,7 +59,7 @@ def algebraic_intersection(a: EmbeddedCurve, b: EmbeddedCurve) -> int:
     if a.surface != b.surface:
         raise PreconditionError("curves live on different surfaces")
     system = JointSystem(a.surface, (a, b))
-    return sum(c.sign for c in system.crossings_between(0, 1))
+    return sum(c.sign for c in system.crossings)
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,22 @@ def pair_class(system: JointSystem) -> PairClass:
     The algebraic intersection, needed only at two crossings, is the sum of
     the crossing signs: bigon removal keeps it, so any position gives it.
     """
-    k = system.crossing_count(0, 1)
+    k = len(system.crossings)
     if k == 0:
         return PairClass("disjoint", 0)
     if k == 1:
         return PairClass("one_point", 1)
-    if k == 2 and sum(c.sign for c in system.crossings_between(0, 1)) == 0:
+    if k == 2 and sum(c.sign for c in system.crossings) == 0:
         return PairClass("two_zero", 2)
     return PairClass("other", k)
 
 
-def classify_pair(a: EmbeddedCurve, b: EmbeddedCurve) -> PairClass:
+def _classified(a: EmbeddedCurve, b: EmbeddedCurve) -> tuple[PairClass, JointSystem]:
+    """(PairClass, minimal-position arrangement) of an essential pair."""
     _require_essential(a, b)
-    return pair_class(_joint_minimal_position(a, b))
+    system = _joint_minimal_position(a, b)
+    return pair_class(system), system
+
+
+def classify_pair(a: EmbeddedCurve, b: EmbeddedCurve) -> PairClass:
+    return _classified(a, b)[0]

@@ -67,7 +67,7 @@ def find_connector_curve(a: EmbeddedCurve, a_prime: EmbeddedCurve,
         raise PreconditionError(f"pair class {cls.tag} admits no connector step")
 
     system = JointSystem(a.surface, (a, a_prime, *avoid))
-    c = connecting_curve(system, 0, 1, max_candidates=CONNECTOR_BUDGET)
+    c = connecting_curve(system, 1, max_candidates=CONNECTOR_BUDGET)
     if c is None:
         raise BudgetExceededError(
             "no connector routes through the joint complement", budget=CONNECTOR_BUDGET
@@ -144,22 +144,24 @@ def _orientation_partner(sys: PantsSystem, i: int, frozen):
     """A curve crossing pants curve i once and missing every frozen curve.
 
     Stored system curves are preferred; otherwise the partner is routed
-    through the complement of pants curve i and the frozen curves.
+    through the complement of pants curve i and the frozen curves.  Only
+    stored curves that can cross a_i once are tried: pants curves are
+    pairwise disjoint, and dual j misses every pants curve but a_j (the
+    pants system checks both when it is built), so the pool is partner i,
+    dual i when it crosses a_i once, then the other partners.
     """
     a_i = sys.pants_curves[i]
-    pool = []
-    if i in sys.partners:
-        pool.append(sys.partners[i])
-    pool.extend(sys.dual_curves)
-    pool.extend(sys.partners.values())
-    pool.extend(sys.pants_curves)
+    pool = [sys.partners[i]] if i in sys.partners else []
+    if sys.dual_counts[i] == 1:
+        pool.append(sys.dual_for(i))
+    pool.extend(p for k, p in sys.partners.items() if k != i)
     for cand in pool:
         if geometric_intersection(cand, a_i) != 1:
             continue
         if all(geometric_intersection(cand, fr) == 0 for fr in frozen):
             return cand
     system = JointSystem(sys.surface, (a_i, *frozen))
-    return connecting_curve(system, 0)
+    return connecting_curve(system)
 
 
 def _filling_family(sys: PantsSystem):
@@ -203,7 +205,7 @@ def _exponents_from_images(sys: PantsSystem, pants_images, dual_images):
         base = sys.dual_counts[i]
         _require_essential(img, b_i)
         pair = minimal_position(img, b_i)
-        k = pair.crossing_count(0, 1)
+        k = len(pair.crossings)
         # what the checks below read, and so what replays them
         replay = (sys.surface, (a_i, b_i, img))
         outside = "residual is not in the pants-twist subgroup"

@@ -48,10 +48,16 @@ the same (e, gap) are glued; each is the other's partner.  A chord dart
 is labelled ("C", curve, gap, k, fwd), the k-th segment of the chord of
 that curve gap.
 
+In a pair, the common case, `crossings` are exactly the pair's crossings,
+since chords of one curve never cross; in a larger system they are all of
+them.  The bigon queries (certifies_no_bigon, find_bigons, bigon_stack,
+reroute_through_bigons) read curves 0 and 1 only: curve 0 stays put and
+curve 1 moves.
+
 That is enough to recognise discs, annuli and bigons.  Minimal position
-removes bigons by pushing one curve across them.  A round whose pair is
+removes bigons by pushing curve 1 across them.  A round whose pair is
 bigon-free builds no darts and no regions when the crossings prove it:
-all of one sign, or every loop that could bound a bigon pairing nonzero
+at most one sign, or every loop that could bound a bigon pairing nonzero
 with the surface's cocycle (JointSystem.certifies_no_bigon).  A bigon
 and the rectangles stacked on it are again a bigon, so they are pushed
 across together: the stack grows across the stationary side first and then
@@ -74,7 +80,8 @@ separating) are answered together and cached on the curve and on its
 isotopic copies.  On a surface with at most one boundary component, a
 curve that pairs nonzero with the surface's cocycle is non-separating,
 hence neither of the others, and builds nothing; every other curve is
-answered from the regions of one arrangement of its own.
+answered from the regions of one arrangement of its own.  These and
+isotopy read boundary circuits through one classifier, _circuit_side.
 """
 
 from __future__ import annotations
@@ -130,10 +137,16 @@ _CELL_NAMES = frozenset((
     "region_of_cell", "regions",
 ))
 
+# the curves of the runs round a bigon, and round a rectangle, of curves 0, 1
+_BIGONS = ([0, 1], [1, 0])
+_RECTANGLES = ([0, 1, 0, 1], [1, 0, 1, 0])
+
 
 class JointSystem:
     """Exact arrangement of one or more curves on a common surface.
 
+    In a pair `crossings` are exactly the pair's crossings, and the bigon
+    queries move curve 1 against a stationary curve 0 (module docstring).
     Construction runs the frame, chords and crossings phases and records
     each crossing's slots: that is all the crossing queries, `arc`,
     `beside` and the twist read.  The darts and regions phases run on the
@@ -562,18 +575,11 @@ class JointSystem:
     def dart_label(self, did: int) -> tuple:
         return self._labels[did]
 
-    def crossings_between(self, i: int, j: int) -> list[Crossing]:
-        i, j = min(i, j), max(i, j)
-        return [c for c in self.crossings if (c.curve_i, c.curve_j) == (i, j)]
-
     def renormalized_curve(self, i: int) -> EmbeddedCurve:
         """Curve i with its events respaced to the joint coordinate frame."""
         return EmbeddedCurve._respaced(
             self.surface, tuple(self.events[i]), self.curves[i]
         )
-
-    def crossing_count(self, i: int, j: int) -> int:
-        return len(self.crossings_between(i, j))
 
     def _slot(self, ci: int, x: Crossing) -> tuple[int, int]:
         """(gap, r): x is the r-th crossing on that gap of curve ci."""
@@ -703,26 +709,23 @@ class JointSystem:
                 return False
         return True
 
-    def find_bigons(self, i: int, j: int) -> list[Region]:
-        """Innermost discs bounded by one run of curve i and one of curve j."""
+    def find_bigons(self) -> list[Region]:
+        """Innermost discs bounded by one run of curve 0 and one of curve 1."""
         return [reg for reg, runs in zip(self.regions, self._disc_runs)
-                if runs is not None and len(runs) == 2
-                and {runs[0][0], runs[1][0]} == {i, j}]
+                if runs is not None and [c for c, _ in runs] in _BIGONS]
 
     # ------------------------------------------------------------------
     # bigon removal
 
-    def _bigon_runs(self, region: Region, move: int) -> tuple[list, list]:
-        """(stationary run, moving run) of a bigon, as dart lists."""
+    def _bigon_runs(self, region: Region) -> tuple[list, list]:
+        """(run of curve 0, run of curve 1) of a bigon, as dart lists."""
         runs = self._disc_runs[region.index]
-        if runs is None or len(runs) != 2 or None in {runs[0][0], runs[1][0]}:
-            raise PreconditionError("region is not a bigon")
-        (ca, a_run), (cb, b_run) = runs if runs[1][0] == move else runs[::-1]
-        if cb != move or ca == move:
-            raise PreconditionError(f"bigon does not involve curve {move}")
+        if runs is None or [c for c, _ in runs] not in _BIGONS:
+            raise PreconditionError("region is not a bigon of curves 0 and 1")
+        (_, a_run), (_, b_run) = runs if runs[0][0] == 0 else runs[::-1]
         return a_run, b_run
 
-    def bigon_stack(self, region: Region, move: int) -> list[tuple[list, list]]:
+    def bigon_stack(self, region: Region) -> list[tuple[list, list]]:
         """The bigons nested around an innermost bigon, innermost first.
 
         Returns (stationary runs, moving run) for each bigon of the stack.
@@ -745,7 +748,7 @@ class JointSystem:
         A grid of nested rectangles is peeled in one round this way, and
         every strand of the stack clears all of the stationary runs.
         """
-        a_run, b_run = self._bigon_runs(region, move)
+        a_run, b_run = self._bigon_runs(region)
         seen = {region.index}
         # a run is kept as its pieces between crossings
         cleared, b_pieces = [[a_run]], [b_run]
@@ -774,8 +777,6 @@ class JointSystem:
         rectangles taken join `seen`.
         """
         labels = self._labels
-        cs, co = labels[side[0][0]][1], labels[others[0][0][0]][1]
-        shapes = ([cs, co] * 2, [co, cs] * 2)
         taken: list[int] = []
         far: list[list] = []
         ending: dict[int, list] = {}  # crossing -> the rectangle side ending there
@@ -784,7 +785,7 @@ class JointSystem:
             nxt = self.region_of_cell[self._cell_of[piece[0] ^ 1]]
             rect = self._disc_runs[nxt]
             if (nxt in seen or nxt in taken or rect is None
-                    or [c for c, _ in rect] not in shapes):
+                    or [c for c, _ in rect] not in _RECTANGLES):
                 return None
             twins = sorted(d ^ 1 for d in piece)
             k = next((k for k, (_, darts) in enumerate(rect)
@@ -827,52 +828,51 @@ class JointSystem:
         P, Q = self.crossings[p], self.crossings[q]
         return P, Q, self.arc(ci, P, Q) if fwd else self.arc(ci, Q, P)
 
-    def _bigon_splice(self, runs_a: list, darts_b: list, move: int, shift: Fraction):
-        """Splice data for pushing curve `move`'s side of a bigon across.
+    def _bigon_splice(self, runs_a: list, darts_b: list, shift: Fraction):
+        """Splice data for pushing curve 1's side of a bigon across.
 
-        The bigon is given by its runs of darts in circuit order, the
-        stationary curve's and the moving curve's; the last stationary run
-        goes from corner P to corner Q and the moving run back from Q to P.
-        Returns (g_enter, m, new_events, a_used): the moved curve keeps its
-        event at gap g_enter, drops the next m events and runs new_events in
-        their place; a_used names the stationary curve's events that the
-        replacement strand shadows or clears, those of every run in runs_a.
-        Each replacement event is the stationary curve's event moved `shift`
-        joint spacings to the far side (see beside).
+        The bigon is given by its runs of darts in circuit order, curve 0's
+        and curve 1's; the last run of curve 0 goes from corner P to corner
+        Q and the run of curve 1 back from Q to P.  Returns (g_enter, m,
+        new_events, a_used): curve 1 keeps its event at gap g_enter, drops
+        the next m events and runs new_events in their place; a_used holds
+        the event indices of curve 0 that the replacement strand shadows or
+        clears, those of every run in runs_a.  Each replacement event is
+        curve 0's event moved `shift` joint spacings to the far side (see
+        beside).
         """
-        cb = move
         darts_a = runs_a[-1]
-        _, ca, _, _, a_fwd = self._labels[darts_a[0]]
+        a_fwd = self._labels[darts_a[0]][4]
         b_fwd = self._labels[darts_b[0]][4]
         P, Q, a_arc = self._run_arc(darts_a)
-        # b_arc: the events the moving run drops, in cb's own order
+        # b_arc: the events the moving run drops, in curve 1's own order
         Q_b, P_b, b_arc = self._run_arc(darts_b)
         if (Q_b.node, P_b.node) != (Q.node, P.node):
             raise ComputationError("bigon runs do not share their corners",
                                    self.surface, self.curves)
 
-        # In cb's own direction the run enters at one corner and leaves at
-        # the other; the replacement strand walks ca's side between them,
-        # along ca iff exactly one of the runs follows its curve.
+        # In curve 1's own direction the run enters at one corner and leaves
+        # at the other; the replacement strand walks curve 0's side between
+        # them, along curve 0 iff exactly one of the runs follows its curve.
         enter = Q if b_fwd else P
         along_a = a_fwd != b_fwd
         walk = a_arc if along_a else a_arc[::-1]
-        # The bigon sits on ca's left iff its run is forward; the rerouted
-        # strand is pushed across ca to the far side.
+        # The bigon sits on curve 0's left iff its run is forward; the
+        # rerouted strand is pushed across curve 0 to the far side.
         h = -shift if a_fwd else shift
         new_events: list[tuple[str, int, Fraction]] = []
         for ev_idx in walk:
-            e, d_a, p = self.beside(ca, ev_idx, h)
+            e, d_a, p = self.beside(0, ev_idx, h)
             new_events.append((e, d_a if along_a else -d_a, p))
 
         inner = [ev for run in runs_a[:-1] for ev in self._run_arc(run)[2]]
-        a_used = frozenset((ca, ev) for ev in inner + a_arc)
-        return self._slot(cb, enter)[0], len(b_arc), new_events, a_used
+        a_used = frozenset(inner + a_arc)
+        return self._slot(1, enter)[0], len(b_arc), new_events, a_used
 
     def reroute_through_bigons(
-        self, regions: Sequence[Region], move: int
+        self, regions: Sequence[Region]
     ) -> tuple[EmbeddedCurve, int]:
-        """Push curve `move` across several independent bigons at once.
+        """Push curve 1 across several independent bigons with curve 0 at once.
 
         Each innermost bigon brings the stack of bigons nested around it
         (see bigon_stack), and every strand of the stack is pushed across
@@ -888,19 +888,19 @@ class JointSystem:
         of stationary runs the taken strands clear; a strand that clears r
         runs drops the raw crossing count by exactly 2r.
         """
-        nb = len(self.curves[move].events)
-        stacks = [self.bigon_stack(region, move) for region in regions]
+        nb = len(self.curves[1].events)
+        stacks = [self.bigon_stack(region) for region in regions]
         stacks.sort(key=lambda stack: -sum(len(runs_a) for runs_a, _ in stack))
         splices: list[tuple[int, int, list]] = []
         cleared = 0
         used_b: set[int] = set()
-        used_a: set = set()
+        used_a: set[int] = set()
         for stack in stacks:
             depth = len(stack)
-            stack_a: set = set()
+            stack_a: set[int] = set()
             for i, (runs_a, darts_b) in enumerate(stack):
                 g, m, new_events, a_used = self._bigon_splice(
-                    runs_a, darts_b, move, Fraction(depth - i, 3 * depth)
+                    runs_a, darts_b, Fraction(depth - i, 3 * depth)
                 )
                 if m >= nb:
                     # Run wraps the whole curve: every old event is replaced.
@@ -912,7 +912,7 @@ class JointSystem:
                             self.surface, self.curves)
                     whole = EmbeddedCurve(
                         self.surface, tuple(new_events),
-                        oriented=self.curves[move].oriented,
+                        oriented=self.curves[1].oriented,
                     )
                     return whole, len(runs_a)
                 block = {(g + t) % nb for t in range(m + 1)}
@@ -925,7 +925,7 @@ class JointSystem:
                 stack_a |= a_used
             used_a |= stack_a
 
-        joint_b = self.events[move]
+        joint_b = self.events[1]
         skip = {g: (m, evs) for g, m, evs in splices}
         out: list[tuple[str, int, Fraction]] = []
         t = splices[0][0]
@@ -942,7 +942,7 @@ class JointSystem:
                 t += 1
                 steps += 1
         curve = EmbeddedCurve(
-            self.surface, tuple(out), oriented=self.curves[move].oriented
+            self.surface, tuple(out), oriented=self.curves[1].oriented
         )
         return curve, cleared
 
@@ -965,8 +965,8 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
     must be respaced to that frame as well or the new points land on the
     wrong side of it.
     The common case returns after one arrangement build, with only its
-    crossings made, by one of three exits: no crossings; all crossings of
-    one sign; or crossings of both signs that the cocycle certifies
+    crossings made, by one of two exits: crossings of at most one sign,
+    none included; or crossings of both signs that the cocycle certifies
     bigon-free (JointSystem.certifies_no_bigon).  The darts and regions of
     an arrangement are built only when a round's certificate fails and it
     looks for bigons, or when a caller reads them.
@@ -994,22 +994,20 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
     expect = None
     while True:
         system = JointSystem(a.surface, (a, b))
-        k = system.crossing_count(0, 1)
+        k = len(system.crossings)
         if expect is not None and k != expect:
             raise ComputationError(
                 f"bigon removal changed crossings to {k}", a.surface, pair
             )
-        if k == 0:
+        signs = {c.sign for c in system.crossings}
+        if len(signs) <= 1 or system.certifies_no_bigon():
             return system
-        signs = {c.sign for c in system.crossings_between(0, 1)}
-        if len(signs) == 1 or system.certifies_no_bigon():
-            return system
-        bigons = system.find_bigons(0, 1)
+        bigons = system.find_bigons()
         if not bigons:
             return system
         a = system.renormalized_curve(0)
         try:
-            b, removed = system.reroute_through_bigons(bigons, move=1)
+            b, removed = system.reroute_through_bigons(bigons)
         except ValidationError as exc:
             raise ComputationError(
                 f"bigon reroute did not assemble: {exc}", a.surface, pair
@@ -1018,19 +1016,34 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
 
 
 def geometric_intersection_number(a: EmbeddedCurve, b: EmbeddedCurve) -> int:
-    return minimal_position(a, b).crossing_count(0, 1)
+    return len(minimal_position(a, b).crossings)
 
 
 # ----------------------------------------------------------------------
 # region-based predicates (single curve)
 
 
-def _full_copy_circuit(system: JointSystem, circuit, curve: int) -> bool:
-    """Circuit consisting of one full traversal of `curve`, no other darts."""
-    labels = [system.dart_label(d) for d in circuit]
-    if any(l[0] != "C" or l[1] != curve for l in labels):
-        return False
-    return len(labels) == len(system.curves[curve].events)
+def _circuit_side(system: JointSystem, circuit):
+    """What a boundary circuit runs along: "B" when it is surface boundary
+    only, i when it is one full traversal of curve i, else None."""
+    sides = {lab[1] if lab[0] == "C" else "B"
+             for lab in map(system.dart_label, circuit)}
+    if len(sides) != 1:
+        return None
+    (side,) = sides
+    if side == "B" or len(circuit) == len(system.curves[side].events):
+        return side
+    return None
+
+
+def _region_with(system: JointSystem, chi: int, sides: set) -> Optional[Region]:
+    """The first region of Euler characteristic chi with one boundary
+    circuit of each side in `sides` (_circuit_side), or None."""
+    for reg in system.regions:
+        if (reg.chi == chi and len(reg.circuits) == len(sides)
+                and {_circuit_side(system, c) for c in reg.circuits} == sides):
+            return reg
+    return None
 
 
 @dataclass(frozen=True)
@@ -1042,33 +1055,6 @@ class CurveTopology:
     separating: bool  # its complement has two regions
 
 
-def _bounds_disc(system: JointSystem) -> bool:
-    return any(
-        reg.is_disc and len(reg.circuits) == 1
-        and _full_copy_circuit(system, reg.circuits[0], 0)
-        for reg in system.regions
-    )
-
-
-def _cobounds_collar(system: JointSystem) -> bool:
-    for reg in system.regions:
-        if not reg.is_annulus:
-            continue
-        sides = []
-        for circuit in reg.circuits:
-            labels = [system.dart_label(d) for d in circuit]
-            kinds = {l[0] for l in labels}
-            if kinds == {"C"} and _full_copy_circuit(system, circuit, 0):
-                sides.append("curve")
-            elif kinds == {"B"}:
-                sides.append("boundary")
-            else:
-                sides.append("mixed")
-        if sorted(sides) == ["boundary", "curve"]:
-            return True
-    return False
-
-
 _NON_SEPARATING = CurveTopology(False, False, False)
 
 
@@ -1076,8 +1062,8 @@ def _region_topology(c: EmbeddedCurve) -> CurveTopology:
     """Topology of c read off the regions of its own arrangement."""
     system = JointSystem(c.surface, (c,))
     return CurveTopology(
-        null_homotopic=_bounds_disc(system),
-        boundary_parallel=_cobounds_collar(system),
+        null_homotopic=_region_with(system, 1, {0}) is not None,
+        boundary_parallel=_region_with(system, 0, {0, "B"}) is not None,
         separating=len(system.regions) == 2,
     )
 
@@ -1142,27 +1128,14 @@ def _isotopic_in(system: JointSystem, oriented: bool) -> bool:
     They are when they do not cross and cobound an annulus; with `oriented`
     their orientations must agree as well.
     """
-    if system.crossing_count(0, 1) != 0:
+    if system.crossings:
         return False
-    for reg in system.regions:
-        if not reg.is_annulus:
-            continue
-        found_a = found_b = None
-        for circuit in reg.circuits:
-            if _full_copy_circuit(system, circuit, 0):
-                found_a = circuit
-            elif _full_copy_circuit(system, circuit, 1):
-                found_b = circuit
-        if found_a is None or found_b is None:
-            continue
-        if not oriented:
-            return True
-        # With the region kept on the left, parallel same-oriented curves
-        # are walked in opposite senses (one forward, one backward).
-        sense_a = system.dart_label(found_a[0])[4]
-        sense_b = system.dart_label(found_b[0])[4]
-        return sense_a != sense_b
-    return False
+    reg = _region_with(system, 0, {0, 1})
+    if reg is None or not oriented:
+        return reg is not None
+    # With the region kept on the left, parallel same-oriented curves are
+    # walked in opposite senses (one forward, one backward).
+    return len({system.dart_label(c[0])[4] for c in reg.circuits}) == 2
 
 
 # ----------------------------------------------------------------------
@@ -1222,28 +1195,29 @@ def _disjoint_cell_paths(adj, sources, sinks):
     return [walk(s) for s in sources]
 
 
-def connecting_curve(system: JointSystem, i: int, j: Optional[int] = None,
+def connecting_curve(system: JointSystem, j: Optional[int] = None,
                      max_candidates: Optional[int] = None) -> Optional[EmbeddedCurve]:
-    """Embedded loop crossing system curves i and j once each, others never.
+    """Embedded loop crossing system curves 0 and j once each, others never.
 
     Such a loop meets the complement of the system in two arcs, each inside
-    a single region, pinned at one crossing with curve i and one with
-    curve j. Candidates pair a chord segment of i with one of j whose
-    flanking regions agree and whose four flank cells hold at least three
-    distinct cells.  The two arcs are cell-disjoint paths, one from each
-    flank cell of i's segment to a flank cell of j's segment, found by one
-    flow search (_disjoint_cell_paths) through glued edge intervals; the
-    loop is read off as one event per interval crossed.  A flank cell
-    shared by the two segments holds a whole arc, the straight piece from
-    the crossing with i to the crossing with j, and crosses no interval.
-    Cells are convex, each hosts at most one piece of the loop, and the
-    arcs never touch a chord, so the crossing counts are exactly 1, 1, and
-    0 by construction; a final check guards the bookkeeping. Returns None
-    when no candidate pairing routes, or after max_candidates candidates.
+    a single region, pinned at one crossing with curve 0 and one with
+    curve j.  Candidates pair a chord segment of curve 0 with one of curve
+    j whose flanking regions agree and whose four flank cells hold at least
+    three distinct cells.  The two arcs are cell-disjoint paths, one from
+    each flank cell of the first segment to a flank cell of the second,
+    found by one flow search (_disjoint_cell_paths) through glued edge
+    intervals; the loop is read off as one event per interval crossed.  A
+    flank cell shared by the two segments holds a whole arc, the straight
+    piece from the crossing with curve 0 to the crossing with curve j, and
+    crosses no interval.  Cells are convex, each hosts at most one piece
+    of the loop, and the arcs never touch a chord, so the crossing counts
+    are exactly 1, 1, and 0 by construction; a final check guards the
+    bookkeeping.  Returns None when no candidate pairing routes, or after
+    max_candidates candidates.
 
-    With j omitted the loop is pinned at a single crossing with curve i
-    and meets the complement in one arc, the path from one flank cell of
-    i's segment to the other.
+    With j omitted the loop crosses curve 0 once and no other curve: it is
+    pinned at a single crossing with curve 0 and meets the complement in
+    one arc, the path from one flank cell of the segment to the other.
     """
     labels = system._labels
     partner = system._partner
@@ -1283,12 +1257,12 @@ def connecting_curve(system: JointSystem, i: int, j: Optional[int] = None,
         except ValidationError:
             return None
         for m, cm in enumerate(system.curves):
-            if geometric_intersection_number(c, cm) != (1 if m in (i, j) else 0):
+            if geometric_intersection_number(c, cm) != (1 if m in (0, j) else 0):
                 return None
         return c.renormalized()
 
     def candidates():
-        for af, ab in flanks(i):
+        for af, ab in flanks(0):
             if j is None:
                 if region_of[af] == region_of[ab]:
                     yield (af,), (ab,)

@@ -203,11 +203,11 @@ def _build_pants(surface, interior, boundary, duals, partners) -> PantsSystem:
     for i, d in enumerate(duals):
         for j, a in enumerate(curves):
             pair = minimal_position(d, a)
-            k = pair.crossing_count(0, 1)
+            k = len(pair.crossings)
             if j == i:
                 dual_counts.append(k)
                 if k == 2:
-                    signs = sorted(c.sign for c in pair.crossings_between(0, 1))
+                    signs = sorted(c.sign for c in pair.crossings)
                     if signs != [-1, 1]:
                         raise ComputationError(
                             f"dual {i} meets its curve twice with equal signs"

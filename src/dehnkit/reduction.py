@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .calculus import _require_essential, is_essential, pair_class
+from .calculus import _classified, is_essential, pair_class
 from .errors import ComputationError, ValidationError
 from .overlay import minimal_position as _joint_minimal_position
 from .surface import EmbeddedCurve
@@ -89,7 +89,7 @@ def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system):
     arrangement is that of (a, twisted b), left over from the descent check,
     so the next step can start from it.
     """
-    count = system.crossing_count(0, 1)
+    count = len(system.crossings)
     surf = a.surface
     for x, y in _pair_priority(system.crossing_order_along(0)):
         events = _candidate_events(system, x, y, x.sign < 0)
@@ -101,19 +101,12 @@ def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system):
             continue
         twisted = apply_twist(c, 1, b)
         descent = _joint_minimal_position(a, twisted)
-        if descent.crossing_count(0, 1) >= count:
+        if len(descent.crossings) >= count:
             raise ComputationError(
                 "twist along the splice did not descend", surf, (a, b)
             )
         return c.renormalized(), twisted, descent
     raise ComputationError("no splice closed up into a usable curve", surf, (a, b))
-
-
-def _classify(a: EmbeddedCurve, b: EmbeddedCurve):
-    """(PairClass, minimal-position arrangement) of an essential pair."""
-    _require_essential(a, b)
-    system = _joint_minimal_position(a, b)
-    return pair_class(system), system
 
 
 def reduce_pair(a: EmbeddedCurve, b: EmbeddedCurve):
@@ -136,7 +129,7 @@ def _reduce_counted(a: EmbeddedCurve, b: EmbeddedCurve):
     The count is read off the arrangement that classifies (a, b), so a
     caller that needs it solves the pair once.
     """
-    cls, system = _classify(a, b)
+    cls, system = _classified(a, b)
     letters = []
     b_cur = b
     bound = cls.count

@@ -106,8 +106,7 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
     if n == 0:
         return b
     system = _joint_minimal_position(a, b)
-    crossings = system.crossings_between(0, 1)
-    if not crossings:
+    if not system.crossings:
         return b
 
     surf = a.surface

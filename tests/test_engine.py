@@ -166,7 +166,7 @@ def test_a_bigon_splice_error_carries_its_arrangement(monkeypatch):
     assert err.surface is a.surface and err.curves == (a, b)
     system = JointSystem(err.surface, err.curves)
     with pytest.raises(ComputationError) as replayed:
-        system.reroute_through_bigons(system.find_bigons(0, 1), move=1)
+        system.reroute_through_bigons(system.find_bigons())
     assert str(replayed.value) == str(err)
 
 
@@ -320,7 +320,7 @@ def test_crossing_queries_build_no_cells(count_cells):
     b = torus_curve(t, 3, 5).with_orientation(True)
     assert is_essential(a) and is_essential(b)
     assert count_cells == []
-    assert minimal_position(a, b).crossing_count(0, 1) == 7
+    assert len(minimal_position(a, b).crossings) == 7
     assert geometric_intersection_number(a, b) == 7
     assert abs(algebraic_intersection(a, b)) == 7
     apply_twist(a, 1, b)
@@ -336,7 +336,7 @@ def test_a_certified_pair_builds_no_cells(count_cells):
     system = JointSystem(a.surface, (a, b))
     assert sorted(x.sign for x in system.crossings) == [-1, 1]
     count_cells.clear()
-    assert minimal_position(a, b).crossing_count(0, 1) == 2
+    assert len(minimal_position(a, b).crossings) == 2
     assert count_cells == []
     assert geometric_intersection_number(a, b) == 2
     assert count_cells == []
@@ -375,18 +375,18 @@ def _one_bigon_per_round(a, b):
     """Crossing count left by peeling a single innermost bigon per build."""
     with pytest.MonkeyPatch.context() as patch:
         # a stack of one: the innermost bigon alone, clearing its own side
-        def innermost(self, region, move):
-            a_run, b_run = self._bigon_runs(region, move)
+        def innermost(self, region):
+            a_run, b_run = self._bigon_runs(region)
             return [([a_run], b_run)]
 
         patch.setattr(JointSystem, "bigon_stack", innermost)
         while True:
             system = JointSystem(a.surface, (a, b))
-            bigons = system.find_bigons(0, 1)
+            bigons = system.find_bigons()
             if not bigons:
-                return system.crossing_count(0, 1)
+                return len(system.crossings)
             a = system.renormalized_curve(0)
-            b, _ = system.reroute_through_bigons(bigons[:1], move=1)
+            b, _ = system.reroute_through_bigons(bigons[:1])
 
 
 def test_a_bigon_stack_is_peeled_in_one_round(count_builds):
@@ -397,7 +397,7 @@ def test_a_bigon_stack_is_peeled_in_one_round(count_builds):
     count_builds.clear()
     system = minimal_position(a, b)
     assert len(count_builds) <= 3
-    assert system.crossing_count(0, 1) == _one_bigon_per_round(a, b) == 44
+    assert len(system.crossings) == _one_bigon_per_round(a, b) == 44
 
 
 CHAIN_PARTNERS = ("a1", "a2", "t1", "t2")
@@ -427,7 +427,7 @@ def _replayed_pair(data):
 def test_a_rectangle_across_the_stationary_side_is_cleared_too(word):
     a, b = _replayed_pair(BIGON_2B_PAIRS[word])
     want = _one_bigon_per_round(a, b)
-    assert minimal_position(a, b).crossing_count(0, 1) == want
+    assert len(minimal_position(a, b).crossings) == want
 
 
 # The read-off's isotopy test of D_a2^-9(dual2) against the dual image in
@@ -444,7 +444,7 @@ def test_a_grid_of_rectangles_is_peeled_in_few_rounds(count_builds):
     a, b = _replayed_pair(data)
     want = _one_bigon_per_round(a, b)
     count_builds.clear()
-    assert minimal_position(a, b).crossing_count(0, 1) == want == 0
+    assert len(minimal_position(a, b).crossings) == want == 0
     assert len(count_builds) <= 7
 
 
@@ -476,8 +476,8 @@ def _draw_genus2_pair(data):
 def test_minimal_position_reaches_the_one_bigon_per_round_count(data):
     a, b = _draw_genus2_pair(data)
     want = _one_bigon_per_round(a, b)
-    assert minimal_position(a, b).crossing_count(0, 1) == want
-    assert minimal_position(b, a).crossing_count(0, 1) == want
+    assert len(minimal_position(a, b).crossings) == want
+    assert len(minimal_position(b, a).crossings) == want
 
 
 def _rounds_of(a, b):
@@ -505,7 +505,7 @@ def test_a_certified_round_has_no_bigon():
             for system in _rounds_of(*pair):
                 if system.certifies_no_bigon():
                     certified.append(system)
-                    assert system.find_bigons(0, 1) == []
+                    assert system.find_bigons() == []
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -533,7 +533,7 @@ def test_the_replayed_bigon_pairs_are_not_certified(data):
     a, b = _replayed_pair(data)
     system = JointSystem(a.surface, (a, b))
     assert not system.certifies_no_bigon()
-    assert system.find_bigons(0, 1)
+    assert system.find_bigons()
 
 
 def test_the_largest_bench_factorization_takes_few_builds(count_builds):

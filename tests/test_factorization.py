@@ -160,12 +160,44 @@ def test_connector_arrangements_match_the_parabola(g, monkeypatch):
 def test_routed_orientation_partner_misses_the_frozen_curve(g):
     # factorize's fallback for a2 once a1 is frozen: no stored curve crosses
     # a2 once while missing a1, so the partner is routed around a1
-    c = connecting_curve(JointSystem(g["a2"].surface, (g["a2"], g["a1"])), 0)
+    c = connecting_curve(JointSystem(g["a2"].surface, (g["a2"], g["a1"])))
     assert geometric_intersection_number(c, g["a2"]) == 1
     assert geometric_intersection_number(c, g["a1"]) == 0
     assert factorization._orientation_partner(
         build_preset("genus2_closed").pants, 1, (g["a1"],)
     ) == c
+
+
+@pytest.mark.parametrize("name, i, want", [
+    ("one_holed_torus", 0, "dual1"),
+    ("four_holed_sphere", 0, None),  # a1 separates: nothing crosses it once
+    ("genus2_closed", 0, "t1"),
+    ("genus2_closed", 1, "routed"),
+    ("genus2_closed", 2, None),  # a3 separates the complement of a1, a2
+])
+def test_orientation_partner_tries_only_curves_that_can_cross_once(
+        monkeypatch, name, i, want):
+    ps = build_preset(name)
+    pants = ps.pants
+    frozen = pants.pants_curves[:i]
+    tried = []
+    count = factorization.geometric_intersection
+
+    def counted(a, b):
+        tried.append(a)
+        return count(a, b)
+
+    monkeypatch.setattr(factorization, "geometric_intersection", counted)
+    partner = factorization._orientation_partner(pants, i, frozen)
+    # pants curves are pairwise disjoint, so none is ever a candidate
+    assert not any(c is p for c in tried for p in pants.pants_curves)
+    if want is None:
+        assert partner is None
+    elif want == "routed":
+        assert geometric_intersection_number(partner, pants.pants_curves[i]) == 1
+        assert all(geometric_intersection_number(partner, fr) == 0 for fr in frozen)
+    else:
+        assert partner == ps.curve(want)
 
 
 def test_a_bigon_removal_error_replays_from_its_json(monkeypatch):
@@ -174,8 +206,8 @@ def test_a_bigon_removal_error_replays_from_its_json(monkeypatch):
     # this factorization, and the pair it carries trips it again
     reroute = JointSystem.reroute_through_bigons
 
-    def overcounted(self, regions, move):
-        curve, cleared = reroute(self, regions, move)
+    def overcounted(self, regions):
+        curve, cleared = reroute(self, regions)
         return curve, cleared + 1
 
     monkeypatch.setattr(JointSystem, "reroute_through_bigons", overcounted)

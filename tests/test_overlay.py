@@ -6,6 +6,9 @@ event lists) was derived by drawing the curves in the flat square picture.
 
 from fractions import Fraction
 
+import pytest
+
+from dehnkit.errors import PreconditionError
 from dehnkit.overlay import (
     JointSystem,
     curves_isotopic,
@@ -47,21 +50,21 @@ class TestArrangement:
     def test_transverse_pair_crossing_and_sign(self):
         s = torus()
         sysm = JointSystem(s, (line(s, 1, 0), line(s, 0, 1)))
-        assert sysm.crossing_count(0, 1) == 1
-        assert [c.sign for c in sysm.crossings_between(0, 1)] == [1]
+        assert len(sysm.crossings) == 1
+        assert [c.sign for c in sysm.crossings] == [1]
 
     def test_chirality_flips_crossing_sign(self):
         s = CellSurface(MIRRORED_TORUS)
         sysm = JointSystem(s, (line(s, 1, 0), line(s, 0, 1)))
-        assert [c.sign for c in sysm.crossings_between(0, 1)] == [-1]
+        assert [c.sign for c in sysm.crossings] == [-1]
 
     def test_diagonal_pair(self):
         s = torus()
         sysm = JointSystem(s, (line(s, 1, 1), line(s, 1, -1)))
-        assert sysm.crossing_count(0, 1) == 2
+        assert len(sysm.crossings) == 2
         # algebraically -2 against the standard pairing, and both crossings
         # carry one sign since the pair is in minimal position
-        assert sorted(c.sign for c in sysm.crossings_between(0, 1)) == [1, 1]
+        assert sorted(c.sign for c in sysm.crossings) == [1, 1]
 
     def test_complement_of_one_curve_is_annulus(self):
         s = torus()
@@ -77,6 +80,18 @@ class TestArrangement:
         assert len(sysm.regions) == 1
         assert sysm.regions[0].chi == 1
         assert len(sysm.regions[0].circuits) == 1
+
+    def test_a_region_that_is_no_bigon_has_no_bigon_stack(self):
+        # the one region of the filling pair is a disc whose circuit runs
+        # along curves 0 and 1 twice each: a rectangle, not a bigon
+        s = torus()
+        sysm = JointSystem(s, (line(s, 1, 0), line(s, 0, 1)))
+        (reg,) = sysm.regions
+        runs = sysm.circuit_curve_runs(reg.circuits[0])
+        assert sorted(c for c, _ in runs) == [0, 0, 1, 1]
+        assert sysm.find_bigons() == []
+        with pytest.raises(PreconditionError, match="not a bigon of curves 0 and 1"):
+            sysm.bigon_stack(reg)
 
 
 class TestPredicates:
@@ -130,15 +145,15 @@ class TestMinimalPosition:
         sysm = minimal_position(a, b)
         a2, b2 = sysm.curves
         assert (a2, b2) == (a, b)
-        assert sysm.crossing_count(0, 1) == 1
+        assert len(sysm.crossings) == 1
 
     def test_trivial_circle_pulls_off(self):
         s = torus()
         a, c = line(s, 1, 0), trivial_circle(s)
-        assert JointSystem(s, (a, c)).crossing_count(0, 1) == 2
+        assert len(JointSystem(s, (a, c)).crossings) == 2
         sysm = minimal_position(a, c)
         a2, c2 = sysm.curves
-        assert sysm.crossing_count(0, 1) == 0
+        assert len(sysm.crossings) == 0
         assert c2.events == (("v", 1, F(1, 4)), ("v", -1, F(5, 12)))
         assert is_null_homotopic(c2)
 
@@ -147,10 +162,10 @@ class TestMinimalPosition:
         a = line(s, 1, 0)
         # (1,0) copy with a finger poked across the v wall around a's point
         b = EmbeddedCurve(s, (("v", 1, F(1, 4)), ("v", 1, F(3, 5)), ("v", -1, F(2, 5))))
-        assert JointSystem(s, (a, b)).crossing_count(0, 1) == 2
+        assert len(JointSystem(s, (a, b)).crossings) == 2
         sysm = minimal_position(a, b)
         a2, b2 = sysm.curves
-        assert sysm.crossing_count(0, 1) == 0
+        assert len(sysm.crossings) == 0
         assert curves_isotopic(b2, a)
         assert not curves_isotopic(b2, a.reverse())
 
@@ -164,7 +179,7 @@ class TestMinimalPosition:
         a = line(s, 1, 0)
         sysm = minimal_position(b, a)
         b2, a2 = sysm.curves
-        assert sysm.crossing_count(0, 1) == 0
+        assert len(sysm.crossings) == 0
         assert a2.events == (("v", 1, F(13, 15)),)
         assert curves_isotopic(a2, a)
 

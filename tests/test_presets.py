@@ -137,7 +137,7 @@ class TestPantsInvariants:
                     assert k in (1, 2)
                     if k == 2:
                         system = minimal_position(d, a)
-                        signs = sorted(c.sign for c in system.crossings_between(0, 1))
+                        signs = sorted(c.sign for c in system.crossings)
                         assert signs == [-1, 1]
                 else:
                     assert k == 0
@@ -360,4 +360,4 @@ class TestCutting:
         # frame breaks the tie by curve index, so the two are disjoint
         g2 = build_preset("genus2_closed")
         a1, k = g2.curves["a1"], g2.curves[name]
-        assert JointSystem(a1.surface, (a1, k)).crossing_count(0, 1) == 0
+        assert len(JointSystem(a1.surface, (a1, k)).crossings) == 0

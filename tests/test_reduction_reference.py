@@ -86,7 +86,7 @@ def _search_step(a: EmbeddedCurve, b: EmbeddedCurve, system, avoid=()):
     was already tried is skipped: every test that rejects a candidate is an
     isotopy invariant, so it would be rejected again.
     """
-    count = system.crossing_count(0, 1)
+    count = len(system.crossings)
     order_a = system.crossing_order_along(0)
     surf = a.surface
     tried = set()
@@ -111,7 +111,7 @@ def _search_step(a: EmbeddedCurve, b: EmbeddedCurve, system, avoid=()):
                         continue
                     twisted = apply_twist(c, 1, b)
                     descent = _joint_minimal_position(a, twisted)
-                    if descent.crossing_count(0, 1) < count:
+                    if len(descent.crossings) < count:
                         return c.renormalized(), twisted, descent
     raise ComputationError("no splice candidate reduced the crossing count")
 

@@ -49,6 +49,15 @@ def _plain(obj, curve_type):
     return obj
 
 
+def _outcome(run, curve_type) -> dict:
+    """{"output": ...} of an op's output as plain data, or {"raised": ...}
+    with the type and text of the error it raised."""
+    try:
+        return {"output": _plain(run(), curve_type)}
+    except Exception as exc:  # an op's error is part of its output
+        return {"raised": f"{type(exc).__name__}: {exc}"}
+
+
 def dump(seeds: list[int]) -> list[dict]:
     """Run every op of every workload in the checkout at the working
     directory; one record per op."""
@@ -61,12 +70,8 @@ def dump(seeds: list[int]) -> list[dict]:
     for seed in seeds:
         for name in workloads.WORKLOADS:
             for op in workloads.build(name, seed).ops:
-                record = {"workload": name, "seed": seed, "op": op.label}
-                try:
-                    record["output"] = _plain(op.run(), EmbeddedCurve)
-                except Exception as exc:  # an op's error is part of its output
-                    record["raised"] = f"{type(exc).__name__}: {exc}"
-                records.append(record)
+                records.append({"workload": name, "seed": seed, "op": op.label,
+                                **_outcome(op.run, EmbeddedCurve)})
     return records
 
 
