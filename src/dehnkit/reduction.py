@@ -13,6 +13,13 @@ not an embedded curve or is inessential; then the next pair is tried.  The
 twist along the first splice kept must descend, or the ComputationError
 raised carries (a, b), which replays the step.
 
+The twist acts on curve 1 of the arrangement the splice was cut from,
+respaced to that arrangement's frame (JointSystem.renormalized_curve): the
+splice's points sit a quarter spacing beside that curve's, so the pair is
+in minimal position as built and the twist runs no bigon round.  Against
+b's own positions the same points land anywhere between b's, and the twist
+first peeled bigons that only this mismatch made.
+
 A splice is an arc of a followed by an arc of b, so it is homotopic into
 a ∪ b, and geodesic representatives are pairwise in minimal position
 (Farb-Margalit, Primer, 1.2): a curve that misses a and b up to isotopy
@@ -87,7 +94,11 @@ def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system):
 
     `system` is the minimal-position arrangement of (a, b); the returned
     arrangement is that of (a, twisted b), left over from the descent check,
-    so the next step can start from it.
+    so the next step can start from it.  The twist acts on curve 1 of
+    `system` in its frame, the curve the splice c was cut from, so c and
+    that curve are in minimal position as built; it is isotopic to b and
+    takes b's cached topology.  b itself is kept for the replay payload
+    (a, b).
     """
     count = len(system.crossings)
     surf = a.surface
@@ -99,7 +110,7 @@ def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system):
             continue
         if not is_essential(c):
             continue
-        twisted = apply_twist(c, 1, b)
+        twisted = apply_twist(c, 1, b._share_topology(system.renormalized_curve(1)))
         descent = _joint_minimal_position(a, twisted)
         if len(descent.crossings) >= count:
             raise ComputationError(

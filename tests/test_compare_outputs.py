@@ -2,7 +2,10 @@
 
 Two trees give the same output on an op exactly when these records are
 equal, so every position must be written exactly, as a string, and a
-raised error must keep its type and text.
+raised error must keep its type and text.  Up to isotopy, two outputs are
+equal when they differ only in curves and each such pair is isotopic on
+the op's surface: respaced and restarted copies of a curve are, genus-2 t1
+and t2 are not, and an isotopic curve excuses no other difference.
 """
 
 import importlib.util
@@ -78,3 +81,53 @@ def test_a_raised_error_is_its_type_and_text():
         "raised": "PreconditionError: twisting needs essential curves"}
     a, _ = _torus_curves()
     assert compare_outputs._outcome(lambda: a, EmbeddedCurve) == {"output": A_PLAIN}
+
+
+def _genus2():
+    return build_preset("genus2_closed")
+
+
+def _respaced(c):
+    # squaring keeps every position in (0, 1) and their order on each edge
+    return EmbeddedCurve(c.surface, tuple((e, d, p * p) for e, d, p in c.events),
+                         oriented=c.oriented)
+
+
+def _restarted(c, k):
+    return EmbeddedCurve(c.surface, c.events[k:] + c.events[:k], oriented=c.oriented)
+
+
+def test_respaced_and_restarted_copies_of_a_curve_are_isotopic():
+    g = _genus2()
+    t1 = g.curve("t1")
+    copies = (_respaced(t1), _restarted(t1, 1), _restarted(_respaced(t1), 2))
+    for copy in copies:
+        assert _plain(copy) != _plain(t1)
+        assert compare_outputs.isotopic_outputs(_plain(t1), _plain(copy), g.surface)
+    # in place inside an output, next to equal data
+    x = _plain((TwistWord(((t1, 1),)), t1, 3))
+    y = _plain((TwistWord(((copies[0], 1),)), copies[1], 3))
+    assert compare_outputs.isotopic_outputs(x, y, g.surface)
+
+
+def test_different_curves_or_other_data_differ():
+    g = _genus2()
+    t1, t2 = g.curve("t1"), g.curve("t2")
+    assert not compare_outputs.isotopic_outputs(_plain(t1), _plain(t2), g.surface)
+    assert not compare_outputs.isotopic_outputs(
+        _plain((t1, 1)), _plain((t2, 1)), g.surface)
+    # an isotopic curve does not excuse other data, nor a flipped orientation
+    copy = _respaced(t1)
+    assert not compare_outputs.isotopic_outputs(
+        _plain((t1, 1)), _plain((copy, 2)), g.surface)
+    assert not compare_outputs.isotopic_outputs(
+        _plain(t1), _plain(copy.with_orientation(not copy.oriented)), g.surface)
+    assert not compare_outputs.isotopic_outputs(
+        _plain((t1,)), _plain((t1, t1)), g.surface)
+
+
+def test_an_op_record_names_the_preset_its_curves_live_on():
+    g = _genus2()
+    word = TwistWord(((g.curve("a1"), 1),))
+    assert compare_outputs._surface_of((word, 3), EmbeddedCurve) == g.surface
+    assert compare_outputs._surface_of({"q": (0, 1)}, EmbeddedCurve) is None

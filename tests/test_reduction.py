@@ -4,6 +4,8 @@ The torus gives exact expectations: against the horizontal curve, slope (p,q)
 starts at |q| crossings and must land in a terminal class within |q| positive
 letters. Genus-2 pairs built from twist words exercise both surgery shapes,
 including the alternating-sign states where no two adjacent crossings agree.
+On the bench's torus slopes and genus-2 chain, each step's twist meets its
+curve in minimal position as built: one arrangement, no darts phase.
 """
 
 import math
@@ -20,6 +22,10 @@ from dehnkit.presets import build_preset, torus_curve
 from dehnkit.reduction import reduce_pair
 from dehnkit.surface import CellSurface, EmbeddedCurve
 from dehnkit.twisting import TwistWord, apply_twist, apply_word
+
+from bench_modules import load_bench_module
+
+WORKLOADS = load_bench_module("workloads")
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +240,46 @@ class TestEachPairSolvedOnce:
             # a first build on (a, x) starts every minimal_position of the pair
             solved = sum(1 for cs in builds if cs[0] is a and cs[-1] is x)
             assert solved == 1
+
+
+@pytest.mark.parametrize("seed", (0, 3))
+@pytest.mark.parametrize("workload", ("torus-slopes", "g2-growth"))
+def test_every_reduction_twist_meets_its_curve_in_minimal_position(
+        workload, seed, monkeypatch):
+    # The bench's torus slope list and genus-2 chain.  A step twists curve 1
+    # of the arrangement its splice was cut from, in that arrangement's
+    # frame, so each twist builds one arrangement and no darts.  Twisting
+    # the caller's b instead peeled bigons first in 43 of 67 torus twists
+    # and 3 of 4 chain twists at seed 3, 46 and 1 at seed 0.
+    counts = []  # [builds, darts phases] of each twist
+    inside = []
+    twist, init, darts = reduction.apply_twist, JointSystem.__init__, JointSystem._darts
+
+    def counting_twist(c, n, b):
+        counts.append([0, 0])
+        inside.append(True)
+        try:
+            return twist(c, n, b)
+        finally:
+            inside.pop()
+
+    def counting_init(self, surface, curves):
+        if inside:
+            counts[-1][0] += 1
+        init(self, surface, curves)
+
+    def counting_darts(self, *args):
+        if inside:
+            counts[-1][1] += 1
+        return darts(self, *args)
+
+    monkeypatch.setattr(reduction, "apply_twist", counting_twist)
+    monkeypatch.setattr(JointSystem, "__init__", counting_init)
+    monkeypatch.setattr(JointSystem, "_darts", counting_darts)
+    for op in WORKLOADS.build(workload, seed).ops:
+        assert op.check(op.run()) == []
+    assert counts
+    assert all(count == [1, 0] for count in counts), counts
 
 
 def test_a_step_that_fails_to_descend_replays_from_its_json(torus, monkeypatch):

@@ -1,6 +1,6 @@
 """Check that the working tree gives the same output as HEAD on every benchmark op.
 
-    python3 tools/compare_outputs.py --seeds 2 3
+    python3 tools/compare_outputs.py --seeds 2 3 [--isotopy]
 
 Run from anywhere inside the repository. HEAD is exported with
 `bench_pairs.export_head` into a temporary directory. Every op of the
@@ -10,9 +10,15 @@ An op's output is compared as plain data: curve events with exact
 positions, word letters, pair classes, the p, q exponents, certificate and
 step log of `factorize`, or the type and text of the error it raised.
 
+With --isotopy an op whose exact output differs counts as equal up to
+isotopy when its two outputs differ only in curves, and every such pair of
+curves, rebuilt on the op's preset surface, passes `curves_isotopic` of the
+working tree's `dehnkit` with the same orientation flag.
+
 Prints every op whose output differs and how many differ, or else the
-number of identical ops; exits 1 on any difference, and quietly with 1 when
-its reader closes the pipe early.
+number of identical ops (and with --isotopy the ops equal up to isotopy,
+per workload); exits 1 on any difference, and quietly with 1 when its
+reader closes the pipe early.
 """
 
 from __future__ import annotations
@@ -58,21 +64,93 @@ def _outcome(run, curve_type) -> dict:
         return {"raised": f"{type(exc).__name__}: {exc}"}
 
 
+def _surface_of(obj, curve_type):
+    """The surface of the first curve in an op output, or None."""
+    if isinstance(obj, curve_type):
+        return obj.surface
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        obj = list(obj.values())
+    elif not isinstance(obj, (list, tuple)):
+        return None
+    return next(filter(None, (_surface_of(x, curve_type) for x in obj)), None)
+
+
 def dump(seeds: list[int]) -> list[dict]:
     """Run every op of every workload in the checkout at the working
-    directory; one record per op."""
+    directory; one record per op, with the preset its output curves live on."""
     root = Path.cwd()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    from dehnkit.presets import PRESET_NAMES, build_preset
     from dehnkit.surface import EmbeddedCurve
     import workloads
 
+    presets = {build_preset(name).surface: name for name in PRESET_NAMES}
     records = []
     for seed in seeds:
         for name in workloads.WORKLOADS:
             for op in workloads.build(name, seed).ops:
-                records.append({"workload": name, "seed": seed, "op": op.label,
-                                **_outcome(op.run, EmbeddedCurve)})
+                kept = []  # the raw output, to find its surface
+
+                def run(op=op):
+                    kept.append(op.run())
+                    return kept[0]
+
+                record = {"workload": name, "seed": seed, "op": op.label,
+                          **_outcome(run, EmbeddedCurve)}
+                surface = _surface_of(kept, EmbeddedCurve)
+                if surface is not None:
+                    record["preset"] = presets[surface]
+                records.append(record)
     return records
+
+
+def _is_curve(x) -> bool:
+    return isinstance(x, dict) and x.keys() == {"events", "oriented"}
+
+
+def _curve_pairs(x, y):
+    """The pairs of curves at the same place in two plain outputs, or None
+    when they differ anywhere else, orientation flags included."""
+    if _is_curve(x) and _is_curve(y):
+        return [(x, y)] if x["oriented"] == y["oriented"] else None
+    if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+        parts = [_curve_pairs(x[k], y[k]) for k in x]
+    elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        parts = [_curve_pairs(u, v) for u, v in zip(x, y)]
+    else:
+        return [] if x == y else None
+    if any(part is None for part in parts):
+        return None
+    return [pair for part in parts for pair in part]
+
+
+def isotopic_outputs(x, y, surface) -> bool:
+    """Whether two plain op outputs on `surface` differ only in curves that
+    are isotopic there."""
+    from dehnkit.overlay import curves_isotopic
+    from dehnkit.surface import EmbeddedCurve
+
+    def curve(plain):
+        events = tuple((e, d, Fraction(p)) for e, d, p in plain["events"])
+        return EmbeddedCurve(surface, events, oriented=plain["oriented"])
+
+    pairs = _curve_pairs(x, y)
+    return pairs is not None and all(
+        u == v or curves_isotopic(curve(u), curve(v)) for u, v in pairs)
+
+
+def _equal_up_to_isotopy(b: dict, c: dict) -> bool:
+    """Whether two records of one op have outputs equal up to isotopy."""
+    from dehnkit.presets import build_preset
+
+    def rest(record):
+        return {k: v for k, v in record.items() if k != "output"}
+
+    if "output" not in b or "preset" not in b or rest(b) != rest(c):
+        return False
+    return isotopic_outputs(b["output"], c["output"], build_preset(b["preset"]).surface)
 
 
 def run_tree(checkout: Path, seeds: list[int]) -> list[dict]:
@@ -90,6 +168,8 @@ def _short(value) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[2, 3])
+    parser.add_argument("--isotopy", action="store_true",
+                        help="count ops whose outputs differ only in isotopic curves")
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.dump:
@@ -103,10 +183,17 @@ def main(argv=None) -> int:
         sha = export_head(root, base_dir)
         base = run_tree(base_dir, args.seeds)
     change = run_tree(root, args.seeds)
+    if args.isotopy:
+        sys.path.insert(0, str(root / "src"))
 
     differ = 0
+    isotopic = Counter()
     for b, c in zip(base, change):
-        if b != c:
+        if b == c:
+            continue
+        if args.isotopy and _equal_up_to_isotopy(b, c):
+            isotopic[b["workload"]] += 1
+        else:
             differ += 1
             print(f"{b['workload']} seed {b['seed']}: {b['op']}")
             if (b["workload"], b["seed"], b["op"]) != (c["workload"], c["seed"], c["op"]):
@@ -116,11 +203,16 @@ def main(argv=None) -> int:
     if len(base) != len(change):
         print(f"HEAD ran {len(base)} ops, the working tree {len(change)}")
         return 1
+    same = len(base) - differ - sum(isotopic.values())
+    print(f"{same} ops identical to HEAD {sha[:12]} on seeds "
+          f"{' '.join(map(str, args.seeds))}")
+    if args.isotopy:
+        print(f"{sum(isotopic.values())} ops equal up to isotopy, {differ} differ")
+        for name, n in sorted(isotopic.items()):
+            print(f"  {n} {name} ops")
     if differ:
         print(f"{differ} of {len(base)} ops differ from HEAD {sha[:12]}")
         return 1
-    print(f"{len(base)} ops identical to HEAD {sha[:12]} on seeds "
-          f"{' '.join(map(str, args.seeds))}")
     raised = Counter(r["raised"] for r in base if "raised" in r)
     for text, n in sorted(raised.items()):
         print(f"  {n} ops raise in both trees: {text}")
