@@ -1,8 +1,8 @@
 """Positive-twist reduction of a transverse curve pair.
 
 One reduction step builds the simple loop c that the surgery argument names
-and twists b once along it; the twist strictly drops the crossing count with
-a, so iterating lands in a terminal class in at most the initial number of
+and replaces b by T_c(b); that strictly drops the crossing count with a, so
+iterating lands in a terminal class in at most the initial number of
 crossings.  c is spliced at two crossings X, Y of equal sign, adjacent along
 a or two apart (the pair flanking the middle of an alternating triple): it
 runs from X forward along a to Y and back to X along b, in the direction the
@@ -10,15 +10,27 @@ sign of X gives, both arcs as parallel copies a quarter of a joint spacing
 to one side of their curves (JointSystem.arc, JointSystem.beside).  The a-arc
 goes the short way round first, and round the far side when that splice is
 not an embedded curve or is inessential; then the next pair is tried.  The
-twist along the first splice kept must descend, or the ComputationError
-raised carries (a, b), which replays the step.
+first splice kept must descend, or the ComputationError raised carries
+(a, b), which replays the step.
 
-The twist acts on curve 1 of the arrangement the splice was cut from,
-respaced to that arrangement's frame (JointSystem.renormalized_curve): the
-splice's points sit a quarter spacing beside that curve's, so the pair is
-in minimal position as built and the twist runs no bigon round.  Against
-b's own positions the same points land anywhere between b's, and the twist
-first peeled bigons that only this mismatch made.
+A splice whose a-arc runs from X to the next crossing Y along a (the short
+way round of an adjacent pair, and either way when a crosses b twice) is
+reduced by surgery, with no twist and no arrangement.  Its copy of the b-arc
+never crosses b, and its copy of the a-arc runs beside an arc of a that b
+does not cross, so c meets b exactly once, at one corner.  When c meets b
+once, T_c(b) is the resolution of b ∪ c at that point: b cut there and
+closed up around c.  The part of c beside b cancels against that arc of b, so
+what is left is, up to isotopy, b's complementary arc closed by the a-arc;
+this is Lickorish's step, which "depends only on the intersection numbers".
+The events are laid out as the twist lays out its spiral of one turn, and
+one sweep of reducible pairs leaves the twist image event for event.
+
+Any other splice, two apart or round the far side, meets b more than once,
+and the same surgery does not close up, so it is reduced by a twist.  The
+twist acts on curve 1 of the arrangement the splice was cut from, respaced
+to that arrangement's frame (JointSystem.renormalized_curve): the splice's
+points sit a quarter spacing beside that curve's, so the pair is in minimal
+position as built and the twist runs no bigon round.
 
 A splice is an arc of a followed by an arc of b, so it is homotopic into
 a ∪ b, and geodesic representatives are pairwise in minimal position
@@ -26,7 +38,7 @@ a ∪ b, and geodesic representatives are pairwise in minimal position
 misses every splice.  A twist along a splice therefore fixes every curve
 disjoint from a and b, so no filter is needed to keep such curves fixed.
 
-The descent check puts (a, twisted b) in minimal position; that arrangement
+The descent check puts (a, T_c(b)) in minimal position; that arrangement
 classifies the new pair and starts the next step, so each pair on the way is
 solved once.
 """
@@ -39,7 +51,7 @@ from .calculus import _classified, is_essential, pair_class
 from .errors import ComputationError, ValidationError
 from .overlay import minimal_position as _joint_minimal_position
 from .surface import EmbeddedCurve
-from .twisting import TwistWord, apply_twist
+from .twisting import TwistWord, _drop_reducible_pairs, apply_twist
 
 __all__ = ["reduce_pair"]
 
@@ -48,21 +60,29 @@ TERMINAL_TAGS = ("disjoint", "one_point", "two_zero")
 _QUARTER = Fraction(1, 4)
 
 
-def _candidate_events(system, x, y, b_fwd):
-    """Splice: parallel a-arc forward from x to y, then parallel b-arc from y to x."""
+def _reversed(events: list) -> list:
+    """The events of an arc walked the other way."""
+    return [(e, -d, p) for e, d, p in reversed(events)]
 
-    def copy(ci, start, end, fwd):
-        idxs = system.arc(ci, start, end) if fwd else system.arc(ci, end, start)
-        part = [system.beside(ci, i, _QUARTER) for i in idxs]
-        if not fwd:
-            part = [(e, -d, pos) for e, d, pos in reversed(part)]
-        return part
 
-    return tuple(copy(0, x, y, True) + copy(1, y, x, b_fwd))
+def _arc_copy(system, ci: int, x, y, fwd: bool) -> list:
+    """Curve ci's arc from crossing x to y, copied a quarter of a joint
+    spacing beside it: walked forward along ci, or when not fwd the copy of
+    the forward arc from y to x, walked backward."""
+    if not fwd:
+        return _reversed(_arc_copy(system, ci, y, x, True))
+    return [system.beside(ci, i, _QUARTER) for i in system.arc(ci, x, y)]
+
+
+def _candidate_events(system, x, y) -> tuple:
+    """Splice: parallel a-arc forward from x to y, then parallel b-arc from
+    y to x, forward along b iff x.sign < 0."""
+    return tuple(_arc_copy(system, 0, x, y, True)
+                 + _arc_copy(system, 1, y, x, x.sign < 0))
 
 
 def _pair_priority(order_a):
-    """Oriented crossing pairs (X, Y) to splice at, in the order tried.
+    """Oriented crossing pairs (X, Y, adjacent) to splice at, in the order tried.
 
     Tier 0: adjacent along a with equal signs.  Tier 1: two apart with equal
     signs; when adjacent signs alternate this is the pair flanking the middle
@@ -70,7 +90,9 @@ def _pair_priority(order_a):
     pairs come in order along a.  Each pair is listed in both orientations:
     first the one whose a-arc forward from X to Y is the short one (the
     earlier crossing first when both are equally long), then the other, whose
-    arc runs round the far side.
+    arc runs round the far side.  `adjacent` says that Y is the next
+    crossing after X along a, so the a-arc passes no other crossing: the
+    short way round of a tier-0 pair, and both ways when a crosses b twice.
     """
     n = len(order_a)
     ranked = []
@@ -85,8 +107,41 @@ def _pair_priority(order_a):
     ranked.sort(key=lambda r: r[:3])
     pairs = []
     for _, _, d, x, y in ranked:
-        pairs += [(x, y), (y, x)] if 2 * d <= n else [(y, x), (x, y)]
+        both = [(x, y, d == 1), (y, x, d == n - 1)]
+        pairs += both if 2 * d <= n else both[::-1]
     return pairs
+
+
+def _twist_image(a, b, system, c, x, y, adjacent: bool) -> EmbeddedCurve:
+    """T_c(b) for the splice c cut from `system` at (x, y) (module docstring).
+
+    When Y follows X along a (`adjacent`), c meets curve 1 of `system` once:
+    next to X when the splice's sign is positive, next to Y when it is
+    negative; at the other corner c turns across a.  b is cut there and c
+    is entered from that corner, forward or backward as the sign says, and
+    one sweep of reducible pairs leaves the twist image event for event; no
+    arrangement is built.  Any other splice twists curve 1 of `system` in
+    its frame.  Either image takes b's cached topology.  A surgery image
+    that is not an embedded curve raises the ComputationError carrying
+    (a, b).
+    """
+    if not adjacent:
+        return apply_twist(c, 1, b._share_topology(system.renormalized_curve(1)))
+    if x.sign > 0:
+        cut, loop = x, c.events
+    else:
+        k = len(system.arc(0, x, y))  # the a-arc leads c's events
+        cut, loop = y, _reversed(c.events[:k]) + _reversed(c.events[k:])
+    g = system._slot(1, cut)[0]
+    around = system.events[1]
+    events = _drop_reducible_pairs([*around[:g + 1], *loop, *around[g + 1:]])
+    try:
+        image = EmbeddedCurve(a.surface, tuple(events), oriented=b.oriented)
+    except ValidationError as exc:
+        raise ComputationError(
+            f"surgery along the splice did not close up: {exc}", a.surface, (a, b)
+        ) from exc
+    return b._share_topology(image).renormalized()
 
 
 def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system):
@@ -94,23 +149,22 @@ def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system):
 
     `system` is the minimal-position arrangement of (a, b); the returned
     arrangement is that of (a, twisted b), left over from the descent check,
-    so the next step can start from it.  The twist acts on curve 1 of
-    `system` in its frame, the curve the splice c was cut from, so c and
-    that curve are in minimal position as built; it is isotopic to b and
-    takes b's cached topology.  b itself is kept for the replay payload
-    (a, b).
+    so the next step can start from it.  The twisted curve is made by
+    _twist_image: by surgery when Y follows X along a, and otherwise by a
+    twist of curve 1 of `system`.  b itself is kept for the replay
+    payload (a, b).
     """
     count = len(system.crossings)
     surf = a.surface
-    for x, y in _pair_priority(system.crossing_order_along(0)):
-        events = _candidate_events(system, x, y, x.sign < 0)
+    for x, y, adjacent in _pair_priority(system.crossing_order_along(0)):
+        events = _candidate_events(system, x, y)
         try:
             c = EmbeddedCurve(surf, events, oriented=False)
         except ValidationError:
             continue
         if not is_essential(c):
             continue
-        twisted = apply_twist(c, 1, b._share_topology(system.renormalized_curve(1)))
+        twisted = _twist_image(a, b, system, c, x, y, adjacent)
         descent = _joint_minimal_position(a, twisted)
         if len(descent.crossings) >= count:
             raise ComputationError(

@@ -38,8 +38,9 @@ sign or the cocycle certifies it bigon-free, and an error of the deferred
 phases still carries the inputs of the build.  The certificate is sound:
 on every round of random pairs on each preset, a certified arrangement
 has no bigon, and the replayed pairs with bigons are not certified.  Each
-splice that reduce_pair twists along, on random torus and genus-2 pairs,
-crosses the curve it twists exactly i(c, b) times as built.
+splice whose image reduce_pair makes, on random torus and genus-2 pairs,
+crosses the curve it acts on exactly i(c, b) times as built, and once when
+the image is made by surgery.
 
 The single-curve topology that the cocycle decides without an
 arrangement is checked against the regions of the curve's own
@@ -54,6 +55,7 @@ sum p + d*h/(m + 1) it replaced.
 import functools
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -540,25 +542,28 @@ def test_the_replayed_bigon_pairs_are_not_certified(data):
 
 
 def test_each_reduction_twist_meets_its_curve_in_minimal_position():
-    # Every (splice, curve) pair that reduce_pair twists crosses as often
-    # as the pair's intersection number, as built: the step twists curve 1
-    # of the arrangement the splice was cut from, in its frame.  Each
-    # family must twist something, or the oracle checks nothing.
-    twisted = []
-    seen = {"torus": 0, "genus2": 0}
-    twist = reduction.apply_twist
+    # Every (splice, curve) pair whose image reduce_pair makes crosses as
+    # often as the pair's intersection number, as built: the step acts on
+    # curve 1 of the arrangement the splice was cut from, in its frame.  A
+    # splice that runs to the next crossing along a, whose image is made by
+    # surgery, crosses that curve exactly once.  Each family must make
+    # images, the torus ones by surgery, or the oracle checks nothing.
+    images = []
+    seen = Counter()
+    image_of = reduction._twist_image
 
-    def recording(c, n, b):
-        twisted.append((c, b))
-        return twist(c, n, b)
+    def recording(a, b, system, c, x, y, adjacent):
+        images.append((c, system.renormalized_curve(1), adjacent))
+        return image_of(a, b, system, c, x, y, adjacent)
 
     def check(family, a, b):
-        twisted.clear()
+        images.clear()
         reduce_pair(a, b)
-        for c, curve in twisted:
-            assert (len(JointSystem(c.surface, (c, curve)).crossings)
-                    == geometric_intersection_number(c, curve)), (family, c, curve)
-        seen[family] += len(twisted)
+        for c, curve, adjacent in images:
+            built = len(JointSystem(c.surface, (c, curve)).crossings)
+            assert built == geometric_intersection_number(c, curve), (family, c, curve)
+            assert built == 1 or not adjacent, (family, c, curve)
+            seen[family, adjacent] += 1
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -571,10 +576,10 @@ def test_each_reduction_twist_meets_its_curve_in_minimal_position():
         check("genus2", *_draw_genus2_pair(data))
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reduction, "apply_twist", recording)
+        patch.setattr(reduction, "_twist_image", recording)
         torus()
         genus2()
-    assert all(seen.values()), seen
+    assert seen["torus", True] and seen["genus2", False] + seen["genus2", True], seen
 
 
 def test_the_largest_bench_factorization_takes_few_builds(count_builds):

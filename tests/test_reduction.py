@@ -4,19 +4,25 @@ The torus gives exact expectations: against the horizontal curve, slope (p,q)
 starts at |q| crossings and must land in a terminal class within |q| positive
 letters. Genus-2 pairs built from twist words exercise both surgery shapes,
 including the alternating-sign states where no two adjacent crossings agree.
-On the bench's torus slopes and genus-2 chain, each step's twist meets its
-curve in minimal position as built: one arrangement, no darts phase.
+A splice at a crossing and the next one along a is reduced by surgery, and
+that image is checked event for event against the twist it replaces, for
+both signs and both orientations.  On the bench's torus slopes and genus-2
+chain, a surgery step builds no arrangement, and a twist step meets its
+curve in minimal position as built: one arrangement, no darts phase.  A
+step that does not descend, or whose surgery does not close up, raises an
+error that replays from its JSON.
 """
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dehnkit import reduction
-from dehnkit.calculus import classify_pair, geometric_intersection
-from dehnkit.errors import ComputationError
+from dehnkit.calculus import classify_pair, geometric_intersection, is_essential
+from dehnkit.errors import ComputationError, ValidationError
 from dehnkit.overlay import JointSystem
 from dehnkit.presets import build_preset, torus_curve
 from dehnkit.reduction import reduce_pair
@@ -24,6 +30,7 @@ from dehnkit.surface import CellSurface, EmbeddedCurve
 from dehnkit.twisting import TwistWord, apply_twist, apply_word
 
 from bench_modules import load_bench_module
+from test_engine import _draw_genus2_pair, _draw_twisted_pair
 
 WORKLOADS = load_bench_module("workloads")
 
@@ -191,25 +198,95 @@ class TestRandomSlopes:
         assert cls.tag == "one_point"
 
 
+def test_each_adjacent_splice_resolves_to_exactly_its_twist_image():
+    # The surgery checked against the twist it replaces.  At every step of
+    # reduce_pair, every usable splice at a crossing X and the next one Y
+    # along a is reduced by surgery to exactly the events of
+    # apply_twist(c, 1, curve 1 of the step's arrangement).  Both
+    # orientations of a pair are checked: the short way round, listed
+    # first, and the far side, listed second, which passes no other
+    # crossing when a crosses b twice.  On the torus, 1/0 against 1/3 and
+    # its reverse, and on genus 2, t1 against T_a1^(+-2) t1, give both signs
+    # and both orientations, and each family must take the surgery path in
+    # a step, or the oracle checks nothing; hypothesis torus and genus-2
+    # draws add breadth, and may draw pairs with no such splice.
+    checked, taken = Counter(), Counter()
+    step, image_of = reduction._reduction_step, reduction._twist_image
+    family = [None]
+
+    def checking(a, b, system):
+        pairs = reduction._pair_priority(system.crossing_order_along(0))
+        for i, (x, y, adjacent) in enumerate(pairs):
+            if not adjacent:
+                continue
+            try:
+                c = EmbeddedCurve(a.surface, reduction._candidate_events(system, x, y),
+                                  oriented=False)
+            except ValidationError:
+                continue
+            if not is_essential(c):
+                continue
+            want = apply_twist(c, 1, b._share_topology(system.renormalized_curve(1)))
+            got = image_of(a, b, system, c, x, y, True)
+            assert (got.events, got.oriented) == (want.events, want.oriented)
+            checked[family[0], x.sign, "short" if i % 2 == 0 else "far"] += 1
+        return step(a, b, system)
+
+    def recording(a, b, system, c, x, y, adjacent):
+        taken[family[0]] += adjacent
+        return image_of(a, b, system, c, x, y, adjacent)
+
+    def run(name, a, b):
+        family[0] = name
+        reduce_pair(a, b)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def torus_draws(data):
+        run("torus draws", *_draw_twisted_pair(data, ("torus",)))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def genus2_draws(data):
+        run("genus2 draws", *_draw_genus2_pair(data))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "_reduction_step", checking)
+        patch.setattr(reduction, "_twist_image", recording)
+        t = build_preset("torus").surface
+        b = torus_curve(t, 1, 3)
+        for curve in (b, b.reverse()):
+            run("torus", torus_curve(t, 1, 0), curve)
+        g = build_preset("genus2_closed").curves
+        for k in (2, -2):
+            run("genus2", g["t1"], apply_twist(g["a1"], k, g["t1"]))
+        both = {(sign, side) for sign in (1, -1) for side in ("short", "far")}
+        for name in ("torus", "genus2"):
+            assert {key[1:] for key in checked if key[0] == name} == both, checked
+            assert taken[name], taken
+        torus_draws()
+        genus2_draws()
+
+
 class TestEachPairSolvedOnce:
     """Work the reduction must not repeat; the counts come from monkeypatches."""
 
     def test_no_candidate_is_twisted_twice_in_a_step(self, torus, monkeypatch):
-        # against 2/1, each of the two steps on 13/5 twists along the one
-        # curve it builds
+        # against 2/1, each of the two steps on 13/5 makes the image of the
+        # one curve it builds
         steps = []
-        step, twist = reduction._reduction_step, reduction.apply_twist
+        step, image_of = reduction._reduction_step, reduction._twist_image
 
         def counting_step(*args):
             steps.append([])
             return step(*args)
 
-        def counting_twist(c, n, b):
+        def counting_image(a, b, system, c, *args):
             steps[-1].append(c.canonical_key)
-            return twist(c, n, b)
+            return image_of(a, b, system, c, *args)
 
         monkeypatch.setattr(reduction, "_reduction_step", counting_step)
-        monkeypatch.setattr(reduction, "apply_twist", counting_twist)
+        monkeypatch.setattr(reduction, "_twist_image", counting_image)
         a = torus_curve(torus.surface, 2, 1)
         b = torus_curve(torus.surface, 13, 5)
         word, _, cls = reduce_pair(a, b)
@@ -222,17 +299,17 @@ class TestEachPairSolvedOnce:
         b = torus_curve(torus.surface, 13, 5)
         twisted = [b]
         builds = []
-        twist, init = reduction.apply_twist, JointSystem.__init__
+        image_of, init = reduction._twist_image, JointSystem.__init__
 
-        def recording_twist(c, n, x):
-            twisted.append(twist(c, n, x))
+        def recording_image(*args):
+            twisted.append(image_of(*args))
             return twisted[-1]
 
         def counting_init(self, surface, curves):
             builds.append(tuple(curves))
             init(self, surface, curves)
 
-        monkeypatch.setattr(reduction, "apply_twist", recording_twist)
+        monkeypatch.setattr(reduction, "_twist_image", recording_image)
         monkeypatch.setattr(JointSystem, "__init__", counting_init)
         word, b_fin, _ = reduce_pair(a, b)
         assert len(word) == 2 and b_fin in twisted
@@ -246,51 +323,48 @@ class TestEachPairSolvedOnce:
 @pytest.mark.parametrize("workload", ("torus-slopes", "g2-growth"))
 def test_every_reduction_twist_meets_its_curve_in_minimal_position(
         workload, seed, monkeypatch):
-    # The bench's torus slope list and genus-2 chain.  A step twists curve 1
-    # of the arrangement its splice was cut from, in that arrangement's
-    # frame, so each twist builds one arrangement and no darts.  Twisting
-    # the caller's b instead peeled bigons first in 43 of 67 torus twists
-    # and 3 of 4 chain twists at seed 3, 46 and 1 at seed 0.
-    counts = []  # [builds, darts phases] of each twist
+    # The bench's torus slope list and genus-2 chain.  A step whose splice
+    # runs to the next crossing along a builds its image by surgery: no
+    # arrangement and no darts.  Any other step twists curve 1 of the
+    # arrangement its splice was cut from, in that arrangement's frame: one
+    # arrangement and no darts.  Twisting the caller's b instead peeled
+    # bigons first in 43 of 67 torus twists and 3 of 4 chain twists at
+    # seed 3, 46 and 1 at seed 0.  Both kinds of step must occur.
+    counts = []  # adjacent, [builds, darts phases] of each image
     inside = []
-    twist, init, darts = reduction.apply_twist, JointSystem.__init__, JointSystem._darts
+    image_of, init, darts = reduction._twist_image, JointSystem.__init__, JointSystem._darts
 
-    def counting_twist(c, n, b):
-        counts.append([0, 0])
+    def counting_image(a, b, system, c, x, y, adjacent):
+        counts.append((adjacent, [0, 0]))
         inside.append(True)
         try:
-            return twist(c, n, b)
+            return image_of(a, b, system, c, x, y, adjacent)
         finally:
             inside.pop()
 
     def counting_init(self, surface, curves):
         if inside:
-            counts[-1][0] += 1
+            counts[-1][1][0] += 1
         init(self, surface, curves)
 
     def counting_darts(self, *args):
         if inside:
-            counts[-1][1] += 1
+            counts[-1][1][1] += 1
         return darts(self, *args)
 
-    monkeypatch.setattr(reduction, "apply_twist", counting_twist)
+    monkeypatch.setattr(reduction, "_twist_image", counting_image)
     monkeypatch.setattr(JointSystem, "__init__", counting_init)
     monkeypatch.setattr(JointSystem, "_darts", counting_darts)
     for op in WORKLOADS.build(workload, seed).ops:
         assert op.check(op.run()) == []
     assert counts
-    assert all(count == [1, 0] for count in counts), counts
+    assert all(count == [0 if adjacent else 1, 0] for adjacent, count in counts), counts
+    # every torus step is by surgery, every chain step by a twist
+    assert {adjacent for adjacent, _ in counts} == {workload == "torus-slopes"}
 
 
-def test_a_step_that_fails_to_descend_replays_from_its_json(torus, monkeypatch):
-    # a twist that leaves b unchanged cannot descend; the step's error
-    # carries (a, b), which reproduces it
-    monkeypatch.setattr(reduction, "apply_twist", lambda c, n, b: b)
-    a = torus_curve(torus.surface, 1, 0)
-    b = torus_curve(torus.surface, 1, 2)
-    with pytest.raises(ComputationError) as raised:
-        reduce_pair(a, b)
-    err = raised.value
+def _assert_replays(a, b, err):
+    """The ComputationError raised carries (a, b), and its JSON replays it."""
     assert err.surface is a.surface and err.curves == (a, b)
     data = err.replay_json()
     surface = CellSurface.from_json(data["surface"])
@@ -299,3 +373,29 @@ def test_a_step_that_fails_to_descend_replays_from_its_json(torus, monkeypatch):
     with pytest.raises(ComputationError) as replayed:
         reduce_pair(a2, b2)
     assert str(replayed.value) == str(err)
+
+
+def test_a_step_that_fails_to_descend_replays_from_its_json(torus, monkeypatch):
+    # an image that is b unchanged cannot descend; the step's error
+    # carries (a, b), which reproduces it
+    monkeypatch.setattr(reduction, "_twist_image", lambda a, b, *args: b)
+    a = torus_curve(torus.surface, 1, 0)
+    b = torus_curve(torus.surface, 1, 2)
+    with pytest.raises(ComputationError, match="did not descend") as raised:
+        reduce_pair(a, b)
+    _assert_replays(a, b, raised.value)
+
+
+def test_a_surgery_that_does_not_close_up_replays_from_its_json(torus, monkeypatch):
+    # the splice at the two crossings of 1/0 and 1/2 is reduced by surgery;
+    # when its sweep leaves a point twice on an edge, the step raises at
+    # once, with no fall back to the twist, and its error carries (a, b)
+    monkeypatch.setattr(reduction, "_drop_reducible_pairs",
+                        lambda events: [*events, events[0]])
+    monkeypatch.setattr(reduction, "apply_twist", None)
+    a = torus_curve(torus.surface, 1, 0)
+    b = torus_curve(torus.surface, 1, 2)
+    with pytest.raises(ComputationError, match="surgery along the splice") as raised:
+        reduce_pair(a, b)
+    assert isinstance(raised.value.__cause__, ValidationError)
+    _assert_replays(a, b, raised.value)
