@@ -4,7 +4,7 @@ Core layers:
   surface    cell decompositions, embedded curves, homology flows
   overlay    exact curve arrangements, minimal position, isotopy
   presets    built-in surfaces with curve systems
-  calculus   guarded intersection numbers, pair classes
+  calculus   essentiality, algebraic intersection, pair classes
   twisting   Dehn twists and twist words
   reduction  positive-twist reduction of curve pairs
   factorization  positive factorization of mapping classes

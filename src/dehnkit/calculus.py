@@ -1,16 +1,18 @@
-"""Intersection calculus: guarded counts and pair classes.
+"""Intersection calculus: essentiality and pair classes.
 
 A thin layer over the arrangement engine in overlay, which owns the pair
 API (minimal_position, geometric_intersection_number, curves_isotopic) and
 the single-curve predicates, unguarded so that they apply to peripheral
-curves too.  This module holds only what adds something: the precondition
-guards (essentiality, orientation) and the record types the reduction
-pipeline consumes.  Essentiality reads the single-curve topology that
-overlay caches on each curve, so checking a curve again, a reversed,
-reoriented or respaced copy of it, or its image under a twist, builds no
-new arrangement.  A curve that pairs nonzero with the surface's cocycle,
-on a surface with at most one boundary component, is essential without
-any arrangement, even the first time.
+curves too.  This module holds only what adds something: essentiality,
+the orientation guard of the algebraic count, and the pair classes the
+reduction pipeline consumes, which guard essentiality.  A count has one
+name: there is no guarded twin of geometric_intersection_number.
+Essentiality reads the single-curve topology that overlay caches on each
+curve, so checking a curve again, a reversed, reoriented or respaced copy
+of it, or its image under a twist, builds no new arrangement.  A curve
+that pairs nonzero with the surface's cocycle, on a surface with at most
+one boundary component, is essential without any arrangement, even the
+first time.
 """
 
 from __future__ import annotations
@@ -18,12 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .overlay import (
-    JointSystem,
-    geometric_intersection_number,
-    is_boundary_parallel,
-    is_null_homotopic,
-)
+from .overlay import JointSystem, is_boundary_parallel, is_null_homotopic
 from .overlay import minimal_position as _joint_minimal_position
 from .surface import EmbeddedCurve
 
@@ -31,7 +28,6 @@ __all__ = [
     "PairClass",
     "algebraic_intersection",
     "classify_pair",
-    "geometric_intersection",
     "is_essential",
     "pair_class",
 ]
@@ -45,11 +41,6 @@ def _require_essential(*curves: EmbeddedCurve) -> None:
     for c in curves:
         if not is_essential(c):
             raise PreconditionError("curve is not essential")
-
-
-def geometric_intersection(a: EmbeddedCurve, b: EmbeddedCurve) -> int:
-    _require_essential(a, b)
-    return geometric_intersection_number(a, b)
 
 
 def algebraic_intersection(a: EmbeddedCurve, b: EmbeddedCurve) -> int:

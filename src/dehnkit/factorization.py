@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import PairClass, _require_essential, classify_pair, geometric_intersection
+from .calculus import PairClass, _require_essential, classify_pair
 from .errors import BudgetExceededError, ComputationError, PreconditionError
 from .overlay import (
     JointSystem,
-    _isotopic_in,
     connecting_curve,
     curves_isotopic,
+    geometric_intersection_number,
     is_separating,
+    isotopic_in,
     minimal_position,
 )
 from .presets import PantsSystem
@@ -114,7 +115,7 @@ def fix_orientation(a: EmbeddedCurve, partner: EmbeddedCurve) -> TwistWord:
     The word is (D_a D_p D_a) squared; it fixes each curve setwise and acts
     as the hyperelliptic flip on the one-holed torus they span.
     """
-    if geometric_intersection(a, partner) != 1:
+    if geometric_intersection_number(a, partner) != 1:
         raise PreconditionError("orientation fix needs a partner crossing once")
     return TwistWord(((a, 1), (partner, 1), (a, 1), (a, 1), (partner, 1), (a, 1)))
 
@@ -156,9 +157,9 @@ def _orientation_partner(sys: PantsSystem, i: int, frozen):
         pool.append(sys.dual_for(i))
     pool.extend(p for k, p in sys.partners.items() if k != i)
     for cand in pool:
-        if geometric_intersection(cand, a_i) != 1:
+        if geometric_intersection_number(cand, a_i) != 1:
             continue
-        if all(geometric_intersection(cand, fr) == 0 for fr in frozen):
+        if all(geometric_intersection_number(cand, fr) == 0 for fr in frozen):
             return cand
     system = JointSystem(sys.surface, (a_i, *frozen))
     return connecting_curve(system)
@@ -213,7 +214,7 @@ def _exponents_from_images(sys: PantsSystem, pants_images, dual_images):
             raise ComputationError(outside, *replay)
         m = k // (base * base)
         if m == 0:
-            if not _isotopic_in(pair, img.oriented):
+            if not isotopic_in(pair, img.oriented):
                 raise ComputationError(outside, *replay)
             exps.append(0)
             continue

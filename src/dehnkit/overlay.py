@@ -70,10 +70,12 @@ arrangement.
 
 Every curve surgery reads its new curve off the joint frame: `arc` lists
 the events of a curve between two of its crossings, from their slots, and
-`beside` moves an event a fraction of the joint spacing to one side of
-its curve, one Fraction of integers from the event's rank (`joint_rank`).
-Bigon removal, the twist spiral (twisting) and the reduction splice
-(reduction) build all their new points this way.
+`beside` moves an event h = hn/hd joint spacings to one side of its curve,
+one Fraction of integers from the event's rank (`joint_rank`).  `beside`
+is the only offset rule: bigon removal, the twist spiral (twisting) and
+the reduction splice (reduction) make every new point with it.  Other
+modules read an arrangement only through names without an underscore
+(`slot`, `crossings_on`, `arc`, `beside`, `isotopic_in`, ...).
 
 The single-curve predicates (null-homotopic, boundary-parallel,
 separating) are answered together and cached on the curve and on its
@@ -118,7 +120,6 @@ class Region:
     """Connected component of the complement of the curve system."""
 
     index: int
-    cells: frozenset
     chi: int
     circuits: tuple[tuple[int, ...], ...]  # dart ids along each boundary circuit
 
@@ -564,8 +565,7 @@ class JointSystem:
                     raise ComputationError("boundary walk did not close")
                 circuits.append(tuple(circuit))
             regions.append(
-                Region(index=ridx, cells=frozenset(cell_idxs), chi=chi,
-                       circuits=tuple(circuits))
+                Region(index=ridx, chi=chi, circuits=tuple(circuits))
             )
         return partner, region_of_cell, tuple(regions)
 
@@ -581,7 +581,7 @@ class JointSystem:
             self.surface, tuple(self.events[i]), self.curves[i]
         )
 
-    def _slot(self, ci: int, x: Crossing) -> tuple[int, int]:
+    def slot(self, ci: int, x: Crossing) -> tuple[int, int]:
         """(gap, r): x is the r-th crossing on that gap of curve ci."""
         if ci == x.curve_i:
             return x.gap_i, self._ranks[0][x.node]
@@ -604,8 +604,8 @@ class JointSystem:
         once around the curve.
         """
         n = len(self.events[ci])
-        gx, rx = self._slot(ci, x)
-        gy, ry = self._slot(ci, y)
+        gx, rx = self.slot(ci, x)
+        gy, ry = self.slot(ci, y)
         span = (gy - gx) % n
         if span == 0 and ry < rx:
             span = n
@@ -619,8 +619,8 @@ class JointSystem:
         m1 = len(self.edge_order[e]) + 1
         return e, d, p.numerator * (m1 // p.denominator), m1
 
-    def beside(self, ci: int, idx: int, h: Fraction) -> tuple:
-        """Event idx of curve ci moved h joint spacings along its direction.
+    def beside(self, ci: int, idx: int, hn: int, hd: int) -> tuple:
+        """Event idx of curve ci moved h = hn/hd joint spacings along its edge.
 
         That is p + d*h/(m + 1) for the m points of its edge, which sit
         1/(m + 1) apart in the joint frame, edge ends included: with |h| < 1
@@ -628,11 +628,14 @@ class JointSystem:
         moves every event of ci to the same side of ci, so the moved events
         of an arc run parallel to it; the sign of h picks the side.  With
         p = k/(m + 1) (joint_rank) the point is one Fraction of integers,
-        (k*h.den + d*h.num)/((m + 1)*h.den).
+        (k*hd + d*hn)/((m + 1)*hd).
         """
         e, d, k, m1 = self.joint_rank(ci, idx)
-        hn, hd = h.numerator, h.denominator
         return e, d, Fraction(k * hd + d * hn, m1 * hd)
+
+    def crossings_on(self, ci: int, gap: int) -> list[Crossing]:
+        """The crossings on gap `gap` of curve ci, in order along it."""
+        return [self.crossings[node] for node in self._stops[ci][gap]]
 
     def crossing_order_along(self, ci: int) -> list[Crossing]:
         """All crossings met by curve ci, in traversal order (cyclically)."""
@@ -828,7 +831,7 @@ class JointSystem:
         P, Q = self.crossings[p], self.crossings[q]
         return P, Q, self.arc(ci, P, Q) if fwd else self.arc(ci, Q, P)
 
-    def _bigon_splice(self, runs_a: list, darts_b: list, shift: Fraction):
+    def _bigon_splice(self, runs_a: list, darts_b: list, sn: int, sd: int):
         """Splice data for pushing curve 1's side of a bigon across.
 
         The bigon is given by its runs of darts in circuit order, curve 0's
@@ -838,8 +841,7 @@ class JointSystem:
         the next m events and runs new_events in their place; a_used holds
         the event indices of curve 0 that the replacement strand shadows or
         clears, those of every run in runs_a.  Each replacement event is
-        curve 0's event moved `shift` joint spacings to the far side (see
-        beside).
+        curve 0's event moved sn/sd joint spacings to the far side (beside).
         """
         darts_a = runs_a[-1]
         a_fwd = self._labels[darts_a[0]][4]
@@ -856,18 +858,16 @@ class JointSystem:
         # them, along curve 0 iff exactly one of the runs follows its curve.
         enter = Q if b_fwd else P
         along_a = a_fwd != b_fwd
-        walk = a_arc if along_a else a_arc[::-1]
         # The bigon sits on curve 0's left iff its run is forward; the
         # rerouted strand is pushed across curve 0 to the far side.
-        h = -shift if a_fwd else shift
-        new_events: list[tuple[str, int, Fraction]] = []
-        for ev_idx in walk:
-            e, d_a, p = self.beside(0, ev_idx, h)
-            new_events.append((e, d_a if along_a else -d_a, p))
+        hn = -sn if a_fwd else sn
+        new_events = [self.beside(0, i, hn, sd) for i in a_arc]
+        if not along_a:
+            new_events = [(e, -d, p) for e, d, p in reversed(new_events)]
 
         inner = [ev for run in runs_a[:-1] for ev in self._run_arc(run)[2]]
         a_used = frozenset(inner + a_arc)
-        return self._slot(1, enter)[0], len(b_arc), new_events, a_used
+        return self.slot(1, enter)[0], len(b_arc), new_events, a_used
 
     def reroute_through_bigons(
         self, regions: Sequence[Region]
@@ -900,7 +900,7 @@ class JointSystem:
             stack_a: set[int] = set()
             for i, (runs_a, darts_b) in enumerate(stack):
                 g, m, new_events, a_used = self._bigon_splice(
-                    runs_a, darts_b, Fraction(depth - i, 3 * depth)
+                    runs_a, darts_b, depth - i, 3 * depth
                 )
                 if m >= nb:
                     # Run wraps the whole curve: every old event is replaced.
@@ -1119,10 +1119,10 @@ def curves_isotopic(a: EmbeddedCurve, b: EmbeddedCurve) -> bool:
     oriented = a.oriented and b.oriented
     if a.with_orientation(oriented) == b.with_orientation(oriented):
         return True
-    return _isotopic_in(minimal_position(a, b), oriented)
+    return isotopic_in(minimal_position(a, b), oriented)
 
 
-def _isotopic_in(system: JointSystem, oriented: bool) -> bool:
+def isotopic_in(system: JointSystem, oriented: bool) -> bool:
     """Whether curves 0 and 1 of a minimal-position arrangement are isotopic.
 
     They are when they do not cross and cobound an annulus; with `oriented`

@@ -22,8 +22,10 @@ once, T_c(b) is the resolution of b ∪ c at that point: b cut there and
 closed up around c.  The part of c beside b cancels against that arc of b, so
 what is left is, up to isotopy, b's complementary arc closed by the a-arc;
 this is Lickorish's step, which "depends only on the intersection numbers".
-The events are laid out as the twist lays out its spiral of one turn, and
-one sweep of reducible pairs leaves the twist image event for event.
+The surgery hands its loop to the twist's own close-up (twisting._close_up)
+as the one block after the cut, where the twist lays out its spiral of one
+turn; the close-up's sweep of reducible pairs leaves the twist image event
+for event.
 
 Any other splice, two apart or round the far side, meets b more than once,
 and the same surgery does not close up, so it is reduced by a twist.  The
@@ -45,19 +47,15 @@ solved once.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .calculus import _classified, is_essential, pair_class
 from .errors import ComputationError, ValidationError
 from .overlay import minimal_position as _joint_minimal_position
 from .surface import EmbeddedCurve
-from .twisting import TwistWord, _drop_reducible_pairs, apply_twist
+from .twisting import TwistWord, _close_up, apply_twist
 
 __all__ = ["reduce_pair"]
 
 TERMINAL_TAGS = ("disjoint", "one_point", "two_zero")
-
-_QUARTER = Fraction(1, 4)
 
 
 def _reversed(events: list) -> list:
@@ -71,7 +69,7 @@ def _arc_copy(system, ci: int, x, y, fwd: bool) -> list:
     the forward arc from y to x, walked backward."""
     if not fwd:
         return _reversed(_arc_copy(system, ci, y, x, True))
-    return [system.beside(ci, i, _QUARTER) for i in system.arc(ci, x, y)]
+    return [system.beside(ci, i, 1, 4) for i in system.arc(ci, x, y)]
 
 
 def _candidate_events(system, x, y) -> tuple:
@@ -119,11 +117,11 @@ def _twist_image(a, b, system, c, x, y, adjacent: bool) -> EmbeddedCurve:
     next to X when the splice's sign is positive, next to Y when it is
     negative; at the other corner c turns across a.  b is cut there and c
     is entered from that corner, forward or backward as the sign says, and
-    one sweep of reducible pairs leaves the twist image event for event; no
-    arrangement is built.  Any other splice twists curve 1 of `system` in
-    its frame.  Either image takes b's cached topology.  A surgery image
-    that is not an embedded curve raises the ComputationError carrying
-    (a, b).
+    the twist's close-up (twisting._close_up) sweeps the layout to the twist
+    image event for event; no arrangement is built.  Any other splice
+    twists curve 1 of `system` in its frame.  Either image takes b's cached
+    topology.  A surgery image that does not close up raises the
+    ComputationError carrying (a, b).
     """
     if not adjacent:
         return apply_twist(c, 1, b._share_topology(system.renormalized_curve(1)))
@@ -132,16 +130,7 @@ def _twist_image(a, b, system, c, x, y, adjacent: bool) -> EmbeddedCurve:
     else:
         k = len(system.arc(0, x, y))  # the a-arc leads c's events
         cut, loop = y, _reversed(c.events[:k]) + _reversed(c.events[k:])
-    g = system._slot(1, cut)[0]
-    around = system.events[1]
-    events = _drop_reducible_pairs([*around[:g + 1], *loop, *around[g + 1:]])
-    try:
-        image = EmbeddedCurve(a.surface, tuple(events), oriented=b.oriented)
-    except ValidationError as exc:
-        raise ComputationError(
-            f"surgery along the splice did not close up: {exc}", a.surface, (a, b)
-        ) from exc
-    return b._share_topology(image).renormalized()
+    return _close_up(system, {system.slot(1, cut)[0]: loop}, b, 1, (a, b))
 
 
 def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system):
@@ -192,23 +181,20 @@ def _reduce_counted(a: EmbeddedCurve, b: EmbeddedCurve):
     """reduce_pair's result and the initial crossing count |a ∩ b|.
 
     The count is read off the arrangement that classifies (a, b), so a
-    caller that needs it solves the pair once.
+    caller that needs it solves the pair once.  Each step checks its own
+    descent (_reduction_step), on the arrangement that classifies the next
+    pair.
     """
     cls, system = _classified(a, b)
     letters = []
     b_cur = b
     bound = cls.count
     while cls.tag not in TERMINAL_TAGS:
-        c, twisted, system = _reduction_step(a, b_cur, system)
+        c, b_cur, system = _reduction_step(a, b_cur, system)
         letters.append((c, 1))
-        new_cls = pair_class(system)
-        if new_cls.count >= cls.count:
-            raise ComputationError(
-                "reduction step failed to descend", a.surface, (a, b_cur)
-            )
         if len(letters) > bound:
             raise ComputationError(
                 "reduction exceeded the crossing bound", a.surface, (a, b)
             )
-        cls, b_cur = new_cls, twisted
+        cls = pair_class(system)
     return TwistWord(tuple(letters)), b_cur, cls, bound

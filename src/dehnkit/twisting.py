@@ -3,26 +3,26 @@
 The twist D_a^n(b) is built literally: put the pair in minimal position, then
 reroute every strand of b through an annulus neighbourhood of a as a spiral
 winding |n| times. The spiral's points are a's events moved at most half a
-joint spacing to either side (the rule of JointSystem.beside), so the result
-validates as an embedded curve; a final sweep removes edge-crossing pairs
-the surgery left reducible.  Each spiral point is one Fraction made from
-integers: its numerator and denominator are read off the ranks of the joint
-frame and the crossing's place on a.
+joint spacing to either side, each made by JointSystem.beside from two
+integers read off the crossing's place on a, so the result validates as an
+embedded curve.
 
-A twist is a homeomorphism, so the image of b is null-homotopic,
-boundary-parallel or separating exactly when b is: the image inherits b's
-cached single-curve topology and never builds an arrangement for it.
+The spiral is closed up by _close_up, which the reduction's arc surgery
+shares: it lays each block of new events after b's event at its gap, sweeps
+away the edge-crossing pairs the layout left reducible, checks the result
+and validates it.  A twist is a homeomorphism, so the image of b is
+null-homotopic, boundary-parallel or separating exactly when b is: the
+image inherits b's cached single-curve topology and never builds an
+arrangement for it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .calculus import is_essential
-from .errors import ComputationError, PreconditionError
+from .errors import ComputationError, PreconditionError, ValidationError
 from .overlay import minimal_position as _joint_minimal_position
 from .surface import EmbeddedCurve
 
@@ -93,6 +93,36 @@ def _drop_reducible_pairs(events: list) -> list:
     return [ev for ev, keep in zip(events, alive) if keep]
 
 
+def _close_up(system, blocks: dict, b: EmbeddedCurve, n: int,
+              replay: tuple) -> EmbeddedCurve:
+    """The twist image of b laid out on `system`, swept and checked.
+
+    Curve 1 of `system` is b as placed there; blocks[g] holds the new events
+    that run after its event at gap g.  One sweep of reducible pairs leaves
+    the image, which must not collapse to a trivial circle and must be an
+    embedded curve: either failure raises a ComputationError carrying the
+    surface and the curves `replay`, with the power n in its text.  The
+    image takes b's cached topology and is renormalized.
+    """
+    surf = system.surface
+    events = []
+    for g, ev in enumerate(system.events[1]):
+        events.append(ev)
+        events.extend(blocks.get(g, ()))
+    events = _drop_reducible_pairs(events)
+    if len(events) == 2 and events[0][:2] == (events[1][0], -events[1][1]):
+        raise ComputationError(
+            f"twist image collapsed to a trivial circle (power {n})", surf, replay
+        )
+    try:
+        image = EmbeddedCurve(surf, tuple(events), oriented=b.oriented)
+    except ValidationError as exc:
+        raise ComputationError(
+            f"twist image did not close up (power {n}): {exc}", surf, replay
+        ) from exc
+    return b._share_topology(image).renormalized()
+
+
 def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
     """Image of b under the n-th power of the twist along a.
 
@@ -109,15 +139,9 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
     if not system.crossings:
         return b
 
-    surf = a.surface
-    B = system.events[1]
     m = len(system.events[0])
     sigma = 1 if n > 0 else -1
     wraps = abs(n)
-
-    # a's events as (edge, direction, k, m_e + 1): the joint frame puts the
-    # k-th of the m_e points of an edge at k/(m_e + 1)
-    A = [system.joint_rank(0, idx) for idx in range(m)]
 
     def spiral_block(x) -> list:
         # Strand of b at crossing x, rerouted to wind `wraps` times around a.
@@ -125,14 +149,14 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
         # (r + 1)-th of the Q - 1 crossings on a's gap g.  The spiral point
         # of turn w at a's event idx has phi = (sigma * (idx - th)) mod m / m
         # and z = (phi + w)/wraps, and is that event moved h = (2z - 1)/2
-        # joint spacings to one side (JointSystem.beside):
-        # p + d*h/(m_e + 1).  With D = m * Q * wraps, z = (u + w*m*Q)/D for
-        # the integer u = sigma * (Q * (idx - g) - r - 1) mod m*Q, so every
-        # quantity is an integer over 2 * D * (m_e + 1).
+        # joint spacings to one side (JointSystem.beside).  With
+        # D = m * Q * wraps, z = (u + w*m*Q)/D for the integer
+        # u = sigma * (Q * (idx - g) - r - 1) mod m*Q, so h is the integer
+        # 2*(u + w*m*Q) - D over 2*D.
         mu = x.sign  # +1: strand passes right-to-left across a
         se = mu * sigma  # sign of the strand's motion along a's direction
-        g, r = system._slot(0, x)
-        r1, Q = r + 1, len(system._stops[0][g]) + 1
+        g, r = system.slot(0, x)
+        r1, Q = r + 1, len(system.crossings_on(0, g)) + 1
         mQ = m * Q
         D = mQ * wraps
         out = []
@@ -140,29 +164,14 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
             idx = (g + 1 + t) % m if se > 0 else (g - t) % m
             w = t // m if mu > 0 else wraps - 1 - t // m
             u = sigma * (Q * (idx - g) - r1) % mQ
-            e, d, k, m1 = A[idx]
-            H = d * (2 * (u + w * mQ) - D)
-            out.append((e, se * d, Fraction(2 * D * k + H, 2 * D * m1)))
+            e, d, p = system.beside(0, idx, 2 * (u + w * mQ) - D, 2 * D)
+            out.append((e, se * d, p))
         return out
 
-    by_gap = defaultdict(list)
+    blocks: dict = {}
     for x in system.crossing_order_along(1):
-        by_gap[x.gap_j].append(x)
-
-    events = []
-    for g in range(len(B)):
-        events.append(B[g])
-        for x in by_gap.get(g, ()):
-            events.extend(spiral_block(x))
-
-    events = _drop_reducible_pairs(events)
-    if len(events) == 2 and events[0][:2] == (events[1][0], -events[1][1]):
-        raise ComputationError(
-            f"twist image collapsed to a trivial circle (power {n})", surf, (a, b)
-        )
-    # a twist is a homeomorphism: the image has b's topology
-    image = EmbeddedCurve(surf, tuple(events), oriented=b.oriented)
-    return b._share_topology(image).renormalized()
+        blocks.setdefault(x.gap_j, []).extend(spiral_block(x))
+    return _close_up(system, blocks, b, n, (a, b))
 
 
 @dataclass(frozen=True)

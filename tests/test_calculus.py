@@ -14,11 +14,14 @@ from dehnkit.calculus import (
     PairClass,
     algebraic_intersection,
     classify_pair,
-    geometric_intersection,
     is_essential,
 )
 from dehnkit.errors import PreconditionError
-from dehnkit.overlay import curves_isotopic, minimal_position
+from dehnkit.overlay import (
+    curves_isotopic,
+    geometric_intersection_number,
+    minimal_position,
+)
 from dehnkit.presets import build_preset, torus_curve
 from dehnkit.surface import EmbeddedCurve
 
@@ -54,14 +57,13 @@ class TestMinimalPosition:
     def test_self_pushed_off(self):
         g2 = build_preset("genus2_closed")
         a = g2.curves["a1"]
-        assert geometric_intersection(a, a) == 0
+        assert geometric_intersection_number(a, a) == 0
 
     def test_rejects_trivial_circle(self):
         t = build_preset("torus").surface
         circle = EmbeddedCurve(t, (("v", 1, F(1, 3)), ("v", -1, F(2, 3))))
-        for guarded in (geometric_intersection, classify_pair):
-            with pytest.raises(PreconditionError):
-                guarded(circle, torus_curve(t, 1, 0))
+        with pytest.raises(PreconditionError):
+            classify_pair(circle, torus_curve(t, 1, 0))
 
     def test_essential_predicate(self):
         oh = build_preset("one_holed_torus")
@@ -76,9 +78,9 @@ class TestCounts:
         r, s = cd
         t = build_preset("torus").surface
         a, b = torus_curve(t, p, q), torus_curve(t, r, s)
-        k = geometric_intersection(a, b)
+        k = geometric_intersection_number(a, b)
         assert k == abs(p * s - q * r)
-        assert geometric_intersection(b, a) == k
+        assert geometric_intersection_number(b, a) == k
 
     @given(slopes(), slopes())
     def test_algebraic_vs_geometric(self, ab, cd):
@@ -86,7 +88,7 @@ class TestCounts:
         a = torus_curve(t, *ab)
         b = torus_curve(t, *cd)
         alg = algebraic_intersection(a, b)
-        geo = geometric_intersection(a, b)
+        geo = geometric_intersection_number(a, b)
         assert abs(alg) <= geo
         assert (alg - geo) % 2 == 0
         assert algebraic_intersection(b, a) == -alg
@@ -101,7 +103,7 @@ class TestCounts:
         g2 = build_preset("genus2_closed")
         w = g2.curves["waist"].with_orientation(True)
         t1 = g2.curves["t1"].with_orientation(True)
-        assert geometric_intersection(t1, w) == 2
+        assert geometric_intersection_number(t1, w) == 2
         assert algebraic_intersection(t1, w) == 0
 
     def test_unoriented_rejected(self):

@@ -48,8 +48,8 @@ arrangement: preset curves, reduction splices and random twisted curves
 on the torus, the one-holed torus and genus 2 that pair nonzero are
 non-separating there, and on the four-holed sphere, where boundary curves
 pair nonzero, the cocycle decides nothing.  JointSystem.beside, which
-places a point from its joint-frame rank, is checked against the Fraction
-sum p + d*h/(m + 1) it replaced.
+places a point from its joint-frame rank and h = hn/hd, is checked
+against the Fraction sum p + d*h/(m + 1) it replaced.
 """
 
 import functools
@@ -707,21 +707,23 @@ def test_arc_matches_the_annulus_coordinate_formula():
                 assert system.arc(ci, x, x) == []
 
 
-_SHIFTS = [Fraction(1, 4)] + [s * Fraction(k, 3 * depth) for depth in (1, 2, 3)
-                              for k in range(1, depth + 1) for s in (1, -1)]
+_SHIFTS = [(1, 4)] + [(s * k, 3 * depth) for depth in (1, 2, 3)
+                      for k in range(1, depth + 1) for s in (1, -1)]
 
 
 def _assert_beside_matches_the_reference(a, b):
     """beside against p + d*h/(m + 1), the Fraction sum it replaced, for
-    the reduction splice's h and the bigon strands' shifts."""
+    the reduction splice's h = 1/4 and the bigon strands' shifts, given as
+    the (hn, hd) its callers pass."""
     system = JointSystem(a.surface, (a, b))
     for ci in (0, 1):
         for idx, (e, d, p) in enumerate(system.events[ci]):
             m1 = len(system.edge_order[e]) + 1
             _, _, k, got_m1 = system.joint_rank(ci, idx)
             assert (got_m1, Fraction(k, m1)) == (m1, p)
-            for h in _SHIFTS:
-                assert system.beside(ci, idx, h) == (e, d, p + d * h / m1)
+            for hn, hd in _SHIFTS:
+                h = Fraction(hn, hd)
+                assert system.beside(ci, idx, hn, hd) == (e, d, p + d * h / m1)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -745,7 +747,7 @@ def _assert_slots_name_their_darts(curves):
     assert seen == sorted(2 * list(range(len(system.crossings))))
     for x in system.crossings:
         for ci in (x.curve_i, x.curve_j):
-            gap, rank = system._slot(ci, x)
+            gap, rank = system.slot(ci, x)
             assert system._stops[ci][gap][rank] == x.node
             assert system._node(system._chord_first[ci][gap] + 2 * rank + 2) == x.node
 
@@ -889,8 +891,7 @@ def _reference_regions(system):
                 d = out_at[_find(corner, phi[d])]
             assert d == did
             circuits.append(tuple(circuit))
-        regions.append(Region(index=ridx, cells=frozenset(cell_idxs), chi=chi,
-                              circuits=tuple(circuits)))
+        regions.append(Region(index=ridx, chi=chi, circuits=tuple(circuits)))
     return tuple(regions), region_of_cell
 
 

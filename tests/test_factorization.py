@@ -181,13 +181,13 @@ def test_orientation_partner_tries_only_curves_that_can_cross_once(
     pants = ps.pants
     frozen = pants.pants_curves[:i]
     tried = []
-    count = factorization.geometric_intersection
+    count = factorization.geometric_intersection_number
 
     def counted(a, b):
         tried.append(a)
         return count(a, b)
 
-    monkeypatch.setattr(factorization, "geometric_intersection", counted)
+    monkeypatch.setattr(factorization, "geometric_intersection_number", counted)
     partner = factorization._orientation_partner(pants, i, frozen)
     # pants curves are pairwise disjoint, so none is ever a candidate
     assert not any(c is p for c in tried for p in pants.pants_curves)

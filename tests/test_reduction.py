@@ -20,10 +20,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dehnkit import reduction
-from dehnkit.calculus import classify_pair, geometric_intersection, is_essential
+from dehnkit import reduction, twisting
+from dehnkit.calculus import classify_pair, is_essential
 from dehnkit.errors import ComputationError, ValidationError
-from dehnkit.overlay import JointSystem
+from dehnkit.overlay import JointSystem, geometric_intersection_number
 from dehnkit.presets import build_preset, torus_curve
 from dehnkit.reduction import reduce_pair
 from dehnkit.surface import CellSurface, EmbeddedCurve
@@ -71,7 +71,7 @@ class TestSingleStep:
         a = torus_curve(torus.surface, 1, 0)
         b = torus_curve(torus.surface, 1, 2)
         c = _reduction_curve(a, b)
-        assert geometric_intersection(apply_twist(c, 1, b), a) < 2
+        assert geometric_intersection_number(apply_twist(c, 1, b), a) < 2
         word, b_fin, cls = reduce_pair(a, b)
         assert len(word) == 1 and word.is_positive
         assert cls.tag == "one_point"
@@ -90,10 +90,10 @@ class TestSingleStep:
     def test_descent_postcondition(self, genus2):
         base = genus2.curve("t1")
         b = apply_twist(genus2.curve("dual2"), 1, base)
-        k = geometric_intersection(base, b)
+        k = geometric_intersection_number(base, b)
         assert k == 4
         c = _reduction_curve(base, b)
-        assert geometric_intersection(apply_twist(c, 1, b), base) < k
+        assert geometric_intersection_number(apply_twist(c, 1, b), base) < k
 
     def test_alternating_state(self, genus2):
         # five crossings with no two adjacent signs equal except the wrap,
@@ -133,14 +133,14 @@ class TestReducePair:
         a = genus2.curve("a1")
         b = apply_word(TwistWord(((t1, -1), (d2, -1), (t1, 1))), t1)
         word, b_fin, _ = reduce_pair(a, b)
-        counts = [geometric_intersection(a, b)]
+        counts = [geometric_intersection_number(a, b)]
         cur = b
         for c, n in word.letters:
             assert n == 1
             cur = apply_twist(c, n, cur)
-            counts.append(geometric_intersection(a, cur))
+            counts.append(geometric_intersection_number(a, cur))
         assert all(lo < hi for lo, hi in zip(counts[1:], counts))
-        assert counts[-1] == geometric_intersection(a, b_fin)
+        assert counts[-1] == geometric_intersection_number(a, b_fin)
 
     def test_random_words_genus2(self, genus2):
         names = ["a1", "a2", "a3", "t1", "t2", "dual2"]
@@ -388,14 +388,15 @@ def test_a_step_that_fails_to_descend_replays_from_its_json(torus, monkeypatch):
 
 def test_a_surgery_that_does_not_close_up_replays_from_its_json(torus, monkeypatch):
     # the splice at the two crossings of 1/0 and 1/2 is reduced by surgery;
-    # when its sweep leaves a point twice on an edge, the step raises at
-    # once, with no fall back to the twist, and its error carries (a, b)
-    monkeypatch.setattr(reduction, "_drop_reducible_pairs",
+    # when the sweep of the twist's close-up leaves a point twice on an
+    # edge, the step raises at once, with no fall back to the twist, and its
+    # error carries (a, b)
+    monkeypatch.setattr(twisting, "_drop_reducible_pairs",
                         lambda events: [*events, events[0]])
     monkeypatch.setattr(reduction, "apply_twist", None)
     a = torus_curve(torus.surface, 1, 0)
     b = torus_curve(torus.surface, 1, 2)
-    with pytest.raises(ComputationError, match="surgery along the splice") as raised:
+    with pytest.raises(ComputationError, match="did not close up") as raised:
         reduce_pair(a, b)
     assert isinstance(raised.value.__cause__, ValidationError)
     _assert_replays(a, b, raised.value)

@@ -17,8 +17,6 @@ splice at the first pair does not embed, and the one round the far side
 settles the pair in one letter, as the search does.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,8 +35,7 @@ def _candidate_events(system, x, y, a_fwd, b_fwd, sa, sb):
 
     def copy(ci, start, end, fwd, side):
         idxs = system.arc(ci, start, end) if fwd else system.arc(ci, end, start)
-        h = Fraction(side, 4)
-        part = [system.beside(ci, i, h) for i in idxs]
+        part = [system.beside(ci, i, side, 4) for i in idxs]
         if not fwd:
             part = [(e, -d, pos) for e, d, pos in reversed(part)]
         return part

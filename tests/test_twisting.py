@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from dehnkit import overlay, twisting
 from dehnkit.calculus import is_essential
-from dehnkit.errors import ComputationError, PreconditionError
+from dehnkit.errors import ComputationError, PreconditionError, ValidationError
 from dehnkit.factorization import factorize, fix_orientation
 from dehnkit.overlay import curves_isotopic, geometric_intersection_number
 from dehnkit.presets import PRESET_NAMES, build_preset, homology_class, torus_curve
@@ -332,6 +332,28 @@ def test_a_collapsed_twist_image_carries_its_inputs(monkeypatch):
         apply_twist(a, 2, b)
     assert str(raised.value) == "twist image collapsed to a trivial circle (power 2)"
     assert raised.value.surface is t and raised.value.curves == (a, b)
+
+
+def test_a_twist_image_that_does_not_close_up_replays_from_its_json(monkeypatch):
+    # when the sweep leaves a point twice on an edge the image is no
+    # embedded curve: the close-up raises a ComputationError, not a bare
+    # ValidationError, and the (a, b) it carries reproduces it
+    t = build_preset("torus").surface
+    a, b = tc(t, 1, 0), tc(t, 1, 2)
+    monkeypatch.setattr(
+        twisting, "_drop_reducible_pairs", lambda events: [*events, events[0]]
+    )
+    with pytest.raises(ComputationError, match="did not close up") as raised:
+        apply_twist(a, 2, b)
+    err = raised.value
+    assert isinstance(err.__cause__, ValidationError)
+    data = err.replay_json()
+    surface = CellSurface.from_json(data["surface"])
+    a2, b2 = (EmbeddedCurve.from_json(surface, c) for c in data["curves"])
+    assert (a2, b2) == (a.renormalized(), b.renormalized())
+    with pytest.raises(ComputationError) as replayed:
+        apply_twist(a2, 2, b2)
+    assert str(replayed.value) == str(err)
 
 
 @functools.lru_cache(maxsize=None)
