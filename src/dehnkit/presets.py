@@ -4,6 +4,8 @@ Each preset bundles a cell structure with named curves, an integer flow basis
 that reads off first-homology coordinates, and (beyond the torus) a maximal
 disjoint curve system with chosen dual curves. Every stored curve is validated
 on build: disjointness and dual-crossing patterns are recomputed, not trusted.
+`build_preset` caches each preset; `homology_class` finds a surface's flow
+basis by looking for the preset built on that surface.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .overlay import (
     is_boundary_parallel,
     minimal_position,
 )
-from .surface import CellSurface, EmbeddedCurve, Flow
+from .surface import CellSurface, EmbeddedCurve, Flow, end_crossing
 
 __all__ = [
     "PRESET_NAMES",
@@ -49,8 +51,8 @@ def subgraph_link(surface: CellSurface, edges) -> tuple[EmbeddedCurve, ...]:
 
     `edges` is a set of interior edges of the 1-skeleton whose endpoints are
     interior vertices. The neighbourhood boundary is traced by walking ccw
-    around each vertex disc: ends outside the subgraph are crossed (tail ends
-    with direction -1, head ends with +1), ends inside it jump the walk to the
+    around each vertex disc: ends outside the subgraph are crossed a quarter
+    of the way in (surface.end_crossing), ends inside it jump the walk to the
     edge's other end. One component per orbit, unoriented.
     """
     edges = frozenset(edges)
@@ -78,10 +80,7 @@ def subgraph_link(surface: CellSurface, edges) -> tuple[EmbeddedCurve, ...]:
             seen.add(state)
             x = ccw_next[state]
             while x not in sub_ends:
-                e, j = x
-                d = -1 if j == 0 else 1
-                p = _QUARTER if j == 0 else 1 - _QUARTER
-                events.append((e, d, p))
+                events.append(end_crossing(x, _QUARTER))
                 x = ccw_next[x]
             state = (x[0], 1 - x[1])
             if state == start:
@@ -96,8 +95,8 @@ def boundary_parallel_curve(surface: CellSurface, circuit_index: int) -> Embedde
     """Simple closed curve running parallel to one boundary circuit.
 
     Walks the circuit and crosses, at each vertex it passes, the interior
-    edge-ends of that vertex in rotation order (tail ends with direction -1
-    near the tail, head ends with +1 near the head).
+    edge-ends of that vertex in rotation order, an eighth of the way in
+    (surface.end_crossing).
     """
     if not 0 <= circuit_index < len(surface.boundary_circuits):
         raise PreconditionError(f"no boundary circuit {circuit_index}")
@@ -106,11 +105,8 @@ def boundary_parallel_curve(surface: CellSurface, circuit_index: int) -> Embedde
     for edge, sign in circuit:
         vi = surface.vertex_at((edge, 1 if sign > 0 else 0))
         rot = surface.rotations[vi]
-        for e, j in rot[1:-1]:  # first and last end lie on the boundary
-            if j == 0:
-                events.append((e, -1, _EIGHTH))
-            else:
-                events.append((e, 1, 1 - _EIGHTH))
+        for end in rot[1:-1]:  # first and last end lie on the boundary
+            events.append(end_crossing(end, _EIGHTH))
     if not events:
         raise ComputationError("boundary circuit has no interior link")
     curve = EmbeddedCurve(surface, tuple(events), oriented=False)
@@ -270,48 +266,40 @@ _GENUS2_FACES = (
     (("b0", -1), ("c1p", 1), ("b1", -1), ("c1p", -1), ("c2p", 1), ("b2", -1), ("c2p", -1)),
 )
 
-# Flow bases keyed by surface, so homology_class works on any curve carried
-# by a preset surface without dragging the wrapper around.
-_FLOW_REGISTRY: dict[tuple, tuple[Flow, ...]] = {}
-
 
 def homology_class(surface: CellSurface, c: EmbeddedCurve) -> tuple[int, ...]:
-    """Integer homology coordinates of c in the preset's fixed basis."""
+    """Integer homology coordinates of c in a preset's fixed flow basis.
+
+    The basis is the flows of the preset whose surface equals `surface`
+    (same faces), found by scanning PRESET_NAMES through the cached
+    build_preset, so any curve on a preset surface has coordinates without
+    the preset wrapper.  A surface that no preset carries has no basis.
+    """
     if not c.oriented:
         raise PreconditionError("homology class needs an oriented curve")
     if c.surface is not surface and c.surface != surface:
         raise PreconditionError("curve does not live on this surface")
-    flows = _FLOW_REGISTRY.get(surface.faces)
-    if flows is None:
-        build_presets_once()
-        flows = _FLOW_REGISTRY.get(surface.faces)
-    if flows is None:
-        raise PreconditionError("no homology basis registered for this surface")
-    return tuple(f.pair(c) for f in flows)
-
-
-def build_presets_once() -> None:
     for name in PRESET_NAMES:
-        build_preset(name)
+        preset = build_preset(name)
+        if preset.surface == surface:
+            return tuple(f.pair(c) for f in preset.flows)
+    raise PreconditionError("no preset carries this surface")
 
 
 @lru_cache(maxsize=None)
 def build_preset(name: str) -> PresetSurface:
-    """Construct a named preset surface with its registered curve system."""
+    """Construct a named preset surface with its curve system, once."""
     if name == "torus":
-        preset = _build_torus()
-    elif name == "one_holed_torus":
-        preset = _build_one_holed_torus()
-    elif name == "four_holed_sphere":
-        preset = _build_four_holed_sphere()
-    elif name == "genus2_closed":
-        preset = _build_genus2()
-    else:
-        raise PreconditionError(
-            f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
-        )
-    _FLOW_REGISTRY[preset.surface.faces] = preset.flows
-    return preset
+        return _build_torus()
+    if name == "one_holed_torus":
+        return _build_one_holed_torus()
+    if name == "four_holed_sphere":
+        return _build_four_holed_sphere()
+    if name == "genus2_closed":
+        return _build_genus2()
+    raise PreconditionError(
+        f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
+    )
 
 
 def _build_torus() -> PresetSurface:

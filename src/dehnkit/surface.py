@@ -23,7 +23,6 @@ on chord interleaving along face boundaries.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +49,17 @@ def head_end(edge: str, sign: int) -> End:
 def tail_end(edge: str, sign: int) -> End:
     """End from which a face walk along this slot departs."""
     return (edge, 0 if sign > 0 else 1)
+
+
+def end_crossing(end: End, offset: Fraction) -> Event:
+    """Where a small ccw loop round a vertex crosses one of its edge ends.
+
+    A tail end is crossed right-to-left (-1) `offset` up the edge, a head
+    end left-to-right (+1) `offset` down it.  Flux signs and vertex links
+    both follow this one rule.
+    """
+    edge, which = end
+    return (edge, 1, 1 - offset) if which else (edge, -1, offset)
 
 
 # Instance-__dict__ key under which overlay caches a curve's single-curve
@@ -235,64 +245,55 @@ class CellSurface:
         """3g - 3 + n, the number of curves in a maximal disjoint system."""
         return 3 * self.genus - 3 + self.num_boundary
 
+    def flux(self, weights: Mapping[str, int], vi: int) -> int:
+        """Net weight a small ccw loop round vertex vi crosses, signed by end_crossing."""
+        return sum(end_crossing(end, 0)[1] * weights.get(end[0], 0)
+                   for end in self.rotations[vi])
+
     @cached_property
     def cocycle(self) -> dict[str, int]:
         """A generic integer cocycle: edge -> weight, for every interior edge.
 
         The weights have zero flux at every interior vertex (the Flow
         condition), so a loop pairs with them by its homology class alone,
-        and a loop that bounds a disc pairs to 0.  They combine an exact
-        basis of all such weightings with fixed pseudo-random coefficients,
-        so a loop whose class is not zero pairs nonzero unless the
-        coefficients happen to cancel.  Empty when only the zero weighting
-        has zero flux.
+        and a loop that bounds a disc pairs to 0.  They are peeled off a BFS
+        tree over the interior edges in sorted order: each edge off the tree
+        draws a fixed pseudo-random weight, then each tree edge, leaves
+        first, zeroes its child's flux.  So a loop whose class is not zero
+        pairs nonzero unless the draws cancel.  Empty when no edge is off the tree.
 
-        The flux at a boundary vertex is free: the weights are a cycle
-        relative to the boundary, and a loop around a boundary component
-        has a class that is not zero once there are two or more of them.
-        So with two or more boundary components a boundary-parallel or
-        other separating curve can pair nonzero (the four-holed sphere's
-        do); with at most one, a separating curve bounds a piece that holds
-        no boundary and pairs to 0.
+        The flux at a boundary vertex is free, so all boundary vertices are
+        one node, the root (vertex 0 roots a closed surface): the weights
+        are a cycle relative to the boundary.  With two or more boundary
+        components a separating curve can pair nonzero (the four-holed
+        sphere's boundary curves do); with at most one, it bounds a piece
+        without boundary and pairs to 0.
         """
+        node = [vi if inner else -1 for vi, inner in enumerate(self._is_interior_vertex)]
         edges = sorted(self.interior_edges)
-        column = {e: k for k, e in enumerate(edges)}
-        rows = []
-        for vi, rot in enumerate(self.rotations):
-            if not self.vertex_is_interior(vi):
-                continue
-            row = [Fraction(0)] * len(edges)
-            for e, which in rot:
-                row[column[e]] += 1 if which == 1 else -1
-            rows.append(row)
-        # reduced row echelon form; the free columns span the nullspace
-        pivots: list[int] = []
-        for col in range(len(edges)):
-            top = len(pivots)
-            r = next((r for r in range(top, len(rows)) if rows[r][col]), None)
-            if r is None:
-                continue
-            rows[top], rows[r] = rows[r], rows[top]
-            lead = rows[top]
-            lead[:] = [x / lead[col] for x in lead]
-            for other in rows:
-                if other is not lead and other[col]:
-                    f = other[col]
-                    other[:] = [x - f * y for x, y in zip(other, lead)]
-            pivots.append(col)
-        free_columns = [c for c in range(len(edges)) if c not in pivots]
-        if not free_columns:
+        # per node: (edge, node at its other end, the edge's sign there)
+        neighbours: dict[int, list[tuple[str, int, int]]] = {}
+        for e in edges:
+            tail, head = (node[self.vertex_at((e, k))] for k in (0, 1))
+            neighbours.setdefault(tail, []).append((e, head, 1))
+            neighbours.setdefault(head, []).append((e, tail, -1))
+        order = [-1 if self.num_boundary else 0]
+        up = {order[0]: (None, 0)}
+        for n in order:
+            for e, m, sign in neighbours.get(n, ()):
+                if m not in up:
+                    up[m] = (e, sign)
+                    order.append(m)
+        tree = {e for e, _ in up.values()}
+        draw = random.Random(len(edges))
+        weights = {e: draw.randrange(1, 1 << 30) for e in edges if e not in tree}
+        if not weights:
             return {}
-        coefficients = random.Random(len(edges))
-        weights = [Fraction(0)] * len(edges)
-        for free in free_columns:
-            # the basis vector that is 1 on this free column and 0 on the others
-            coeff = coefficients.randrange(1, 1 << 30)
-            weights[free] += coeff
-            for row, col in zip(rows, pivots):
-                weights[col] -= coeff * row[free]
-        scale = math.lcm(*(w.denominator for w in weights))
-        return {e: int(w * scale) for e, w in zip(edges, weights)}
+        for n in reversed(order[1:]):
+            e, sign = up[n]
+            weights[e] = 0
+            weights[e] = -sign * self.flux(weights, n)
+        return {e: weights[e] for e in edges}
 
     def __repr__(self) -> str:
         return (
@@ -327,7 +328,11 @@ class CellSurface:
             )
         surf = cls(faces=faces)
         for key, got in (("genus", surf.genus), ("boundary", surf.num_boundary)):
-            if key in data and int(data[key]) != got:
+            try:
+                declared = int(data.get(key, got))
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"bad {key} field: {exc}") from exc
+            if declared != got:
                 raise ValidationError(
                     f"declared {key}={data[key]} but cell structure gives {got}"
                 )
@@ -593,9 +598,10 @@ def joint_frame(curves: Sequence[EmbeddedCurve]) -> tuple[dict, list]:
 class Flow:
     """Integer edge weights with zero net flux around every interior vertex.
 
-    Such a weighting pairs with oriented curves (sum of direction times
-    weight over the itinerary) and the pairing only depends on the isotopy
-    class, so a family of flows computes homology coordinates.
+    The flux is CellSurface.flux, checked on construction.  Such a
+    weighting pairs with oriented curves (sum of direction times weight
+    over the itinerary) and the pairing only depends on the isotopy class,
+    so a family of flows computes homology coordinates.
     """
 
     name: str
@@ -610,16 +616,9 @@ class Flow:
         for e in self.weights:
             if e not in surf.interior_edges:
                 raise ValidationError(f"flow {self.name!r} weights non-interior edge {e!r}")
-        # A small ccw circle around an interior vertex crosses head ends
-        # left-to-right and tail ends right-to-left.
-        for vi, rot in enumerate(surf.rotations):
-            if not surf.vertex_is_interior(vi):
-                continue
-            flux = sum(
-                (1 if which == 1 else -1) * self.weights.get(e, 0)
-                for e, which in rot
-            )
-            if flux != 0:
+        for vi in range(len(surf.rotations)):
+            flux = surf.flux(self.weights, vi)
+            if flux and surf.vertex_is_interior(vi):
                 raise ValidationError(
                     f"flow {self.name!r} has flux {flux} at vertex {vi}"
                 )

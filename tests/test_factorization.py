@@ -354,3 +354,39 @@ def test_the_certificate_catches_a_corrupted_image(monkeypatch, name, corrupt, e
         factorization.factorize(word, ps.pants)
     assert type(raised.value) is kind
     assert str(raised.value) == text
+
+
+def test_factorize_recovers_a_separating_pants_curve_by_reduction():
+    # on the four-holed sphere every curve separates, so the identity's
+    # one pants curve takes the branch that needs no match word
+    pants = build_preset("four_holed_sphere").pants
+    assert factorization.is_separating(pants.pants_curves[0])
+    result = factorization.factorize(TwistWord(()), pants)
+    assert result.p.letters == ()
+    assert result.q_exponents == (0, 0, 0, 0, 0)
+    assert result.verified
+    assert result.step_log[0]["match"] == 0
+
+
+def test_an_unrecovered_separating_pants_curve_replays_from_its_json(monkeypatch):
+    # an injected fault: reduction hands back dual1, which crosses a1
+    # twice, as the terminal pullback of the separating pants curve a1
+    ps = build_preset("four_holed_sphere")
+    dual1 = ps.curve("dual1").with_orientation(True)
+    reduce_counted = factorization._reduce_counted
+
+    def wrong_terminal(a, b):
+        word, _, cls, k0 = reduce_counted(a, b)
+        return word, dual1, cls, k0
+
+    monkeypatch.setattr(factorization, "_reduce_counted", wrong_terminal)
+    with pytest.raises(ComputationError) as raised:
+        factorization.factorize(TwistWord(()), ps.pants)
+    err = raised.value
+    assert str(err) == "separating pants curve not recovered by reduction"
+    assert err.curves == (dual1, ps.curve("a1"))
+    data = err.replay_json()
+    surface = CellSurface.from_json(data["surface"])
+    b_term, a = (EmbeddedCurve.from_json(surface, c) for c in data["curves"])
+    assert (b_term, a) == tuple(c.renormalized() for c in err.curves)
+    assert not curves_isotopic(b_term.with_orientation(False), a)

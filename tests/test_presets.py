@@ -291,6 +291,15 @@ class TestHomology:
         with pytest.raises(PreconditionError):
             homology_class(g2.surface, g2.curves["a1"])
 
+    def test_a_surface_that_no_preset_carries_has_no_basis(self):
+        # the mirror of the torus: the same edges, the other orientation
+        t = build_preset("torus").surface
+        mirror = CellSurface(tuple(tuple((e, -sign) for e, sign in reversed(face))
+                                   for face in t.faces))
+        c = EmbeddedCurve(mirror, (("v", 1, Fraction(1, 2)),))
+        with pytest.raises(PreconditionError, match="no preset carries"):
+            homology_class(mirror, c)
+
     def test_separating_iff_zero_on_closed(self):
         g2 = build_preset("genus2_closed")
         for nm in ("a1", "a2", "a3", "t1", "t2", "dual1", "dual2", "dual3"):

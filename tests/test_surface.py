@@ -151,6 +151,15 @@ class TestCellSurface:
         with pytest.raises(ValidationError, match="genus"):
             CellSurface.from_json(data)
 
+    @pytest.mark.parametrize("key", ("genus", "boundary"))
+    @pytest.mark.parametrize("value", ("one", None, [1]))
+    def test_json_rejects_malformed_counts(self, key, value):
+        # a count that is no integer is malformed input, not a bare
+        # ValueError or TypeError
+        data = {**torus().to_json(), key: value}
+        with pytest.raises(ValidationError, match=key):
+            CellSurface.from_json(data)
+
 
 class TestEmbeddedCurve:
     def test_single_crossing_on_torus(self):
