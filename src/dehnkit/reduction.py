@@ -22,10 +22,9 @@ once, T_c(b) is the resolution of b ∪ c at that point: b cut there and
 closed up around c.  The part of c beside b cancels against that arc of b, so
 what is left is, up to isotopy, b's complementary arc closed by the a-arc;
 this is Lickorish's step, which "depends only on the intersection numbers".
-The surgery hands its loop to the twist's own close-up (twisting._close_up)
-as the one block after the cut, where the twist lays out its spiral of one
-turn; the close-up's sweep of reducible pairs leaves the twist image event
-for event.
+The surgery lays out just that short list and hands it to the twist's own
+close-up (twisting._close_up), whose sweep of reducible pairs leaves the
+twist image event for event, up to where its itinerary starts.
 
 Any other splice, two apart or round the far side, meets b more than once,
 and the same surgery does not close up, so it is reduced by a twist.  The
@@ -113,24 +112,24 @@ def _pair_priority(order_a):
 def _twist_image(a, b, system, c, x, y, adjacent: bool) -> EmbeddedCurve:
     """T_c(b) for the splice c cut from `system` at (x, y) (module docstring).
 
-    When Y follows X along a (`adjacent`), c meets curve 1 of `system` once:
-    next to X when the splice's sign is positive, next to Y when it is
-    negative; at the other corner c turns across a.  b is cut there and c
-    is entered from that corner, forward or backward as the sign says, and
-    the twist's close-up (twisting._close_up) sweeps the layout to the twist
-    image event for event; no arrangement is built.  Any other splice
-    twists curve 1 of `system` in its frame.  Either image takes b's cached
-    topology.  A surgery image that does not close up raises the
+    When Y follows X along a (`adjacent`), the image's short list is c's
+    a-arc copy (its first k events) and b's complementary arc, the part of
+    curve 1 of `system` c does not run beside: for a positive sign the copy
+    from X to Y, then b from Y on to X; for a negative one b from X to Y,
+    then the copy back to X.  The twist's close-up (twisting._close_up)
+    sweeps it to the twist image; no arrangement is built.  Any other
+    splice twists curve 1 of `system` in its frame.  Either image takes b's
+    cached topology; a surgery image that does not close up raises the
     ComputationError carrying (a, b).
     """
     if not adjacent:
         return apply_twist(c, 1, b._share_topology(system.renormalized_curve(1)))
+    k, bev = len(system.arc(0, x, y)), system.events[1]
     if x.sign > 0:
-        cut, loop = x, c.events
+        events = list(c.events[:k]) + [bev[i] for i in system.arc(1, y, x)]
     else:
-        k = len(system.arc(0, x, y))  # the a-arc leads c's events
-        cut, loop = y, _reversed(c.events[:k]) + _reversed(c.events[k:])
-    return _close_up(system, {system.slot(1, cut)[0]: loop}, b, 1, (a, b))
+        events = [bev[i] for i in system.arc(1, x, y)] + _reversed(c.events[:k])
+    return _close_up(system, events, b, 1, (a, b))
 
 
 def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system):

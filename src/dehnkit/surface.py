@@ -82,6 +82,14 @@ def _union(parent: list[int], a: int, b: int) -> None:
     parent[_find(parent, a)] = _find(parent, b)
 
 
+def _json_field(value, key: str, kind: type):
+    """A JSON field that must hold a `kind` itself: nothing is coerced, and
+    a bool is no int."""
+    if type(value) is not kind:
+        raise ValidationError(f"bad {key} field: {value!r} is not {kind.__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class CellSurface:
     """Compact connected oriented surface with a cell decomposition.
@@ -317,7 +325,8 @@ class CellSurface:
             raise ValidationError("surface JSON must carry format: 1")
         try:
             faces = tuple(
-                tuple((str(e), int(s)) for e, s in face) for face in data["faces"]
+                tuple((str(e), _json_field(s, "faces", int)) for e, s in face)
+                for face in data["faces"]
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad faces field: {exc}") from exc
@@ -328,11 +337,7 @@ class CellSurface:
             )
         surf = cls(faces=faces)
         for key, got in (("genus", surf.genus), ("boundary", surf.num_boundary)):
-            try:
-                declared = int(data.get(key, got))
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"bad {key} field: {exc}") from exc
-            if declared != got:
+            if _json_field(data.get(key, got), key, int) != got:
                 raise ValidationError(
                     f"declared {key}={data[key]} but cell structure gives {got}"
                 )
@@ -548,7 +553,8 @@ class EmbeddedCurve:
         if not isinstance(data, Mapping) or data.get("format") != 1:
             raise ValidationError("curve JSON must carry format: 1")
         try:
-            raw = [(str(e), int(k), int(d)) for e, k, d in data["itinerary"]]
+            raw = [(str(e), _json_field(k, "itinerary", int),
+                    _json_field(d, "itinerary", int)) for e, k, d in data["itinerary"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad itinerary field: {exc}") from exc
         counts: dict[str, int] = {}
@@ -560,7 +566,8 @@ class EmbeddedCurve:
             if not 0 <= k < m:
                 raise ValidationError(f"crossing index {k} out of range on edge {e!r}")
             events.append((e, d, Fraction(k + 1, m + 1)))
-        return cls(surface, tuple(events), oriented=bool(data.get("oriented", True)))
+        oriented = _json_field(data.get("oriented", True), "oriented", bool)
+        return cls(surface, tuple(events), oriented=oriented)
 
 
 def joint_frame(curves: Sequence[EmbeddedCurve]) -> tuple[dict, list]:

@@ -7,13 +7,12 @@ joint spacing to either side, each made by JointSystem.beside from two
 integers read off the crossing's place on a, so the result validates as an
 embedded curve.
 
-The spiral is closed up by _close_up, which the reduction's arc surgery
-shares: it lays each block of new events after b's event at its gap, sweeps
-away the edge-crossing pairs the layout left reducible, checks the result
-and validates it.  A twist is a homeomorphism, so the image of b is
-null-homotopic, boundary-parallel or separating exactly when b is: the
-image inherits b's cached single-curve topology and never builds an
-arrangement for it.
+Each spiral block runs after b's event at its gap, and _close_up, which
+the reduction's arc surgery shares, sweeps away the edge-crossing pairs the
+layout left reducible, checks the result and validates it.  A twist is a
+homeomorphism, so the image of b is null-homotopic, boundary-parallel or
+separating exactly when b is: the image inherits b's cached single-curve
+topology and never builds an arrangement for it.
 """
 
 from __future__ import annotations
@@ -93,22 +92,19 @@ def _drop_reducible_pairs(events: list) -> list:
     return [ev for ev, keep in zip(events, alive) if keep]
 
 
-def _close_up(system, blocks: dict, b: EmbeddedCurve, n: int,
+def _close_up(system, events: list, b: EmbeddedCurve, n: int,
               replay: tuple) -> EmbeddedCurve:
-    """The twist image of b laid out on `system`, swept and checked.
+    """The twist image of b laid out as `events` on `system`, swept and checked.
 
-    Curve 1 of `system` is b as placed there; blocks[g] holds the new events
-    that run after its event at gap g.  One sweep of reducible pairs leaves
-    the image, which must not collapse to a trivial circle and must be an
-    embedded curve: either failure raises a ComputationError carrying the
-    surface and the curves `replay`, with the power n in its text.  The
-    image takes b's cached topology and is renormalized.
+    Curve 1 of `system` is b as placed there; `events` walks its points and
+    points beside them: b with a spiral after each crossing, or a surgery's
+    short list.  One sweep of reducible pairs leaves the image, which must
+    not collapse to a trivial circle and must be an embedded curve: either
+    failure raises a ComputationError carrying the surface and the curves
+    `replay`, with the power n in its text.  The image takes b's cached
+    topology and is renormalized.
     """
     surf = system.surface
-    events = []
-    for g, ev in enumerate(system.events[1]):
-        events.append(ev)
-        events.extend(blocks.get(g, ()))
     events = _drop_reducible_pairs(events)
     if len(events) == 2 and events[0][:2] == (events[1][0], -events[1][1]):
         raise ComputationError(
@@ -168,10 +164,12 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
             out.append((e, se * d, p))
         return out
 
-    blocks: dict = {}
-    for x in system.crossing_order_along(1):
-        blocks.setdefault(x.gap_j, []).extend(spiral_block(x))
-    return _close_up(system, blocks, b, n, (a, b))
+    events = []
+    for g, ev in enumerate(system.events[1]):
+        events.append(ev)
+        for x in system.crossings_on(1, g):
+            events.extend(spiral_block(x))
+    return _close_up(system, events, b, n, (a, b))
 
 
 @dataclass(frozen=True)

@@ -131,3 +131,22 @@ def test_an_op_record_names_the_preset_its_curves_live_on():
     word = TwistWord(((g.curve("a1"), 1),))
     assert compare_outputs._surface_of((word, 3), EmbeddedCurve) == g.surface
     assert compare_outputs._surface_of({"q": (0, 1)}, EmbeddedCurve) is None
+
+
+def test_isotopic_outputs_are_told_apart_by_kind():
+    # a restarted or respaced copy is the same curve, EmbeddedCurve ==; t1
+    # with a detour across edge b2 and back is isotopic only, and one such
+    # curve makes the whole output so
+    g = _genus2()
+    t1 = g.curve("t1")
+    detour = (("b2", -1, Fraction(1, 7)), ("b2", 1, Fraction(2, 7)))
+    moved = EmbeddedCurve(g.surface, t1.events[:1] + detour + t1.events[1:],
+                          oriented=t1.oriented)
+    assert moved != t1
+    same, isotopic = compare_outputs.SAME_CURVES, compare_outputs.ISOTOPIC_ONLY
+    kind = compare_outputs.isotopy_kind
+    for copy in (_restarted(t1, 1), _respaced(t1)):
+        assert kind(_plain((t1, 1)), _plain((copy, 1)), g.surface) == same
+    assert kind(_plain(t1), _plain(moved), g.surface) == isotopic
+    assert kind(_plain((t1, t1)), _plain((_restarted(t1, 1), moved)), g.surface) == isotopic
+    assert kind(_plain(t1), _plain(g.curve("t2")), g.surface) is None

@@ -5,8 +5,9 @@ starts at |q| crossings and must land in a terminal class within |q| positive
 letters. Genus-2 pairs built from twist words exercise both surgery shapes,
 including the alternating-sign states where no two adjacent crossings agree.
 A splice at a crossing and the next one along a is reduced by surgery, and
-that image is checked event for event against the twist it replaces, for
-both signs and both orientations.  On the bench's torus slopes and genus-2
+that image is checked event for event against the twist it replaces, up to
+where its itinerary starts, for both signs and both orientations; its sweep
+takes only the short list.  On the bench's torus slopes and genus-2
 chain, a surgery step builds no arrangement, and a twist step meets its
 curve in minimal position as built: one arrangement, no darts phase.  A
 step that does not descend, or whose surgery does not close up, raises an
@@ -202,7 +203,9 @@ def test_each_adjacent_splice_resolves_to_exactly_its_twist_image():
     # The surgery checked against the twist it replaces.  At every step of
     # reduce_pair, every usable splice at a crossing X and the next one Y
     # along a is reduced by surgery to exactly the events of
-    # apply_twist(c, 1, curve 1 of the step's arrangement).  Both
+    # apply_twist(c, 1, curve 1 of the step's arrangement), exact positions
+    # and orientation flag included, with the itinerary possibly started at
+    # another event: the surgery sweeps a shorter list than the twist.  Both
     # orientations of a pair are checked: the short way round, listed
     # first, and the far side, listed second, which passes no other
     # crossing when a crosses b twice.  On the torus, 1/0 against 1/3 and
@@ -228,7 +231,9 @@ def test_each_adjacent_splice_resolves_to_exactly_its_twist_image():
                 continue
             want = apply_twist(c, 1, b._share_topology(system.renormalized_curve(1)))
             got = image_of(a, b, system, c, x, y, True)
-            assert (got.events, got.oriented) == (want.events, want.oriented)
+            assert got.oriented == want.oriented
+            rotations = [want.events[r:] + want.events[:r] for r in range(len(want.events))]
+            assert got.events in rotations, (got, want)
             checked[family[0], x.sign, "short" if i % 2 == 0 else "far"] += 1
         return step(a, b, system)
 
@@ -361,6 +366,35 @@ def test_every_reduction_twist_meets_its_curve_in_minimal_position(
     assert all(count == [0 if adjacent else 1, 0] for adjacent, count in counts), counts
     # every torus step is by surgery, every chain step by a twist
     assert {adjacent for adjacent, _ in counts} == {workload == "torus-slopes"}
+
+
+def test_each_surgery_sweeps_only_its_short_list(monkeypatch):
+    # The bench's torus slopes at seed 3, every step by surgery.  A surgery
+    # sweeps the a-arc copy of its splice and b's complementary arc, the
+    # part of b the splice's b-arc does not run beside: k + len(arc)
+    # events, 738 over the pass.  Laying out the whole one-turn twist, all
+    # of b with all of c after the cut, swept 1984.
+    swept, expected = [], []
+    image_of, sweep = reduction._twist_image, twisting._drop_reducible_pairs
+
+    def counting_image(a, b, system, c, x, y, adjacent):
+        assert adjacent
+        x_to_y, y_to_x = system.arc(1, x, y), system.arc(1, y, x)
+        expected.append(len(system.arc(0, x, y))
+                        + len(y_to_x if x.sign > 0 else x_to_y))
+        swept.append(0)
+        return image_of(a, b, system, c, x, y, adjacent)
+
+    def counting_sweep(events):
+        swept[-1] += len(events)
+        return sweep(events)
+
+    monkeypatch.setattr(reduction, "_twist_image", counting_image)
+    monkeypatch.setattr(twisting, "_drop_reducible_pairs", counting_sweep)
+    for op in WORKLOADS.build("torus-slopes", 3).ops:
+        assert op.check(op.run()) == []
+    assert swept == expected
+    assert (len(swept), sum(swept)) == (67, 738)
 
 
 def _assert_replays(a, b, err):

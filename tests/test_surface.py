@@ -152,12 +152,20 @@ class TestCellSurface:
             CellSurface.from_json(data)
 
     @pytest.mark.parametrize("key", ("genus", "boundary"))
-    @pytest.mark.parametrize("value", ("one", None, [1]))
+    @pytest.mark.parametrize("value", ("one", None, [1], 1.7, 0.0, "1", True, False))
     def test_json_rejects_malformed_counts(self, key, value):
         # a count that is no integer is malformed input, not a bare
-        # ValueError or TypeError
+        # ValueError or TypeError; nor is it truncated or coerced, so a
+        # float, a numeric string or a bool never loads the torus
         data = {**torus().to_json(), key: value}
         with pytest.raises(ValidationError, match=key):
+            CellSurface.from_json(data)
+
+    @pytest.mark.parametrize("sign", (1.0, True, "1"))
+    def test_json_rejects_a_face_sign_that_is_no_integer(self, sign):
+        data = torus().to_json()
+        data["faces"][0][0][1] = sign
+        with pytest.raises(ValidationError, match="faces"):
             CellSurface.from_json(data)
 
 
@@ -222,6 +230,19 @@ class TestEmbeddedCurve:
         a = EmbeddedCurve(s, (("v", 1, F(3, 4)), ("h", -1, F(2, 5)), ("v", 1, F(1, 4))))
         again = EmbeddedCurve.from_json(s, a.to_json())
         assert again == a
+
+    @pytest.mark.parametrize("field,value", [
+        ("oriented", "false"), ("oriented", 0), ("oriented", None),
+        ("itinerary", [["v", 1.5, 1]]), ("itinerary", [["v", True, 1]]),
+        ("itinerary", [["v", 0, 1.0]]), ("itinerary", [["v", 0, "1"]]),
+    ])
+    def test_json_rejects_coerced_fields(self, field, value):
+        # neither the orientation flag nor an itinerary entry is coerced:
+        # "false" would read as True, 1.5 and True as the integer 1
+        data = EmbeddedCurve(torus(), (("v", 1, F(1, 2)),)).to_json()
+        assert EmbeddedCurve.from_json(torus(), data).oriented is True
+        with pytest.raises(ValidationError, match=field):
+            EmbeddedCurve.from_json(torus(), {**data, field: value})
 
     @given(
         st.lists(

@@ -13,12 +13,14 @@ step log of `factorize`, or the type and text of the error it raised.
 With --isotopy an op whose exact output differs counts as equal up to
 isotopy when its two outputs differ only in curves, and every such pair of
 curves, rebuilt on the op's preset surface, passes `curves_isotopic` of the
-working tree's `dehnkit` with the same orientation flag.
+working tree's `dehnkit` with the same orientation flag.  Such an op is
+"same curves, other start" when every pair is even `EmbeddedCurve ==`, the
+same itinerary started elsewhere or respaced, and "isotopic only" otherwise.
 
 Prints every op whose output differs and how many differ, or else the
 number of identical ops (and with --isotopy the ops equal up to isotopy,
-per workload); exits 1 on any difference, and quietly with 1 when its
-reader closes the pipe early.
+per kind and workload); exits 1 on any difference, and quietly with 1 when
+its reader closes the pipe early.
 """
 
 from __future__ import annotations
@@ -126,9 +128,12 @@ def _curve_pairs(x, y):
     return [pair for part in parts for pair in part]
 
 
-def isotopic_outputs(x, y, surface) -> bool:
-    """Whether two plain op outputs on `surface` differ only in curves that
-    are isotopic there."""
+SAME_CURVES, ISOTOPIC_ONLY = "same curves, other start", "isotopic only"
+
+
+def isotopy_kind(x, y, surface):
+    """SAME_CURVES or ISOTOPIC_ONLY when two plain op outputs on `surface`
+    differ only in curves that are isotopic there, else None."""
     from dehnkit.overlay import curves_isotopic
     from dehnkit.surface import EmbeddedCurve
 
@@ -137,20 +142,32 @@ def isotopic_outputs(x, y, surface) -> bool:
         return EmbeddedCurve(surface, events, oriented=plain["oriented"])
 
     pairs = _curve_pairs(x, y)
-    return pairs is not None and all(
-        u == v or curves_isotopic(curve(u), curve(v)) for u, v in pairs)
+    if pairs is None:
+        return None
+    pairs = [(curve(u), curve(v)) for u, v in pairs if u != v]
+    if all(u == v for u, v in pairs):
+        return SAME_CURVES
+    if all(u == v or curves_isotopic(u, v) for u, v in pairs):
+        return ISOTOPIC_ONLY
+    return None
 
 
-def _equal_up_to_isotopy(b: dict, c: dict) -> bool:
-    """Whether two records of one op have outputs equal up to isotopy."""
+def isotopic_outputs(x, y, surface) -> bool:
+    """Whether two plain op outputs on `surface` differ only in curves that
+    are isotopic there."""
+    return isotopy_kind(x, y, surface) is not None
+
+
+def _isotopy_kind_of(b: dict, c: dict):
+    """isotopy_kind of the outputs of two records of one op, or None."""
     from dehnkit.presets import build_preset
 
     def rest(record):
         return {k: v for k, v in record.items() if k != "output"}
 
     if "output" not in b or "preset" not in b or rest(b) != rest(c):
-        return False
-    return isotopic_outputs(b["output"], c["output"], build_preset(b["preset"]).surface)
+        return None
+    return isotopy_kind(b["output"], c["output"], build_preset(b["preset"]).surface)
 
 
 def run_tree(checkout: Path, seeds: list[int]) -> list[dict]:
@@ -191,8 +208,9 @@ def main(argv=None) -> int:
     for b, c in zip(base, change):
         if b == c:
             continue
-        if args.isotopy and _equal_up_to_isotopy(b, c):
-            isotopic[b["workload"]] += 1
+        kind = _isotopy_kind_of(b, c) if args.isotopy else None
+        if kind:
+            isotopic[kind, b["workload"]] += 1
         else:
             differ += 1
             print(f"{b['workload']} seed {b['seed']}: {b['op']}")
@@ -208,8 +226,10 @@ def main(argv=None) -> int:
           f"{' '.join(map(str, args.seeds))}")
     if args.isotopy:
         print(f"{sum(isotopic.values())} ops equal up to isotopy, {differ} differ")
-        for name, n in sorted(isotopic.items()):
-            print(f"  {n} {name} ops")
+        for kind in (SAME_CURVES, ISOTOPIC_ONLY):
+            per = {name: n for (k, name), n in sorted(isotopic.items()) if k == kind}
+            detail = ", ".join(f"{n} {name}" for name, n in per.items())
+            print(f"  {kind}: {sum(per.values())}" + (f" ({detail})" if detail else ""))
     if differ:
         print(f"{differ} of {len(base)} ops differ from HEAD {sha[:12]}")
         return 1
