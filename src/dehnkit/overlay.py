@@ -55,7 +55,9 @@ reroute_through_bigons) read curves 0 and 1 only: curve 0 stays put and
 curve 1 moves.
 
 That is enough to recognise discs, annuli and bigons.  Minimal position
-removes bigons by pushing curve 1 across them.  A round whose pair is
+removes bigons by pushing curve 1 across them, after sliding curve 1's
+points along their edges into walk order against curve 0 once, so that
+strands which run parallel no longer cross.  A round whose pair is
 bigon-free builds no darts and no regions when the crossings prove it:
 at most one sign, or every loop that could bound a bigon pairing nonzero
 with the surface's cocycle (JointSystem.certifies_no_bigon).  A bigon
@@ -92,6 +94,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import ComputationError, PreconditionError, ValidationError
@@ -971,6 +975,18 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
     an arrangement are built only when a round's certificate fails and it
     looks for bigons, or when a caller reads them.
 
+    Each curve is spaced in its own frame, so the order of two curves'
+    points on a shared edge is arbitrary and parallel strands cross for
+    nothing.  So the first time the certificate fails, b slides along its
+    edges into walk order against a (_slid), ordering strands by where they
+    part (the linking rule of Cohen-Lustig), before any bigon is looked
+    for.  b keeps its own order on every edge and a does not move: an
+    isotopy, so the slid count must keep the parity of the count as placed.
+    When some point moved, the slid pair is kept, even if it crosses more,
+    and its certificate and bigons are taken as below.  It slides at most
+    once per call: sliding every round walks long parallel strands of pairs
+    that are nearly tight.
+
     Each further round builds one arrangement and peels every innermost
     bigon together with the stack of bigons nested around it (see
     JointSystem.bigon_stack), so a stack costs one round whatever its
@@ -983,25 +999,31 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
     from bigons that pass the same events of a or b as one peeled before
     them, and from bigons that peeling uncovers.
 
-    If a round's reroute does not assemble into an embedded curve, or drops
-    the crossing count by other than two per stationary run its strands
-    clear, the ComputationError raised carries the input pair (a, b), which
-    replays it.
+    If the slide changes the parity of the crossing count, or a round's
+    reroute does not assemble into an embedded curve or drops the crossing
+    count by other than two per stationary run its strands clear, the
+    ComputationError raised carries the input pair (a, b), which replays
+    it.
     """
     if a.surface.faces != b.surface.faces:
         raise PreconditionError("curves live on different surfaces")
     pair = (a, b)
-    expect = None
+    system = JointSystem(a.surface, pair)
+    slide = True
     while True:
-        system = JointSystem(a.surface, (a, b))
         k = len(system.crossings)
-        if expect is not None and k != expect:
-            raise ComputationError(
-                f"bigon removal changed crossings to {k}", a.surface, pair
-            )
-        signs = {c.sign for c in system.crossings}
-        if len(signs) <= 1 or system.certifies_no_bigon():
+        if len({c.sign for c in system.crossings}) <= 1 or system.certifies_no_bigon():
             return system
+        if slide:
+            slide = False
+            slid = _slid(system)
+            if slid is not None:
+                system = JointSystem(a.surface, (system.renormalized_curve(0), slid))
+                if (len(system.crossings) - k) % 2:
+                    raise ComputationError(
+                        f"sliding changed the crossing parity: {k} to "
+                        f"{len(system.crossings)}", a.surface, pair)
+                continue
         bigons = system.find_bigons()
         if not bigons:
             return system
@@ -1012,7 +1034,83 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
             raise ComputationError(
                 f"bigon reroute did not assemble: {exc}", a.surface, pair
             ) from exc
-        expect = k - 2 * removed
+        system = JointSystem(a.surface, (a, b))
+        if len(system.crossings) != k - 2 * removed:
+            raise ComputationError(
+                f"bigon removal changed crossings to {len(system.crossings)}",
+                a.surface, pair)
+
+
+def _slid(system: JointSystem) -> Optional[EmbeddedCurve]:
+    """Curve 1 of a pair slid along its edges into walk order against
+    curve 0, or None when no point of it changes its place.
+
+    On each edge the curves' points are merged, each keeping its own order.
+    Two points are compared by walking their strands across the edge in
+    curve 0's direction (curve 1 reversed if it crosses the other way)
+    until they part, in the face entered at their last shared crossing:
+    the strand that leaves it fewer ccw slots after the entry slot runs on
+    the travellers' right.  Strands that do not part within one turn of the
+    longer curve are walked backward, the answer flipped, or else keep
+    their order.  Crossing in direction -1 the edge's head is on the right,
+    so curve 0's point goes above exactly when "curve 0 on the right"
+    equals "direction -1".  Curve 1's points are spaced evenly in their
+    gaps between curve 0's joint-frame points, and the curve is validated.
+    """
+    surf = system.surface
+    ea, eb = system.events
+    na, nb = len(ea), len(eb)
+
+    def a_right(i: int, j: int, step: int) -> Optional[bool]:
+        # curve 1 walks the way that crosses the edge as curve 0 does
+        sb = step * ea[i][1] * eb[j][1]
+        for t in range(1, max(na, nb) + 1):
+            e, d, _ = ea[(i + step * t) % na]
+            f, g, _ = eb[(j + sb * t) % nb]
+            if e != f or d * step != g * sb:
+                last, ld, _ = ea[(i + step * (t - 1)) % na]
+                face, s0 = surf.slot_position(last, -ld * step)
+                n = len(surf.faces[face])
+                return ((surf.slot_position(e, d * step)[1] - s0) % n
+                        < (surf.slot_position(f, g * sb)[1] - s0) % n)
+        return None
+
+    def a_above(i: int, j: int) -> bool:
+        right = a_right(i, j, 1)
+        if right is None:
+            back = a_right(i, j, -1)
+            if back is None:
+                return ea[i][2] > eb[j][2]
+            right = not back
+        return right == (ea[i][1] == -1)
+
+    events = list(eb)
+    for e, order in system.edge_order.items():
+        a_pts = [(k, i) for k, (ci, i) in enumerate(order, 1) if ci == 0]
+        if not a_pts or len(a_pts) == len(order):
+            continue
+        # each point of curve 1 up the edge with its gap, the number of
+        # curve 0's points below it, after the merge and as placed
+        gaps, placed, p = [], [], 0
+        for k, (ci, j) in enumerate(order, 1):
+            if ci == 1:
+                placed.append(k - 1 - len(placed))
+                while p < len(a_pts) and not a_above(a_pts[p][1], j):
+                    p += 1
+                gaps.append((j, p))
+        if [g for _, g in gaps] == placed:
+            continue
+        # a run of curve 1's points spaced evenly in its gap of curve 0's
+        m1 = len(order) + 1
+        ranks = [0, *(k for k, _ in a_pts), m1]
+        for p, run in groupby(gaps, key=itemgetter(1)):
+            run = [j for j, _ in run]
+            lo, hi, r1 = ranks[p], ranks[p + 1], len(run) + 1
+            for t, j in enumerate(run, 1):
+                events[j] = (e, eb[j][1], Fraction(lo * r1 + (hi - lo) * t, m1 * r1))
+    if events == eb:
+        return None
+    return EmbeddedCurve(surf, tuple(events), oriented=system.curves[1].oriented)
 
 
 def geometric_intersection_number(a: EmbeddedCurve, b: EmbeddedCurve) -> int:

@@ -95,7 +95,8 @@ class CellSurface:
     """Compact connected oriented surface with a cell decomposition.
 
     `faces` is a tuple of faces; each face is a tuple of (edge, sign)
-    slots read counterclockwise.  That face order is the orientation:
+    slots read counterclockwise, each sign the int 1 or -1 (a bool or a
+    float is refused, not coerced).  That face order is the orientation:
     crossing an edge from its +1 side to its -1 side is a left-to-right
     crossing, and crossing signs and the positive twist direction follow
     from it.  The mirror surface is the same faces, each reversed, with
@@ -109,9 +110,7 @@ class CellSurface:
     faces: tuple[tuple[Slot, ...], ...]
 
     def __post_init__(self):
-        faces = tuple(
-            tuple((str(e), int(s)) for e, s in face) for face in self.faces
-        )
+        faces = tuple(tuple((str(e), s) for e, s in face) for face in self.faces)
         object.__setattr__(self, "faces", faces)
         self._validate_and_index()
 
@@ -127,7 +126,7 @@ class CellSurface:
             for ei, (edge, sign) in enumerate(face):
                 if not edge:
                     raise ValidationError("empty edge name")
-                if sign not in (1, -1):
+                if type(sign) is not int or sign not in (1, -1):
                     raise ValidationError(f"bad sign {sign!r} on edge {edge!r}")
                 slot = (edge, sign)
                 if slot in slot_map:
@@ -350,7 +349,8 @@ class EmbeddedCurve:
 
     Each event (edge, direction, position) crosses an interior edge at an
     exact rational position; direction +1 crosses from the face of the +1
-    slot to the face of the -1 slot.  Consecutive events must exit into
+    slot to the face of the -1 slot, and a direction is the int 1 or -1,
+    never coerced.  Consecutive events must exit into
     and enter from a common face, and the chords drawn inside each face
     must be pairwise non-crossing (embeddedness).
 
@@ -370,7 +370,7 @@ class EmbeddedCurve:
 
     def __post_init__(self):
         events = tuple(
-            (str(e), int(d), p if isinstance(p, Fraction) else Fraction(p))
+            (str(e), d, p if isinstance(p, Fraction) else Fraction(p))
             for e, d, p in self.events
         )
         object.__setattr__(self, "events", events)
@@ -414,8 +414,8 @@ class EmbeddedCurve:
         for e, d, p in events[:first_repeat + 1]:
             if e not in interior:
                 raise ValidationError(f"curve crosses non-interior edge {e!r}")
-            if d not in (1, -1):
-                raise ValidationError(f"bad crossing direction {d}")
+            if type(d) is not int or d not in (1, -1):
+                raise ValidationError(f"bad crossing direction {d!r}")
             if not 0 < p.numerator < p.denominator:
                 raise ValidationError(f"crossing position {p} outside (0, 1)")
         if first_repeat < n:

@@ -37,7 +37,11 @@ already in minimal position build none, whether its crossings have one
 sign or the cocycle certifies it bigon-free, and an error of the deferred
 phases still carries the inputs of the build.  The certificate is sound:
 on every round of random pairs on each preset, a certified arrangement
-has no bigon, and the replayed pairs with bigons are not certified.  Each
+has no bigon, and the replayed pairs with bigons are not certified.  The
+slide before the first bigon search is an isotopy of b: on random genus-2
+and twisted pairs the slid curve keeps b's itinerary, validates and is
+isotopic to b, and minimal position reaches the count it reaches without
+the slide; a slide that changes the crossing parity is refused.  Each
 splice whose image reduce_pair makes, on random torus and genus-2 pairs,
 crosses the curve it acts on exactly i(c, b) times as built, and once when
 the image is made by surgery.
@@ -62,7 +66,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dehnkit import reduction
+from dehnkit import overlay, reduction
 from dehnkit.calculus import algebraic_intersection, is_essential
 from dehnkit.errors import ComputationError, PreconditionError, ValidationError
 from dehnkit.factorization import factorize
@@ -72,6 +76,7 @@ from dehnkit.overlay import (
     Region,
     _cocycle_decides,
     _region_topology,
+    curves_isotopic,
     geometric_intersection_number,
     is_boundary_parallel,
     is_null_homotopic,
@@ -82,7 +87,10 @@ from dehnkit.presets import PRESET_NAMES, build_preset, torus_curve
 from dehnkit.reduction import reduce_pair
 from dehnkit.surface import CellSurface, EmbeddedCurve
 from dehnkit.twisting import TwistWord, apply_twist
+from bench_modules import load_bench_module
 from parabola import assert_matches_the_parabola
+
+WORKLOADS = load_bench_module("workloads")
 
 
 def _systems(name):
@@ -145,12 +153,29 @@ def test_a_crossings_error_carries_the_build_inputs(monkeypatch):
     _assert_carries(raised.value, curves)
 
 
+def _slid_pair(a, b):
+    """The pair that minimal_position(a, b) looks for bigons in after its
+    slide."""
+    system = JointSystem(a.surface, (a, b))
+    slid = overlay._slid(system)
+    return system.renormalized_curve(0), b if slid is None else slid
+
+
+def _has_a_bigon(curves):
+    system = JointSystem(curves[0].surface, curves)
+    return not system.certifies_no_bigon() and bool(system.find_bigons())
+
+
+# a replayed genus-2 pair whose bigon survives the slide
+SLID_BIGON_PAIR = "dual3^1*t2^-1*a2^1"
+
+
 def test_a_reroute_that_does_not_assemble_carries_the_pair(monkeypatch):
     def broken(self, *args, **kwargs):
         raise ValidationError("curve crosses itself")
 
-    g = build_preset("genus2_closed").curves
-    a, b = g["a1"], _chain(3)  # meets a1 in a bigon
+    a, b = _replayed_pair(BIGON_2B_PAIRS[SLID_BIGON_PAIR])
+    assert _has_a_bigon(_slid_pair(a, b))
     monkeypatch.setattr(JointSystem, "reroute_through_bigons", broken)
     with pytest.raises(ComputationError) as raised:
         minimal_position(a, b)
@@ -160,15 +185,18 @@ def test_a_reroute_that_does_not_assemble_carries_the_pair(monkeypatch):
 
 def test_a_bigon_splice_error_carries_its_arrangement(monkeypatch):
     # with no crossing at the bigon's corners the splice cannot be read;
-    # the error carries the curves of the arrangement it was read from
-    g = build_preset("genus2_closed").curves
-    a, b = g["a1"], _chain(3)  # meets a1 in a bigon
+    # the error carries the curves of the arrangement it was read from, the
+    # slid pair: the same curves, with b's points placed otherwise among a's
+    a, b = _replayed_pair(BIGON_2B_PAIRS[SLID_BIGON_PAIR])
+    slid = _slid_pair(a, b)
+    assert _has_a_bigon(slid)
     monkeypatch.setattr(JointSystem, "_node", lambda self, did: -1)
     with pytest.raises(ComputationError) as raised:
         minimal_position(a, b)
     err = raised.value
     assert str(err) == "bigon runs do not share their corners"
     assert err.surface is a.surface and err.curves == (a, b)
+    assert [c.events for c in err.curves] == [c.events for c in slid]
     system = JointSystem(err.surface, err.curves)
     with pytest.raises(ComputationError) as replayed:
         system.reroute_through_bigons(system.find_bigons())
@@ -530,6 +558,58 @@ def test_a_certified_round_has_no_bigon():
     assert certified
 
 
+def test_a_slide_is_an_isotopy_that_keeps_the_intersection_number():
+    # The slid curve has b's itinerary, validates and is isotopic to b, and
+    # minimal position reaches the count it reaches without the slide.
+    # Each family must slide some pair, or the oracle checks nothing.
+    slides = Counter()
+
+    def check(family, a, b):
+        slid = overlay._slid(JointSystem(a.surface, (a, b)))
+        if slid is None:
+            return
+        slides[family] += 1
+        assert [ev[:2] for ev in slid.events] == [ev[:2] for ev in b.events]
+        EmbeddedCurve(slid.surface, slid.events, oriented=slid.oriented)
+        assert curves_isotopic(slid, b)
+        want = len(minimal_position(a, b).crossings)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(overlay, "_slid", lambda system: system.curves[1])
+            assert len(minimal_position(a, b).crossings) == want, (family, a, b)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def genus2(data):
+        check("genus2", *_draw_genus2_pair(data))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def twisted(data):
+        check("twisted", *_draw_twisted_pair(data))
+
+    genus2()
+    twisted()
+    assert slides["genus2"] and slides["twisted"], slides
+
+
+def test_a_slide_that_changes_the_crossing_parity_carries_the_pair(monkeypatch):
+    # A slide is an isotopy of b, which keeps the crossing count mod 2.  One
+    # that does not is refused with the input pair, and the error replays
+    # from its JSON.  The pair is a1 and c_3 in their own frames, as a
+    # replay places them; t1 meets a1 once.
+    g = build_preset("genus2_closed").curves
+    a, b = (EmbeddedCurve.from_json(c.surface, c.to_json()) for c in (g["a1"], _chain(3)))
+    monkeypatch.setattr(overlay, "_slid", lambda system: g["t1"])
+    with pytest.raises(ComputationError) as raised:
+        minimal_position(a, b)
+    err = raised.value
+    assert str(err) == "sliding changed the crossing parity: 26 to 1"
+    _assert_carries(err, (a, b))
+    with pytest.raises(ComputationError) as replayed:
+        minimal_position(*_replayed_pair(json.loads(json.dumps(err.replay_json()))))
+    assert str(replayed.value) == str(err)
+
+
 @pytest.mark.parametrize("data", [
     pytest.param(pairs[word], id=f"{source}-{word}")
     for source, pairs in (("2b", BIGON_2B_PAIRS), ("grid", BIGON_GRID_PAIR))
@@ -609,6 +689,27 @@ def test_the_largest_bench_factorization_runs_few_darts_phases(count_cells):
     count_cells.clear()
     factorize(word, ps.pants)
     assert len(count_cells) <= 81
+
+
+@pytest.mark.parametrize("workload, most", (
+    ("factorize-words", 116), ("torus-slopes", 0), ("g2-growth", 0)))
+def test_a_warm_bench_pass_runs_few_darts_phases(count_cells, workload, most):
+    # The bench's ops at seed 3, on warm curves as in every pass after the
+    # first.  Peeling bigons in the pairs as placed ran 307, 12 and 2 darts
+    # phases; sliding b into walk order first leaves 116, 0 and 0.
+    ops = WORKLOADS.build(workload, 3).ops
+
+    def run_pass():
+        for op in ops:
+            try:
+                op.run()
+            except PreconditionError:  # the bordered words of defect 2a
+                pass
+
+    run_pass()
+    count_cells.clear()
+    run_pass()
+    assert len(count_cells) <= most
 
 
 @pytest.mark.parametrize("r", range(4))

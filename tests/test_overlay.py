@@ -150,12 +150,20 @@ class TestMinimalPosition:
     def test_trivial_circle_pulls_off(self):
         s = torus()
         a, c = line(s, 1, 0), trivial_circle(s)
-        assert len(JointSystem(s, (a, c)).crossings) == 2
-        sysm = minimal_position(a, c)
-        a2, c2 = sysm.curves
-        assert len(sysm.crossings) == 0
+        # the reroute across the bigon, on the pair as placed
+        sysm = JointSystem(s, (a, c))
+        assert len(sysm.crossings) == 2
+        c2, cleared = sysm.reroute_through_bigons(sysm.find_bigons())
+        assert cleared == 1
         assert c2.events == (("v", 1, F(1, 4)), ("v", -1, F(5, 12)))
         assert is_null_homotopic(c2)
+        assert len(JointSystem(s, (sysm.renormalized_curve(0), c2)).crossings) == 0
+        # minimal position slides both points of c below a's first, which
+        # leaves no crossing and no bigon to reroute
+        sysm = minimal_position(a, c)
+        assert len(sysm.crossings) == 0
+        assert curves_isotopic(sysm.curves[1], c)
+        assert is_null_homotopic(sysm.curves[1])
 
     def test_finger_pulls_back(self):
         s = torus()
@@ -177,11 +185,19 @@ class TestMinimalPosition:
             s, (("v", 1, F(1, 5)), ("v", 1, F(8, 15)), ("v", -1, F(2, 5)))
         )
         a = line(s, 1, 0)
-        sysm = minimal_position(b, a)
-        b2, a2 = sysm.curves
-        assert len(sysm.crossings) == 0
+        # the reroute across the bigon, on the pair as placed
+        sysm = JointSystem(s, (b, a))
+        a2, cleared = sysm.reroute_through_bigons(sysm.find_bigons())
+        assert cleared == 1
         assert a2.events == (("v", 1, F(13, 15)),)
         assert curves_isotopic(a2, a)
+        assert len(JointSystem(s, (sysm.renormalized_curve(0), a2)).crossings) == 0
+        # minimal position slides the line first; the finger turns back
+        # through the slot it entered by, where counting slots cannot tell
+        # its side, so the bigon stays and is rerouted after the slide
+        sysm = minimal_position(b, a)
+        assert len(sysm.crossings) == 0
+        assert curves_isotopic(sysm.curves[1], a)
 
     def test_intersection_numbers(self):
         s = torus()

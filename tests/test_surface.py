@@ -129,6 +129,15 @@ class TestCellSurface:
         with pytest.raises(ValidationError):
             CellSurface(((("e", 2),),))
 
+    @pytest.mark.parametrize("slot, sign", ((0, 1.5), (0, True), (2, -1.5), (2, -1.0)))
+    def test_rejects_a_sign_that_is_no_integer(self, slot, sign):
+        # nothing is coerced: a float or a bool would otherwise truncate to
+        # the torus's own sign and give a surface equal to it
+        face = list(SQUARE_TORUS[0])
+        face[slot] = (face[slot][0], sign)
+        with pytest.raises(ValidationError, match="bad sign"):
+            CellSurface((tuple(face),))
+
     def test_rejects_bad_chirality(self):
         # the face order is the orientation: a payload asking for the other
         # one is refused, while one that carries the default still loads
@@ -193,6 +202,17 @@ class TestEmbeddedCurve:
         # two same-direction strands through v must link up with a crossing
         with pytest.raises(ValidationError, match="crosses itself"):
             EmbeddedCurve(torus(), (("v", 1, F(1, 3)), ("v", 1, F(2, 3))))
+
+    @pytest.mark.parametrize("scale", (1.5, 1.0))
+    def test_rejects_a_direction_that_is_no_integer(self, scale):
+        # x scaled by 1.5 would otherwise truncate to x and equal it
+        x = EmbeddedCurve(torus(), (("v", 1, F(1, 2)), ("h", 1, F(1, 2))))
+        with pytest.raises(ValidationError, match="bad crossing direction"):
+            EmbeddedCurve(x.surface, tuple((e, d * scale, p) for e, d, p in x.events))
+
+    def test_rejects_a_direction_that_is_a_bool(self):
+        with pytest.raises(ValidationError, match="bad crossing direction"):
+            EmbeddedCurve(torus(), (("v", True, F(1, 2)),))
 
     def test_small_trivial_circle_is_embedded(self):
         c = EmbeddedCurve(torus(), (("v", 1, F(1, 3)), ("v", -1, F(2, 3))))

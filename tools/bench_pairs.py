@@ -1,15 +1,17 @@
 """Benchmark a base revision against the working tree in alternating pairs.
 
-    python3 tools/bench_pairs.py --workload factorize-words --pairs 10 --seed 41 \
+    python3 tools/bench_pairs.py --workload factorize-words --seed 41 \
         --out bench_pairs.json
 
-Run from anywhere inside the repository. The base is HEAD, the parent of
-the uncommitted change; it is exported with `git archive` into a temporary
-directory, so it is measured from its committed files alone, as a fresh
-checkout would be. The working tree is copied next to it, its tracked
-files and its untracked files that are not ignored, so that both sides run
-from fresh copies in the same place: a checkout's start-up time depends on
-where it lives and what it has cached, not only on its code. Pair i runs
+Run from anywhere inside the repository. It runs 10 pairs unless --pairs
+says otherwise, the count for which the gain rule below is stated. The
+base is HEAD, the parent of the uncommitted change; it is exported with
+`git archive` into a temporary directory, so it is measured from its
+committed files alone, as a fresh checkout would be. The working tree is
+copied next to it, its tracked files and its untracked files that are not
+ignored, so that both sides run from fresh copies in the same place: a
+checkout's start-up time depends on where it lives and what it has cached,
+not only on its code. Pair i runs
 `bench/run.py --workload W --seed S+i --seconds T --trace 0` once in each
 copy, one process at a time, through the command and the run_seconds T
 that BENCHMARK.json declares; the base runs first in even pairs and the
@@ -136,7 +138,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append",
                         help="workload to run (repeatable; default: all)")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="pairs of runs (default: 10)")
     parser.add_argument("--seed", type=int, default=41, help="seed of the first pair")
     parser.add_argument("--out", required=True,
                         help="JSON file to write, relative to the repository root")
