@@ -57,18 +57,17 @@ curve 1 moves.
 That is enough to recognise discs, annuli and bigons.  Minimal position
 removes bigons by pushing curve 1 across them, after sliding curve 1's
 points along their edges into walk order against curve 0 once, so that
-strands which run parallel no longer cross.  A round whose pair is
-bigon-free builds no darts and no regions when the crossings prove it:
-at most one sign, or every loop that could bound a bigon pairing nonzero
-with the surface's cocycle (JointSystem.certifies_no_bigon).  A bigon
-and the rectangles stacked on it are again a bigon, so they are pushed
-across together: the stack grows across the stationary side first and then
-across every piece of the moving side, and a grid of nested rectangles
-goes in one round.  A strand that clears r runs of the stationary curve
-drops 2r crossings.  Each round builds every stack before it takes any,
-takes those that clear the most stationary runs first, and reads the
-curve runs of each region once, from a table of that round's
-arrangement.
+strands which run parallel no longer cross, and strands that never part
+lie on curve 0's left.  A round whose pair is bigon-free builds no darts
+and no regions when the crossings prove it: at most one sign, or every
+loop that could bound a bigon pairing nonzero with the surface's cocycle
+(JointSystem.certifies_no_bigon).  A bigon and the rectangles stacked on
+it are again a bigon, so they are pushed across together: the stack grows
+across the stationary side first and then across every piece of the
+moving side, and a grid of nested rectangles goes in one round.  A strand
+that clears r runs of the stationary curve drops 2r crossings.  Each
+round peels the stack of one bigon, and reads the curve runs of each
+region once, from a table of that round's arrangement.
 
 Every curve surgery reads its new curve off the joint frame: `arc` lists
 the events of a curve between two of its crossings, from their slots, and
@@ -835,19 +834,16 @@ class JointSystem:
         P, Q = self.crossings[p], self.crossings[q]
         return P, Q, self.arc(ci, P, Q) if fwd else self.arc(ci, Q, P)
 
-    def _bigon_splice(self, runs_a: list, darts_b: list, sn: int, sd: int):
+    def _bigon_splice(self, darts_a: list, darts_b: list, sn: int, sd: int):
         """Splice data for pushing curve 1's side of a bigon across.
 
-        The bigon is given by its runs of darts in circuit order, curve 0's
-        and curve 1's; the last run of curve 0 goes from corner P to corner
-        Q and the run of curve 1 back from Q to P.  Returns (g_enter, m,
-        new_events, a_used): curve 1 keeps its event at gap g_enter, drops
-        the next m events and runs new_events in their place; a_used holds
-        the event indices of curve 0 that the replacement strand shadows or
-        clears, those of every run in runs_a.  Each replacement event is
-        curve 0's event moved sn/sd joint spacings to the far side (beside).
+        The bigon's last run of curve 0 goes from corner P to corner Q, as
+        darts_a, and its run of curve 1 back from Q to P, as darts_b.
+        Returns (g_enter, m, new_events): curve 1 keeps its event at gap
+        g_enter, drops the next m events and runs new_events in their place.
+        Each replacement event is curve 0's event moved sn/sd joint spacings
+        to the far side (beside).
         """
-        darts_a = runs_a[-1]
         a_fwd = self._labels[darts_a[0]][4]
         b_fwd = self._labels[darts_b[0]][4]
         P, Q, a_arc = self._run_arc(darts_a)
@@ -868,66 +864,50 @@ class JointSystem:
         new_events = [self.beside(0, i, hn, sd) for i in a_arc]
         if not along_a:
             new_events = [(e, -d, p) for e, d, p in reversed(new_events)]
-
-        inner = [ev for run in runs_a[:-1] for ev in self._run_arc(run)[2]]
-        a_used = frozenset(inner + a_arc)
-        return self.slot(1, enter)[0], len(b_arc), new_events, a_used
+        return self.slot(1, enter)[0], len(b_arc), new_events
 
     def reroute_through_bigons(
         self, regions: Sequence[Region]
     ) -> tuple[EmbeddedCurve, int]:
-        """Push curve 1 across several independent bigons with curve 0 at once.
+        """Push curve 1 across the stack of the first bigon with curve 0.
 
-        Each innermost bigon brings the stack of bigons nested around it
-        (see bigon_stack), and every strand of the stack is pushed across
-        in this one call: strand i follows the last stationary run of the
-        i-th bigon, and the parallel copies are ordered the way one bigon
-        per call would leave them, the outermost strand nearest the
-        stationary curve.  Every stack is built before any is taken, and
-        they are taken in decreasing order of the stationary runs their
-        strands clear, stacks that clear as many keeping the order of
-        `regions`.  A strand whose support overlaps one already taken ends
-        its stack there, and a stack whose first strand does is skipped, so
-        the splices never interfere.  Returns (curve, cleared), the number
-        of stationary runs the taken strands clear; a strand that clears r
-        runs drops the raw crossing count by exactly 2r.
+        The innermost bigon regions[0] brings the stack of bigons nested
+        around it (see bigon_stack), and every strand of the stack is pushed
+        across in this one call: strand i follows the last stationary run of
+        the i-th bigon, and the parallel copies are ordered the way one
+        bigon per call would leave them, the outermost strand nearest the
+        stationary curve.  A strand whose events of curve 1 overlap those of
+        a strand already taken ends the stack there, so the splices never
+        interfere.  The other bigons are left to later rounds.  Returns
+        (curve, cleared), the number of stationary runs the taken strands
+        clear; a strand that clears r runs drops the raw crossing count by
+        exactly 2r.
         """
         nb = len(self.curves[1].events)
-        stacks = [self.bigon_stack(region) for region in regions]
-        stacks.sort(key=lambda stack: -sum(len(runs_a) for runs_a, _ in stack))
+        stack = self.bigon_stack(regions[0])
+        depth = len(stack)
         splices: list[tuple[int, int, list]] = []
         cleared = 0
         used_b: set[int] = set()
-        used_a: set[int] = set()
-        for stack in stacks:
-            depth = len(stack)
-            stack_a: set[int] = set()
-            for i, (runs_a, darts_b) in enumerate(stack):
-                g, m, new_events, a_used = self._bigon_splice(
-                    runs_a, darts_b, depth - i, 3 * depth
-                )
-                if m >= nb:
-                    # Run wraps the whole curve: every old event is replaced.
-                    if splices:
-                        break
-                    if not new_events:
-                        raise ComputationError(
-                            "bigon removal would erase the curve",
-                            self.surface, self.curves)
-                    whole = EmbeddedCurve(
-                        self.surface, tuple(new_events),
-                        oriented=self.curves[1].oriented,
-                    )
-                    return whole, len(runs_a)
-                block = {(g + t) % nb for t in range(m + 1)}
-                if block & used_b or a_used & used_a:
+        for i, (runs_a, darts_b) in enumerate(stack):
+            g, m, new_events = self._bigon_splice(runs_a[-1], darts_b, depth - i, 3 * depth)
+            if m >= nb:
+                # Run wraps the whole curve: every old event is replaced.
+                if splices:
                     break
-                splices.append((g, m, new_events))
-                cleared += len(runs_a)
-                used_b |= block
-                # nested strands shadow nested runs of the stationary curve
-                stack_a |= a_used
-            used_a |= stack_a
+                if not new_events:
+                    raise ComputationError(
+                        "bigon removal would erase the curve",
+                        self.surface, self.curves)
+                whole = EmbeddedCurve(self.surface, tuple(new_events),
+                                      oriented=self.curves[1].oriented)
+                return whole, len(runs_a)
+            block = {(g + t) % nb for t in range(m + 1)}
+            if block & used_b:
+                break
+            splices.append((g, m, new_events))
+            cleared += len(runs_a)
+            used_b |= block
 
         joint_b = self.events[1]
         skip = {g: (m, evs) for g, m, evs in splices}
@@ -980,30 +960,26 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
     nothing.  So the first time the certificate fails, b slides along its
     edges into walk order against a (_slid), ordering strands by where they
     part (the linking rule of Cohen-Lustig), before any bigon is looked
-    for.  b keeps its own order on every edge and a does not move: an
-    isotopy, so the slid count must keep the parity of the count as placed.
-    When some point moved, the slid pair is kept, even if it crosses more,
-    and its certificate and bigons are taken as below.  It slides at most
-    once per call: sliding every round walks long parallel strands of pairs
-    that are nearly tight.
+    for.  Strands that never part go to a's left, so two curves with the
+    same cyclic itinerary come out disjoint.  b keeps its own order on
+    every edge and a does not move: an isotopy, so the slid count must keep
+    the parity of the count as placed.  When some point moved, the slid
+    pair is kept, even if it crosses more, and its certificate and bigons
+    are taken as below.  It slides at most once per call: sliding every
+    round walks long parallel strands of pairs that are nearly tight.
 
-    Each further round builds one arrangement and peels every innermost
+    Each further round builds one arrangement and peels the first innermost
     bigon together with the stack of bigons nested around it (see
-    JointSystem.bigon_stack), so a stack costs one round whatever its
-    depth; a stack grows across both sides of its bigon, so a grid of
-    nested rectangles costs one round too.  The stacks that clear the most
-    stationary runs are taken first (JointSystem.reroute_through_bigons),
-    so a small stack that overlaps a large one waits for a later round
-    instead of holding the large one back.  A round removes at least one
-    bigon, so k crossings take at most k/2 rounds; further rounds come only
-    from bigons that pass the same events of a or b as one peeled before
-    them, and from bigons that peeling uncovers.
+    JointSystem.bigon_stack and reroute_through_bigons), so a stack costs
+    one round whatever its depth; a stack grows across both sides of its
+    bigon, so a grid of nested rectangles costs one round too.  A round
+    removes at least one bigon, so k crossings take at most k/2 rounds.
 
-    If the slide changes the parity of the crossing count, or a round's
-    reroute does not assemble into an embedded curve or drops the crossing
-    count by other than two per stationary run its strands clear, the
-    ComputationError raised carries the input pair (a, b), which replays
-    it.
+    If the slid curve does not assemble into an embedded curve, the slide
+    changes the parity of the crossing count, or a round's reroute does not
+    assemble or drops the crossing count by other than two per stationary
+    run its strands clear, the ComputationError raised carries the input
+    pair (a, b), which replays it.
     """
     if a.surface.faces != b.surface.faces:
         raise PreconditionError("curves live on different surfaces")
@@ -1016,7 +992,12 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
             return system
         if slide:
             slide = False
-            slid = _slid(system)
+            try:
+                slid = _slid(system)
+            except ValidationError as exc:
+                raise ComputationError(
+                    f"slid curve did not assemble: {exc}", a.surface, pair
+                ) from exc
             if slid is not None:
                 system = JointSystem(a.surface, (system.renormalized_curve(0), slid))
                 if (len(system.crossings) - k) % 2:
@@ -1046,13 +1027,16 @@ def _slid(system: JointSystem) -> Optional[EmbeddedCurve]:
     curve 0, or None when no point of it changes its place.
 
     On each edge the curves' points are merged, each keeping its own order.
-    Two points are compared by walking their strands across the edge in
-    curve 0's direction (curve 1 reversed if it crosses the other way)
-    until they part, in the face entered at their last shared crossing:
-    the strand that leaves it fewer ccw slots after the entry slot runs on
-    the travellers' right.  Strands that do not part within one turn of the
-    longer curve are walked backward, the answer flipped, or else keep
-    their order.  Crossing in direction -1 the edge's head is on the right,
+    Two points are compared by walking their strands forward across the
+    edges in curve 0's direction (curve 1 reversed if it crosses the other
+    way) until they part, in the face entered at their last shared
+    crossing: the strand that leaves it fewer ccw slots after the entry
+    slot runs on the travellers' right.  Strands that agree for na + nb - 1
+    steps never part (Fine-Wilf: itineraries of periods na and nb that
+    agree that long are powers of one word, and an essential simple curve's
+    itinerary is primitive, so the two are the same cyclic word), and
+    curve 0 runs on their right, so that curve 1 lies on curve 0's left on
+    every edge.  Crossing in direction -1 the edge's head is on the right,
     so curve 0's point goes above exactly when "curve 0 on the right"
     equals "direction -1".  Curve 1's points are spaced evenly in their
     gaps between curve 0's joint-frame points, and the curve is validated.
@@ -1061,27 +1045,20 @@ def _slid(system: JointSystem) -> Optional[EmbeddedCurve]:
     ea, eb = system.events
     na, nb = len(ea), len(eb)
 
-    def a_right(i: int, j: int, step: int) -> Optional[bool]:
-        # curve 1 walks the way that crosses the edge as curve 0 does
-        sb = step * ea[i][1] * eb[j][1]
-        for t in range(1, max(na, nb) + 1):
-            e, d, _ = ea[(i + step * t) % na]
-            f, g, _ = eb[(j + sb * t) % nb]
-            if e != f or d * step != g * sb:
-                last, ld, _ = ea[(i + step * (t - 1)) % na]
-                face, s0 = surf.slot_position(last, -ld * step)
-                n = len(surf.faces[face])
-                return ((surf.slot_position(e, d * step)[1] - s0) % n
-                        < (surf.slot_position(f, g * sb)[1] - s0) % n)
-        return None
-
     def a_above(i: int, j: int) -> bool:
-        right = a_right(i, j, 1)
-        if right is None:
-            back = a_right(i, j, -1)
-            if back is None:
-                return ea[i][2] > eb[j][2]
-            right = not back
+        # curve 1 walks the way that crosses the edge as curve 0 does
+        sb = ea[i][1] * eb[j][1]
+        right = True
+        for t in range(1, na + nb):
+            e, d, _ = ea[(i + t) % na]
+            f, g, _ = eb[(j + sb * t) % nb]
+            if e != f or d != g * sb:
+                last, ld, _ = ea[(i + t - 1) % na]
+                face, s0 = surf.slot_position(last, -ld)
+                n = len(surf.faces[face])
+                right = ((surf.slot_position(e, d)[1] - s0) % n
+                         < (surf.slot_position(f, g * sb)[1] - s0) % n)
+                break
         return right == (ea[i][1] == -1)
 
     events = list(eb)

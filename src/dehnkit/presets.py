@@ -248,9 +248,6 @@ class PresetSurface:
                 f"preset {self.name!r} has no curve {name!r} (known: {known})"
             ) from None
 
-    def homology_class(self, c: EmbeddedCurve) -> tuple[int, ...]:
-        return homology_class(self.surface, c)
-
 
 _TORUS_FACES = ((("h", 1), ("v", 1), ("h", -1), ("v", -1)),)
 
