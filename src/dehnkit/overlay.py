@@ -2,20 +2,23 @@
 
 A JointSystem places several embedded curves on one surface in general
 position and builds their arrangement in five phases.  The first three
-run when it is made; the darts and regions phases run on the first read
-of a dart, cell or region, so a caller that reads only crossings (an
-intersection count, a bigon-free pair that the crossings certify, a
-twist) never pays for them:
+run when it is made, on integer ranks only; the darts and regions phases
+run on the first read of a dart, cell or region, so a caller that reads
+only crossings (an intersection count, a bigon-free pair that the
+crossings certify, a twist) never pays for them:
 
-  frame      surface.joint_frame renormalises the crossing points of each
-             edge jointly (ties broken by curve index, a legal isotopy):
-             the k-th of the m points on an edge moves to (k + 1)/(m + 1),
-             so its integer rank carries all the information.  It reads
+  frame      the crossing points of each edge are ranked jointly (ties
+             broken by curve index, a legal isotopy): the point of rank k
+             among the m points of an edge sits at k/(m + 1) in the joint
+             frame, and the rank carries all the information.  It reads
              each curve's own per-edge order, sorted once per curve, and
-             merges the curves' sorted runs;
-  chords     every face is walked as a ccw list of boundary items (slot
-             corners and points), and each curve gap becomes a chord
-             between two items;
+             merges the curves' sorted runs.  A curve's Fraction positions
+             are made only when something reads them (joint_events);
+  chords     every face is walked ccw as a list of boundary items, each
+             slot's corner and then its points, and each curve gap becomes
+             a chord between two items.  An item's rank is arithmetic: the
+             slot's corner rank plus the point's rank up the edge, counted
+             down the edge on a -1 slot;
   crossings  the face is a convex polygon with its items in ccw rank
              order and the chords straight, so chords cross iff their end
              ranks interleave.  B crosses A from A's right to its left iff
@@ -26,8 +29,9 @@ twist) never pays for them:
              curves, since chords of one curve never cross.  A system in
              which three chords of one face cross pairwise is refused with
              a PreconditionError, because the ranks do not fix the order
-             of their crossings.  Each crossing's slot on both of its
-             curves, (gap, rank on that gap), is recorded;
+             of their crossings.  Each crossing is a positional record,
+             and its slot on both of its curves, (gap, rank on that gap),
+             is recorded;
   darts      a doubly-connected edge list on integer ids whose cells are
              the complementary pieces inside single faces.  The nodes are
              the crossings, crossing k being node k, and the boundary
@@ -70,13 +74,15 @@ round peels the stack of one bigon, and reads the curve runs of each
 region once, from a table of that round's arrangement.
 
 Every curve surgery reads its new curve off the joint frame: `arc` lists
-the events of a curve between two of its crossings, from their slots, and
-`beside` moves an event h = hn/hd joint spacings to one side of its curve,
-one Fraction of integers from the event's rank (`joint_rank`).  `beside`
-is the only offset rule: bigon removal, the twist spiral (twisting) and
-the reduction splice (reduction) make every new point with it.  Other
-modules read an arrangement only through names without an underscore
-(`slot`, `crossings_on`, `arc`, `beside`, `isotopic_in`, ...).
+the events of a curve between two of its crossings, from their slots,
+`joint_events` gives a curve's events at their joint positions, and
+`beside` moves an event h = hn/hd joint spacings to one side of its
+curve, one Fraction of integers from the event's stored rank
+(`joint_rank`).  `beside` is the only offset rule: bigon removal, the
+twist spiral (twisting) and the reduction splice (reduction) make every
+new point with it.  Other modules read an arrangement only through names
+without an underscore (`slot`, `crossings_on`, `arc`, `joint_events`,
+`beside`, `isotopic_in`, ...).
 
 The single-curve predicates (null-homotopic, boundary-parallel,
 separating) are answered together and cached on the curve and on its
@@ -95,14 +101,13 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, PreconditionError, ValidationError
-from .surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve, _find, _union, joint_frame
+from .surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve, _find, _union
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """Transverse crossing of two chords inside one face.
 
     `sign` is the orientation of the ordered frame (direction of curve i,
@@ -151,12 +156,15 @@ class JointSystem:
 
     In a pair `crossings` are exactly the pair's crossings, and the bigon
     queries move curve 1 against a stationary curve 0 (module docstring).
-    Construction runs the frame, chords and crossings phases and records
-    each crossing's slots: that is all the crossing queries, `arc`,
-    `beside` and the twist read.  The darts and regions phases run on the
-    first read of any of the names they set (_CELL_NAMES), which are plain
-    attributes from then on.  A ComputationError from either half carries
-    the surface and curves of the build.
+    Construction runs the frame, chords and crossings phases on integer
+    ranks and records each crossing's slots: that is all the crossing
+    queries, `arc`, `beside` and the certificate read, and none of them
+    makes a Fraction.  A curve's events at their joint positions
+    (joint_events), which the twist, the slide and the reroute read, are
+    made on the first read for that curve.  The darts and regions phases
+    run on the first read of any of the names they set (_CELL_NAMES),
+    which are plain attributes from then on.  A ComputationError from
+    either half carries the surface and curves of the build.
 
     Three chords of one face must not cross pairwise: the ranks do not fix
     the order of their crossings, so such a system raises
@@ -199,106 +207,137 @@ class JointSystem:
         """The frame, chords and crossings phases of the module docstring,
         then the crossings' slots; the rest waits in _pending for
         _build_cells."""
-        self.edge_order, self.events = joint_frame(self.curves)
-        items, corners, chords = self._chords(self.edge_order, self.events)
-        self.crossings, stops = self._crossings(items, chords)
+        self.edge_order, self._frame_rank = self._frame()
+        self._joint: list[Optional[list]] = [None] * len(self.curves)
+        sizes, chords = self._chords()
+        self.crossings, stops = self._crossings(sizes, chords)
         self._stops, self._ranks = self._slots(chords, stops)
-        self._pending = items, corners, chords
+        self._pending = sizes, chords
 
     def _build_cells(self) -> None:
         """The darts and regions phases, which set _CELL_NAMES."""
-        items, corners, chords = self._pending
+        sizes, chords = self._pending
         (self._labels, self._chord_first, phi, self._cells, self._cell_of,
-         slot_first) = self._darts(items, corners, chords)
+         slot_first) = self._darts(sizes, chords)
         self._partner, self.region_of_cell, self.regions = self._regions(
             self._labels, phi, self._cells, self._cell_of, slot_first
         )
         del self._pending
 
-    def _chords(self, edge_order: dict, events: list) -> tuple[list, list, list]:
-        """Per-face boundary items and chords: (items, corners, chords).
+    def _frame(self) -> tuple[dict, list]:
+        """The joint frame: (edge_order, rank).
 
-        items[fi] walks face fi ccw, slot by slot: the slot's corner, then
-        its points in edge order (reversed when the slot runs the edge
-        backwards).  An item (e, s, gap) starts the boundary segment on
-        edge interval `gap`, counted from 0 up the edge frame; corners[fi]
-        holds the item rank of each slot's corner.  chords[fi] holds one
-        (curve, gap, ra, rb) per curve gap living in the face, with ra and
-        rb the item ranks of its two ends.
+        edge_order[e] lists the points of edge e up the edge as (curve,
+        event), and rank[curve][event] = k puts that event's point at
+        k/(m + 1) among the m points of its edge.  Each curve's points come
+        sorted (EmbeddedCurve._edge_points), so an edge that one curve
+        crosses takes its run as it is, and a shared edge merges the runs
+        by (position, curve): a tie, which only two curves can have, goes
+        to the lower curve index, a legal isotopy.
+        """
+        runs: dict[str, list] = {}
+        for ci, c in enumerate(self.curves):
+            for e, run in c._edge_points.items():
+                runs.setdefault(e, []).append((ci, run))
+        edge_order: dict[str, list[tuple[int, int]]] = {}
+        rank = [[0] * len(c.events) for c in self.curves]
+        for e, by_curve in runs.items():
+            if len(by_curve) == 1:
+                (ci, run), = by_curve
+                edge_order[e] = along = [(ci, ei) for _, _, ei in run]
+            else:
+                pts = sorted((f, p, ci, ei) for ci, run in by_curve for f, p, ei in run)
+                edge_order[e] = along = [(ci, ei) for _, _, ci, ei in pts]
+            for k, (ci, ei) in enumerate(along, 1):
+                rank[ci][ei] = k
+        return edge_order, rank
+
+    def _chords(self) -> tuple[list, list]:
+        """Per face its item count and its chords: (sizes, chords).
+
+        Face fi is walked ccw, slot by slot, as a list of sizes[fi] boundary
+        items: the slot's corner, then its m points in edge order (reversed
+        when the slot runs the edge backwards).  So with r the item rank of
+        the corner of slot (e, s), the point of frame rank k on e is item
+        r + k on a +1 slot and r + m + 1 - k on a -1 slot: base + s*k.
+        chords[fi] holds one (curve, gap, ra, rb) per curve gap living in
+        the face, with ra and rb the item ranks of its two ends.
         """
         surf = self.surface
-        # the item rank of event ei's point in the face of the chord that
-        # starts there (gap ei) and of the chord that ends there (gap ei - 1)
-        start_rank = [[0] * len(evs) for evs in events]
-        end_rank = [[0] * len(evs) for evs in events]
-        items: list[list[tuple]] = []
-        corners: list[list[int]] = []
-        for face in surf.faces:
-            row: list[tuple] = []
-            face_corners: list[int] = []
+        order = self.edge_order
+        base: dict[tuple, tuple[int, int]] = {}  # slot -> (face, base)
+        sizes: list[int] = []
+        for fi, face in enumerate(surf.faces):
+            r = 0
             for e, s in face:
-                along = edge_order.get(e, ())
-                m = len(along)
-                face_corners.append(len(row))
-                row.append((e, s, 0 if s > 0 else m))
-                for k in range(m) if s > 0 else reversed(range(m)):
-                    ci, ei = along[k]
-                    side = start_rank if s == -events[ci][ei][1] else end_rank
-                    side[ci][ei] = len(row)
-                    # the segment leaving the k-th point in the slot's direction
-                    row.append((e, s, k + 1 if s > 0 else k))
-            items.append(row)
-            corners.append(face_corners)
-
+                m = len(order.get(e, ()))
+                base[e, s] = (fi, r if s > 0 else r + m + 1)
+                r += m + 1
+            sizes.append(r)
         chords: list[list[tuple]] = [[] for _ in surf.faces]
-        for ci, evs in enumerate(events):
+        for ci, c in enumerate(self.curves):
+            evs, rank = c.events, self._frame_rank[ci]
             n = len(evs)
-            for g in range(n):
-                e1, d1, _ = evs[g]
-                chords[surf.face_of_slot(e1, -d1)].append(
-                    (ci, g, start_rank[ci][g], end_rank[ci][(g + 1) % n])
-                )
-        return items, corners, chords
+            # gap g leaves event g by the slot (e1, -d1) and enters event
+            # g + 1 by the slot (e2, d2) of the same face
+            for g, (e1, d1, _) in enumerate(evs):
+                h = g + 1 if g + 1 < n else 0
+                e2, d2, _ = evs[h]
+                fi, lo = base[e1, -d1]
+                chords[fi].append(
+                    (ci, g, lo - d1 * rank[g], base[e2, d2][1] + d2 * rank[h]))
+        return sizes, chords
 
-    def _crossings(self, items: list, chords: list) -> tuple:
+    def _crossings(self, sizes: list, chords: list) -> tuple:
         """The chords' crossings: (crossings, stops).
 
-        stops[fi][x] lists the crossings along chord x of face fi in order,
-        by index.  Face fi is a convex polygon with its M items in ccw rank
-        order and the chords straight, so chords cross iff their end ranks
-        interleave.  Each item ends at most one chord of the face, so one
-        sweep of the ranks finds every interleaving pair.  B crosses A from
-        A's right to A's left iff B starts on the ccw arc from A's start to
-        A's end.  When the chords crossing a chord x are pairwise disjoint
-        they meet x in the order of their ends on that arc, and their other
-        ends run the opposite way round the rest of the face.  A system
-        whose chords violate this has three chords crossing pairwise in one
-        face, whose order along each chord the ranks do not fix: it raises
-        PreconditionError.
+        stops[fi] maps each chord x of face fi that some chord crosses to
+        the crossings along it in order, by index.  Face fi is a convex
+        polygon with its sizes[fi] items in ccw rank order and the chords
+        straight, so chords cross iff their end ranks interleave.  Each item
+        ends at most one chord of the face, so one sweep of the ranks finds
+        every interleaving pair.  B crosses A from A's right to A's left iff
+        B starts on the ccw arc from A's start to A's end.  When the chords
+        crossing a chord x are pairwise disjoint they meet x in the order of
+        their ends on that arc, and their other ends run the opposite way
+        round the rest of the face.  A system whose chords violate this has
+        three chords crossing pairwise in one face, whose order along each
+        chord the ranks do not fix: it raises PreconditionError.
         """
         # In a pair the chords crossing a chord all belong to the other
         # curve, and chords of one curve never cross: there is nothing to
         # check.
         check_triangles = len(self.curves) > 2
         crossings: list[Crossing] = []
-        stops: list[list[list[int]]] = []
+        stops: list[dict[int, list[int]]] = []
         for fi, ch in enumerate(chords):
-            M = len(items[fi])
+            # chords come curve by curve, and those of one curve never cross
+            if not ch or ch[0][0] == ch[-1][0]:
+                stops.append({})
+                continue
+            M = sizes[fi]
             # A chord opens at its first end; when it closes, the chords
             # opened after it and still open are exactly its interleaving
             # partners, so the work is proportional to the crossings found.
-            chord_at = [-1] * M
+            # Round the face, chord x stands at its first end as x and at its
+            # last as ~x.
+            chord_at: list[Optional[int]] = [None] * M
             for x, (_, _, ra, rb) in enumerate(ch):
-                chord_at[ra] = chord_at[rb] = x
-            is_open = bytearray(len(ch))
+                if ra < rb:
+                    chord_at[ra], chord_at[rb] = x, ~x
+                else:
+                    chord_at[rb], chord_at[ra] = x, ~x
             open_chords: list[int] = []  # in opening order
             pairs: list[tuple[int, int]] = []
             for x in chord_at:
-                if x < 0:
+                if x is None:
                     continue
-                if not is_open[x]:
-                    is_open[x] = 1
+                if x >= 0:
                     open_chords.append(x)
+                    continue
+                x = ~x
+                if open_chords[-1] == x:
+                    open_chords.pop()
                     continue
                 pos = open_chords.index(x)
                 for y in open_chords[pos + 1:]:
@@ -306,12 +345,13 @@ class JointSystem:
                         pairs.append((x, y) if x < y else (y, x))
                 del open_chords[pos]
             pairs.sort()
-            # per chord, (near end, far end, crossing) of each chord crossing
-            # it, as offsets on the ccw walk round the face from its start
-            hits: list[list[tuple]] = [[] for _ in ch]
+            # per chord crossed, (near end, far end, crossing) of each chord
+            # crossing it, as offsets on the ccw walk round the face from
+            # its start
+            hits: dict[int, list[tuple]] = {}
             for x, y in pairs:
-                A, B = ch[x], ch[y]
-                pa, qa, pb, qb = A[2], A[3], B[2], B[3]
+                ca, ga, pa, qa = ch[x]
+                cb, gb, pb, qb = ch[y]
                 # offsets of B's ends on the ccw arc from A's start; exactly
                 # one lies before A's end, on A's right
                 span = (qa - pa) % M
@@ -320,32 +360,31 @@ class JointSystem:
                 if b_from_right == (oq < span):
                     raise ComputationError("interleaved chords failed to cross")
                 node = len(crossings)
-                # each chord meets the other's end on its own right arc first
-                hits[x].append((min(ob, oq), max(ob, oq), node))
+                # Each chord meets the other's end on its own right arc
+                # first.  Round the face from A's start the ends run pa, pb,
+                # qa, qb when B starts on A's right, so qa is on B's right;
+                # else pa, qb, qa, pb, and pa is.
                 oa, oz = (pa - pb) % M, (qa - pb) % M
-                hits[y].append((min(oa, oz), max(oa, oz), node))
-                # (direction of the lower curve, direction of the other) is
-                # (A, B) or (B, A): B from A's right is a positive frame
-                # (A, B), flipped in the second case
-                a_first = A[0] < B[0]
-                ij, ji = (A, B) if a_first else (B, A)
-                crossings.append(Crossing(
-                    face=fi,
-                    curve_i=ij[0],
-                    gap_i=ij[1],
-                    curve_j=ji[0],
-                    gap_j=ji[1],
-                    sign=1 if b_from_right == a_first else -1,
-                    node=node,
-                ))
-            face_stops = []
-            for h in hits:
+                if b_from_right:
+                    hx, hy = (ob, oq, node), (oz, oa, node)
+                else:
+                    hx, hy = (oq, ob, node), (oa, oz, node)
+                hits.setdefault(x, []).append(hx)
+                hits.setdefault(y, []).append(hy)
+                # (direction of the lower curve, direction of the other):
+                # B from A's right is a positive frame (A, B)
+                crossings.append(
+                    Crossing(fi, ca, ga, cb, gb, 1 if b_from_right else -1, node)
+                    if ca < cb else
+                    Crossing(fi, cb, gb, ca, ga, -1 if b_from_right else 1, node))
+            face_stops = {}
+            for x, h in hits.items():
                 h.sort()
                 if check_triangles and any(
                         h[k][1] < h[k + 1][1] for k in range(len(h) - 1)):
                     raise PreconditionError(
                         f"three curves cross pairwise in face {fi}")
-                face_stops.append([node for _, _, node in h])
+                face_stops[x] = [node for _, _, node in h]
             stops.append(face_stops)
         return crossings, stops
 
@@ -354,15 +393,17 @@ class JointSystem:
 
         curve_stops[curve][gap] lists the crossings along the chord of that
         curve gap, in order, and ranks (rank_i, rank_j) give each crossing's
-        place on the chords of its curves i and j.  Every crossing must sit
+        place on the chords of its curves i and j.  The chords that nothing
+        crosses share one empty list per curve.  Every crossing must sit
         exactly once on each of its two chords, or its node could not get
         four darts.
         """
         crossings = self.crossings
-        curve_stops: list[list[list[int]]] = [[[]] * len(evs) for evs in self.events]
+        curve_stops: list[list[list[int]]] = [[[]] * len(c.events) for c in self.curves]
         rank_i, rank_j = [-1] * len(crossings), [-1] * len(crossings)
         for ch, face_stops in zip(chords, stops):
-            for (ci, g, _, _), hits in zip(ch, face_stops):
+            for x, hits in face_stops.items():
+                ci, g, _, _ = ch[x]
                 curve_stops[ci][g] = hits
                 for k, node in enumerate(hits):
                     xg = crossings[node]
@@ -376,12 +417,15 @@ class JointSystem:
             raise ComputationError("crossing node without four darts")
         return curve_stops, (rank_i, rank_j)
 
-    def _darts(self, items, corners, chords) -> tuple:
+    def _darts(self, sizes, chords) -> tuple:
         """Doubly-connected edge list: (labels, chord_first, phi, cells,
         cell_of, slot_first).
 
         Nodes are integers: crossing k is node k, and boundary item r of
-        face fi is the node that boundary segment r leaves forward.  Darts
+        face fi (_chords) is the node that boundary segment r leaves
+        forward; the segment leaving the corner of slot (e, s) forward runs
+        on edge interval 0 of e when s = 1 and m when s = -1, and each
+        point it passes steps the interval by s.  Darts
         are integers too, in twin pairs 2k, 2k + 1, each with a label:
         ("B", e, s, gap, fwd) for the boundary segment of face slot (e, s)
         on edge interval gap, ("C", curve, gap, k, fwd) for the k-th
@@ -397,26 +441,35 @@ class JointSystem:
         """
         crossings = self.crossings
         n_cross = len(crossings)
+        order = self.edge_order
         labels: list[tuple] = []
         seg0: list[int] = []
-        for row in items:
+        slot_first: list[list[int]] = []
+        for face in self.surface.faces:
             seg0.append(len(labels))
-            labels += [("B", e, s, gap, fwd) for e, s, gap in row for fwd in (True, False)]
+            firsts = []
+            for e, s in face:
+                m = len(order.get(e, ()))
+                firsts.append(len(labels))
+                labels += [("B", e, s, gap, fwd)
+                           for gap in (range(m + 1) if s > 0 else range(m, -1, -1))
+                           for fwd in (True, False)]
+            slot_first.append(firsts)
         n_darts = len(labels) + 2 * sum(map(len, chords)) + 4 * n_cross
 
         # rotation at boundary item r: the segment leaving it forward, the
         # chord end there if any, the previous segment leaving it backward
         pred = [0] * n_darts
-        for fi, row in enumerate(items):
-            f, last = seg0[fi], seg0[fi] + 2 * len(row) - 1
+        for fi, M in enumerate(sizes):
+            f, last = seg0[fi], seg0[fi] + 2 * M - 1
             pred[f], pred[last] = last, f
             for b in range(f + 1, last, 2):
                 pred[b + 1], pred[b] = b, b + 1
 
         stops = self._stops
-        chord_first: list[list[int]] = [[0] * len(evs) for evs in self.events]
+        chord_first: list[list[int]] = [[0] * len(c.events) for c in self.curves]
         for fi, ch in enumerate(chords):
-            f, M = seg0[fi], len(items[fi])
+            f, M = seg0[fi], sizes[fi]
             for ci, g, ra, rb in ch:
                 first = len(labels)
                 labels += [("C", ci, g, k, fwd)
@@ -446,10 +499,10 @@ class JointSystem:
         # must run through the face's backward boundary darts
         unset = -2
         cell_of: list[int] = [unset] * n_darts
-        for fi, row in enumerate(items):
-            lo, hi = seg0[fi], seg0[fi] + 2 * len(row)
+        for fi, M in enumerate(sizes):
+            lo, hi = seg0[fi], seg0[fi] + 2 * M
             d = lo + 1
-            for _ in row:
+            for _ in range(M):
                 if not (lo < d < hi and d & 1 and cell_of[d] == unset):
                     raise ComputationError("exterior walk left the face boundary")
                 cell_of[d] = -1
@@ -470,7 +523,6 @@ class JointSystem:
             if d != did:
                 raise ComputationError("broken face orbit")
             cells.append(cycle)
-        slot_first = [[seg0[fi] + 2 * r for r in rs] for fi, rs in enumerate(corners)]
         return labels, chord_first, phi, cells, cell_of, slot_first
 
     def _regions(self, labels, phi, cells, cell_of, slot_first) -> tuple:
@@ -578,10 +630,24 @@ class JointSystem:
     def dart_label(self, did: int) -> tuple:
         return self._labels[did]
 
+    def joint_events(self, ci: int) -> list:
+        """Curve ci's events at their joint-frame positions k/(m + 1).
+
+        Made on the first read, for that curve only: the build itself keeps
+        integer ranks (_frame), and the crossing queries never ask.
+        """
+        evs = self._joint[ci]
+        if evs is None:
+            order = self.edge_order
+            evs = self._joint[ci] = [
+                (e, d, Fraction(k, len(order[e]) + 1))
+                for (e, d, _), k in zip(self.curves[ci].events, self._frame_rank[ci])]
+        return evs
+
     def renormalized_curve(self, i: int) -> EmbeddedCurve:
         """Curve i with its events respaced to the joint coordinate frame."""
         return EmbeddedCurve._respaced(
-            self.surface, tuple(self.events[i]), self.curves[i]
+            self.surface, tuple(self.joint_events(i)), self.curves[i]
         )
 
     def slot(self, ci: int, x: Crossing) -> tuple[int, int]:
@@ -606,7 +672,7 @@ class JointSystem:
         is empty; from a crossing to an earlier one on the same gap it runs
         once around the curve.
         """
-        n = len(self.events[ci])
+        n = len(self.curves[ci].events)
         gx, rx = self.slot(ci, x)
         gy, ry = self.slot(ci, y)
         span = (gy - gx) % n
@@ -618,9 +684,8 @@ class JointSystem:
         """(e, d, k, m + 1): event idx of curve ci crosses edge e in
         direction d at the k-th of the edge's m points, k/(m + 1) in the
         joint frame."""
-        e, d, p = self.events[ci][idx]
-        m1 = len(self.edge_order[e]) + 1
-        return e, d, p.numerator * (m1 // p.denominator), m1
+        e, d, _ = self.curves[ci].events[idx]
+        return e, d, self._frame_rank[ci][idx], len(self.edge_order[e]) + 1
 
     def beside(self, ci: int, idx: int, hn: int, hd: int) -> tuple:
         """Event idx of curve ci moved h = hn/hd joint spacings along its edge.
@@ -695,7 +760,7 @@ class JointSystem:
             return False
 
         def flux(ci: int, x: Crossing, y: Crossing) -> int:
-            evs = self.events[ci]
+            evs = self.curves[ci].events
             return sum(evs[t][1] * weight[evs[t][0]] for t in self.arc(ci, x, y))
 
         along_a = self.crossing_order_along(0)
@@ -909,7 +974,7 @@ class JointSystem:
             cleared += len(runs_a)
             used_b |= block
 
-        joint_b = self.events[1]
+        joint_b = self.joint_events(1)
         skip = {g: (m, evs) for g, m, evs in splices}
         out: list[tuple[str, int, Fraction]] = []
         t = splices[0][0]
@@ -1036,32 +1101,45 @@ def _slid(system: JointSystem) -> Optional[EmbeddedCurve]:
     agree that long are powers of one word, and an essential simple curve's
     itinerary is primitive, so the two are the same cyclic word), and
     curve 0 runs on their right, so that curve 1 lies on curve 0's left on
-    every edge.  Crossing in direction -1 the edge's head is on the right,
-    so curve 0's point goes above exactly when "curve 0 on the right"
-    equals "direction -1".  Curve 1's points are spaced evenly in their
-    gaps between curve 0's joint-frame points, and the curve is validated.
+    every edge.  The walk from a later pair of points it passed, one step
+    on along both strands, parts at the same place, so its side is kept
+    for those pairs and no walk is repeated within a call.  Crossing in
+    direction -1 the edge's head is on the right, so curve 0's point goes
+    above exactly when "curve 0 on the right" equals "direction -1".
+    Curve 1's points are spaced evenly in their gaps between curve 0's
+    joint-frame points, and the curve is validated.
     """
     surf = system.surface
-    ea, eb = system.events
+    # the joint frame moves points along their edges only, so the curves'
+    # own events give every edge and direction
+    ea, eb = (c.events for c in system.curves)
     na, nb = len(ea), len(eb)
 
+    # "curve 0 on the right" for each pair of points a walk has passed
+    side: dict[tuple[int, int], bool] = {}
+
     def a_above(i: int, j: int) -> bool:
-        # curve 1 walks the way that crosses the edge as curve 0 does
-        sb = ea[i][1] * eb[j][1]
-        right = True
-        for t in range(1, na + nb):
-            e, d, _ = ea[(i + t) % na]
-            f, g, _ = eb[(j + sb * t) % nb]
-            if e != f or d != g * sb:
-                last, ld, _ = ea[(i + t - 1) % na]
-                face, s0 = surf.slot_position(last, -ld)
-                n = len(surf.faces[face])
-                right = ((surf.slot_position(e, d)[1] - s0) % n
-                         < (surf.slot_position(f, g * sb)[1] - s0) % n)
-                break
+        right = side.get((i, j))
+        if right is None:
+            # curve 1 walks the way that crosses the edge as curve 0 does
+            sb = ea[i][1] * eb[j][1]
+            right = True
+            for t in range(1, na + nb):
+                e, d, _ = ea[(i + t) % na]
+                f, g, _ = eb[(j + sb * t) % nb]
+                if e != f or d != g * sb:
+                    last, ld, _ = ea[(i + t - 1) % na]
+                    face, s0 = surf.slot_position(last, -ld)
+                    n = len(surf.faces[face])
+                    right = ((surf.slot_position(e, d)[1] - s0) % n
+                             < (surf.slot_position(f, g * sb)[1] - s0) % n)
+                    break
+            # the walk from each later pair it passed parts at the same place
+            for u in range(1, t):
+                side[(i + u) % na, (j + sb * u) % nb] = right
         return right == (ea[i][1] == -1)
 
-    events = list(eb)
+    events = None
     for e, order in system.edge_order.items():
         a_pts = [(k, i) for k, (ci, i) in enumerate(order, 1) if ci == 0]
         if not a_pts or len(a_pts) == len(order):
@@ -1077,6 +1155,8 @@ def _slid(system: JointSystem) -> Optional[EmbeddedCurve]:
                 gaps.append((j, p))
         if [g for _, g in gaps] == placed:
             continue
+        if events is None:
+            events = list(system.joint_events(1))
         # a run of curve 1's points spaced evenly in its gap of curve 0's
         m1 = len(order) + 1
         ranks = [0, *(k for k, _ in a_pts), m1]
@@ -1085,7 +1165,7 @@ def _slid(system: JointSystem) -> Optional[EmbeddedCurve]:
             lo, hi, r1 = ranks[p], ranks[p + 1], len(run) + 1
             for t, j in enumerate(run, 1):
                 events[j] = (e, eb[j][1], Fraction(lo * r1 + (hi - lo) * t, m1 * r1))
-    if events == eb:
+    if events is None:
         return None
     return EmbeddedCurve(surf, tuple(events), oriented=system.curves[1].oriented)
 

@@ -124,7 +124,7 @@ def _twist_image(a, b, system, c, x, y, adjacent: bool) -> EmbeddedCurve:
     """
     if not adjacent:
         return apply_twist(c, 1, b._share_topology(system.renormalized_curve(1)))
-    k, bev = len(system.arc(0, x, y)), system.events[1]
+    k, bev = len(system.arc(0, x, y)), system.joint_events(1)
     if x.sign > 0:
         events = list(c.events[:k]) + [bev[i] for i in system.arc(1, y, x)]
     else:

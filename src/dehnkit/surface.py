@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import PreconditionError, ValidationError
 
@@ -360,8 +360,9 @@ class EmbeddedCurve:
     per-edge position renormalisation), not full isotopy.
 
     Each curve sorts its points along every edge once, on first use
-    (`_edge_points`); validation, renormalisation and every joint frame the
-    curve enters read that order.
+    (`_edge_points`); validation, renormalisation and the frame of every
+    arrangement the curve enters (overlay.JointSystem) read that order, and
+    a renormalised copy is handed the order it keeps, so it never sorts.
     """
 
     surface: CellSurface
@@ -500,8 +501,18 @@ class EmbeddedCurve:
 
     def renormalized(self) -> "EmbeddedCurve":
         """Move crossing positions to (k+1)/(m+1) by per-edge rank."""
-        _, (events,) = joint_frame((self,))
-        return EmbeddedCurve._respaced(self.surface, tuple(events), self)
+        events = list(self.events)
+        points: dict[str, list[tuple[float, Fraction, int]]] = {}
+        for e, run in self._edge_points.items():
+            m1 = len(run) + 1
+            points[e] = kept = []
+            for k, (_, _, ei) in enumerate(run, 1):
+                p = Fraction(k, m1)
+                events[ei] = (e, events[ei][1], p)
+                kept.append((k / m1, p, ei))
+        copy = EmbeddedCurve._respaced(self.surface, tuple(events), self)
+        copy.__dict__["_edge_points"] = points
+        return copy
 
     @cached_property
     def canonical_key(self) -> tuple:
@@ -568,37 +579,6 @@ class EmbeddedCurve:
             events.append((e, d, Fraction(k + 1, m + 1)))
         oriented = _json_field(data.get("oriented", True), "oriented", bool)
         return cls(surface, tuple(events), oriented=oriented)
-
-
-def joint_frame(curves: Sequence[EmbeddedCurve]) -> tuple[dict, list]:
-    """Joint renormalisation of curves on one surface: (edge_order, events).
-
-    All crossing points of an edge are merged and sorted by (position,
-    curve, event); edge_order[e] lists them as (curve, event) in that
-    order; a position tie, which only two different curves can have, is
-    broken by curve index, a legal isotopy.  The k-th of the m points moves
-    to (k + 1)/(m + 1), which is what events[curve][event] holds; order,
-    not position, carries the combinatorics.  For one curve this is its
-    renormalisation.
-
-    Each curve's points come already sorted along every edge
-    (EmbeddedCurve._edge_points), so the sort only merges sorted runs; for
-    one curve it is a single run, checked in linear time.
-    """
-    merged: dict[str, list[tuple]] = {}
-    for ci, c in enumerate(curves):
-        for e, run in c._edge_points.items():
-            merged.setdefault(e, []).extend((f, p, ci, ei) for f, p, ei in run)
-    edge_order: dict[str, list[tuple[int, int]]] = {}
-    events = [list(c.events) for c in curves]
-    for e, pts in merged.items():
-        pts.sort()  # merges the curves' sorted runs
-        m1 = len(pts) + 1
-        for k, (_, _, ci, ei) in enumerate(pts, 1):
-            evs = events[ci]
-            evs[ei] = (e, evs[ei][1], Fraction(k, m1))
-        edge_order[e] = [(ci, ei) for _, _, ci, ei in pts]
-    return edge_order, events
 
 
 @dataclass(frozen=True)

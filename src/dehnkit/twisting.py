@@ -52,9 +52,14 @@ def _drop_reducible_pairs(events: list) -> list:
     by_edge: dict = {}
     for t, (e, _d, _p) in enumerate(events):
         by_edge.setdefault(e, []).append(t)
+
+    def position(t: int) -> tuple:
+        p = events[t][2]
+        return p.numerator / p.denominator, p  # float(p), exact on a tie
+
     on_edge: dict = {}
     for e, ts in by_edge.items():
-        ts.sort(key=lambda t: (float(events[t][2]), events[t][2]))
+        ts.sort(key=position)
         for k, t in enumerate(ts):
             same = k and events[t][2] == events[ts[k - 1]][2]
             rank[t] = rank[ts[k - 1]] if same else k
@@ -135,7 +140,7 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
     if not system.crossings:
         return b
 
-    m = len(system.events[0])
+    m = len(system.curves[0].events)
     sigma = 1 if n > 0 else -1
     wraps = abs(n)
 
@@ -165,7 +170,7 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
         return out
 
     events = []
-    for g, ev in enumerate(system.events[1]):
+    for g, ev in enumerate(system.joint_events(1)):
         events.append(ev)
         for x in system.crossings_on(1, g):
             events.extend(spiral_block(x))

@@ -55,7 +55,11 @@ on the torus, the one-holed torus and genus 2 that pair nonzero are
 non-separating there, and on the four-holed sphere, where boundary curves
 pair nonzero, the cocycle decides nothing.  JointSystem.beside, which
 places a point from its joint-frame rank and h = hn/hd, is checked
-against the Fraction sum p + d*h/(m + 1) it replaced.
+against the Fraction sum p + d*h/(m + 1) it replaced.  The build keeps
+integer ranks only: on preset pairs and random twisted pairs each curve's
+joint positions, made on demand, and joint_rank are (k + 1)/(m + 1) from a
+reference merge of the edge's points by (position, curve), and a pair that
+its crossings put in minimal position makes no Fraction at all.
 """
 
 import functools
@@ -847,7 +851,7 @@ def _arc_systems():
 def test_arc_matches_the_annulus_coordinate_formula():
     for system in _arc_systems():
         for ci in (0, 1):
-            n = len(system.events[ci])
+            n = len(system.curves[ci].events)
             theta = _crossing_params(system, ci)
             for x, y in itertools.permutations(system.crossing_order_along(ci), 2):
                 want = _arc_indices(n, theta[x], theta[y])
@@ -866,7 +870,7 @@ def _assert_beside_matches_the_reference(a, b):
     the (hn, hd) its callers pass."""
     system = JointSystem(a.surface, (a, b))
     for ci in (0, 1):
-        for idx, (e, d, p) in enumerate(system.events[ci]):
+        for idx, (e, d, p) in enumerate(system.joint_events(ci)):
             m1 = len(system.edge_order[e]) + 1
             _, _, k, got_m1 = system.joint_rank(ci, idx)
             assert (got_m1, Fraction(k, m1)) == (m1, p)
@@ -886,6 +890,69 @@ def test_beside_matches_the_reference_on_preset_pairs(name):
 @settings(max_examples=30, deadline=None)
 def test_beside_matches_the_reference_on_genus2_pairs(data):
     _assert_beside_matches_the_reference(*_draw_genus2_pair(data))
+
+
+def _assert_joint_frame_matches_a_reference_merge(curves):
+    """Each curve's joint positions and joint_rank against a merge of all
+    points of an edge by (position, curve): the k-th of m, counted from 0,
+    sits at (k + 1)/(m + 1)."""
+    system = JointSystem(curves[0].surface, curves)
+    points = {}
+    for ci, c in enumerate(curves):
+        for idx, (e, _, p) in enumerate(c.events):
+            points.setdefault(e, []).append((p, ci, idx))
+    want = {}
+    for pts in points.values():
+        for k, (_, ci, idx) in enumerate(sorted(pts)):
+            want[ci, idx] = (k + 1, len(pts) + 1)
+    for ci, c in enumerate(curves):
+        joint = system.joint_events(ci)
+        assert len(joint) == len(c.events)
+        for idx, (e, d, _) in enumerate(c.events):
+            k1, m1 = want[ci, idx]
+            assert joint[idx] == (e, d, Fraction(k1, m1)), (ci, idx)
+            assert system.joint_rank(ci, idx) == (e, d, k1, m1), (ci, idx)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_joint_positions_match_a_reference_merge_on_preset_pairs(name):
+    curves = list(dict.fromkeys(build_preset(name).curves.values()))
+    for pair in itertools.combinations(curves, 2):
+        _assert_joint_frame_matches_a_reference_merge(pair)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_joint_positions_match_a_reference_merge_on_twisted_pairs(data):
+    a, b = _draw_twisted_pair(data)
+    _assert_joint_frame_matches_a_reference_merge((a, b))
+    _assert_joint_frame_matches_a_reference_merge((b, a))
+
+
+def test_a_pair_its_crossings_put_in_minimal_position_makes_no_fraction(monkeypatch):
+    # the torus pair 2/1, 3/5 crosses 7 times with one sign, and the
+    # cocycle certifies a1, dual1 (two crossings of opposite signs)
+    t = build_preset("torus").surface
+    g = build_preset("genus2_closed").curves
+    pairs = [(torus_curve(t, 2, 1), torus_curve(t, 3, 5)), (g["a1"], g["dual1"])]
+    for a, b in pairs:
+        JointSystem(a.surface, (a, b))  # each curve sorts its points once
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for (a, b), count in zip(pairs, (7, 2)):
+        system = minimal_position(a, b)
+        assert len(system.crossings) == count
+        assert made == []
+        # reading one curve's joint positions makes that curve's alone
+        system.joint_events(1)
+        assert len(made) == len(b.events)
+        made.clear()
 
 
 def _assert_slots_name_their_darts(curves):
