@@ -80,9 +80,10 @@ the events of a curve between two of its crossings, from their slots,
 curve, one Fraction of integers from the event's stored rank
 (`joint_rank`).  `beside` is the only offset rule: bigon removal, the
 twist spiral (twisting) and the reduction splice (reduction) make every
-new point with it.  Other modules read an arrangement only through names
-without an underscore (`slot`, `crossings_on`, `arc`, `joint_events`,
-`beside`, `isotopic_in`, ...).
+new point with it, the twist and the surgery as int keys (`beside_keys`).
+Other modules read an arrangement only through names without an
+underscore (`slot`, `crossings_on`, `arc`, `joint_events`, `beside`,
+`isotopic_in`, ...).
 
 The single-curve predicates (null-homotopic, boundary-parallel,
 separating) are answered together and cached on the curve and on its
@@ -160,7 +161,7 @@ class JointSystem:
     ranks and records each crossing's slots: that is all the crossing
     queries, `arc`, `beside` and the certificate read, and none of them
     makes a Fraction.  A curve's events at their joint positions
-    (joint_events), which the twist, the slide and the reroute read, are
+    (joint_events), which the slide and the reroute read, are
     made on the first read for that curve.  The darts and regions phases
     run on the first read of any of the names they set (_CELL_NAMES),
     which are plain attributes from then on.  A ComputationError from
@@ -686,6 +687,16 @@ class JointSystem:
         joint frame."""
         e, d, _ = self.curves[ci].events[idx]
         return e, d, self._frame_rank[ci][idx], len(self.edge_order[e]) + 1
+
+    def beside_keys(self, ci: int, idxs, hn: int, hd: int) -> list:
+        """The events idxs of curve ci as `beside` moves them, keyed by ints:
+        (e, d, k*hd + d*hn) for joint rank k.  Over one hd the keys order
+        each edge's points as the positions do, and no Fraction is made."""
+        evs, rank, out = self.curves[ci].events, self._frame_rank[ci], []
+        for i in idxs:
+            e, d, _ = evs[i]
+            out.append((e, d, rank[i] * hd + d * hn))
+        return out
 
     def beside(self, ci: int, idx: int, hn: int, hd: int) -> tuple:
         """Event idx of curve ci moved h = hn/hd joint spacings along its edge.

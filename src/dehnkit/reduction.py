@@ -22,9 +22,10 @@ once, T_c(b) is the resolution of b ∪ c at that point: b cut there and
 closed up around c.  The part of c beside b cancels against that arc of b, so
 what is left is, up to isotopy, b's complementary arc closed by the a-arc;
 this is Lickorish's step, which "depends only on the intersection numbers".
-The surgery lays out just that short list and hands it to the twist's own
-close-up (twisting._close_up), whose sweep of reducible pairs leaves the
-twist image event for event, up to where its itinerary starts.
+The surgery lays out just that short list on int keys, as the twist lays
+out its spiral, and hands it to the twist's own close-up
+(twisting._close_up), whose sweep of reducible pairs leaves the twist image
+event for event, up to where its itinerary starts.
 
 Any other splice, two apart or round the far side, meets b more than once,
 and the same surgery does not close up, so it is reduced by a twist.  The
@@ -113,10 +114,11 @@ def _twist_image(a, b, system, c, x, y, adjacent: bool) -> EmbeddedCurve:
     """T_c(b) for the splice c cut from `system` at (x, y) (module docstring).
 
     When Y follows X along a (`adjacent`), the image's short list is c's
-    a-arc copy (its first k events) and b's complementary arc, the part of
-    curve 1 of `system` c does not run beside: for a positive sign the copy
-    from X to Y, then b from Y on to X; for a negative one b from X to Y,
-    then the copy back to X.  The twist's close-up (twisting._close_up)
+    a-arc copy and b's complementary arc, the part of curve 1 of `system` c
+    does not run beside: for a positive sign the copy from X to Y, then b
+    from Y on to X; for a negative one b from X to Y, then the copy back to
+    X.  Its points are keyed as c's own events sit, over one hd = 4
+    (JointSystem.beside_keys).  The twist's close-up (twisting._close_up)
     sweeps it to the twist image; no arrangement is built.  Any other
     splice twists curve 1 of `system` in its frame.  Either image takes b's
     cached topology; a surgery image that does not close up raises the
@@ -124,11 +126,11 @@ def _twist_image(a, b, system, c, x, y, adjacent: bool) -> EmbeddedCurve:
     """
     if not adjacent:
         return apply_twist(c, 1, b._share_topology(system.renormalized_curve(1)))
-    k, bev = len(system.arc(0, x, y)), system.joint_events(1)
+    copy = system.beside_keys(0, system.arc(0, x, y), 1, 4)
     if x.sign > 0:
-        events = list(c.events[:k]) + [bev[i] for i in system.arc(1, y, x)]
+        events = copy + system.beside_keys(1, system.arc(1, y, x), 0, 4)
     else:
-        events = [bev[i] for i in system.arc(1, x, y)] + _reversed(c.events[:k])
+        events = system.beside_keys(1, system.arc(1, x, y), 0, 4) + _reversed(copy)
     return _close_up(system, events, b, 1, (a, b))
 
 

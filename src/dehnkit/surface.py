@@ -82,6 +82,13 @@ def _union(parent: list[int], a: int, b: int) -> None:
     parent[_find(parent, a)] = _find(parent, b)
 
 
+def _exact(p) -> Fraction:
+    """A position given as an int (a bool is no int); nothing else is coerced."""
+    if type(p) is not int:
+        raise ValidationError(f"crossing position {p!r} is not a Fraction or an int")
+    return Fraction(p)
+
+
 def _json_field(value, key: str, kind: type):
     """A JSON field that must hold a `kind` itself: nothing is coerced, and
     a bool is no int."""
@@ -359,10 +366,14 @@ class EmbeddedCurve:
     to the extent of reparametrisation (rotation of the itinerary and
     per-edge position renormalisation), not full isotopy.
 
+    A position is a Fraction or an int; anything else raises ValidationError.
+
     Each curve sorts its points along every edge once, on first use
     (`_edge_points`); validation, renormalisation and the frame of every
     arrangement the curve enters (overlay.JointSystem) read that order, and
-    a renormalised copy is handed the order it keeps, so it never sorts.
+    a renormalised copy is handed the order it keeps, so it never sorts.  A
+    twist or surgery image, laid out on int keys, is born renormalised
+    (`_from_keys`), with one Fraction per point.
     """
 
     surface: CellSurface
@@ -371,7 +382,7 @@ class EmbeddedCurve:
 
     def __post_init__(self):
         events = tuple(
-            (str(e), d, p if isinstance(p, Fraction) else Fraction(p))
+            (str(e), d, p if isinstance(p, Fraction) else _exact(p))
             for e, d, p in self.events
         )
         object.__setattr__(self, "events", events)
@@ -423,11 +434,13 @@ class EmbeddedCurve:
             e, _, p = events[first_repeat]
             raise ValidationError(f"repeated crossing point ({e!r}, {p})")
 
-        # A chord end is keyed by (slot entry, walk key) in its face: the
-        # face walks a +1 slot up the edge and a -1 slot down it, so the
-        # walk key is the point's rank up the edge or minus that rank.
+        # A chord end is keyed by one int in its face, entry*(2n + 1) +
+        # walk key + n, ordered as (slot entry, walk key): the face walks a
+        # +1 slot up the edge and a -1 slot down it, so the walk key is the
+        # point's rank up the edge or minus that rank, in (-n, n).
         slot_position = surf.slot_position
-        chords_by_face: dict[int, list[tuple[tuple, tuple]]] = {}
+        span = 2 * n + 1
+        chords_by_face: dict[int, list[tuple[int, int]]] = {}
         for i in range(n):
             e1, d1, _ = events[i]
             j = (i + 1) % n
@@ -439,25 +452,23 @@ class EmbeddedCurve:
                     f"events {i} and {j} do not share a face: "
                     f"exit into face {f_exit}, enter from face {f_enter}"
                 )
-            key_a = (ent_exit, -rank[i] if d1 > 0 else rank[i])
-            key_b = (ent_enter, rank[j] if d2 > 0 else -rank[j])
-            chords_by_face.setdefault(f_exit, []).append((key_a, key_b))
+            key_a = ent_exit * span + (n - rank[i] if d1 > 0 else n + rank[i])
+            key_b = ent_enter * span + (n + rank[j] if d2 > 0 else n - rank[j])
+            chords_by_face.setdefault(f_exit, []).append(
+                (key_a, key_b) if key_a < key_b else (key_b, key_a))
 
         # Pairwise non-crossing chords of a disc nest like brackets: cut the
-        # boundary circle before the smallest key and demand stack discipline.
+        # boundary circle before the smallest key; taken by their lower
+        # ends, each chord must close before the innermost one still open.
         for f, chords in chords_by_face.items():
-            ends = []
-            for i, (key_a, key_b) in enumerate(chords):
-                lo, hi = (key_a, key_b) if key_a < key_b else (key_b, key_a)
-                ends.append((lo, True, i))
-                ends.append((hi, False, i))
-            ends.sort()
-            stack: list[int] = []
-            for _, opening, i in ends:
-                if opening:
-                    stack.append(i)
-                elif not stack or stack.pop() != i:
+            chords.sort()
+            stack: list[int] = []  # upper ends of the chords still open
+            for lo, hi in chords:
+                while stack and stack[-1] < lo:
+                    stack.pop()
+                if stack and stack[-1] < hi:
                     raise ValidationError(f"curve crosses itself inside face {f}")
+                stack.append(hi)
 
     # -- basic manipulations --
 
@@ -467,7 +478,8 @@ class EmbeddedCurve:
     ) -> "EmbeddedCurve":
         # Fast path for per-edge order-preserving respacings of an already
         # validated curve `source`: the combinatorics cannot change, so skip
-        # the constructor's revalidation.  Caller supplies canonical events.
+        # the constructor's revalidation (a keyed image, _from_keys, is
+        # validated after).  Caller supplies canonical events.
         self = object.__new__(cls)
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "events", events)
@@ -499,20 +511,50 @@ class EmbeddedCurve:
         copy.__dict__["_edge_points"] = self._edge_points
         return copy
 
-    def renormalized(self) -> "EmbeddedCurve":
-        """Move crossing positions to (k+1)/(m+1) by per-edge rank."""
-        events = list(self.events)
+    @classmethod
+    def _at_ranks(cls, surface: CellSurface, events, runs: dict,
+                  source: "EmbeddedCurve") -> "EmbeddedCurve":
+        """A respaced copy of `source` on `events`, the event of rank k among
+        the m events of edge e that runs[e] lists up the edge at k/(m + 1)."""
+        events = list(events)
         points: dict[str, list[tuple[float, Fraction, int]]] = {}
-        for e, run in self._edge_points.items():
+        for e, run in runs.items():
             m1 = len(run) + 1
             points[e] = kept = []
-            for k, (_, _, ei) in enumerate(run, 1):
+            for k, ei in enumerate(run, 1):
                 p = Fraction(k, m1)
                 events[ei] = (e, events[ei][1], p)
                 kept.append((k / m1, p, ei))
-        copy = EmbeddedCurve._respaced(self.surface, tuple(events), self)
+        copy = cls._respaced(surface, tuple(events), source)
         copy.__dict__["_edge_points"] = points
         return copy
+
+    @classmethod
+    def _from_keys(cls, surface: CellSurface, keyed: list,
+                   source: "EmbeddedCurve") -> "EmbeddedCurve":
+        """The curve of events (edge, direction, int key), born renormalised,
+        with the orientation and cached topology of `source`.
+
+        Each edge's keys are sorted once, and a repeated key raises
+        ValidationError; that order places the points (_at_ranks) and is
+        handed to _validate, which runs in full.
+        """
+        runs: dict[str, list] = {}
+        for ei, (e, _, key) in enumerate(keyed):
+            runs.setdefault(e, []).append((key, ei))
+        for e, run in runs.items():
+            run.sort()
+            if len({key for key, _ in run}) < len(run):
+                raise ValidationError(f"repeated crossing point on edge {e!r}")
+            runs[e] = [ei for _, ei in run]
+        curve = cls._at_ranks(surface, keyed, runs, source)
+        curve._validate()
+        return curve
+
+    def renormalized(self) -> "EmbeddedCurve":
+        """Move crossing positions to (k+1)/(m+1) by per-edge rank."""
+        runs = {e: [ei for _, _, ei in run] for e, run in self._edge_points.items()}
+        return EmbeddedCurve._at_ranks(self.surface, self.events, runs, self)
 
     @cached_property
     def canonical_key(self) -> tuple:

@@ -2,17 +2,20 @@
 
 The twist D_a^n(b) is built literally: put the pair in minimal position, then
 reroute every strand of b through an annulus neighbourhood of a as a spiral
-winding |n| times. The spiral's points are a's events moved at most half a
-joint spacing to either side, each made by JointSystem.beside from two
-integers read off the crossing's place on a, so the result validates as an
-embedded curve.
+winding |n| times.  The spiral's points are a's events moved less than half
+a joint spacing to either side, so the result validates as an embedded
+curve.  Only the order of the points along each edge matters, so each is
+an int key over the joint ranks (JointSystem.beside_keys): k*2D for b's
+point of rank k, and k*2D + d*hn, |hn| < D, beside a's event of rank k and
+direction d, with one D per twist.
 
 Each spiral block runs after b's event at its gap, and _close_up, which
 the reduction's arc surgery shares, sweeps away the edge-crossing pairs the
-layout left reducible, checks the result and validates it.  A twist is a
-homeomorphism, so the image of b is null-homotopic, boundary-parallel or
-separating exactly when b is: the image inherits b's cached single-curve
-topology and never builds an arrangement for it.
+layout left reducible and builds the image, born renormalized from its
+keys, checked and validated.  A twist is a homeomorphism, so the image of
+b is null-homotopic, boundary-parallel or separating exactly when b is:
+the image inherits b's cached single-curve topology and never builds an
+arrangement for it.
 """
 
 from __future__ import annotations
@@ -35,35 +38,24 @@ __all__ = [
 def _drop_reducible_pairs(events: list) -> list:
     """Remove adjacent (e,d),(e,-d) event pairs nothing else blocks.
 
-    Such a pair is a detour across edge e and back; it slides off whenever no
-    other event of the curve sits between the two positions on e.  Pairs are
-    removed one at a time, always the first removable one in the current
-    cyclic order (the pair closing the cycle last).  Removing events only
-    shortens the list, so that order is the original order of the survivors;
-    the candidate pairs are kept by original index, and blocking is tested
-    by bisecting per-edge sorted position ranks.
+    Events are (edge, direction, int key).  Such a pair is a detour across
+    edge e and back; it slides off whenever no other event of the curve has
+    a key strictly between the two on e.  Pairs are removed one at a time,
+    always the first removable one in the current cyclic order (the pair
+    closing the cycle last).  Removing events only shortens the list, so
+    that order is the original order of the survivors; the candidate pairs
+    are kept by original index, and blocking is tested by bisecting
+    per-edge sorted keys.
     """
     n = len(events)
     nxt = [(i + 1) % n for i in range(n)]
     prv = [(i - 1) % n for i in range(n)]
-    # each event's rank among the positions on its edge (ties share one),
-    # and per edge the sorted ranks of the events still there
-    rank = [0] * n
-    by_edge: dict = {}
-    for t, (e, _d, _p) in enumerate(events):
-        by_edge.setdefault(e, []).append(t)
-
-    def position(t: int) -> tuple:
-        p = events[t][2]
-        return p.numerator / p.denominator, p  # float(p), exact on a tie
-
+    # per edge the sorted keys of the events still there
     on_edge: dict = {}
-    for e, ts in by_edge.items():
-        ts.sort(key=position)
-        for k, t in enumerate(ts):
-            same = k and events[t][2] == events[ts[k - 1]][2]
-            rank[t] = rank[ts[k - 1]] if same else k
-        on_edge[e] = [rank[t] for t in ts]
+    for e, _d, k in events:
+        on_edge.setdefault(e, []).append(k)
+    for keys in on_edge.values():
+        keys.sort()
 
     def paired(i: int) -> bool:
         e1, d1, _ = events[i]
@@ -71,10 +63,10 @@ def _drop_reducible_pairs(events: list) -> list:
         return e1 == e2 and d1 == -d2
 
     def blocked(i: int) -> bool:
-        r1, r2 = rank[i], rank[nxt[i]]
-        lo, hi = (r1, r2) if r1 < r2 else (r2, r1)
-        rs = on_edge[events[i][0]]
-        return bisect_left(rs, hi) > bisect_right(rs, lo)
+        k1, k2 = events[i][2], events[nxt[i]][2]
+        lo, hi = (k1, k2) if k1 < k2 else (k2, k1)
+        keys = on_edge[events[i][0]]
+        return bisect_left(keys, hi) > bisect_right(keys, lo)
 
     alive = [True] * n
     left = n
@@ -86,8 +78,9 @@ def _drop_reducible_pairs(events: list) -> list:
         j = nxt[i]
         for t in (i, j):
             alive[t] = False
-            rs = on_edge[events[t][0]]
-            del rs[bisect_left(rs, rank[t])]
+            e, _d, k = events[t]
+            keys = on_edge[e]
+            del keys[bisect_left(keys, k)]
         before, after = prv[i], nxt[j]
         nxt[before], prv[after] = after, before
         left -= 2
@@ -102,12 +95,13 @@ def _close_up(system, events: list, b: EmbeddedCurve, n: int,
     """The twist image of b laid out as `events` on `system`, swept and checked.
 
     Curve 1 of `system` is b as placed there; `events` walks its points and
-    points beside them: b with a spiral after each crossing, or a surgery's
-    short list.  One sweep of reducible pairs leaves the image, which must
-    not collapse to a trivial circle and must be an embedded curve: either
-    failure raises a ComputationError carrying the surface and the curves
-    `replay`, with the power n in its text.  The image takes b's cached
-    topology and is renormalized.
+    points beside them, as (edge, direction, int key): b with a spiral after
+    each crossing, or a surgery's short list.  One sweep of reducible pairs
+    leaves the image, which must not collapse to a trivial circle and must
+    be an embedded curve with no key repeated on an edge: either failure
+    raises a ComputationError carrying the surface and the curves `replay`,
+    with the power n in its text.  The image is born renormalized from its
+    keys (EmbeddedCurve._from_keys) and takes b's cached topology.
     """
     surf = system.surface
     events = _drop_reducible_pairs(events)
@@ -116,12 +110,11 @@ def _close_up(system, events: list, b: EmbeddedCurve, n: int,
             f"twist image collapsed to a trivial circle (power {n})", surf, replay
         )
     try:
-        image = EmbeddedCurve(surf, tuple(events), oriented=b.oriented)
+        return EmbeddedCurve._from_keys(surf, events, b)
     except ValidationError as exc:
         raise ComputationError(
             f"twist image did not close up (power {n}): {exc}", surf, replay
         ) from exc
-    return b._share_topology(image).renormalized()
 
 
 def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
@@ -140,37 +133,40 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
     if not system.crossings:
         return b
 
-    m = len(system.curves[0].events)
+    m, nb = (len(c.events) for c in system.curves)
     sigma = 1 if n > 0 else -1
     wraps = abs(n)
+    Q = len(system.crossings) + 1  # one Q for all gaps, so one D per twist
+    mQ = m * Q
+    D = mQ * wraps
+    D2 = 2 * D
+    a_keys = system.beside_keys(0, range(m), 0, D2)
 
     def spiral_block(x) -> list:
         # Strand of b at crossing x, rerouted to wind `wraps` times around a.
         # x sits at annulus coordinate th = g + (r + 1)/Q along a, the
-        # (r + 1)-th of the Q - 1 crossings on a's gap g.  The spiral point
-        # of turn w at a's event idx has phi = (sigma * (idx - th)) mod m / m
-        # and z = (phi + w)/wraps, and is that event moved h = (2z - 1)/2
-        # joint spacings to one side (JointSystem.beside).  With
-        # D = m * Q * wraps, z = (u + w*m*Q)/D for the integer
-        # u = sigma * (Q * (idx - g) - r - 1) mod m*Q, so h is the integer
-        # 2*(u + w*m*Q) - D over 2*D.
+        # (r + 1)-th crossing on a's gap g: Q exceeds every gap's count, so
+        # th lies in (g, g + 1), in order.  The spiral point of turn w at
+        # a's event idx has phi = (sigma * (idx - th)) mod m / m and
+        # z = (phi + w)/wraps, and is that event moved h = (2z - 1)/2 joint
+        # spacings to one side.  With D = m * Q * wraps, z = (u + w*m*Q)/D
+        # for the integer u = sigma * (Q * (idx - g) - r - 1) mod m*Q, so
+        # h = hn/(2D) for hn = 2*(u + w*m*Q) - D, and the key is k*2D + d*hn.
         mu = x.sign  # +1: strand passes right-to-left across a
         se = mu * sigma  # sign of the strand's motion along a's direction
         g, r = system.slot(0, x)
-        r1, Q = r + 1, len(system.crossings_on(0, g)) + 1
-        mQ = m * Q
-        D = mQ * wraps
+        r1 = r + 1
         out = []
         for t in range(wraps * m):
             idx = (g + 1 + t) % m if se > 0 else (g - t) % m
             w = t // m if mu > 0 else wraps - 1 - t // m
             u = sigma * (Q * (idx - g) - r1) % mQ
-            e, d, p = system.beside(0, idx, 2 * (u + w * mQ) - D, 2 * D)
-            out.append((e, se * d, p))
+            e, d, key = a_keys[idx]
+            out.append((e, se * d, key + d * (2 * (u + w * mQ) - D)))
         return out
 
     events = []
-    for g, ev in enumerate(system.joint_events(1)):
+    for g, ev in enumerate(system.beside_keys(1, range(nb), 0, D2)):
         events.append(ev)
         for x in system.crossings_on(1, g):
             events.extend(spiral_block(x))

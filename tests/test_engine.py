@@ -65,6 +65,7 @@ its crossings put in minimal position makes no Fraction at all.
 import functools
 import itertools
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -72,7 +73,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dehnkit import overlay, reduction
+from dehnkit import overlay, reduction, twisting
 from dehnkit.calculus import algebraic_intersection, is_essential
 from dehnkit.errors import ComputationError, PreconditionError, ValidationError
 from dehnkit.factorization import factorize
@@ -748,20 +749,21 @@ def test_a_warm_bench_pass_runs_few_darts_phases(
 
     monkeypatch.setattr(JointSystem, "find_bigons", counting)
     ops = WORKLOADS.build(workload, 3).ops
-
-    def run_pass():
-        for op in ops:
-            try:
-                op.run()
-            except PreconditionError:  # the bordered words of defect 2a
-                pass
-
-    run_pass()
+    _run_pass(ops)
     count_cells.clear()
     rounds.clear()
-    run_pass()
+    _run_pass(ops)
     assert len(count_cells) <= most
     assert len(rounds) <= most_rounds
+
+
+def _run_pass(ops) -> None:
+    """One pass of a workload's ops, as the bench runs it."""
+    for op in ops:
+        try:
+            op.run()
+        except PreconditionError:  # the bordered words of defect 2a
+            pass
 
 
 @pytest.mark.parametrize("r", range(4))
@@ -937,14 +939,7 @@ def test_a_pair_its_crossings_put_in_minimal_position_makes_no_fraction(monkeypa
     pairs = [(torus_curve(t, 2, 1), torus_curve(t, 3, 5)), (g["a1"], g["dual1"])]
     for a, b in pairs:
         JointSystem(a.surface, (a, b))  # each curve sorts its points once
-    made = []
-    new = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting)
+    made = _counting_fractions(monkeypatch)
     for (a, b), count in zip(pairs, (7, 2)):
         system = minimal_position(a, b)
         assert len(system.crossings) == count
@@ -953,6 +948,73 @@ def test_a_pair_its_crossings_put_in_minimal_position_makes_no_fraction(monkeypa
         system.joint_events(1)
         assert len(made) == len(b.events)
         made.clear()
+
+
+def _counting_fractions(monkeypatch) -> list:
+    """The arguments of every Fraction made from now on."""
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return made
+
+
+def test_a_twist_of_a_pair_in_minimal_position_makes_one_fraction_per_image_event(
+        monkeypatch):
+    # the pairs of the test above, twisted both ways and twice: the image is
+    # laid out on int keys and born renormalized, so its final positions
+    # are the only Fractions made (the Fraction layout also made b's joint
+    # positions, one per spiral point and one per image event again)
+    t = build_preset("torus").surface
+    g = build_preset("genus2_closed").curves
+    pairs = [(torus_curve(t, 2, 1), torus_curve(t, 3, 5)), (g["a1"], g["dual1"])]
+    twists = [(a, n, b) for a, b in pairs for n in (1, -2)]
+    for a, n, b in twists:
+        apply_twist(a, n, b)  # each curve sorts its points, and its topology
+    made = _counting_fractions(monkeypatch)
+    for a, n, b in twists:
+        image = apply_twist(a, n, b)
+        assert len(image.events) > len(b.events)
+        assert len(made) == len(image.events)
+        made.clear()
+
+
+def test_a_warm_bench_pass_closes_up_on_int_keys(monkeypatch):
+    # factorize-words at seed 3, on warm curves: no twist or surgery image
+    # is renormalized after it is made, apply_twist reads no joint
+    # positions, and the pass makes at most 22,000 Fractions (33,091 with
+    # the Fraction layout)
+    ops = WORKLOADS.build("factorize-words", 3).ops
+    _run_pass(ops)
+    renormalized, joint_readers, sweeps = Counter(), Counter(), []
+    renormalize, joint_events = EmbeddedCurve.renormalized, JointSystem.joint_events
+    sweep = twisting._drop_reducible_pairs
+
+    def counting_renormalize(self):
+        renormalized[sys._getframe(1).f_code.co_name] += 1
+        return renormalize(self)
+
+    def counting_joint_events(self, ci):
+        joint_readers[sys._getframe(1).f_code.co_name] += 1
+        return joint_events(self, ci)
+
+    def counting_sweep(events):
+        sweeps.append(len(events))
+        return sweep(events)
+
+    monkeypatch.setattr(EmbeddedCurve, "renormalized", counting_renormalize)
+    monkeypatch.setattr(JointSystem, "joint_events", counting_joint_events)
+    monkeypatch.setattr(twisting, "_drop_reducible_pairs", counting_sweep)
+    made = _counting_fractions(monkeypatch)
+    _run_pass(ops)
+    assert len(sweeps) > 300  # every twist and surgery closed up
+    assert renormalized["_close_up"] == 0 and renormalized, renormalized
+    assert joint_readers["apply_twist"] == 0 and joint_readers, joint_readers
+    assert len(made) <= 22_000
 
 
 def _assert_slots_name_their_darts(curves):

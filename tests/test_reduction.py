@@ -7,7 +7,9 @@ including the alternating-sign states where no two adjacent crossings agree.
 A splice at a crossing and the next one along a is reduced by surgery, and
 that image is checked event for event against the twist it replaces, up to
 where its itinerary starts, for both signs and both orientations; its sweep
-takes only the short list.  On the bench's torus slopes and genus-2
+takes only the short list, and its int-keyed layout gives the image of
+the Fraction layout it replaced (fraction_layout), event for event.  On
+the bench's torus slopes and genus-2
 chain, a surgery step builds no arrangement, and a twist step meets its
 curve in minimal position as built: one arrangement, no darts phase.  A
 step that does not descend, or whose surgery does not close up, raises an
@@ -31,6 +33,7 @@ from dehnkit.surface import CellSurface, EmbeddedCurve
 from dehnkit.twisting import TwistWord, apply_twist, apply_word
 
 from bench_modules import load_bench_module
+from fraction_layout import reference_surgery
 from test_engine import _draw_genus2_pair, _draw_twisted_pair
 
 WORKLOADS = load_bench_module("workloads")
@@ -271,6 +274,48 @@ def test_each_adjacent_splice_resolves_to_exactly_its_twist_image():
             assert taken[name], taken
         torus_draws()
         genus2_draws()
+
+
+def test_surgery_images_match_the_fraction_layout():
+    # every surgery image of a reduction, keyed by joint ranks (4k on b,
+    # 4k + d on the a-arc copy), equals the image the same short list laid
+    # out on beside Fractions gives; the torus 1/0 against 1/3 and its
+    # reverse, and genus-2 t1 against T_a1^(+-2) t1, give both signs.  A
+    # long a, as 5/2, 8/3 or 13/5 against 1/0 or 0/1, makes long a-arc
+    # copies that share edges with b; hypothesis draws on every preset, in
+    # both orders, add breadth
+    checked = Counter()
+    image_of = reduction._twist_image
+
+    def checking(a, b, system, c, x, y, adjacent):
+        got = image_of(a, b, system, c, x, y, adjacent)
+        if adjacent:
+            want = reference_surgery(system, b, c, x, y)
+            assert (got.events, got.oriented) == (want.events, want.oriented)
+            checked[x.sign] += 1
+        return got
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def draws(data):
+        a, b = _draw_twisted_pair(data)
+        reduce_pair(a, b)
+        reduce_pair(b, a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "_twist_image", checking)
+        t = build_preset("torus").surface
+        b = torus_curve(t, 1, 3)
+        for curve in (b, b.reverse()):
+            reduce_pair(torus_curve(t, 1, 0), curve)
+        for p, q in ((5, 2), (8, 3), (13, 5)):
+            for r, s in ((1, 0), (0, 1)):
+                reduce_pair(torus_curve(t, p, q), torus_curve(t, r, s))
+        g = build_preset("genus2_closed").curves
+        for k in (2, -2):
+            reduce_pair(g["t1"], apply_twist(g["a1"], k, g["t1"]))
+        assert checked[1] and checked[-1], checked
+        draws()
 
 
 class TestEachPairSolvedOnce:

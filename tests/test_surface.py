@@ -198,6 +198,17 @@ class TestEmbeddedCurve:
         with pytest.raises(ValidationError, match="repeated"):
             EmbeddedCurve(torus(), (("v", 1, F(1, 2)), ("v", -1, F(1, 2))))
 
+    @pytest.mark.parametrize("position", ("1/2", 0.5, True))
+    def test_rejects_a_position_that_is_no_exact_rational(self, position):
+        # a position is a Fraction or an int, never coerced from a string,
+        # a float or a bool
+        with pytest.raises(ValidationError, match="not a Fraction or an int"):
+            EmbeddedCurve(torus(), (("v", 1, position),))
+
+    def test_an_int_position_is_exact_but_outside_the_edge(self):
+        with pytest.raises(ValidationError, match="outside"):
+            EmbeddedCurve(torus(), (("v", 1, 1),))
+
     def test_rejects_self_crossing(self):
         # two same-direction strands through v must link up with a crossing
         with pytest.raises(ValidationError, match="crosses itself"):

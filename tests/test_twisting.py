@@ -18,6 +18,8 @@ from dehnkit.overlay import curves_isotopic, geometric_intersection_number
 from dehnkit.presets import PRESET_NAMES, build_preset, homology_class, torus_curve
 from dehnkit.surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve
 from dehnkit.twisting import TwistWord, apply_twist, apply_word
+from fraction_layout import reference_twist, rescanning_sweep
+from test_engine import _draw_twisted_pair
 
 gin = geometric_intersection_number
 
@@ -253,37 +255,8 @@ class TestIdentityOnSystem:
         assert not _fixes_each(TwistWord(((oh.curves["a1"], 1),)), filling)
 
 
-def _reference_drop_reducible_pairs(events: list) -> list:
-    """The rescanning implementation the indexed one replaced, kept verbatim."""
-    evs = list(events)
-    changed = True
-    while changed and len(evs) > 2:
-        changed = False
-        n = len(evs)
-        for i in range(n):
-            j = (i + 1) % n
-            e1, d1, p1 = evs[i]
-            e2, d2, p2 = evs[j]
-            if e1 != e2 or d1 != -d2:
-                continue
-            lo, hi = min(p1, p2), max(p1, p2)
-            blocked = any(
-                e == e1 and lo < p < hi
-                for t, (e, _d, p) in enumerate(evs)
-                if t != i and t != j
-            )
-            if not blocked:
-                for t in sorted((i, j), reverse=True):
-                    del evs[t]
-                changed = True
-                break
-    if len(evs) == 2 and evs[0][0] == evs[1][0] and evs[0][1] == -evs[1][1]:
-        raise ComputationError("twist image collapsed to a trivial circle")
-    return evs
-
-
 def _twist_sweep_inputs(monkeypatch):
-    """Event lists apply_twist hands to the sweep.
+    """Keyed event lists apply_twist hands to the sweep.
 
     Preset twists alone leave little to sweep; the factorizations of two
     genus-2 letters twist along the long curves reduction finds, whose
@@ -314,19 +287,36 @@ def _twist_sweep_inputs(monkeypatch):
 def test_indexed_sweep_matches_the_rescanning_one(monkeypatch):
     inputs = _twist_sweep_inputs(monkeypatch)
     assert len(inputs) > 100
+    # every point is laid out with an int key, never a Fraction
+    assert all(type(k) is int for events in inputs for _, _, k in events)
     removed = 0
     for events in inputs:
-        want = _reference_drop_reducible_pairs(events)
+        want = rescanning_sweep(events)
         assert twisting._drop_reducible_pairs(events) == want
         removed += len(events) - len(want)
     assert removed > 400  # the inputs exercise the sweep, not just pass it
+
+
+@pytest.mark.parametrize("blocker, want", [
+    # a key equal to an end of a pair's span does not block it, nor do a
+    # pair's own tied keys; the b pair then goes, and two events are left
+    ((), [("a", -1, 2), ("c", 1, 1)]),
+    # a key strictly inside the span of the a pair blocks it for good
+    ((("a", 1, 4),), [("a", 1, 2), ("a", -1, 6), ("a", -1, 2), ("c", 1, 1),
+                      ("a", 1, 4)]),
+])
+def test_the_sweep_on_tied_keys(blocker, want):
+    events = [("a", 1, 2), ("a", -1, 6), ("a", -1, 2), ("b", 1, 5), ("b", -1, 5),
+              ("c", 1, 1), *blocker]
+    assert rescanning_sweep(events) == want
+    assert twisting._drop_reducible_pairs(events) == want
 
 
 def test_a_collapsed_twist_image_carries_its_inputs(monkeypatch):
     t = build_preset("torus").surface
     a, b = tc(t, 1, 0), tc(t, 0, 1)
     monkeypatch.setattr(
-        twisting, "_drop_reducible_pairs", lambda events: [("h", 1, 0.5), ("h", -1, 0.5)]
+        twisting, "_drop_reducible_pairs", lambda events: [("h", 1, 4), ("h", -1, 4)]
     )
     with pytest.raises(ComputationError) as raised:
         apply_twist(a, 2, b)
@@ -335,7 +325,7 @@ def test_a_collapsed_twist_image_carries_its_inputs(monkeypatch):
 
 
 def test_a_twist_image_that_does_not_close_up_replays_from_its_json(monkeypatch):
-    # when the sweep leaves a point twice on an edge the image is no
+    # when the sweep leaves a key twice on an edge the image is no
     # embedded curve: the close-up raises a ComputationError, not a bare
     # ValidationError, and the (a, b) it carries reproduces it
     t = build_preset("torus").surface
@@ -347,6 +337,7 @@ def test_a_twist_image_that_does_not_close_up_replays_from_its_json(monkeypatch)
         apply_twist(a, 2, b)
     err = raised.value
     assert isinstance(err.__cause__, ValidationError)
+    assert "repeated crossing point" in str(err)
     data = err.replay_json()
     surface = CellSurface.from_json(data["surface"])
     a2, b2 = (EmbeddedCurve.from_json(surface, c) for c in data["curves"])
@@ -449,3 +440,16 @@ def test_the_orientation_word_on_a_curve_it_misses_builds_twice(monkeypatch):
     monkeypatch.setattr(overlay.JointSystem, "__init__", counting)
     assert apply_word(word, target) is target
     assert len(sizes) <= 2
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_twist_images_match_the_fraction_layout(data):
+    # the int keys order every edge's points as the Fraction layout's
+    # positions do, so the images agree event for event, in either order
+    # of a pair
+    a, b = _draw_twisted_pair(data)
+    n = data.draw(st.sampled_from((1, -1, 2, -2, 3, -3)), label="power")
+    for axis, target in ((a, b), (b, a)):
+        got, want = apply_twist(axis, n, target), reference_twist(axis, n, target)
+        assert (got.events, got.oriented) == (want.events, want.oriented)
