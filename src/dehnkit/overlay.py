@@ -12,8 +12,8 @@ crossings certify, a twist) never pays for them:
              among the m points of an edge sits at k/(m + 1) in the joint
              frame, and the rank carries all the information.  It reads
              each curve's own per-edge order, sorted once per curve, and
-             merges the curves' sorted runs.  A curve's Fraction positions
-             are made only when something reads them (joint_events);
+             merges the curves' sorted runs.  No position is made: a new
+             curve is keyed on these ranks (beside_keys);
   chords     every face is walked ccw as a list of boundary items, each
              slot's corner and then its points, and each curve gap becomes
              a chord between two items.  An item's rank is arithmetic: the
@@ -73,17 +73,15 @@ that clears r runs of the stationary curve drops 2r crossings.  Each
 round peels the stack of one bigon, and reads the curve runs of each
 region once, from a table of that round's arrangement.
 
-Every curve surgery reads its new curve off the joint frame: `arc` lists
-the events of a curve between two of its crossings, from their slots,
-`joint_events` gives a curve's events at their joint positions, and
-`beside` moves an event h = hn/hd joint spacings to one side of its
-curve, one Fraction of integers from the event's stored rank
-(`joint_rank`).  `beside` is the only offset rule: bigon removal, the
-twist spiral (twisting) and the reduction splice (reduction) make every
-new point with it, the twist and the surgery as int keys (`beside_keys`).
-Other modules read an arrangement only through names without an
-underscore (`slot`, `crossings_on`, `arc`, `joint_events`, `beside`,
-`isotopic_in`, ...).
+Every curve the engine makes has one layout rule, int keys over the joint
+ranks: `arc` lists a curve's events between two of its crossings, and
+`beside_keys` keys events moved h = hn/hd joint spacings to one side of
+their curve.  The slide, bigon removal (`moved`), the twist spiral
+(twisting) and the reduction splice (reduction) key every new point so,
+the connector by the edge interval it crosses, and each new curve is born
+from its keys (EmbeddedCurve._from_keys).  Other modules read an
+arrangement only through names without an underscore (`slot`,
+`crossings_on`, `arc`, `beside_keys`, `moved`, `isotopic_in`, ...).
 
 The single-curve predicates (null-homotopic, boundary-parallel,
 separating) are answered together and cached on the curve and on its
@@ -99,7 +97,6 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
@@ -159,10 +156,8 @@ class JointSystem:
     queries move curve 1 against a stationary curve 0 (module docstring).
     Construction runs the frame, chords and crossings phases on integer
     ranks and records each crossing's slots: that is all the crossing
-    queries, `arc`, `beside` and the certificate read, and none of them
-    makes a Fraction.  A curve's events at their joint positions
-    (joint_events), which the slide and the reroute read, are
-    made on the first read for that curve.  The darts and regions phases
+    queries, `arc`, `beside_keys` and the certificate read, and none of
+    them makes a Fraction.  The darts and regions phases
     run on the first read of any of the names they set (_CELL_NAMES),
     which are plain attributes from then on.  A ComputationError from
     either half carries the surface and curves of the build.
@@ -209,7 +204,6 @@ class JointSystem:
         then the crossings' slots; the rest waits in _pending for
         _build_cells."""
         self.edge_order, self._frame_rank = self._frame()
-        self._joint: list[Optional[list]] = [None] * len(self.curves)
         sizes, chords = self._chords()
         self.crossings, stops = self._crossings(sizes, chords)
         self._stops, self._ranks = self._slots(chords, stops)
@@ -631,26 +625,6 @@ class JointSystem:
     def dart_label(self, did: int) -> tuple:
         return self._labels[did]
 
-    def joint_events(self, ci: int) -> list:
-        """Curve ci's events at their joint-frame positions k/(m + 1).
-
-        Made on the first read, for that curve only: the build itself keeps
-        integer ranks (_frame), and the crossing queries never ask.
-        """
-        evs = self._joint[ci]
-        if evs is None:
-            order = self.edge_order
-            evs = self._joint[ci] = [
-                (e, d, Fraction(k, len(order[e]) + 1))
-                for (e, d, _), k in zip(self.curves[ci].events, self._frame_rank[ci])]
-        return evs
-
-    def renormalized_curve(self, i: int) -> EmbeddedCurve:
-        """Curve i with its events respaced to the joint coordinate frame."""
-        return EmbeddedCurve._respaced(
-            self.surface, tuple(self.joint_events(i)), self.curves[i]
-        )
-
     def slot(self, ci: int, x: Crossing) -> tuple[int, int]:
         """(gap, r): x is the r-th crossing on that gap of curve ci."""
         if ci == x.curve_i:
@@ -681,36 +655,32 @@ class JointSystem:
             span = n
         return [(gx + 1 + t) % n for t in range(span)]
 
-    def joint_rank(self, ci: int, idx: int) -> tuple[str, int, int, int]:
-        """(e, d, k, m + 1): event idx of curve ci crosses edge e in
-        direction d at the k-th of the edge's m points, k/(m + 1) in the
-        joint frame."""
-        e, d, _ = self.curves[ci].events[idx]
-        return e, d, self._frame_rank[ci][idx], len(self.edge_order[e]) + 1
-
     def beside_keys(self, ci: int, idxs, hn: int, hd: int) -> list:
-        """The events idxs of curve ci as `beside` moves them, keyed by ints:
-        (e, d, k*hd + d*hn) for joint rank k.  Over one hd the keys order
-        each edge's points as the positions do, and no Fraction is made."""
+        """The events idxs of curve ci moved h = hn/hd joint spacings along
+        their edges, keyed (e, d, k*hd + d*hn) for joint rank k.
+
+        Over one hd the keys order each edge as p + d*h/(m + 1) would, at
+        the joint position p = k/(m + 1).  With |hn| < hd a moved point stays
+        strictly between its old neighbours.  One h moves every event of ci
+        to the same side of ci, so a moved arc runs parallel to it.
+        """
         evs, rank, out = self.curves[ci].events, self._frame_rank[ci], []
         for i in idxs:
             e, d, _ = evs[i]
             out.append((e, d, rank[i] * hd + d * hn))
         return out
 
-    def beside(self, ci: int, idx: int, hn: int, hd: int) -> tuple:
-        """Event idx of curve ci moved h = hn/hd joint spacings along its edge.
-
-        That is p + d*h/(m + 1) for the m points of its edge, which sit
-        1/(m + 1) apart in the joint frame, edge ends included: with |h| < 1
-        the moved point stays strictly between its old neighbours.  One h
-        moves every event of ci to the same side of ci, so the moved events
-        of an arc run parallel to it; the sign of h picks the side.  With
-        p = k/(m + 1) (joint_rank) the point is one Fraction of integers,
-        (k*hd + d*hn)/((m + 1)*hd).
-        """
-        e, d, k, m1 = self.joint_rank(ci, idx)
-        return e, d, Fraction(k * hd + d * hn, m1 * hd)
+    def moved(self, keyed: list, hd: int) -> tuple[EmbeddedCurve, EmbeddedCurve]:
+        """The pair born from its keys with curve 1 moved to `keyed`, keyed
+        as beside_keys keys with this hd, and curve 0 keyed k*hd.  The moved
+        curve is validated; the slide and the reroute are isotopies, so each
+        curve takes its source's cached topology."""
+        a, b = self.curves
+        a2, b2 = EmbeddedCurve._from_keys(self.surface, [
+            (self.beside_keys(0, range(len(a.events)), 0, hd), a.oriented),
+            (keyed, b.oriented)])
+        b2._validate()
+        return a._share_topology(a2), b._share_topology(b2)
 
     def crossings_on(self, ci: int, gap: int) -> list[Crossing]:
         """The crossings on gap `gap` of curve ci, in order along it."""
@@ -918,7 +888,7 @@ class JointSystem:
         Returns (g_enter, m, new_events): curve 1 keeps its event at gap
         g_enter, drops the next m events and runs new_events in their place.
         Each replacement event is curve 0's event moved sn/sd joint spacings
-        to the far side (beside).
+        to the far side, keyed over hd = sd (beside_keys).
         """
         a_fwd = self._labels[darts_a[0]][4]
         b_fwd = self._labels[darts_b[0]][4]
@@ -937,14 +907,12 @@ class JointSystem:
         # The bigon sits on curve 0's left iff its run is forward; the
         # rerouted strand is pushed across curve 0 to the far side.
         hn = -sn if a_fwd else sn
-        new_events = [self.beside(0, i, hn, sd) for i in a_arc]
+        new_events = self.beside_keys(0, a_arc, hn, sd)
         if not along_a:
             new_events = [(e, -d, p) for e, d, p in reversed(new_events)]
         return self.slot(1, enter)[0], len(b_arc), new_events
 
-    def reroute_through_bigons(
-        self, regions: Sequence[Region]
-    ) -> tuple[EmbeddedCurve, int]:
+    def reroute_through_bigons(self, regions: Sequence[Region]) -> tuple:
         """Push curve 1 across the stack of the first bigon with curve 0.
 
         The innermost bigon regions[0] brings the stack of bigons nested
@@ -955,18 +923,19 @@ class JointSystem:
         stationary curve.  A strand whose events of curve 1 overlap those of
         a strand already taken ends the stack there, so the splices never
         interfere.  The other bigons are left to later rounds.  Returns
-        (curve, cleared), the number of stationary runs the taken strands
-        clear; a strand that clears r runs drops the raw crossing count by
-        exactly 2r.
+        (pair, cleared): the pair with curve 1 rerouted (moved), and the
+        number of stationary runs the taken strands clear; a strand that
+        clears r runs drops the raw crossing count by exactly 2r.
         """
         nb = len(self.curves[1].events)
         stack = self.bigon_stack(regions[0])
         depth = len(stack)
+        hd = 3 * depth
         splices: list[tuple[int, int, list]] = []
         cleared = 0
         used_b: set[int] = set()
         for i, (runs_a, darts_b) in enumerate(stack):
-            g, m, new_events = self._bigon_splice(runs_a[-1], darts_b, depth - i, 3 * depth)
+            g, m, new_events = self._bigon_splice(runs_a[-1], darts_b, depth - i, hd)
             if m >= nb:
                 # Run wraps the whole curve: every old event is replaced.
                 if splices:
@@ -975,9 +944,7 @@ class JointSystem:
                     raise ComputationError(
                         "bigon removal would erase the curve",
                         self.surface, self.curves)
-                whole = EmbeddedCurve(self.surface, tuple(new_events),
-                                      oriented=self.curves[1].oriented)
-                return whole, len(runs_a)
+                return self.moved(new_events, hd), len(runs_a)
             block = {(g + t) % nb for t in range(m + 1)}
             if block & used_b:
                 break
@@ -985,26 +952,15 @@ class JointSystem:
             cleared += len(runs_a)
             used_b |= block
 
-        joint_b = self.joint_events(1)
+        kept = self.beside_keys(1, range(nb), 0, hd)
         skip = {g: (m, evs) for g, m, evs in splices}
-        out: list[tuple[str, int, Fraction]] = []
-        t = splices[0][0]
-        steps = 0
-        while steps < nb:
-            idx = t % nb
-            out.append(joint_b[idx])
-            if idx in skip:
-                m, evs = skip[idx]
-                out.extend(evs)
-                t += m + 1
-                steps += m + 1
-            else:
-                t += 1
-                steps += 1
-        curve = EmbeddedCurve(
-            self.surface, tuple(out), oriented=self.curves[1].oriented
-        )
-        return curve, cleared
+        out: list[tuple[str, int, int]] = []
+        start = t = splices[0][0]
+        while t < start + nb:
+            m, evs = skip.get(t % nb, (0, ()))
+            out += [kept[t % nb], *evs]
+            t += m + 1
+        return self.moved(out, hd), cleared
 
 
 def _joined(pieces: list) -> list:
@@ -1020,10 +976,8 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
     """Isotope b until no bigon with a remains; a is never rerouted.
 
     Returns the final arrangement; its curves (a', b') are the pair in
-    minimal position.  a' differs from a only by sliding points along their
-    edges: rerouting works in the joint coordinate frame, so once b moves, a
-    must be respaced to that frame as well or the new points land on the
-    wrong side of it.
+    minimal position.  a' differs from a only by where its points sit on
+    their edges, in the same order (JointSystem.moved).
     The common case returns after one arrangement build, with only its
     crossings made, by one of two exits: crossings of at most one sign,
     none included; or crossings of both signs that the cocycle certifies
@@ -1075,7 +1029,7 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
                     f"slid curve did not assemble: {exc}", a.surface, pair
                 ) from exc
             if slid is not None:
-                system = JointSystem(a.surface, (system.renormalized_curve(0), slid))
+                system = JointSystem(a.surface, slid)
                 if (len(system.crossings) - k) % 2:
                     raise ComputationError(
                         f"sliding changed the crossing parity: {k} to "
@@ -1084,23 +1038,23 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
         bigons = system.find_bigons()
         if not bigons:
             return system
-        a = system.renormalized_curve(0)
         try:
-            b, removed = system.reroute_through_bigons(bigons)
+            moved, removed = system.reroute_through_bigons(bigons)
         except ValidationError as exc:
             raise ComputationError(
                 f"bigon reroute did not assemble: {exc}", a.surface, pair
             ) from exc
-        system = JointSystem(a.surface, (a, b))
+        system = JointSystem(a.surface, moved)
         if len(system.crossings) != k - 2 * removed:
             raise ComputationError(
                 f"bigon removal changed crossings to {len(system.crossings)}",
                 a.surface, pair)
 
 
-def _slid(system: JointSystem) -> Optional[EmbeddedCurve]:
-    """Curve 1 of a pair slid along its edges into walk order against
-    curve 0, or None when no point of it changes its place.
+def _slid(system: JointSystem) -> Optional[tuple]:
+    """The pair with curve 1 slid along its edges into walk order against
+    curve 0 (JointSystem.moved), or None when no point of it changes its
+    place.
 
     On each edge the curves' points are merged, each keeping its own order.
     Two points are compared by walking their strands forward across the
@@ -1117,8 +1071,9 @@ def _slid(system: JointSystem) -> Optional[EmbeddedCurve]:
     for those pairs and no walk is repeated within a call.  Crossing in
     direction -1 the edge's head is on the right, so curve 0's point goes
     above exactly when "curve 0 on the right" equals "direction -1".
-    Curve 1's points are spaced evenly in their gaps between curve 0's
-    joint-frame points, and the curve is validated.
+    With hd = nb + 1, which exceeds every run, the t-th point of a run of
+    curve 1 in the gap above curve 0's point of joint rank r (0 below the
+    lowest) is keyed r*hd + t, and the moved curve is validated.
     """
     surf = system.surface
     # the joint frame moves points along their edges only, so the curves'
@@ -1150,7 +1105,8 @@ def _slid(system: JointSystem) -> Optional[EmbeddedCurve]:
                 side[(i + u) % na, (j + sb * u) % nb] = right
         return right == (ea[i][1] == -1)
 
-    events = None
+    keys = None
+    hd = nb + 1
     for e, order in system.edge_order.items():
         a_pts = [(k, i) for k, (ci, i) in enumerate(order, 1) if ci == 0]
         if not a_pts or len(a_pts) == len(order):
@@ -1166,19 +1122,16 @@ def _slid(system: JointSystem) -> Optional[EmbeddedCurve]:
                 gaps.append((j, p))
         if [g for _, g in gaps] == placed:
             continue
-        if events is None:
-            events = list(system.joint_events(1))
-        # a run of curve 1's points spaced evenly in its gap of curve 0's
-        m1 = len(order) + 1
-        ranks = [0, *(k for k, _ in a_pts), m1]
+        if keys is None:
+            keys = system.beside_keys(1, range(nb), 0, hd)
+        # a run of curve 1's points in order in its gap of curve 0's
+        ranks = [0, *(k for k, _ in a_pts)]
         for p, run in groupby(gaps, key=itemgetter(1)):
-            run = [j for j, _ in run]
-            lo, hi, r1 = ranks[p], ranks[p + 1], len(run) + 1
-            for t, j in enumerate(run, 1):
-                events[j] = (e, eb[j][1], Fraction(lo * r1 + (hi - lo) * t, m1 * r1))
-    if events is None:
+            for t, (j, _) in enumerate(run, 1):
+                keys[j] = (e, eb[j][1], ranks[p] * hd + t)
+    if keys is None:
         return None
-    return EmbeddedCurve(surf, tuple(events), oriented=system.curves[1].oriented)
+    return system.moved(keys, hd)
 
 
 def geometric_intersection_number(a: EmbeddedCurve, b: EmbeddedCurve) -> int:
@@ -1405,10 +1358,10 @@ def connecting_curve(system: JointSystem, j: Optional[int] = None,
         return out
 
     def event_of(f_id):
-        # the midpoint of the glued edge interval in the joint frame
+        # keyed by the glued edge interval, the gap-th up the edge between
+        # the joint frame's points
         _, e, s, gap, _ = labels[partner[f_id]]
-        m = len(system.edge_order.get(e, ()))
-        return (e, -s, Fraction(2 * gap + 1, 2 * (m + 1)))
+        return (e, -s, gap)
 
     def reversed_path(path):
         out = [(path[-1][0], None)]
@@ -1419,13 +1372,14 @@ def connecting_curve(system: JointSystem, j: Optional[int] = None,
     def synthesize(*strands):
         evs = [event_of(d) for strand in strands for _, d in strand[1:]]
         try:
-            c = EmbeddedCurve(system.surface, tuple(evs), oriented=False)
+            (c,) = EmbeddedCurve._from_keys(system.surface, [(evs, False)])
+            c._validate()
         except ValidationError:
             return None
         for m, cm in enumerate(system.curves):
             if geometric_intersection_number(c, cm) != (1 if m in (0, j) else 0):
                 return None
-        return c.renormalized()
+        return c
 
     def candidates():
         for af, ab in flanks(0):

@@ -121,8 +121,11 @@ def torus_curve(surface: CellSurface, p: int, q: int) -> EmbeddedCurve:
     Traces the straight line (x0 + p t, y0 + q t) on the unit square, picking
     the base point off every lattice line through the origin so the curve
     misses the vertex. Crossings of the vertical edge get direction sign(p),
-    crossings of the horizontal edge -sign(q).
+    crossings of the horizontal edge -sign(q).  A slope that is no pair of
+    ints, bools included, raises PreconditionError.
     """
+    if type(p) is not int or type(q) is not int:
+        raise PreconditionError(f"slope ({p!r}, {q!r}) is not a pair of ints")
     for slot in (("h", 1), ("h", -1), ("v", 1), ("v", -1)):
         if not surface.has_slot(*slot):
             raise PreconditionError("surface is not a square model with edges h, v")

@@ -7,11 +7,12 @@ crossings.  c is spliced at two crossings X, Y of equal sign, adjacent along
 a or two apart (the pair flanking the middle of an alternating triple): it
 runs from X forward along a to Y and back to X along b, in the direction the
 sign of X gives, both arcs as parallel copies a quarter of a joint spacing
-to one side of their curves (JointSystem.arc, JointSystem.beside).  The a-arc
-goes the short way round first, and round the far side when that splice is
-not an embedded curve or is inessential; then the next pair is tried.  The
-first splice kept must descend, or the ComputationError raised carries
-(a, b), which replays the step.
+to one side of their curves, keyed 4k + d at joint rank k (JointSystem.arc,
+JointSystem.beside_keys), and c is born from its keys.  The a-arc goes the
+short way round first, and round the far side when that splice is not an
+embedded curve or is inessential; then the next pair is tried.  The first
+splice kept must descend, or the ComputationError raised carries (a, b),
+which replays the step.
 
 A splice whose a-arc runs from X to the next crossing Y along a (the short
 way round of an adjacent pair, and either way when a crosses b twice) is
@@ -29,9 +30,9 @@ event for event, up to where its itinerary starts.
 
 Any other splice, two apart or round the far side, meets b more than once,
 and the same surgery does not close up, so it is reduced by a twist.  The
-twist acts on curve 1 of the arrangement the splice was cut from, respaced
-to that arrangement's frame (JointSystem.renormalized_curve): the splice's
-points sit a quarter spacing beside that curve's, so the pair is in minimal
+twist acts on the pair (c, b) born together from their keys (_twist_pair):
+curve 1 of the arrangement the splice was cut from, keyed 4k, and the
+splice's points a quarter spacing beside it, so the pair is in minimal
 position as built and the twist runs no bigon round.
 
 A splice is an arc of a followed by an arc of b, so it is homotopic into
@@ -65,18 +66,27 @@ def _reversed(events: list) -> list:
 
 def _arc_copy(system, ci: int, x, y, fwd: bool) -> list:
     """Curve ci's arc from crossing x to y, copied a quarter of a joint
-    spacing beside it: walked forward along ci, or when not fwd the copy of
-    the forward arc from y to x, walked backward."""
+    spacing beside it and keyed over hd = 4: walked forward along ci, or
+    when not fwd the copy of the forward arc from y to x, walked backward."""
     if not fwd:
         return _reversed(_arc_copy(system, ci, y, x, True))
-    return [system.beside(ci, i, 1, 4) for i in system.arc(ci, x, y)]
+    return system.beside_keys(ci, system.arc(ci, x, y), 1, 4)
 
 
-def _candidate_events(system, x, y) -> tuple:
-    """Splice: parallel a-arc forward from x to y, then parallel b-arc from
-    y to x, forward along b iff x.sign < 0."""
-    return tuple(_arc_copy(system, 0, x, y, True)
-                 + _arc_copy(system, 1, y, x, x.sign < 0))
+def _candidate_events(system, x, y) -> list:
+    """Splice keys: parallel a-arc forward from x to y, then parallel b-arc
+    from y to x, forward along b iff x.sign < 0."""
+    return _arc_copy(system, 0, x, y, True) + _arc_copy(system, 1, y, x, x.sign < 0)
+
+
+def _twist_pair(system, c: EmbeddedCurve, x, y) -> tuple:
+    """(c, curve 1 of `system`) born together from their keys: the splice
+    at (x, y) and that curve keyed 4k, each with its source's topology."""
+    b = system.curves[1]
+    c2, b2 = EmbeddedCurve._from_keys(system.surface, [
+        (_candidate_events(system, x, y), c.oriented),
+        (system.beside_keys(1, range(len(b.events)), 0, 4), b.oriented)])
+    return c._share_topology(c2), b._share_topology(b2)
 
 
 def _pair_priority(order_a):
@@ -117,15 +127,16 @@ def _twist_image(a, b, system, c, x, y, adjacent: bool) -> EmbeddedCurve:
     a-arc copy and b's complementary arc, the part of curve 1 of `system` c
     does not run beside: for a positive sign the copy from X to Y, then b
     from Y on to X; for a negative one b from X to Y, then the copy back to
-    X.  Its points are keyed as c's own events sit, over one hd = 4
+    X.  Its points are keyed as c's own events are, over one hd = 4
     (JointSystem.beside_keys).  The twist's close-up (twisting._close_up)
     sweeps it to the twist image; no arrangement is built.  Any other
-    splice twists curve 1 of `system` in its frame.  Either image takes b's
-    cached topology; a surgery image that does not close up raises the
-    ComputationError carrying (a, b).
+    splice twists the pair born from its keys (_twist_pair).  Either image
+    takes b's cached topology; a surgery image that does not close up
+    raises the ComputationError carrying (a, b).
     """
     if not adjacent:
-        return apply_twist(c, 1, b._share_topology(system.renormalized_curve(1)))
+        c, curve = _twist_pair(system, c, x, y)
+        return apply_twist(c, 1, b._share_topology(curve))
     copy = system.beside_keys(0, system.arc(0, x, y), 1, 4)
     if x.sign > 0:
         events = copy + system.beside_keys(1, system.arc(1, y, x), 0, 4)
@@ -147,9 +158,10 @@ def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system):
     count = len(system.crossings)
     surf = a.surface
     for x, y, adjacent in _pair_priority(system.crossing_order_along(0)):
-        events = _candidate_events(system, x, y)
+        keys = _candidate_events(system, x, y)
         try:
-            c = EmbeddedCurve(surf, events, oriented=False)
+            (c,) = EmbeddedCurve._from_keys(surf, [(keys, False)])
+            c._validate()
         except ValidationError:
             continue
         if not is_essential(c):
@@ -160,7 +172,7 @@ def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system):
             raise ComputationError(
                 "twist along the splice did not descend", surf, (a, b)
             )
-        return c.renormalized(), twisted, descent
+        return c, twisted, descent
     raise ComputationError("no splice closed up into a usable curve", surf, (a, b))
 
 

@@ -63,9 +63,9 @@ def end_crossing(end: End, offset: Fraction) -> Event:
 
 
 # Instance-__dict__ key under which overlay caches a curve's single-curve
-# topology (see overlay._curve_topology). The isotopic copies made here
-# (reversed, reoriented, respaced) share it, and so do twist images
-# (twisting.apply_twist), since a homeomorphism keeps it.
+# topology (see overlay._curve_topology). Isotopic copies (reversed,
+# reoriented, renormalised, moved by overlay.JointSystem.moved) share it,
+# and so do twist images (twisting.apply_twist): a homeomorphism keeps it.
 TOPOLOGY_KEY = "_topology"
 
 
@@ -331,7 +331,8 @@ class CellSurface:
             raise ValidationError("surface JSON must carry format: 1")
         try:
             faces = tuple(
-                tuple((str(e), _json_field(s, "faces", int)) for e, s in face)
+                tuple((_json_field(e, "faces", str), _json_field(s, "faces", int))
+                      for e, s in face)
                 for face in data["faces"]
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -371,9 +372,9 @@ class EmbeddedCurve:
     Each curve sorts its points along every edge once, on first use
     (`_edge_points`); validation, renormalisation and the frame of every
     arrangement the curve enters (overlay.JointSystem) read that order, and
-    a renormalised copy is handed the order it keeps, so it never sorts.  A
-    twist or surgery image, laid out on int keys, is born renormalised
-    (`_from_keys`), with one Fraction per point.
+    a renormalised copy is handed the order it keeps, so it never sorts.
+    Every curve the engine makes is laid out on int keys and born
+    renormalised from them (`_from_keys`), with one Fraction per point.
     """
 
     surface: CellSurface
@@ -394,7 +395,7 @@ class EmbeddedCurve:
 
         The float leads and the exact value breaks the (rare) float ties:
         rounding to nearest is monotone, so the composite order is the
-        exact one.  Edges come in the order of their first event.
+        exact one.
         """
         points: dict[str, list[tuple[float, Fraction, int]]] = {}
         for ei, (e, _, p) in enumerate(self.events):
@@ -473,18 +474,16 @@ class EmbeddedCurve:
     # -- basic manipulations --
 
     @classmethod
-    def _respaced(
-        cls, surface: CellSurface, events: tuple, source: "EmbeddedCurve"
-    ) -> "EmbeddedCurve":
-        # Fast path for per-edge order-preserving respacings of an already
-        # validated curve `source`: the combinatorics cannot change, so skip
-        # the constructor's revalidation (a keyed image, _from_keys, is
-        # validated after).  Caller supplies canonical events.
+    def _made(cls, surface: CellSurface, events: tuple, oriented: bool,
+              points: dict) -> "EmbeddedCurve":
+        """The curve on canonical `events`, with `points` as its per-edge
+        order (_edge_points): nothing is validated or sorted."""
         self = object.__new__(cls)
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "events", events)
-        object.__setattr__(self, "oriented", source.oriented)
-        return source._share_topology(self)
+        object.__setattr__(self, "oriented", oriented)
+        self.__dict__["_edge_points"] = points
+        return self
 
     def _share_topology(self, copy: "EmbeddedCurve") -> "EmbeddedCurve":
         """Hand this curve's cached topology to an isotopic copy."""
@@ -506,55 +505,51 @@ class EmbeddedCurve:
         if oriented == self.oriented:
             return self
         # the same events: nothing to validate again, and the same order
-        copy = EmbeddedCurve._respaced(self.surface, self.events, self)
-        object.__setattr__(copy, "oriented", oriented)
-        copy.__dict__["_edge_points"] = self._edge_points
-        return copy
+        return self._share_topology(EmbeddedCurve._made(
+            self.surface, self.events, oriented, self._edge_points))
 
     @classmethod
-    def _at_ranks(cls, surface: CellSurface, events, runs: dict,
-                  source: "EmbeddedCurve") -> "EmbeddedCurve":
-        """A respaced copy of `source` on `events`, the event of rank k among
-        the m events of edge e that runs[e] lists up the edge at k/(m + 1)."""
-        events = list(events)
-        points: dict[str, list[tuple[float, Fraction, int]]] = {}
+    def _at_ranks(cls, surface: CellSurface, curves, runs: dict) -> list:
+        """The curves (events, oriented) of `curves`, the point that runs[e]
+        lists k-th of m up edge e, as (curve, event), moved to k/(m + 1);
+        each curve is handed its own order up every edge."""
+        events = [list(evs) for evs, _ in curves]
+        points: list[dict] = [{} for _ in curves]
         for e, run in runs.items():
             m1 = len(run) + 1
-            points[e] = kept = []
-            for k, ei in enumerate(run, 1):
+            for k, (ci, ei) in enumerate(run, 1):
                 p = Fraction(k, m1)
-                events[ei] = (e, events[ei][1], p)
-                kept.append((k / m1, p, ei))
-        copy = cls._respaced(surface, tuple(events), source)
-        copy.__dict__["_edge_points"] = points
-        return copy
+                events[ci][ei] = (e, events[ci][ei][1], p)
+                points[ci].setdefault(e, []).append((k / m1, p, ei))
+        return [cls._made(surface, tuple(evs), oriented, pts)
+                for evs, (_, oriented), pts in zip(events, curves, points)]
 
     @classmethod
-    def _from_keys(cls, surface: CellSurface, keyed: list,
-                   source: "EmbeddedCurve") -> "EmbeddedCurve":
-        """The curve of events (edge, direction, int key), born renormalised,
-        with the orientation and cached topology of `source`.
+    def _from_keys(cls, surface: CellSurface, keyed) -> list:
+        """The curves (events, oriented) of `keyed`, each event (edge,
+        direction, int key), born together and renormalised.
 
-        Each edge's keys are sorted once, and a repeated key raises
-        ValidationError; that order places the points (_at_ranks) and is
-        handed to _validate, which runs in full.
+        The curves' keys share one space per edge.  Each edge's keys are
+        sorted once, a repeated key raises ValidationError, and that order
+        places the points (_at_ranks).  Nothing is validated and no topology
+        is shared: callers validate each new curve and pass topology on.
         """
         runs: dict[str, list] = {}
-        for ei, (e, _, key) in enumerate(keyed):
-            runs.setdefault(e, []).append((key, ei))
+        for ci, (evs, _) in enumerate(keyed):
+            for ei, (e, _, key) in enumerate(evs):
+                runs.setdefault(e, []).append((key, ci, ei))
         for e, run in runs.items():
             run.sort()
-            if len({key for key, _ in run}) < len(run):
+            if len({key for key, _, _ in run}) < len(run):
                 raise ValidationError(f"repeated crossing point on edge {e!r}")
-            runs[e] = [ei for _, ei in run]
-        curve = cls._at_ranks(surface, keyed, runs, source)
-        curve._validate()
-        return curve
+            runs[e] = [(ci, ei) for _, ci, ei in run]
+        return cls._at_ranks(surface, keyed, runs)
 
     def renormalized(self) -> "EmbeddedCurve":
         """Move crossing positions to (k+1)/(m+1) by per-edge rank."""
-        runs = {e: [ei for _, _, ei in run] for e, run in self._edge_points.items()}
-        return EmbeddedCurve._at_ranks(self.surface, self.events, runs, self)
+        runs = {e: [(0, ei) for _, _, ei in run] for e, run in self._edge_points.items()}
+        (copy,) = EmbeddedCurve._at_ranks(self.surface, [(self.events, self.oriented)], runs)
+        return self._share_topology(copy)
 
     @cached_property
     def canonical_key(self) -> tuple:
@@ -606,7 +601,7 @@ class EmbeddedCurve:
         if not isinstance(data, Mapping) or data.get("format") != 1:
             raise ValidationError("curve JSON must carry format: 1")
         try:
-            raw = [(str(e), _json_field(k, "itinerary", int),
+            raw = [(_json_field(e, "itinerary", str), _json_field(k, "itinerary", int),
                     _json_field(d, "itinerary", int)) for e, k, d in data["itinerary"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad itinerary field: {exc}") from exc
@@ -630,7 +625,8 @@ class Flow:
     The flux is CellSurface.flux, checked on construction.  Such a
     weighting pairs with oriented curves (sum of direction times weight
     over the itinerary) and the pairing only depends on the isotopy class,
-    so a family of flows computes homology coordinates.
+    so a family of flows computes homology coordinates.  A weight is an
+    int (a bool is no int); anything else raises ValidationError.
     """
 
     name: str
@@ -638,11 +634,11 @@ class Flow:
     weights: Mapping[str, int]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "weights", {str(e): int(w) for e, w in self.weights.items()}
-        )
+        object.__setattr__(self, "weights", {str(e): w for e, w in self.weights.items()})
         surf = self.surface
-        for e in self.weights:
+        for e, w in self.weights.items():
+            if type(w) is not int:
+                raise ValidationError(f"flow {self.name!r} weight {w!r} is not an int")
             if e not in surf.interior_edges:
                 raise ValidationError(f"flow {self.name!r} weights non-interior edge {e!r}")
         for vi in range(len(surf.rotations)):

@@ -101,7 +101,7 @@ def _close_up(system, events: list, b: EmbeddedCurve, n: int,
     be an embedded curve with no key repeated on an edge: either failure
     raises a ComputationError carrying the surface and the curves `replay`,
     with the power n in its text.  The image is born renormalized from its
-    keys (EmbeddedCurve._from_keys) and takes b's cached topology.
+    keys (EmbeddedCurve._from_keys), validated, and given b's topology.
     """
     surf = system.surface
     events = _drop_reducible_pairs(events)
@@ -110,19 +110,24 @@ def _close_up(system, events: list, b: EmbeddedCurve, n: int,
             f"twist image collapsed to a trivial circle (power {n})", surf, replay
         )
     try:
-        return EmbeddedCurve._from_keys(surf, events, b)
+        (image,) = EmbeddedCurve._from_keys(surf, [(events, b.oriented)])
+        image._validate()
     except ValidationError as exc:
         raise ComputationError(
             f"twist image did not close up (power {n}): {exc}", surf, replay
         ) from exc
+    return b._share_topology(image)
 
 
 def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
     """Image of b under the n-th power of the twist along a.
 
     A positive twist turns left, as the surface's face order fixes: on the
-    square torus a positive twist along (1,0) sends (0,1) to (1,1).
+    square torus a positive twist along (1,0) sends (0,1) to (1,1).  A
+    power n that is no int, a bool included, raises PreconditionError.
     """
+    if type(n) is not int:
+        raise PreconditionError(f"twist power {n!r} is not an int")
     if a.surface != b.surface:
         raise PreconditionError("curves live on different surfaces")
     if not is_essential(a) or not is_essential(b):

@@ -6,6 +6,11 @@ private name (a function, class or constant whose name starts with one
 underscore) that no module of the package reads.  A read is a load of the
 name, an attribute of that name, or an import of it by name; tests do not
 count, so a helper kept only for them is dead too.
+
+The engine modules that make curves (overlay, reduction, twisting) lay
+every point out on int keys, so they import no `fractions`: positions are
+made only where a curve is born from its keys, in `surface`.  Presets and
+the JSON loader keep their input Fractions.
 """
 
 import ast
@@ -90,6 +95,23 @@ def test_every_import_is_read_or_exported(module):
 def test_every_private_module_name_is_read_somewhere(module):
     read = set().union(*(_reads(_tree(m)) for m in MODULES))
     assert [(line, n) for line, n in _module_privates(_tree(module)) if n not in read] == []
+
+
+def _imported_modules(tree: ast.Module) -> set:
+    """The top-level packages of every absolute import in the module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_the_engine_modules_import_no_fractions():
+    assert [m for m in ("overlay", "reduction", "twisting")
+            if "fractions" in _imported_modules(_tree(m))] == []
+    assert "fractions" in _imported_modules(ast.parse("from fractions import Fraction"))
 
 
 def test_the_guard_sees_a_dead_import_and_a_dead_private_name():

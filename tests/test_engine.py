@@ -53,13 +53,17 @@ arrangement is checked against the regions of the curve's own
 arrangement: preset curves, reduction splices and random twisted curves
 on the torus, the one-holed torus and genus 2 that pair nonzero are
 non-separating there, and on the four-holed sphere, where boundary curves
-pair nonzero, the cocycle decides nothing.  JointSystem.beside, which
-places a point from its joint-frame rank and h = hn/hd, is checked
-against the Fraction sum p + d*h/(m + 1) it replaced.  The build keeps
-integer ranks only: on preset pairs and random twisted pairs each curve's
-joint positions, made on demand, and joint_rank are (k + 1)/(m + 1) from a
-reference merge of the edge's points by (position, curve), and a pair that
-its crossings put in minimal position makes no Fraction at all.
+pair nonzero, the cocycle decides nothing.  JointSystem.beside_keys,
+which keys a point k*hd + d*hn from its joint rank k, orders every edge as
+the Fraction sum p + d*h/(m + 1) it replaced does (fraction_layout.beside).
+The build keeps integer ranks only: on preset pairs and random twisted
+pairs its edge order is a reference merge of the edge's points by
+(position, curve), so the reference joint positions are (k + 1)/(m + 1).
+A pair that its crossings put in minimal position makes no Fraction at
+all, and a pair whose slide moves a point and that runs no bigon round
+makes one per point of the pair, where the two are born from their keys;
+every Fraction of a warm bench pass is made where a curve is born or
+renormalized.
 """
 
 import functools
@@ -95,6 +99,7 @@ from dehnkit.reduction import reduce_pair
 from dehnkit.surface import CellSurface, EmbeddedCurve
 from dehnkit.twisting import TwistWord, apply_twist
 from bench_modules import load_bench_module
+from fraction_layout import beside, joint_events
 from parabola import assert_matches_the_parabola
 
 WORKLOADS = load_bench_module("workloads")
@@ -163,9 +168,8 @@ def test_a_crossings_error_carries_the_build_inputs(monkeypatch):
 def _slid_pair(a, b):
     """The pair that minimal_position(a, b) looks for bigons in after its
     slide."""
-    system = JointSystem(a.surface, (a, b))
-    slid = overlay._slid(system)
-    return system.renormalized_curve(0), b if slid is None else slid
+    slid = overlay._slid(JointSystem(a.surface, (a, b)))
+    return (a, b) if slid is None else slid
 
 
 def _has_a_bigon(curves):
@@ -264,7 +268,8 @@ class TestTopologyCache:
 
     def test_respaced_curves_of_an_arrangement_share_it(self, count_builds):
         # a1 pairs nonzero with the cocycle and builds nothing; bp1 pairs to
-        # 0 and builds its own arrangement
+        # 0 and builds its own arrangement.  The pair that JointSystem.moved
+        # bears from their keys, here bp1 keyed where it lies, shares both.
         oh = build_preset("one_holed_torus")
         count_builds.clear()  # building the preset, when not yet cached
         a, b = (
@@ -274,8 +279,9 @@ class TestTopologyCache:
         assert is_essential(a) and not is_essential(b)
         system = JointSystem(oh.surface, (a, b))
         assert count_builds == [1, 2]
-        assert is_essential(system.renormalized_curve(0))
-        assert is_boundary_parallel(system.renormalized_curve(1))
+        a2, b2 = system.moved(system.beside_keys(1, range(len(b.events)), 0, 1), 1)
+        assert is_essential(a2)
+        assert is_boundary_parallel(b2)
         assert count_builds == [1, 2]
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -437,8 +443,7 @@ def _one_bigon_per_round(a, b):
             bigons = system.find_bigons()
             if not bigons:
                 return len(system.crossings)
-            a = system.renormalized_curve(0)
-            b, _ = system.reroute_through_bigons(bigons[:1])
+            (a, b), _ = system.reroute_through_bigons(bigons[:1])
 
 
 def test_a_bigon_stack_is_peeled_in_one_round(count_builds):
@@ -603,16 +608,17 @@ def test_a_slide_is_an_isotopy_that_keeps_the_intersection_number():
     slides = Counter()
 
     def check(family, a, b):
-        slid = overlay._slid(JointSystem(a.surface, (a, b)))
-        if slid is None:
+        moved = overlay._slid(JointSystem(a.surface, (a, b)))
+        if moved is None:
             return
+        slid = moved[1]
         slides[family] += 1
         assert [ev[:2] for ev in slid.events] == [ev[:2] for ev in b.events]
         EmbeddedCurve(slid.surface, slid.events, oriented=slid.oriented)
         assert curves_isotopic(slid, b)
         want = len(minimal_position(a, b).crossings)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(overlay, "_slid", lambda system: system.curves[1])
+            patch.setattr(overlay, "_slid", lambda system: system.curves)
             assert len(minimal_position(a, b).crossings) == want, (family, a, b)
 
     @given(data=st.data())
@@ -637,7 +643,7 @@ def test_a_slide_that_changes_the_crossing_parity_carries_the_pair(monkeypatch):
     # replay places them; t1 meets a1 once.
     g = build_preset("genus2_closed").curves
     a, b = (EmbeddedCurve.from_json(c.surface, c.to_json()) for c in (g["a1"], _chain(3)))
-    monkeypatch.setattr(overlay, "_slid", lambda system: g["t1"])
+    monkeypatch.setattr(overlay, "_slid", lambda system: (system.curves[0], g["t1"]))
     with pytest.raises(ComputationError) as raised:
         minimal_position(a, b)
     err = raised.value
@@ -662,7 +668,8 @@ def test_the_replayed_bigon_pairs_are_not_certified(data):
 def test_each_reduction_twist_meets_its_curve_in_minimal_position():
     # Every (splice, curve) pair whose image reduce_pair makes crosses as
     # often as the pair's intersection number, as built: the step acts on
-    # curve 1 of the arrangement the splice was cut from, in its frame.  A
+    # curve 1 of the arrangement the splice was cut from, born together
+    # with the splice from their keys (reduction._twist_pair).  A
     # splice that runs to the next crossing along a, whose image is made by
     # surgery, crosses that curve exactly once.  Each family must make
     # images, the torus ones by surgery, or the oracle checks nothing.
@@ -671,7 +678,7 @@ def test_each_reduction_twist_meets_its_curve_in_minimal_position():
     image_of = reduction._twist_image
 
     def recording(a, b, system, c, x, y, adjacent):
-        images.append((c, system.renormalized_curve(1), adjacent))
+        images.append((*reduction._twist_pair(system, c, x, y), adjacent))
         return image_of(a, b, system, c, x, y, adjacent)
 
     def check(family, a, b):
@@ -867,18 +874,31 @@ _SHIFTS = [(1, 4)] + [(s * k, 3 * depth) for depth in (1, 2, 3)
 
 
 def _assert_beside_matches_the_reference(a, b):
-    """beside against p + d*h/(m + 1), the Fraction sum it replaced, for
-    the reduction splice's h = 1/4 and the bigon strands' shifts, given as
-    the (hn, hd) its callers pass."""
+    """beside_keys against p + d*h/(m + 1), the Fraction sum it replaced
+    (fraction_layout.beside), for the reduction splice's h = 1/4 and the
+    bigon strands' shifts, given as the (hn, hd) its callers pass: on every
+    edge, the moved points of one curve among the points of both where they
+    lie, keyed k*hd, come in the same order by key as by position, with no
+    ties."""
     system = JointSystem(a.surface, (a, b))
-    for ci in (0, 1):
-        for idx, (e, d, p) in enumerate(system.joint_events(ci)):
-            m1 = len(system.edge_order[e]) + 1
-            _, _, k, got_m1 = system.joint_rank(ci, idx)
-            assert (got_m1, Fraction(k, m1)) == (m1, p)
-            for hn, hd in _SHIFTS:
-                h = Fraction(hn, hd)
-                assert system.beside(ci, idx, hn, hd) == (e, d, p + d * h / m1)
+    joint = [joint_events(system, ci) for ci in (0, 1)]
+    for hn, hd in _SHIFTS:
+        placed = [(e, key, p)
+                  for ci in (0, 1)
+                  for (e, _, key), (_, _, p) in zip(
+                      system.beside_keys(ci, range(len(joint[ci])), 0, hd), joint[ci])]
+        for ci in (0, 1):
+            moved = [(e, key, beside(system, ev, hn, hd)[2])
+                     for (e, _, key), ev in zip(
+                         system.beside_keys(ci, range(len(joint[ci])), hn, hd), joint[ci])]
+            by_edge = {}
+            for e, key, p in placed + moved:
+                by_edge.setdefault(e, []).append((key, p))
+            for e, points in by_edge.items():
+                by_key = sorted(points)
+                by_position = sorted(points, key=lambda kp: kp[1])
+                assert by_key == by_position, (e, hn, hd)
+                assert len({key for key, _ in points}) == len(points), (e, hn, hd)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -895,25 +915,25 @@ def test_beside_matches_the_reference_on_genus2_pairs(data):
 
 
 def _assert_joint_frame_matches_a_reference_merge(curves):
-    """Each curve's joint positions and joint_rank against a merge of all
-    points of an edge by (position, curve): the k-th of m, counted from 0,
-    sits at (k + 1)/(m + 1)."""
+    """The joint frame against a merge of all points of an edge by
+    (position, curve): edge_order lists them in that order, so the k-th of
+    m, counted from 0, sits at (k + 1)/(m + 1) (fraction_layout.joint_events)."""
     system = JointSystem(curves[0].surface, curves)
     points = {}
     for ci, c in enumerate(curves):
         for idx, (e, _, p) in enumerate(c.events):
             points.setdefault(e, []).append((p, ci, idx))
     want = {}
-    for pts in points.values():
-        for k, (_, ci, idx) in enumerate(sorted(pts)):
-            want[ci, idx] = (k + 1, len(pts) + 1)
+    for e, pts in points.items():
+        merged = sorted(pts)
+        assert system.edge_order[e] == [(ci, idx) for _, ci, idx in merged], e
+        for k, (_, ci, idx) in enumerate(merged):
+            want[ci, idx] = Fraction(k + 1, len(pts) + 1)
     for ci, c in enumerate(curves):
-        joint = system.joint_events(ci)
+        joint = joint_events(system, ci)
         assert len(joint) == len(c.events)
         for idx, (e, d, _) in enumerate(c.events):
-            k1, m1 = want[ci, idx]
-            assert joint[idx] == (e, d, Fraction(k1, m1)), (ci, idx)
-            assert system.joint_rank(ci, idx) == (e, d, k1, m1), (ci, idx)
+            assert joint[idx] == (e, d, want[ci, idx]), (ci, idx)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -944,10 +964,50 @@ def test_a_pair_its_crossings_put_in_minimal_position_makes_no_fraction(monkeypa
         system = minimal_position(a, b)
         assert len(system.crossings) == count
         assert made == []
-        # reading one curve's joint positions makes that curve's alone
-        system.joint_events(1)
-        assert len(made) == len(b.events)
-        made.clear()
+
+
+def test_a_slide_with_no_bigon_round_makes_one_fraction_per_point(monkeypatch):
+    # A pair whose slide moves some point and that runs no bigon round is
+    # born once from its keys (JointSystem.moved): minimal_position makes
+    # one Fraction per point of the pair and no other.  The two curves with
+    # one cyclic itinerary slide so, and random genus-2 pairs must include
+    # some that do, or the oracle checks nothing.
+    slides, rounds = [], []
+    slid, find_bigons = overlay._slid, JointSystem.find_bigons
+
+    def recording_slid(system):
+        moved = slid(system)
+        slides.append(moved is not None)
+        return moved
+
+    def counting_find_bigons(self):
+        rounds.append(len(self.crossings))
+        return find_bigons(self)
+
+    monkeypatch.setattr(overlay, "_slid", recording_slid)
+    monkeypatch.setattr(JointSystem, "find_bigons", counting_find_bigons)
+    made = _counting_fractions(monkeypatch)
+    checked = Counter()
+
+    def check(family, a, b):
+        JointSystem(a.surface, (a, b))  # each curve sorts its points once
+        for seen in (slides, rounds, made):
+            seen.clear()
+        minimal_position(a, b)
+        if slides == [True] and not rounds:
+            assert len(made) == len(a.events) + len(b.events), (family, a, b)
+            checked[family] += 1
+
+    (data,) = EQUAL_ITINERARY_PAIR.values()
+    check("one itinerary", *_replayed_pair(data))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def genus2(data):
+        check("genus2", *_draw_genus2_pair(data))
+
+    genus2()
+    assert checked["one itinerary"] and checked["genus2"], checked
 
 
 def _counting_fractions(monkeypatch) -> list:
@@ -985,36 +1045,36 @@ def test_a_twist_of_a_pair_in_minimal_position_makes_one_fraction_per_image_even
 
 def test_a_warm_bench_pass_closes_up_on_int_keys(monkeypatch):
     # factorize-words at seed 3, on warm curves: no twist or surgery image
-    # is renormalized after it is made, apply_twist reads no joint
-    # positions, and the pass makes at most 22,000 Fractions (33,091 with
-    # the Fraction layout)
+    # is renormalized after it is made, every Fraction is a final position
+    # made where a curve is born or renormalized (EmbeddedCurve._at_ranks),
+    # and the pass makes at most 18,000 of them (33,091 with the Fraction
+    # layout, 21,802 while the slide, the reroute and the splice kept it)
     ops = WORKLOADS.build("factorize-words", 3).ops
     _run_pass(ops)
-    renormalized, joint_readers, sweeps = Counter(), Counter(), []
-    renormalize, joint_events = EmbeddedCurve.renormalized, JointSystem.joint_events
+    renormalized, makers, sweeps = Counter(), Counter(), []
+    renormalize, new = EmbeddedCurve.renormalized, Fraction.__new__
     sweep = twisting._drop_reducible_pairs
 
     def counting_renormalize(self):
         renormalized[sys._getframe(1).f_code.co_name] += 1
         return renormalize(self)
 
-    def counting_joint_events(self, ci):
-        joint_readers[sys._getframe(1).f_code.co_name] += 1
-        return joint_events(self, ci)
+    def counting_new(cls, *args, **kwargs):
+        makers[sys._getframe(1).f_code.co_qualname] += 1
+        return new(cls, *args, **kwargs)
 
     def counting_sweep(events):
         sweeps.append(len(events))
         return sweep(events)
 
     monkeypatch.setattr(EmbeddedCurve, "renormalized", counting_renormalize)
-    monkeypatch.setattr(JointSystem, "joint_events", counting_joint_events)
     monkeypatch.setattr(twisting, "_drop_reducible_pairs", counting_sweep)
-    made = _counting_fractions(monkeypatch)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
     _run_pass(ops)
     assert len(sweeps) > 300  # every twist and surgery closed up
     assert renormalized["_close_up"] == 0 and renormalized, renormalized
-    assert joint_readers["apply_twist"] == 0 and joint_readers, joint_readers
-    assert len(made) <= 22_000
+    assert list(makers) == ["EmbeddedCurve._at_ranks"], makers
+    assert sum(makers.values()) <= 18_000
 
 
 def _assert_slots_name_their_darts(curves):

@@ -1,7 +1,7 @@
 """Only overlay reads the internals of an arrangement.
 
 Every other dehnkit module reaches a JointSystem through its public names
-(`slot`, `crossings_on`, `arc`, `beside`, ...) and a minimal-position pair
+(`slot`, `crossings_on`, `arc`, `beside_keys`, ...) and a minimal-position pair
 through `overlay.isotopic_in`.  Each module other than overlay is parsed,
 and the test fails on any read of a private attribute that a JointSystem
 has, on the class or on a built instance whose darts and regions have run,

@@ -153,11 +153,11 @@ class TestMinimalPosition:
         # the reroute across the bigon, on the pair as placed
         sysm = JointSystem(s, (a, c))
         assert len(sysm.crossings) == 2
-        c2, cleared = sysm.reroute_through_bigons(sysm.find_bigons())
+        (a2, c2), cleared = sysm.reroute_through_bigons(sysm.find_bigons())
         assert cleared == 1
-        assert c2.events == (("v", 1, F(1, 4)), ("v", -1, F(5, 12)))
+        assert c2.events == (("v", 1, F(1, 4)), ("v", -1, F(1, 2)))
         assert is_null_homotopic(c2)
-        assert len(JointSystem(s, (sysm.renormalized_curve(0), c2)).crossings) == 0
+        assert len(JointSystem(s, (a2, c2)).crossings) == 0
         # minimal position slides both points of c below a's first, which
         # leaves no crossing and no bigon to reroute
         sysm = minimal_position(a, c)
@@ -187,11 +187,11 @@ class TestMinimalPosition:
         a = line(s, 1, 0)
         # the reroute across the bigon, on the pair as placed
         sysm = JointSystem(s, (b, a))
-        a2, cleared = sysm.reroute_through_bigons(sysm.find_bigons())
+        (b2, a2), cleared = sysm.reroute_through_bigons(sysm.find_bigons())
         assert cleared == 1
-        assert a2.events == (("v", 1, F(13, 15)),)
+        assert a2.events == (("v", 1, F(4, 5)),)
         assert curves_isotopic(a2, a)
-        assert len(JointSystem(s, (sysm.renormalized_curve(0), a2)).crossings) == 0
+        assert len(JointSystem(s, (b2, a2)).crossings) == 0
         # minimal position slides the line first; the finger turns back
         # through the slot it entered by, where counting slots cannot tell
         # its side, so the bigon stays and is rerouted after the slide

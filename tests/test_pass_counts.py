@@ -2,7 +2,9 @@
 
 On g2-growth at seed 3 its counts agree with the pins of test_engine: 14
 arrangements and no bigon round (test_a_warm_bench_pass_runs_few_darts_phases).
-Its per-caller lines add up to their totals.
+Its per-caller lines add up to their totals, and name the functions outside
+`surface.py` that asked for the curves and their positions: the slide
+validates its curve in JointSystem.moved.
 """
 
 import subprocess
@@ -23,9 +25,11 @@ def test_g2_growth_at_seed_3_counts_14_builds_and_no_round():
     callers = dict(reversed(line.split()) for line in out[validate + 1:validate + 4])
     assert callers == {"dehnkit.reduction._reduction_step": "11",
                        "dehnkit.twisting._close_up": "4",
-                       "dehnkit.overlay._slid": "2"}
+                       "dehnkit.overlay.JointSystem.moved": "2"}
     fractions = next(line for line in out if line.startswith("Fraction constructions"))
     made = int(fractions.split(": ")[1])
     by_caller = out[out.index(fractions) + 1:]
     assert sum(int(line.split()[0]) for line in by_caller) == made
-    assert any(line.endswith("EmbeddedCurve._at_ranks") for line in by_caller)
+    assert {line.split()[1] for line in by_caller} == {
+        "dehnkit.reduction._reduction_step", "dehnkit.reduction._twist_pair",
+        "dehnkit.overlay.JointSystem.moved", "dehnkit.twisting._close_up"}

@@ -336,6 +336,14 @@ class TestTorusOracle:
             with pytest.raises(PreconditionError):
                 torus_curve(t, p, q)
 
+    @pytest.mark.parametrize("p, q", [(1.0, 0), (1, 0.0), ("1", 0), (True, False), (1, True)])
+    def test_a_slope_that_is_no_pair_of_ints_is_refused(self, p, q):
+        # a float or a string raised a bare TypeError, and True, False
+        # gave the slope (1, 0)
+        t = build_preset("torus").surface
+        with pytest.raises(PreconditionError, match="is not a pair of ints"):
+            torus_curve(t, p, q)
+
     def test_named_generators_match_constructor(self):
         ps = build_preset("torus")
         assert curves_isotopic(ps.curves["x"], torus_curve(ps.surface, 1, 0))

@@ -226,13 +226,15 @@ def test_each_adjacent_splice_resolves_to_exactly_its_twist_image():
             if not adjacent:
                 continue
             try:
-                c = EmbeddedCurve(a.surface, reduction._candidate_events(system, x, y),
-                                  oriented=False)
+                (c,) = EmbeddedCurve._from_keys(
+                    a.surface, [(reduction._candidate_events(system, x, y), False)])
+                c._validate()
             except ValidationError:
                 continue
             if not is_essential(c):
                 continue
-            want = apply_twist(c, 1, b._share_topology(system.renormalized_curve(1)))
+            c_pair, curve = reduction._twist_pair(system, c, x, y)
+            want = apply_twist(c_pair, 1, b._share_topology(curve))
             got = image_of(a, b, system, c, x, y, True)
             assert got.oriented == want.oriented
             rotations = [want.events[r:] + want.events[:r] for r in range(len(want.events))]
@@ -279,7 +281,7 @@ def test_each_adjacent_splice_resolves_to_exactly_its_twist_image():
 def test_surgery_images_match_the_fraction_layout():
     # every surgery image of a reduction, keyed by joint ranks (4k on b,
     # 4k + d on the a-arc copy), equals the image the same short list laid
-    # out on beside Fractions gives; the torus 1/0 against 1/3 and its
+    # out on Fractions beside the joint positions gives; the torus 1/0 against 1/3 and its
     # reverse, and genus-2 t1 against T_a1^(+-2) t1, give both signs.  A
     # long a, as 5/2, 8/3 or 13/5 against 1/0 or 0/1, makes long a-arc
     # copies that share edges with b; hypothesis draws on every preset, in
@@ -290,7 +292,7 @@ def test_surgery_images_match_the_fraction_layout():
     def checking(a, b, system, c, x, y, adjacent):
         got = image_of(a, b, system, c, x, y, adjacent)
         if adjacent:
-            want = reference_surgery(system, b, c, x, y)
+            want = reference_surgery(system, b, x, y)
             assert (got.events, got.oriented) == (want.events, want.oriented)
             checked[x.sign] += 1
         return got

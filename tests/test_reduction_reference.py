@@ -28,6 +28,7 @@ from dehnkit.overlay import minimal_position as _joint_minimal_position
 from dehnkit.presets import PRESET_NAMES, build_preset, torus_curve
 from dehnkit.surface import EmbeddedCurve
 from dehnkit.twisting import TwistWord, apply_twist, apply_word
+from fraction_layout import beside, joint_events
 
 
 def _candidate_events(system, x, y, a_fwd, b_fwd, sa, sb):
@@ -35,7 +36,8 @@ def _candidate_events(system, x, y, a_fwd, b_fwd, sa, sb):
 
     def copy(ci, start, end, fwd, side):
         idxs = system.arc(ci, start, end) if fwd else system.arc(ci, end, start)
-        part = [system.beside(ci, i, side, 4) for i in idxs]
+        joint = joint_events(system, ci)
+        part = [beside(system, joint[i], side, 4) for i in idxs]
         if not fwd:
             part = [(e, -d, pos) for e, d, pos in reversed(part)]
         return part

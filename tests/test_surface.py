@@ -170,6 +170,17 @@ class TestCellSurface:
         with pytest.raises(ValidationError, match=key):
             CellSurface.from_json(data)
 
+    @pytest.mark.parametrize("name", (1, None, ["h"]))
+    def test_json_rejects_an_edge_name_that_is_no_string(self, name):
+        # the name 1 loaded as the edge "1"
+        data = torus().to_json()
+        for face in data["faces"]:
+            for slot in face:
+                if slot[0] == "h":
+                    slot[0] = name
+        with pytest.raises(ValidationError, match="faces"):
+            CellSurface.from_json(data)
+
     @pytest.mark.parametrize("sign", (1.0, True, "1"))
     def test_json_rejects_a_face_sign_that_is_no_integer(self, sign):
         data = torus().to_json()
@@ -252,6 +263,17 @@ class TestEmbeddedCurve:
         assert a.reverse().reverse() == a
         assert a.with_orientation(False) == r.with_orientation(False)
 
+    def test_curves_born_from_keys_share_each_edge(self):
+        # the keys of both curves share one space per edge: the k-th of the
+        # edge's m points over both sits at k/(m + 1), each curve keeps its
+        # orientation flag, and a key repeated across the curves raises
+        s = torus()
+        a, b = EmbeddedCurve._from_keys(s, [([("v", 1, 9)], True), ([("v", 1, 2)], False)])
+        assert (a.events, a.oriented) == ((("v", 1, F(2, 3)),), True)
+        assert (b.events, b.oriented) == ((("v", 1, F(1, 3)),), False)
+        with pytest.raises(ValidationError, match="repeated crossing point on edge 'v'"):
+            EmbeddedCurve._from_keys(s, [([("v", 1, 9)], True), ([("v", 1, 9)], True)])
+
     def test_oriented_flag_separates(self):
         a = EmbeddedCurve(torus(), (("v", 1, F(1, 2)),))
         assert a != a.with_orientation(False)
@@ -266,10 +288,12 @@ class TestEmbeddedCurve:
         ("oriented", "false"), ("oriented", 0), ("oriented", None),
         ("itinerary", [["v", 1.5, 1]]), ("itinerary", [["v", True, 1]]),
         ("itinerary", [["v", 0, 1.0]]), ("itinerary", [["v", 0, "1"]]),
+        ("itinerary", [[1, 0, 1]]), ("itinerary", [[None, 0, 1]]),
     ])
     def test_json_rejects_coerced_fields(self, field, value):
         # neither the orientation flag nor an itinerary entry is coerced:
-        # "false" would read as True, 1.5 and True as the integer 1
+        # "false" would read as True, 1.5 and True as the integer 1, and the
+        # edge name 1 as "1"
         data = EmbeddedCurve(torus(), (("v", 1, F(1, 2)),)).to_json()
         assert EmbeddedCurve.from_json(torus(), data).oriented is True
         with pytest.raises(ValidationError, match=field):
@@ -320,6 +344,12 @@ class TestFlow:
         s = CellSurface(FOUR_HOLED)
         with pytest.raises(ValidationError, match="non-interior"):
             Flow("bad", s, {"d1": 1})
+
+    @pytest.mark.parametrize("weight", (1.7, 1.0, True, "2", None))
+    def test_rejects_a_weight_that_is_no_int(self, weight):
+        # 1.7 was stored as 1, and True and "2" were taken as ints
+        with pytest.raises(ValidationError, match="is not an int"):
+            Flow("x", torus(), {"v": weight})
 
     def test_needs_oriented_curve(self):
         s = torus()

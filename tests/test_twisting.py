@@ -83,6 +83,13 @@ class TestTwistBasics:
         with pytest.raises(PreconditionError):
             apply_twist(oh.curves["bp1"], 1, oh.curves["a1"])
 
+    @pytest.mark.parametrize("n", (1.0, "1", True, None))
+    def test_a_power_that_is_no_int_is_refused(self, n):
+        # 1.0 and "1" raised a bare TypeError, and True twisted once
+        g2 = build_preset("genus2_closed")
+        with pytest.raises(PreconditionError, match="is not an int"):
+            apply_twist(g2.curves["a1"], n, g2.curves["t1"])
+
     def test_surface_mismatch_rejected(self):
         t = build_preset("torus").surface
         g2 = build_preset("genus2_closed")
