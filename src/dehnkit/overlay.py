@@ -78,9 +78,9 @@ ranks: `arc` lists a curve's events between two of its crossings, and
 `beside_keys` keys events moved h = hn/hd joint spacings to one side of
 their curve.  The slide, bigon removal (`moved`), the twist spiral
 (twisting) and the reduction splice (reduction) key every new point so,
-the connector by the edge interval it crosses, and each new curve is born
-from its keys (EmbeddedCurve._from_keys).  Other modules read an
-arrangement only through names without an underscore (`slot`,
+and the connector by the edge interval it crosses; each new curve is born
+from its keys in one call (EmbeddedCurve._from_keys).  Other modules read
+an arrangement only through names without an underscore (`slot`,
 `crossings_on`, `arc`, `beside_keys`, `moved`, `isotopic_in`, ...).
 
 The single-curve predicates (null-homotopic, boundary-parallel,
@@ -671,16 +671,12 @@ class JointSystem:
         return out
 
     def moved(self, keyed: list, hd: int) -> tuple[EmbeddedCurve, EmbeddedCurve]:
-        """The pair born from its keys with curve 1 moved to `keyed`, keyed
-        as beside_keys keys with this hd, and curve 0 keyed k*hd.  The moved
-        curve is validated; the slide and the reroute are isotopies, so each
-        curve takes its source's cached topology."""
+        """The pair born from its keys, images of this pair's curves: curve
+        1 moved to `keyed`, keyed as beside_keys keys with this hd, and a
+        copy of curve 0 keyed k*hd."""
         a, b = self.curves
-        a2, b2 = EmbeddedCurve._from_keys(self.surface, [
-            (self.beside_keys(0, range(len(a.events)), 0, hd), a.oriented),
-            (keyed, b.oriented)])
-        b2._validate()
-        return a._share_topology(a2), b._share_topology(b2)
+        return tuple(EmbeddedCurve._from_keys(self.surface, [
+            ([k * hd for k in self._frame_rank[0]], a), (keyed, b)]))
 
     def crossings_on(self, ci: int, gap: int) -> list[Crossing]:
         """The crossings on gap `gap` of curve ci, in order along it."""
@@ -1073,7 +1069,7 @@ def _slid(system: JointSystem) -> Optional[tuple]:
     above exactly when "curve 0 on the right" equals "direction -1".
     With hd = nb + 1, which exceeds every run, the t-th point of a run of
     curve 1 in the gap above curve 0's point of joint rank r (0 below the
-    lowest) is keyed r*hd + t, and the moved curve is validated.
+    lowest) is keyed r*hd + t.
     """
     surf = system.surface
     # the joint frame moves points along their edges only, so the curves'
@@ -1373,7 +1369,6 @@ def connecting_curve(system: JointSystem, j: Optional[int] = None,
         evs = [event_of(d) for strand in strands for _, d in strand[1:]]
         try:
             (c,) = EmbeddedCurve._from_keys(system.surface, [(evs, False)])
-            c._validate()
         except ValidationError:
             return None
         for m, cm in enumerate(system.curves):

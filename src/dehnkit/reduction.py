@@ -30,10 +30,10 @@ event for event, up to where its itinerary starts.
 
 Any other splice, two apart or round the far side, meets b more than once,
 and the same surgery does not close up, so it is reduced by a twist.  The
-twist acts on the pair (c, b) born together from their keys (_twist_pair):
-curve 1 of the arrangement the splice was cut from, keyed 4k, and the
-splice's points a quarter spacing beside it, so the pair is in minimal
-position as built and the twist runs no bigon round.
+twist acts on copies of the pair (c, b) born together (_twist_pair): curve
+1 of the arrangement the splice was cut from, keyed 4k, and c keyed as it
+was cut, a quarter spacing beside it, so the pair is in minimal position
+as built and the twist runs no bigon round.
 
 A splice is an arc of a followed by an arc of b, so it is homotopic into
 a ∪ b, and geodesic representatives are pairwise in minimal position
@@ -80,13 +80,12 @@ def _candidate_events(system, x, y) -> list:
 
 
 def _twist_pair(system, c: EmbeddedCurve, x, y) -> tuple:
-    """(c, curve 1 of `system`) born together from their keys: the splice
-    at (x, y) and that curve keyed 4k, each with its source's topology."""
+    """Copies of (c, curve 1 of `system`) born together: the splice at
+    (x, y) keyed as it was cut, and that curve keyed 4k."""
     b = system.curves[1]
-    c2, b2 = EmbeddedCurve._from_keys(system.surface, [
-        (_candidate_events(system, x, y), c.oriented),
-        (system.beside_keys(1, range(len(b.events)), 0, 4), b.oriented)])
-    return c._share_topology(c2), b._share_topology(b2)
+    c_keys = [k for _, _, k in _candidate_events(system, x, y)]
+    b_keys = [k for _, _, k in system.beside_keys(1, range(len(b.events)), 0, 4)]
+    return tuple(EmbeddedCurve._from_keys(system.surface, [(c_keys, c), (b_keys, b)]))
 
 
 def _pair_priority(order_a):
@@ -130,13 +129,12 @@ def _twist_image(a, b, system, c, x, y, adjacent: bool) -> EmbeddedCurve:
     X.  Its points are keyed as c's own events are, over one hd = 4
     (JointSystem.beside_keys).  The twist's close-up (twisting._close_up)
     sweeps it to the twist image; no arrangement is built.  Any other
-    splice twists the pair born from its keys (_twist_pair).  Either image
-    takes b's cached topology; a surgery image that does not close up
-    raises the ComputationError carrying (a, b).
+    splice twists the pair's copies (_twist_pair).  A surgery image that
+    does not close up raises the ComputationError carrying (a, b).
     """
     if not adjacent:
         c, curve = _twist_pair(system, c, x, y)
-        return apply_twist(c, 1, b._share_topology(curve))
+        return apply_twist(c, 1, curve)
     copy = system.beside_keys(0, system.arc(0, x, y), 1, 4)
     if x.sign > 0:
         events = copy + system.beside_keys(1, system.arc(1, y, x), 0, 4)
@@ -161,7 +159,6 @@ def _reduction_step(a: EmbeddedCurve, b: EmbeddedCurve, system):
         keys = _candidate_events(system, x, y)
         try:
             (c,) = EmbeddedCurve._from_keys(surf, [(keys, False)])
-            c._validate()
         except ValidationError:
             continue
         if not is_essential(c):

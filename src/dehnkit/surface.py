@@ -63,9 +63,7 @@ def end_crossing(end: End, offset: Fraction) -> Event:
 
 
 # Instance-__dict__ key under which overlay caches a curve's single-curve
-# topology (see overlay._curve_topology). Isotopic copies (reversed,
-# reoriented, renormalised, moved by overlay.JointSystem.moved) share it,
-# and so do twist images (twisting.apply_twist): a homeomorphism keeps it.
+# topology (overlay._curve_topology); EmbeddedCurve says who shares it.
 TOPOLOGY_KEY = "_topology"
 
 
@@ -89,9 +87,9 @@ def _exact(p) -> Fraction:
     return Fraction(p)
 
 
-def _json_field(value, key: str, kind: type):
-    """A JSON field that must hold a `kind` itself: nothing is coerced, and
-    a bool is no int."""
+def _field(value, key: str, kind: type):
+    """A field that must hold a `kind` itself: nothing is coerced, and a
+    bool is no int."""
     if type(value) is not kind:
         raise ValidationError(f"bad {key} field: {value!r} is not {kind.__name__}")
     return value
@@ -102,8 +100,8 @@ class CellSurface:
     """Compact connected oriented surface with a cell decomposition.
 
     `faces` is a tuple of faces; each face is a tuple of (edge, sign)
-    slots read counterclockwise, each sign the int 1 or -1 (a bool or a
-    float is refused, not coerced).  That face order is the orientation:
+    slots read counterclockwise, each edge a str and each sign the int 1
+    or -1 (nothing is coerced).  That face order is the orientation:
     crossing an edge from its +1 side to its -1 side is a left-to-right
     crossing, and crossing signs and the positive twist direction follow
     from it.  The mirror surface is the same faces, each reversed, with
@@ -117,7 +115,8 @@ class CellSurface:
     faces: tuple[tuple[Slot, ...], ...]
 
     def __post_init__(self):
-        faces = tuple(tuple((str(e), s) for e, s in face) for face in self.faces)
+        faces = tuple(tuple((_field(e, "faces", str), s) for e, s in face)
+                      for face in self.faces)
         object.__setattr__(self, "faces", faces)
         self._validate_and_index()
 
@@ -331,8 +330,7 @@ class CellSurface:
             raise ValidationError("surface JSON must carry format: 1")
         try:
             faces = tuple(
-                tuple((_json_field(e, "faces", str), _json_field(s, "faces", int))
-                      for e, s in face)
+                tuple((e, _field(s, "faces", int)) for e, s in face)
                 for face in data["faces"]
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -344,7 +342,7 @@ class CellSurface:
             )
         surf = cls(faces=faces)
         for key, got in (("genus", surf.genus), ("boundary", surf.num_boundary)):
-            if _json_field(data.get(key, got), key, int) != got:
+            if _field(data.get(key, got), key, int) != got:
                 raise ValidationError(
                     f"declared {key}={data[key]} but cell structure gives {got}"
                 )
@@ -357,24 +355,31 @@ class EmbeddedCurve:
 
     Each event (edge, direction, position) crosses an interior edge at an
     exact rational position; direction +1 crosses from the face of the +1
-    slot to the face of the -1 slot, and a direction is the int 1 or -1,
-    never coerced.  Consecutive events must exit into
-    and enter from a common face, and the chords drawn inside each face
-    must be pairwise non-crossing (embeddedness).
+    slot to the face of the -1 slot.  Consecutive events must exit into and
+    enter from a common face, and the chords drawn inside each face must be
+    pairwise non-crossing (embeddedness).  An edge name is a str, a
+    direction the int 1 or -1, a position a Fraction or an int, and
+    `oriented` a bool: nothing is coerced, and anything else raises
+    ValidationError.
 
     Curves are oriented by default; set oriented=False for a free curve.
     Equality and hashing compare isotopy-representative normal forms only
     to the extent of reparametrisation (rotation of the itinerary and
     per-edge position renormalisation), not full isotopy.
 
-    A position is a Fraction or an int; anything else raises ValidationError.
-
     Each curve sorts its points along every edge once, on first use
-    (`_edge_points`); validation, renormalisation and the frame of every
-    arrangement the curve enters (overlay.JointSystem) read that order, and
-    a renormalised copy is handed the order it keeps, so it never sorts.
-    Every curve the engine makes is laid out on int keys and born
-    renormalised from them (`_from_keys`), with one Fraction per point.
+    (`_edge_points`); validation, identity, renormalisation and the frame
+    of every arrangement the curve enters (overlay.JointSystem) read that
+    order, and a copy is handed the order it keeps, so it never sorts.
+
+    Every curve the engine makes is born in one call, `_from_keys`, with
+    one Fraction per point.  A curve born from a source curve is its image
+    under an isotopy or a homeomorphism (a slide, a bigon reroute, a twist
+    or surgery image), so it takes the source's orientation and cached
+    topology; one with no source (a splice, a connector, JSON input) has
+    none yet.  A new layout is validated once placed.  A copy of a curve's
+    own events, a reversed or a reoriented curve draws its source's
+    chords, and is not validated again.
     """
 
     surface: CellSurface
@@ -382,8 +387,9 @@ class EmbeddedCurve:
     oriented: bool = True
 
     def __post_init__(self):
+        _field(self.oriented, "oriented", bool)
         events = tuple(
-            (str(e), d, p if isinstance(p, Fraction) else _exact(p))
+            (_field(e, "events", str), d, p if isinstance(p, Fraction) else _exact(p))
             for e, d, p in self.events
         )
         object.__setattr__(self, "events", events)
@@ -475,88 +481,94 @@ class EmbeddedCurve:
 
     @classmethod
     def _made(cls, surface: CellSurface, events: tuple, oriented: bool,
-              points: dict) -> "EmbeddedCurve":
+              points: dict, source) -> "EmbeddedCurve":
         """The curve on canonical `events`, with `points` as its per-edge
-        order (_edge_points): nothing is validated or sorted."""
+        order (_edge_points) and, if `source` is a curve, its cached
+        topology: nothing is validated or sorted."""
         self = object.__new__(cls)
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "oriented", oriented)
         self.__dict__["_edge_points"] = points
+        if isinstance(source, EmbeddedCurve) and TOPOLOGY_KEY in source.__dict__:
+            self.__dict__[TOPOLOGY_KEY] = source.__dict__[TOPOLOGY_KEY]
         return self
-
-    def _share_topology(self, copy: "EmbeddedCurve") -> "EmbeddedCurve":
-        """Hand this curve's cached topology to an isotopic copy."""
-        topology = self.__dict__.get(TOPOLOGY_KEY)
-        if topology is not None:
-            copy.__dict__[TOPOLOGY_KEY] = topology
-        return copy
 
     def __len__(self) -> int:
         return len(self.events)
 
     def reverse(self) -> "EmbeddedCurve":
+        last = len(self.events) - 1
         ev = tuple((e, -d, p) for e, d, p in reversed(self.events))
-        return self._share_topology(
-            EmbeddedCurve(self.surface, ev, oriented=self.oriented)
-        )
+        points = {e: [(f, p, last - ei) for f, p, ei in run]
+                  for e, run in self._edge_points.items()}
+        return EmbeddedCurve._made(self.surface, ev, self.oriented, points, self)
 
     def with_orientation(self, oriented: bool) -> "EmbeddedCurve":
-        if oriented == self.oriented:
+        if _field(oriented, "oriented", bool) == self.oriented:
             return self
-        # the same events: nothing to validate again, and the same order
-        return self._share_topology(EmbeddedCurve._made(
-            self.surface, self.events, oriented, self._edge_points))
-
-    @classmethod
-    def _at_ranks(cls, surface: CellSurface, curves, runs: dict) -> list:
-        """The curves (events, oriented) of `curves`, the point that runs[e]
-        lists k-th of m up edge e, as (curve, event), moved to k/(m + 1);
-        each curve is handed its own order up every edge."""
-        events = [list(evs) for evs, _ in curves]
-        points: list[dict] = [{} for _ in curves]
-        for e, run in runs.items():
-            m1 = len(run) + 1
-            for k, (ci, ei) in enumerate(run, 1):
-                p = Fraction(k, m1)
-                events[ci][ei] = (e, events[ci][ei][1], p)
-                points[ci].setdefault(e, []).append((k / m1, p, ei))
-        return [cls._made(surface, tuple(evs), oriented, pts)
-                for evs, (_, oriented), pts in zip(events, curves, points)]
+        return EmbeddedCurve._made(
+            self.surface, self.events, oriented, self._edge_points, self)
 
     @classmethod
     def _from_keys(cls, surface: CellSurface, keyed) -> list:
-        """The curves (events, oriented) of `keyed`, each event (edge,
-        direction, int key), born together and renormalised.
+        """The curves (events, source) of `keyed`, born together.
 
-        The curves' keys share one space per edge.  Each edge's keys are
-        sorted once, a repeated key raises ValidationError, and that order
-        places the points (_at_ranks).  Nothing is validated and no topology
-        is shared: callers validate each new curve and pass topology on.
+        A source is a curve, whose image the new curve is, or the bool
+        orientation of a curve with no source (class docstring).  Events
+        (edge, direction, int key) are a new layout, validated once placed;
+        a copy of the source's own events is one int key per event.  All
+        the keys share one space per edge: each edge's keys are sorted
+        once, a repeated key raises ValidationError, and the k-th of its m
+        points is placed at k/(m + 1).
         """
-        runs: dict[str, list] = {}
-        for ci, (evs, _) in enumerate(keyed):
+        layouts, copies, runs = [], [], {}
+        for ci, (evs, source) in enumerate(keyed):
+            copies.append(bool(evs) and type(evs[0]) is int)
+            if copies[-1]:
+                evs = [(e, d, key) for (e, d, _), key in zip(source.events, evs)]
+            layouts.append(list(evs))
             for ei, (e, _, key) in enumerate(evs):
                 runs.setdefault(e, []).append((key, ci, ei))
+        points: list[dict] = [{} for _ in keyed]
         for e, run in runs.items():
             run.sort()
-            if len({key for key, _, _ in run}) < len(run):
-                raise ValidationError(f"repeated crossing point on edge {e!r}")
-            runs[e] = [(ci, ei) for _, ci, ei in run]
-        return cls._at_ranks(surface, keyed, runs)
+            m1 = len(run) + 1
+            for k, (key, ci, ei) in enumerate(run, 1):
+                if k > 1 and key == run[k - 2][0]:
+                    raise ValidationError(f"repeated crossing point on edge {e!r}")
+                p = Fraction(k, m1)
+                layouts[ci][ei] = (e, layouts[ci][ei][1], p)
+                points[ci].setdefault(e, []).append((k / m1, p, ei))
+        born = []
+        for (_, source), evs, pts, copy in zip(keyed, layouts, points, copies):
+            oriented = source if type(source) is bool else source.oriented
+            born.append(cls._made(surface, tuple(evs), oriented, pts, source))
+            if not copy:
+                born[-1]._validate()
+        return born
+
+    def _edge_ranks(self) -> list[int]:
+        """Each event's rank up its edge, counted from 0."""
+        rank = [0] * len(self.events)
+        for run in self._edge_points.values():
+            for k, (_, _, ei) in enumerate(run):
+                rank[ei] = k
+        return rank
 
     def renormalized(self) -> "EmbeddedCurve":
         """Move crossing positions to (k+1)/(m+1) by per-edge rank."""
-        runs = {e: [(0, ei) for _, _, ei in run] for e, run in self._edge_points.items()}
-        (copy,) = EmbeddedCurve._at_ranks(self.surface, [(self.events, self.oriented)], runs)
-        return self._share_topology(copy)
+        (copy,) = EmbeddedCurve._from_keys(self.surface, [(self._edge_ranks(), self)])
+        return copy
 
     @cached_property
     def canonical_key(self) -> tuple:
-        ev = self.renormalized().events
+        """The least rotation of the itinerary as (edge, direction, rank up
+        the edge), walked either way when the curve is unoriented."""
+        ev = tuple((e, d, k) for (e, d, _), k in zip(self.events, self._edge_ranks()))
         variants = [ev]
         if not self.oriented:
-            variants.append(tuple((e, -d, p) for e, d, p in reversed(ev)))
+            variants.append(tuple((e, -d, k) for e, d, k in reversed(ev)))
         best = None
         for var in variants:
             n = len(var)
@@ -586,10 +598,7 @@ class EmbeddedCurve:
     # -- serialization --
 
     def to_json(self) -> dict:
-        rank = [0] * len(self.events)
-        for run in self._edge_points.values():
-            for k, (_, _, ei) in enumerate(run):
-                rank[ei] = k
+        rank = self._edge_ranks()
         return {
             "format": 1,
             "itinerary": [[e, rank[ei], d] for ei, (e, d, _) in enumerate(self.events)],
@@ -598,24 +607,24 @@ class EmbeddedCurve:
 
     @classmethod
     def from_json(cls, surface: CellSurface, data: Mapping) -> "EmbeddedCurve":
+        """The curve born from its per-edge ranks as keys: the point of rank
+        k of m on an edge sits at (k+1)/(m+1)."""
         if not isinstance(data, Mapping) or data.get("format") != 1:
             raise ValidationError("curve JSON must carry format: 1")
         try:
-            raw = [(_json_field(e, "itinerary", str), _json_field(k, "itinerary", int),
-                    _json_field(d, "itinerary", int)) for e, k, d in data["itinerary"]]
+            raw = [(_field(e, "itinerary", str), _field(k, "itinerary", int),
+                    _field(d, "itinerary", int)) for e, k, d in data["itinerary"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad itinerary field: {exc}") from exc
         counts: dict[str, int] = {}
         for e, _, _ in raw:
             counts[e] = counts.get(e, 0) + 1
-        events = []
-        for e, k, d in raw:
-            m = counts[e]
-            if not 0 <= k < m:
+        for e, k, _ in raw:
+            if not 0 <= k < counts[e]:
                 raise ValidationError(f"crossing index {k} out of range on edge {e!r}")
-            events.append((e, d, Fraction(k + 1, m + 1)))
-        oriented = _json_field(data.get("oriented", True), "oriented", bool)
-        return cls(surface, tuple(events), oriented=oriented)
+        oriented = _field(data.get("oriented", True), "oriented", bool)
+        (curve,) = cls._from_keys(surface, [([(e, d, k) for e, k, d in raw], oriented)])
+        return curve
 
 
 @dataclass(frozen=True)
@@ -625,8 +634,9 @@ class Flow:
     The flux is CellSurface.flux, checked on construction.  Such a
     weighting pairs with oriented curves (sum of direction times weight
     over the itinerary) and the pairing only depends on the isotopy class,
-    so a family of flows computes homology coordinates.  A weight is an
-    int (a bool is no int); anything else raises ValidationError.
+    so a family of flows computes homology coordinates.  An edge is a str
+    and a weight an int (a bool is no int); anything else raises
+    ValidationError.
     """
 
     name: str
@@ -634,7 +644,8 @@ class Flow:
     weights: Mapping[str, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", {str(e): w for e, w in self.weights.items()})
+        object.__setattr__(self, "weights", {_field(e, "weights", str): w
+                                             for e, w in self.weights.items()})
         surf = self.surface
         for e, w in self.weights.items():
             if type(w) is not int:

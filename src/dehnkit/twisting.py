@@ -11,11 +11,8 @@ direction d, with one D per twist.
 
 Each spiral block runs after b's event at its gap, and _close_up, which
 the reduction's arc surgery shares, sweeps away the edge-crossing pairs the
-layout left reducible and builds the image, born renormalized from its
-keys, checked and validated.  A twist is a homeomorphism, so the image of
-b is null-homotopic, boundary-parallel or separating exactly when b is:
-the image inherits b's cached single-curve topology and never builds an
-arrangement for it.
+layout left reducible and bears the image from its keys, with b as its
+source (EmbeddedCurve._from_keys).
 """
 
 from __future__ import annotations
@@ -92,7 +89,7 @@ def _drop_reducible_pairs(events: list) -> list:
 
 def _close_up(system, events: list, b: EmbeddedCurve, n: int,
               replay: tuple) -> EmbeddedCurve:
-    """The twist image of b laid out as `events` on `system`, swept and checked.
+    """The twist image of b laid out as `events` on `system`, swept and born.
 
     Curve 1 of `system` is b as placed there; `events` walks its points and
     points beside them, as (edge, direction, int key): b with a spiral after
@@ -100,8 +97,7 @@ def _close_up(system, events: list, b: EmbeddedCurve, n: int,
     leaves the image, which must not collapse to a trivial circle and must
     be an embedded curve with no key repeated on an edge: either failure
     raises a ComputationError carrying the surface and the curves `replay`,
-    with the power n in its text.  The image is born renormalized from its
-    keys (EmbeddedCurve._from_keys), validated, and given b's topology.
+    with the power n in its text.
     """
     surf = system.surface
     events = _drop_reducible_pairs(events)
@@ -110,13 +106,12 @@ def _close_up(system, events: list, b: EmbeddedCurve, n: int,
             f"twist image collapsed to a trivial circle (power {n})", surf, replay
         )
     try:
-        (image,) = EmbeddedCurve._from_keys(surf, [(events, b.oriented)])
-        image._validate()
+        (image,) = EmbeddedCurve._from_keys(surf, [(events, b)])
     except ValidationError as exc:
         raise ComputationError(
             f"twist image did not close up (power {n}): {exc}", surf, replay
         ) from exc
-    return b._share_topology(image)
+    return image
 
 
 def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:

@@ -1044,11 +1044,12 @@ def test_a_twist_of_a_pair_in_minimal_position_makes_one_fraction_per_image_even
 
 
 def test_a_warm_bench_pass_closes_up_on_int_keys(monkeypatch):
-    # factorize-words at seed 3, on warm curves: no twist or surgery image
-    # is renormalized after it is made, every Fraction is a final position
-    # made where a curve is born or renormalized (EmbeddedCurve._at_ranks),
-    # and the pass makes at most 18,000 of them (33,091 with the Fraction
-    # layout, 21,802 while the slide, the reroute and the splice kept it)
+    # factorize-words at seed 3, on warm curves: no curve is renormalized,
+    # not even for its identity (canonical_key reads ranks), every Fraction
+    # is a final position made where a curve is born
+    # (EmbeddedCurve._from_keys), and the pass makes at most 17,000 of them
+    # (33,091 with the Fraction layout, 21,802 while the slide, the reroute
+    # and the splice kept it, 17,956 while canonical_key renormalized)
     ops = WORKLOADS.build("factorize-words", 3).ops
     _run_pass(ops)
     renormalized, makers, sweeps = Counter(), Counter(), []
@@ -1072,9 +1073,9 @@ def test_a_warm_bench_pass_closes_up_on_int_keys(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     _run_pass(ops)
     assert len(sweeps) > 300  # every twist and surgery closed up
-    assert renormalized["_close_up"] == 0 and renormalized, renormalized
-    assert list(makers) == ["EmbeddedCurve._at_ranks"], makers
-    assert sum(makers.values()) <= 18_000
+    assert not renormalized, renormalized
+    assert list(makers) == ["EmbeddedCurve._from_keys"], makers
+    assert sum(makers.values()) <= 17_000
 
 
 def _assert_slots_name_their_darts(curves):

@@ -7,6 +7,11 @@ and the test fails on any read of a private attribute that a JointSystem
 has, on the class or on a built instance whose darts and regions have run,
 on any private name imported from overlay, and on any private attribute
 read off the overlay module itself.  Dunder names are not private.
+
+Likewise only surface bears, checks and hands topology to a curve: no
+other module reads `_validate`, `_share_topology` or `_made`, and each
+new curve is born, validated and given its source's topology in one call
+to EmbeddedCurve._from_keys.
 """
 
 import ast
@@ -20,6 +25,7 @@ from dehnkit.presets import build_preset
 
 PACKAGE = Path(dehnkit.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "overlay")
+BIRTH_NAMES = {"_validate", "_share_topology", "_made"}
 
 
 def _private(name: str) -> bool:
@@ -65,3 +71,12 @@ def test_the_internals_are_collected():
 def test_only_overlay_reads_arrangement_internals(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     assert _violations(tree, _arrangement_internals()) == []
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.stem for p in PACKAGE.glob("*.py") if p.stem != "surface"))
+def test_only_surface_validates_a_curve_or_hands_on_its_topology(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = [(node.lineno, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in BIRTH_NAMES]
+    assert found == []

@@ -4,7 +4,8 @@ On g2-growth at seed 3 its counts agree with the pins of test_engine: 14
 arrangements and no bigon round (test_a_warm_bench_pass_runs_few_darts_phases).
 Its per-caller lines add up to their totals, and name the functions outside
 `surface.py` that asked for the curves and their positions: the slide
-validates its curve in JointSystem.moved.
+validates its curve in JointSystem.moved.  Every curve born from a new
+layout is validated once, and a copy never.
 """
 
 import subprocess
@@ -21,11 +22,19 @@ def test_g2_growth_at_seed_3_counts_14_builds_and_no_round():
     assert out[:3] == ["JointSystem builds: 14",
                        "bigon rounds (find_bigons calls): 0",
                        "_slid calls: 2"]
-    validate = out.index("_validate calls: 17")
-    callers = dict(reversed(line.split()) for line in out[validate + 1:validate + 4])
-    assert callers == {"dehnkit.reduction._reduction_step": "11",
-                       "dehnkit.twisting._close_up": "4",
-                       "dehnkit.overlay.JointSystem.moved": "2"}
+    def callers(title, n):
+        at = out.index(title)
+        return dict(reversed(line.split()) for line in out[at + 1:at + 1 + n])
+
+    validated = {"dehnkit.reduction._reduction_step": "11",
+                 "dehnkit.twisting._close_up": "4",
+                 "dehnkit.overlay.JointSystem.moved": "2"}
+    assert callers("_validate calls: 17", 3) == validated
+    assert callers("curves born from a new layout: 17", 3) == validated
+    # both curves of the pair each of the 4 twisted steps twists, and
+    # curve 0 of both slid pairs
+    assert callers("curves born as copies: 10", 2) == {
+        "dehnkit.reduction._twist_pair": "8", "dehnkit.overlay.JointSystem.moved": "2"}
     fractions = next(line for line in out if line.startswith("Fraction constructions"))
     made = int(fractions.split(": ")[1])
     by_caller = out[out.index(fractions) + 1:]

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from dehnkit.calculus import is_essential
 from dehnkit.errors import PreconditionError, ValidationError
-from dehnkit.presets import PRESET_NAMES, build_preset
-from dehnkit.surface import CellSurface, EmbeddedCurve, Flow
+from dehnkit.presets import PRESET_NAMES, build_preset, torus_curve
+from dehnkit.surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve, Flow
 from dehnkit.twisting import apply_twist
 
 F = Fraction
@@ -27,6 +27,10 @@ GENUS2 = (
     (("b0", 1), ("c1", 1), ("b1", 1), ("c1", -1), ("c2", 1), ("b2", 1), ("c2", -1)),
     (("b0", -1), ("c1p", 1), ("b1", -1), ("c1p", -1), ("c2p", 1), ("b2", -1), ("c2p", -1)),
 )
+
+
+# the square torus with its edge h named "1": an int 1 was coerced to it
+ONE_TORUS = ((("1", 1), ("v", 1), ("1", -1), ("v", -1)),)
 
 
 def torus():
@@ -138,6 +142,11 @@ class TestCellSurface:
         with pytest.raises(ValidationError, match="bad sign"):
             CellSurface((tuple(face),))
 
+    def test_rejects_an_edge_name_that_is_no_string(self):
+        # the name 1 was coerced to the edge "1"
+        with pytest.raises(ValidationError, match="faces field: 1 is not str"):
+            CellSurface((((1, 1), ("v", 1), (1, -1), ("v", -1)),))
+
     def test_rejects_bad_chirality(self):
         # the face order is the orientation: a payload asking for the other
         # one is refused, while one that carries the default still loads
@@ -236,6 +245,23 @@ class TestEmbeddedCurve:
         with pytest.raises(ValidationError, match="bad crossing direction"):
             EmbeddedCurve(torus(), (("v", True, F(1, 2)),))
 
+    def test_rejects_an_edge_name_that_is_no_string(self):
+        # the int 1 was taken as the edge "1"
+        s = CellSurface(ONE_TORUS)
+        assert len(EmbeddedCurve(s, (("1", 1, F(1, 2)),))) == 1
+        with pytest.raises(ValidationError, match="events field: 1 is not str"):
+            EmbeddedCurve(s, ((1, 1, F(1, 2)),))
+
+    @pytest.mark.parametrize("flag", ("no", 0, 1, None))
+    def test_rejects_an_orientation_flag_that_is_no_bool(self, flag):
+        # "no" was stored: keyed as an oriented curve, yet unequal to the
+        # same curve with True; 0 passed as False and 1 as True
+        c = EmbeddedCurve(torus(), (("v", 1, F(1, 2)),))
+        with pytest.raises(ValidationError, match="oriented field"):
+            EmbeddedCurve(c.surface, c.events, oriented=flag)
+        with pytest.raises(ValidationError, match="oriented field"):
+            c.with_orientation(flag)
+
     def test_small_trivial_circle_is_embedded(self):
         c = EmbeddedCurve(torus(), (("v", 1, F(1, 3)), ("v", -1, F(2, 3))))
         assert len(c) == 2
@@ -273,6 +299,10 @@ class TestEmbeddedCurve:
         assert (b.events, b.oriented) == ((("v", 1, F(1, 3)),), False)
         with pytest.raises(ValidationError, match="repeated crossing point on edge 'v'"):
             EmbeddedCurve._from_keys(s, [([("v", 1, 9)], True), ([("v", 1, 9)], True)])
+
+    def test_identity_reads_ranks_up_each_edge(self):
+        c = EmbeddedCurve(torus(), (("v", 1, F(1, 7)), ("h", -1, F(3, 5))))
+        assert c.canonical_key == (("h", -1, 0), ("v", 1, 0))
 
     def test_oriented_flag_separates(self):
         a = EmbeddedCurve(torus(), (("v", 1, F(1, 2)),))
@@ -324,6 +354,46 @@ class TestEmbeddedCurve:
         assert a == b == ref
 
 
+class TestBirth:
+    """EmbeddedCurve._from_keys bears a curve, checks it and gives it its
+    source's orientation and topology, in one call."""
+
+    def test_an_image_takes_its_sources_orientation_and_topology(self):
+        s = torus()
+        source = EmbeddedCurve(s, (("v", 1, F(1, 2)),), oriented=False)
+        assert is_essential(source)  # caches its topology
+        (image,) = EmbeddedCurve._from_keys(s, [([("v", 1, 5)], source)])
+        assert image.oriented is False
+        assert image.__dict__[TOPOLOGY_KEY] is source.__dict__[TOPOLOGY_KEY]
+        for copy in (source.reverse(), source.with_orientation(True), source.renormalized()):
+            assert copy.__dict__[TOPOLOGY_KEY] is source.__dict__[TOPOLOGY_KEY]
+
+    @pytest.mark.parametrize("oriented", (True, False))
+    def test_a_curve_with_no_source_has_no_topology(self, oriented):
+        (c,) = EmbeddedCurve._from_keys(torus(), [([("v", 1, 5)], oriented)])
+        assert c.oriented is oriented and TOPOLOGY_KEY not in c.__dict__
+
+    def test_a_copy_is_not_validated_and_a_new_layout_once(self, monkeypatch):
+        source = torus_curve(build_preset("torus").surface, 3, 5)
+        ranks = [k for _, k, _ in source.to_json()["itinerary"]]
+        validated = []
+        validate = EmbeddedCurve._validate
+        monkeypatch.setattr(EmbeddedCurve, "_validate",
+                            lambda c: validated.append(c) or validate(c))
+        (copy,) = EmbeddedCurve._from_keys(source.surface, [([2 * k for k in ranks], source)])
+        source.reverse(), source.with_orientation(False), source.renormalized()
+        assert validated == []
+        layout = [(e, d, k) for (e, d, _), k in zip(source.events, ranks)]
+        (new,) = EmbeddedCurve._from_keys(source.surface, [(layout, source)])
+        assert len(validated) == 1 and validated[0] is new
+        assert copy.events == new.events == source.renormalized().events
+
+    def test_a_new_layout_that_does_not_embed_raises_from_the_call(self):
+        # two strands through v the same way cross (test_rejects_self_crossing)
+        with pytest.raises(ValidationError, match="crosses itself"):
+            EmbeddedCurve._from_keys(torus(), [([("v", 1, 1), ("v", 1, 2)], True)])
+
+
 class TestFlow:
     def test_torus_pairing(self):
         s = torus()
@@ -350,6 +420,13 @@ class TestFlow:
         # 1.7 was stored as 1, and True and "2" were taken as ints
         with pytest.raises(ValidationError, match="is not an int"):
             Flow("x", torus(), {"v": weight})
+
+    def test_rejects_an_edge_name_that_is_no_string(self):
+        # the int 1 was taken as the edge "1"
+        s = CellSurface(ONE_TORUS)
+        assert Flow("x", s, {"1": 1}).weights == {"1": 1}
+        with pytest.raises(ValidationError, match="weights field: 1 is not str"):
+            Flow("x", s, {1: 1})
 
     def test_needs_oriented_curve(self):
         s = torus()

@@ -14,6 +14,8 @@ raised.  For that second pass it prints:
   - the `overlay._slid` calls;
   - the `EmbeddedCurve._validate` calls, per function that asked for the
     curve (the first caller outside `surface.py`);
+  - the curves born in `EmbeddedCurve._from_keys`, per function that asked
+    for them, new layouts and copies of a curve's own events apart;
   - the `Fraction` constructions, counted at `Fraction.__new__`, per
     function that asked for them (the first caller outside `surface.py`
     and `fractions.py`).
@@ -46,7 +48,7 @@ def _caller(frame, skip: tuple) -> str:
 
 def count_pass(workload: str, seed: int) -> dict:
     """The counts of one warm pass: {"builds", "rounds", "slid": int,
-    "validate", "fractions": Counter by caller}."""
+    "validate", "layouts", "copies", "fractions": Counter by caller}."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from dehnkit import overlay, surface
     from dehnkit.errors import DehnkitError
@@ -62,14 +64,17 @@ def count_pass(workload: str, seed: int) -> dict:
                 pass
 
     run_pass()
-    counts = {"builds": 0, "rounds": 0, "slid": 0,
-              "validate": Counter(), "fractions": Counter()}
-    system = overlay.JointSystem
+    counts = {"builds": 0, "rounds": 0, "slid": 0, "validate": Counter(),
+              "layouts": Counter(), "copies": Counter(), "fractions": Counter()}
+    system, curve = overlay.JointSystem, surface.EmbeddedCurve
+    # the classmethod itself, not the method it binds to
     saved = (system.__init__, system.find_bigons, overlay._slid,
-             surface.EmbeddedCurve._validate, Fraction.__new__)
-    init, find_bigons, slid, validate, new = saved
-    # a cached property's value is asked for by whoever reads it
-    skip_surface = (surface.__file__, "<string>", functools.__file__)
+             curve._validate, vars(curve)["_from_keys"], Fraction.__new__)
+    init, find_bigons, slid, validate, from_keys, new = saved
+    # a cached property's value is asked for by whoever reads it, and a
+    # birth by whoever called the counting wrapper
+    skip_surface = (surface.__file__, "<string>", functools.__file__,
+                    _caller.__code__.co_filename)
     skip_fractions = (*skip_surface, fractions.__file__)
 
     def counting_init(self, *args, **kwargs):
@@ -88,19 +93,26 @@ def count_pass(workload: str, seed: int) -> dict:
         counts["validate"][_caller(sys._getframe(1), skip_surface)] += 1
         validate(self)
 
+    def counting_from_keys(cls, surf, keyed):
+        caller = _caller(sys._getframe(1), skip_surface)
+        for evs, _ in keyed:  # a copy is one int key per event
+            counts["copies" if evs and type(evs[0]) is int else "layouts"][caller] += 1
+        return from_keys.__func__(cls, surf, keyed)
+
     def counting_new(cls, *args, **kwargs):
         counts["fractions"][_caller(sys._getframe(1), skip_fractions)] += 1
         return new(cls, *args, **kwargs)
 
     system.__init__, system.find_bigons = counting_init, counting_find_bigons
     overlay._slid = counting_slid
-    surface.EmbeddedCurve._validate = counting_validate
+    curve._validate = counting_validate
+    curve._from_keys = classmethod(counting_from_keys)
     Fraction.__new__ = counting_new
     try:
         run_pass()
     finally:
         (system.__init__, system.find_bigons, overlay._slid,
-         surface.EmbeddedCurve._validate, Fraction.__new__) = saved
+         curve._validate, curve._from_keys, Fraction.__new__) = saved
     return counts
 
 
@@ -109,6 +121,8 @@ def report(counts: dict) -> list[str]:
              f"bigon rounds (find_bigons calls): {counts['rounds']}",
              f"_slid calls: {counts['slid']}"]
     for key, title in (("validate", "_validate calls"),
+                       ("layouts", "curves born from a new layout"),
+                       ("copies", "curves born as copies"),
                        ("fractions", "Fraction constructions")):
         by_caller = counts[key]
         lines.append(f"{title}: {sum(by_caller.values())}")
