@@ -10,10 +10,9 @@ crossings certify, a twist) never pays for them:
   frame      the crossing points of each edge are ranked jointly (ties
              broken by curve index, a legal isotopy): the point of rank k
              among the m points of an edge sits at k/(m + 1) in the joint
-             frame, and the rank carries all the information.  It reads
-             each curve's own per-edge order, sorted once per curve, and
-             merges the curves' sorted runs.  No position is made: a new
-             curve is keyed on these ranks (beside_keys);
+             frame, and the rank carries all the information.  No position
+             is made: a new curve is keyed on these ranks (beside_keys), and
+             a moved pair's frame sorts its keys (JointSystem._moved);
   chords     every face is walked ccw as a list of boundary items, each
              slot's corner and then its points, and each curve gap becomes
              a chord between two items.  An item's rank is arithmetic: the
@@ -52,12 +51,6 @@ the same (e, gap) are glued; each is the other's partner.  A chord dart
 is labelled ("C", curve, gap, k, fwd), the k-th segment of the chord of
 that curve gap.
 
-In a pair, the common case, `crossings` are exactly the pair's crossings,
-since chords of one curve never cross; in a larger system they are all of
-them.  The bigon queries (certifies_no_bigon, find_bigons, bigon_stack,
-reroute_through_bigons) read curves 0 and 1 only: curve 0 stays put and
-curve 1 moves.
-
 That is enough to recognise discs, annuli and bigons.  Minimal position
 removes bigons by pushing curve 1 across them, after sliding curve 1's
 points along their edges into walk order against curve 0 once, so that
@@ -76,12 +69,12 @@ region once, from a table of that round's arrangement.
 Every curve the engine makes has one layout rule, int keys over the joint
 ranks: `arc` lists a curve's events between two of its crossings, and
 `beside_keys` keys events moved h = hn/hd joint spacings to one side of
-their curve.  The slide, bigon removal (`moved`), the twist spiral
-(twisting) and the reduction splice (reduction) key every new point so,
-and the connector by the edge interval it crosses; each new curve is born
-from its keys in one call (EmbeddedCurve._from_keys).  Other modules read
-an arrangement only through names without an underscore (`slot`,
-`crossings_on`, `arc`, `beside_keys`, `moved`, `isotopic_in`, ...).
+their curve.  The slide, bigon removal, the twist spiral (twisting) and
+the reduction splice (reduction) key every new point so, and the
+connector by the edge interval it crosses; each new curve is born from
+its keys in one call (EmbeddedCurve._from_keys).  Other modules read an
+arrangement only through names without an underscore (`slot`,
+`crossings_on`, `arc`, `beside_keys`, `isotopic_in`, ...).
 
 The single-curve predicates (null-homotopic, boundary-parallel,
 separating) are answered together and cached on the curve and on its
@@ -102,7 +95,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, PreconditionError, ValidationError
-from .surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve, _find, _union
+from .surface import TOPOLOGY_KEY, CellSurface, EmbeddedCurve, _check_nested, _find, _union
 
 
 class Crossing(NamedTuple):
@@ -152,15 +145,16 @@ _RECTANGLES = ([0, 1, 0, 1], [1, 0, 1, 0])
 class JointSystem:
     """Exact arrangement of one or more curves on a common surface.
 
-    In a pair `crossings` are exactly the pair's crossings, and the bigon
-    queries move curve 1 against a stationary curve 0 (module docstring).
+    In a pair `crossings` are exactly the pair's crossings, since chords of
+    one curve never cross.  The bigon queries read curves 0 and 1 only, and
+    move curve 1 against a stationary curve 0.
     Construction runs the frame, chords and crossings phases on integer
     ranks and records each crossing's slots: that is all the crossing
     queries, `arc`, `beside_keys` and the certificate read, and none of
-    them makes a Fraction.  The darts and regions phases
-    run on the first read of any of the names they set (_CELL_NAMES),
-    which are plain attributes from then on.  A ComputationError from
-    either half carries the surface and curves of the build.
+    them makes a Fraction.  The darts and regions phases run on the first
+    read of a name they set (_CELL_NAMES), and a moved pair's `curves` on
+    its own (_moved), as plain attributes from then on.  A ComputationError
+    from either half carries the surface and curves of the build.
 
     Three chords of one face must not cross pairwise: the ranks do not fix
     the order of their crossings, so such a system raises
@@ -177,11 +171,17 @@ class JointSystem:
             if c.surface.faces != surface.faces:
                 raise PreconditionError("curve lives on a different surface")
         self.surface = surface
-        self.curves = tuple(curves)
+        self.curves = self._sources = tuple(curves)
+        self._events, self._keys = tuple(c.events for c in curves), ()
+        self.edge_order, self._frame_rank = self._frame()
         self._carrying_inputs(self._build)
 
     def __getattr__(self, name: str):
         # reached only while name is not yet an instance attribute
+        if name == "curves":  # of a moved pair (_moved)
+            self.curves = tuple(EmbeddedCurve._from_keys(
+                self.surface, list(zip(self._keys, self._sources))))
+            return self.curves
         if name not in _CELL_NAMES:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -200,14 +200,43 @@ class JointSystem:
             raise
 
     def _build(self) -> None:
-        """The frame, chords and crossings phases of the module docstring,
-        then the crossings' slots; the rest waits in _pending for
-        _build_cells."""
-        self.edge_order, self._frame_rank = self._frame()
+        """The chords and crossings phases on the frame, then the crossings'
+        slots; the rest waits in _pending for _build_cells."""
         sizes, chords = self._chords()
+        if self._keys:  # a moved curve's chords must nest in every face
+            _check_nested({fi: [(min(ra, rb), max(ra, rb)) for ci, _, ra, rb in ch if ci]
+                           for fi, ch in enumerate(chords)})
         self.crossings, stops = self._crossings(sizes, chords)
         self._stops, self._ranks = self._slots(chords, stops)
         self._pending = sizes, chords
+
+    def _moved(self, keyed: list, hd: int) -> "JointSystem":
+        """This pair's arrangement with curve 1 moved to `keyed` (beside_keys
+        keys with this hd) and curve 0 kept, keyed k*hd at joint rank k.  A
+        moved curve EmbeddedCurve._validate would refuse raises
+        ValidationError: a repeated key, a bad edge or direction, a step
+        between faces (_chords), or chords crossing in a face (_build)."""
+        a, keys = self._sources[0], [k * hd for k in self._frame_rank[0]]
+        new = object.__new__(JointSystem)
+        new.surface, new._sources = self.surface, self._sources
+        new._events, new._keys = (a.events, keyed), (keys, keyed)
+        runs: dict[str, list] = {}
+        for i, ((e, _, _), key) in enumerate(zip(a.events, keys)):
+            runs.setdefault(e, []).append((key, 0, i))
+        for j, (e, d, key) in enumerate(keyed):
+            if e not in self.surface.interior_edges or d not in (1, -1):
+                raise ValidationError(f"curve cannot cross edge {e!r} in direction {d!r}")
+            runs.setdefault(e, []).append((key, 1, j))
+        new.edge_order, new._frame_rank = {}, [[0] * len(a.events), [0] * len(keyed)]
+        for e, run in runs.items():
+            run.sort()
+            for k, (key, ci, i) in enumerate(run, 1):
+                if k > 1 and key == run[k - 2][0]:
+                    raise ValidationError(f"repeated crossing point on edge {e!r}")
+                new._frame_rank[ci][i] = k
+            new.edge_order[e] = [(ci, i) for _, ci, i in run]
+        new._carrying_inputs(new._build)
+        return new
 
     def _build_cells(self) -> None:
         """The darts and regions phases, which set _CELL_NAMES."""
@@ -220,16 +249,10 @@ class JointSystem:
         del self._pending
 
     def _frame(self) -> tuple[dict, list]:
-        """The joint frame: (edge_order, rank).
-
-        edge_order[e] lists the points of edge e up the edge as (curve,
-        event), and rank[curve][event] = k puts that event's point at
-        k/(m + 1) among the m points of its edge.  Each curve's points come
-        sorted (EmbeddedCurve._edge_points), so an edge that one curve
-        crosses takes its run as it is, and a shared edge merges the runs
-        by (position, curve): a tie, which only two curves can have, goes
-        to the lower curve index, a legal isotopy.
-        """
+        """The joint frame: (edge_order, rank), with edge_order[e] the points
+        of edge e up the edge as (curve, event) and rank[curve][event] = k
+        for the k-th.  Each curve's own order (EmbeddedCurve._edge_points)
+        is one run; a shared edge merges the runs by (position, curve)."""
         runs: dict[str, list] = {}
         for ci, c in enumerate(self.curves):
             for e, run in c._edge_points.items():
@@ -270,8 +293,8 @@ class JointSystem:
                 r += m + 1
             sizes.append(r)
         chords: list[list[tuple]] = [[] for _ in surf.faces]
-        for ci, c in enumerate(self.curves):
-            evs, rank = c.events, self._frame_rank[ci]
+        for ci, evs in enumerate(self._events):
+            rank = self._frame_rank[ci]
             n = len(evs)
             # gap g leaves event g by the slot (e1, -d1) and enters event
             # g + 1 by the slot (e2, d2) of the same face
@@ -279,8 +302,10 @@ class JointSystem:
                 h = g + 1 if g + 1 < n else 0
                 e2, d2, _ = evs[h]
                 fi, lo = base[e1, -d1]
-                chords[fi].append(
-                    (ci, g, lo - d1 * rank[g], base[e2, d2][1] + d2 * rank[h]))
+                fh, hi = base[e2, d2]
+                if fh != fi:
+                    raise ValidationError(f"events {g} and {h} do not share a face")
+                chords[fi].append((ci, g, lo - d1 * rank[g], hi + d2 * rank[h]))
         return sizes, chords
 
     def _crossings(self, sizes: list, chords: list) -> tuple:
@@ -302,7 +327,7 @@ class JointSystem:
         # In a pair the chords crossing a chord all belong to the other
         # curve, and chords of one curve never cross: there is nothing to
         # check.
-        check_triangles = len(self.curves) > 2
+        check_triangles = len(self._events) > 2
         crossings: list[Crossing] = []
         stops: list[dict[int, list[int]]] = []
         for fi, ch in enumerate(chords):
@@ -394,7 +419,7 @@ class JointSystem:
         four darts.
         """
         crossings = self.crossings
-        curve_stops: list[list[list[int]]] = [[[]] * len(c.events) for c in self.curves]
+        curve_stops: list[list[list[int]]] = [[[]] * len(evs) for evs in self._events]
         rank_i, rank_j = [-1] * len(crossings), [-1] * len(crossings)
         for ch, face_stops in zip(chords, stops):
             for x, hits in face_stops.items():
@@ -462,7 +487,7 @@ class JointSystem:
                 pred[b + 1], pred[b] = b, b + 1
 
         stops = self._stops
-        chord_first: list[list[int]] = [[0] * len(c.events) for c in self.curves]
+        chord_first: list[list[int]] = [[0] * len(evs) for evs in self._events]
         for fi, ch in enumerate(chords):
             f, M = seg0[fi], sizes[fi]
             for ci, g, ra, rb in ch:
@@ -647,7 +672,7 @@ class JointSystem:
         is empty; from a crossing to an earlier one on the same gap it runs
         once around the curve.
         """
-        n = len(self.curves[ci].events)
+        n = len(self._events[ci])
         gx, rx = self.slot(ci, x)
         gy, ry = self.slot(ci, y)
         span = (gy - gx) % n
@@ -664,19 +689,11 @@ class JointSystem:
         strictly between its old neighbours.  One h moves every event of ci
         to the same side of ci, so a moved arc runs parallel to it.
         """
-        evs, rank, out = self.curves[ci].events, self._frame_rank[ci], []
+        evs, rank, out = self._events[ci], self._frame_rank[ci], []
         for i in idxs:
             e, d, _ = evs[i]
             out.append((e, d, rank[i] * hd + d * hn))
         return out
-
-    def moved(self, keyed: list, hd: int) -> tuple[EmbeddedCurve, EmbeddedCurve]:
-        """The pair born from its keys, images of this pair's curves: curve
-        1 moved to `keyed`, keyed as beside_keys keys with this hd, and a
-        copy of curve 0 keyed k*hd."""
-        a, b = self.curves
-        return tuple(EmbeddedCurve._from_keys(self.surface, [
-            ([k * hd for k in self._frame_rank[0]], a), (keyed, b)]))
 
     def crossings_on(self, ci: int, gap: int) -> list[Crossing]:
         """The crossings on gap `gap` of curve ci, in order along it."""
@@ -737,7 +754,7 @@ class JointSystem:
             return False
 
         def flux(ci: int, x: Crossing, y: Crossing) -> int:
-            evs = self.curves[ci].events
+            evs = self._events[ci]
             return sum(evs[t][1] * weight[evs[t][0]] for t in self.arc(ci, x, y))
 
         along_a = self.crossing_order_along(0)
@@ -919,11 +936,11 @@ class JointSystem:
         stationary curve.  A strand whose events of curve 1 overlap those of
         a strand already taken ends the stack there, so the splices never
         interfere.  The other bigons are left to later rounds.  Returns
-        (pair, cleared): the pair with curve 1 rerouted (moved), and the
-        number of stationary runs the taken strands clear; a strand that
+        (arrangement, cleared): the one with curve 1 rerouted (_moved), and
+        the number of stationary runs the taken strands clear; a strand that
         clears r runs drops the raw crossing count by exactly 2r.
         """
-        nb = len(self.curves[1].events)
+        nb = len(self._events[1])
         stack = self.bigon_stack(regions[0])
         depth = len(stack)
         hd = 3 * depth
@@ -940,7 +957,7 @@ class JointSystem:
                     raise ComputationError(
                         "bigon removal would erase the curve",
                         self.surface, self.curves)
-                return self.moved(new_events, hd), len(runs_a)
+                return self._moved(new_events, hd), len(runs_a)
             block = {(g + t) % nb for t in range(m + 1)}
             if block & used_b:
                 break
@@ -956,7 +973,7 @@ class JointSystem:
             m, evs = skip.get(t % nb, (0, ()))
             out += [kept[t % nb], *evs]
             t += m + 1
-        return self.moved(out, hd), cleared
+        return self._moved(out, hd), cleared
 
 
 def _joined(pieces: list) -> list:
@@ -971,9 +988,9 @@ def _joined(pieces: list) -> list:
 def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
     """Isotope b until no bigon with a remains; a is never rerouted.
 
-    Returns the final arrangement; its curves (a', b') are the pair in
-    minimal position.  a' differs from a only by where its points sit on
-    their edges, in the same order (JointSystem.moved).
+    Returns the final arrangement, whose curve 0 is a itself.  Its curves
+    are the pair in minimal position; once b has moved they are born on the
+    first read (JointSystem._moved), a copy of a and the image of b.
     The common case returns after one arrangement build, with only its
     crossings made, by one of two exits: crossings of at most one sign,
     none included; or crossings of both signs that the cocycle certifies
@@ -1021,11 +1038,10 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
             try:
                 slid = _slid(system)
             except ValidationError as exc:
-                raise ComputationError(
-                    f"slid curve did not assemble: {exc}", a.surface, pair
-                ) from exc
+                raise ComputationError(f"slid curve did not assemble: {exc}",
+                                       a.surface, pair) from exc
             if slid is not None:
-                system = JointSystem(a.surface, slid)
+                system = slid
                 if (len(system.crossings) - k) % 2:
                     raise ComputationError(
                         f"sliding changed the crossing parity: {k} to "
@@ -1035,22 +1051,20 @@ def minimal_position(a: EmbeddedCurve, b: EmbeddedCurve) -> JointSystem:
         if not bigons:
             return system
         try:
-            moved, removed = system.reroute_through_bigons(bigons)
+            system, removed = system.reroute_through_bigons(bigons)
         except ValidationError as exc:
-            raise ComputationError(
-                f"bigon reroute did not assemble: {exc}", a.surface, pair
-            ) from exc
-        system = JointSystem(a.surface, moved)
+            raise ComputationError(f"bigon reroute did not assemble: {exc}",
+                                   a.surface, pair) from exc
         if len(system.crossings) != k - 2 * removed:
             raise ComputationError(
                 f"bigon removal changed crossings to {len(system.crossings)}",
                 a.surface, pair)
 
 
-def _slid(system: JointSystem) -> Optional[tuple]:
-    """The pair with curve 1 slid along its edges into walk order against
-    curve 0 (JointSystem.moved), or None when no point of it changes its
-    place.
+def _slid(system: JointSystem) -> Optional[JointSystem]:
+    """The arrangement with curve 1 slid along its edges into walk order
+    against curve 0, built from its keys (JointSystem._moved), or None
+    when no point of it changes its place.
 
     On each edge the curves' points are merged, each keeping its own order.
     Two points are compared by walking their strands forward across the
@@ -1074,7 +1088,7 @@ def _slid(system: JointSystem) -> Optional[tuple]:
     surf = system.surface
     # the joint frame moves points along their edges only, so the curves'
     # own events give every edge and direction
-    ea, eb = (c.events for c in system.curves)
+    ea, eb = system._events
     na, nb = len(ea), len(eb)
 
     # "curve 0 on the right" for each pair of points a walk has passed
@@ -1127,7 +1141,7 @@ def _slid(system: JointSystem) -> Optional[tuple]:
                 keys[j] = (e, eb[j][1], ranks[p] * hd + t)
     if keys is None:
         return None
-    return system.moved(keys, hd)
+    return system._moved(keys, hd)
 
 
 def geometric_intersection_number(a: EmbeddedCurve, b: EmbeddedCurve) -> int:
@@ -1146,7 +1160,7 @@ def _circuit_side(system: JointSystem, circuit):
     if len(sides) != 1:
         return None
     (side,) = sides
-    if side == "B" or len(circuit) == len(system.curves[side].events):
+    if side == "B" or len(circuit) == len(system._events[side]):
         return side
     return None
 

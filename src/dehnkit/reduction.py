@@ -79,12 +79,15 @@ def _candidate_events(system, x, y) -> list:
     return _arc_copy(system, 0, x, y, True) + _arc_copy(system, 1, y, x, x.sign < 0)
 
 
-def _twist_pair(system, c: EmbeddedCurve, x, y) -> tuple:
+def _twist_pair(a, b, system, c: EmbeddedCurve, x, y) -> tuple:
     """Copies of (c, curve 1 of `system`) born together: the splice at
-    (x, y) keyed as it was cut, and that curve keyed 4k."""
-    b = system.curves[1]
+    (x, y) keyed as it was cut, and curve 1, b moved beside a, keyed 4k off
+    the frame; its events are b's unless a bigon reroute changed them."""
+    nb = sum(map(len, system.edge_order.values())) - len(a.events)
+    b_keys = system.beside_keys(1, range(nb), 0, 4)
+    if [ev[:2] for ev in b_keys] == [ev[:2] for ev in b.events]:
+        b_keys = [k for _, _, k in b_keys]
     c_keys = [k for _, _, k in _candidate_events(system, x, y)]
-    b_keys = [k for _, _, k in system.beside_keys(1, range(len(b.events)), 0, 4)]
     return tuple(EmbeddedCurve._from_keys(system.surface, [(c_keys, c), (b_keys, b)]))
 
 
@@ -133,7 +136,7 @@ def _twist_image(a, b, system, c, x, y, adjacent: bool) -> EmbeddedCurve:
     does not close up raises the ComputationError carrying (a, b).
     """
     if not adjacent:
-        c, curve = _twist_pair(system, c, x, y)
+        c, curve = _twist_pair(a, b, system, c, x, y)
         return apply_twist(c, 1, curve)
     copy = system.beside_keys(0, system.arc(0, x, y), 1, 4)
     if x.sign > 0:

@@ -87,6 +87,21 @@ def _exact(p) -> Fraction:
     return Fraction(p)
 
 
+def _check_nested(chords_by_face: dict) -> None:
+    """Refuse a curve whose chords, as (lo, hi) int keys ccw round each face,
+    cross: non-crossing chords nest like brackets, so taken by their lower
+    ends, each must close before the innermost one still open."""
+    for f, chords in chords_by_face.items():
+        chords.sort()
+        stack: list[int] = []  # upper ends of the chords still open
+        for lo, hi in chords:
+            while stack and stack[-1] < lo:
+                stack.pop()
+            if stack and stack[-1] < hi:
+                raise ValidationError(f"curve crosses itself inside face {f}")
+            stack.append(hi)
+
+
 def _field(value, key: str, kind: type):
     """A field that must hold a `kind` itself: nothing is coerced, and a
     bool is no int."""
@@ -463,19 +478,7 @@ class EmbeddedCurve:
             key_b = ent_enter * span + (n + rank[j] if d2 > 0 else n - rank[j])
             chords_by_face.setdefault(f_exit, []).append(
                 (key_a, key_b) if key_a < key_b else (key_b, key_a))
-
-        # Pairwise non-crossing chords of a disc nest like brackets: cut the
-        # boundary circle before the smallest key; taken by their lower
-        # ends, each chord must close before the innermost one still open.
-        for f, chords in chords_by_face.items():
-            chords.sort()
-            stack: list[int] = []  # upper ends of the chords still open
-            for lo, hi in chords:
-                while stack and stack[-1] < lo:
-                    stack.pop()
-                if stack and stack[-1] < hi:
-                    raise ValidationError(f"curve crosses itself inside face {f}")
-                stack.append(hi)
+        _check_nested(chords_by_face)
 
     # -- basic manipulations --
 

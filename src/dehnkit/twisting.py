@@ -133,7 +133,8 @@ def apply_twist(a: EmbeddedCurve, n: int, b: EmbeddedCurve) -> EmbeddedCurve:
     if not system.crossings:
         return b
 
-    m, nb = (len(c.events) for c in system.curves)
+    m = len(a.events)  # curve 0 is a itself, and b has the frame's other points
+    nb = sum(map(len, system.edge_order.values())) - m
     sigma = 1 if n > 0 else -1
     wraps = abs(n)
     Q = len(system.crossings) + 1  # one Q for all gaps, so one D per twist

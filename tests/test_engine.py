@@ -42,7 +42,11 @@ slide before the first bigon search is an isotopy of b: on random genus-2
 and twisted pairs the slid curve keeps b's itinerary, validates and is
 isotopic to b, and minimal position reaches the count it reaches without
 the slide; a slide that changes the crossing parity, or whose curve does
-not assemble, is refused with the pair.  Two curves with one cyclic
+not assemble, is refused with the pair.  A slide or a reroute builds the
+next arrangement from its keys: it is the arrangement that its curves,
+born on the first read, build again, and a move whose keys repeat, step
+between faces or cross in a face that curve 0 never enters is refused
+with the pair.  Two curves with one cyclic
 itinerary that cross as placed slide apart, with no darts phase.  Each
 splice whose image reduce_pair makes, on random torus and genus-2 pairs,
 crosses the curve it acts on exactly i(c, b) times as built, and once when
@@ -61,9 +65,8 @@ pairs its edge order is a reference merge of the edge's points by
 (position, curve), so the reference joint positions are (k + 1)/(m + 1).
 A pair that its crossings put in minimal position makes no Fraction at
 all, and a pair whose slide moves a point and that runs no bigon round
-makes one per point of the pair, where the two are born from their keys;
-every Fraction of a warm bench pass is made where a curve is born or
-renormalized.
+makes none until its curves are read, and then one per point of the pair;
+every Fraction of a warm bench pass is made where a curve is born.
 """
 
 import functools
@@ -97,7 +100,7 @@ from dehnkit.overlay import (
 from dehnkit.presets import PRESET_NAMES, build_preset, torus_curve
 from dehnkit.reduction import reduce_pair
 from dehnkit.surface import CellSurface, EmbeddedCurve
-from dehnkit.twisting import TwistWord, apply_twist
+from dehnkit.twisting import TwistWord, apply_twist, apply_word
 from bench_modules import load_bench_module
 from fraction_layout import beside, joint_events
 from parabola import assert_matches_the_parabola
@@ -169,7 +172,7 @@ def _slid_pair(a, b):
     """The pair that minimal_position(a, b) looks for bigons in after its
     slide."""
     slid = overlay._slid(JointSystem(a.surface, (a, b)))
-    return (a, b) if slid is None else slid
+    return (a, b) if slid is None else slid.curves
 
 
 def _has_a_bigon(curves):
@@ -226,6 +229,75 @@ def test_a_bigon_splice_error_carries_its_arrangement(monkeypatch):
     assert str(replayed.value) == str(err)
 
 
+# A genus-2 pair whose minimal position slides and then reroutes one bigon
+# stack.  a2 enters face 0 only, and curve 1 crosses the edges c1p and c2p,
+# whose two sides both lie in face 1, at several points.
+MOVING_PAIR = (("t1", 1), ("a2", 1), ("dual2", -1), ("dual2", -1))
+
+
+def _moving_pair():
+    g = build_preset("genus2_closed").curves
+    word = TwistWord(tuple((g[n], k) for n, k in MOVING_PAIR))
+    return g["a2"], apply_word(word, g["dual3"])
+
+
+def _on_face1_edge(keyed):
+    """Curve 1's events on c1p or c2p, by key, on the edge that has most."""
+    edge = max(("c1p", "c2p"), key=lambda e: sum(ev[0] == e for ev in keyed))
+    return sorted((key, j) for j, (e, _, key) in enumerate(keyed) if e == edge)
+
+
+def _self_crossing(keyed):
+    # two points of curve 1 next to each other on an edge of face 1 trade
+    # places, so their chords cross in face 1, which curve 0 never enters
+    (k1, j1), (k2, j2) = _on_face1_edge(keyed)[:2]
+    keyed[j1], keyed[j2] = (*keyed[j1][:2], k2), (*keyed[j2][:2], k1)
+    return "curve crosses itself inside face 1"
+
+
+def _repeated_key(keyed):
+    (k1, _), (_, j2) = _on_face1_edge(keyed)[:2]
+    keyed[j2] = (*keyed[j2][:2], k1)
+    return "repeated crossing point on edge "
+
+
+def _face_step(keyed):
+    # a point of face 1's own edge moved to c1, whose sides lie in face 0,
+    # with a key no point of c1 has
+    (_, j), = _on_face1_edge(keyed)[:1]
+    keyed[j] = ("c1", keyed[j][1], 0)
+    return "do not share a face"
+
+
+@pytest.mark.parametrize("corrupt", (_self_crossing, _repeated_key, _face_step))
+@pytest.mark.parametrize("move, say", (
+    ("_slid", "slid curve did not assemble"),
+    ("reroute_through_bigons", "bigon reroute did not assemble")))
+def test_a_corrupted_move_is_refused_with_the_pair(monkeypatch, move, say, corrupt):
+    # The arrangement a slide or a reroute builds from its keys checks the
+    # moved curve as EmbeddedCurve._validate would, in every face: a
+    # corrupted move raises the ComputationError that carries (a, b).
+    a, b = _moving_pair()
+    moved = JointSystem._moved
+    made, said = [], []
+
+    def corrupting(self, keyed, hd):
+        caller = sys._getframe(1).f_code.co_name
+        made.append(caller)
+        if caller == move:
+            keyed = list(keyed)
+            said.append(corrupt(keyed))
+        return moved(self, keyed, hd)
+
+    monkeypatch.setattr(JointSystem, "_moved", corrupting)
+    with pytest.raises(ComputationError) as raised:
+        minimal_position(a, b)
+    assert made[-1] == move and made[0] == "_slid"
+    assert str(raised.value).startswith(f"{say}: ")
+    assert said[0] in str(raised.value)
+    _assert_carries(raised.value, (a, b))
+
+
 def _answers(c):
     return (
         is_null_homotopic(c),
@@ -268,8 +340,9 @@ class TestTopologyCache:
 
     def test_respaced_curves_of_an_arrangement_share_it(self, count_builds):
         # a1 pairs nonzero with the cocycle and builds nothing; bp1 pairs to
-        # 0 and builds its own arrangement.  The pair that JointSystem.moved
-        # bears from their keys, here bp1 keyed where it lies, shares both.
+        # 0 and builds its own arrangement.  The pair of a moved arrangement
+        # (JointSystem._moved), here bp1 keyed where it lies, is born from
+        # its keys when read, and shares both.
         oh = build_preset("one_holed_torus")
         count_builds.clear()  # building the preset, when not yet cached
         a, b = (
@@ -279,7 +352,9 @@ class TestTopologyCache:
         assert is_essential(a) and not is_essential(b)
         system = JointSystem(oh.surface, (a, b))
         assert count_builds == [1, 2]
-        a2, b2 = system.moved(system.beside_keys(1, range(len(b.events)), 0, 1), 1)
+        moved = system._moved(system.beside_keys(1, range(len(b.events)), 0, 1), 1)
+        a2, b2 = moved.curves
+        assert moved.curves == (a2, b2) == (a, b)
         assert is_essential(a2)
         assert is_boundary_parallel(b2)
         assert count_builds == [1, 2]
@@ -443,7 +518,8 @@ def _one_bigon_per_round(a, b):
             bigons = system.find_bigons()
             if not bigons:
                 return len(system.crossings)
-            (a, b), _ = system.reroute_through_bigons(bigons[:1])
+            moved, _ = system.reroute_through_bigons(bigons[:1])
+            a, b = moved.curves
 
 
 def test_a_bigon_stack_is_peeled_in_one_round(count_builds):
@@ -611,14 +687,14 @@ def test_a_slide_is_an_isotopy_that_keeps_the_intersection_number():
         moved = overlay._slid(JointSystem(a.surface, (a, b)))
         if moved is None:
             return
-        slid = moved[1]
+        slid = moved.curves[1]
         slides[family] += 1
         assert [ev[:2] for ev in slid.events] == [ev[:2] for ev in b.events]
         EmbeddedCurve(slid.surface, slid.events, oriented=slid.oriented)
         assert curves_isotopic(slid, b)
         want = len(minimal_position(a, b).crossings)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(overlay, "_slid", lambda system: system.curves)
+            patch.setattr(overlay, "_slid", lambda system: system)
             assert len(minimal_position(a, b).crossings) == want, (family, a, b)
 
     @given(data=st.data())
@@ -636,6 +712,60 @@ def test_a_slide_is_an_isotopy_that_keeps_the_intersection_number():
     assert slides["genus2"] and slides["twisted"], slides
 
 
+def _moved_rounds(a, b):
+    """The arrangements that minimal_position(a, b) builds from keys."""
+    systems = []
+    moved = JointSystem._moved
+
+    def keeping(self, keyed, hd):
+        systems.append(moved(self, keyed, hd))
+        return systems[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(JointSystem, "_moved", keeping)
+        minimal_position(a, b)
+    return systems
+
+
+def _assert_agrees_with_its_rebuild(a, b, system):
+    """An arrangement built from keys is the one its curves build: they are
+    born on the first read, embed, and are images of a and b."""
+    curves = system.curves
+    assert system.curves is curves and curves[0] == a
+    assert [c.oriented for c in curves] == [a.oriented, b.oriented]
+    for c in curves:
+        EmbeddedCurve(c.surface, c.events, oriented=c.oriented)
+    rebuilt = JointSystem(system.surface, curves)
+    assert rebuilt.edge_order == system.edge_order
+    assert rebuilt.crossings == system.crossings
+    assert len(rebuilt.regions) == len(system.regions)
+
+
+def test_a_moved_arrangement_agrees_with_the_one_its_curves_build():
+    # every slide and every reroute round of the replayed pairs, and the
+    # slides of random genus-2 pairs, which must include some
+    pairs = [_replayed_pair(data)
+             for source in (BIGON_2B_PAIRS, BIGON_GRID_PAIR, EQUAL_ITINERARY_PAIR)
+             for data in source.values()]
+    for a, b in pairs:
+        rounds = _moved_rounds(a, b)
+        assert rounds
+        for system in rounds:
+            _assert_agrees_with_its_rebuild(a, b, system)
+    slid = []
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def genus2(data):
+        a, b = _draw_genus2_pair(data)
+        for system in _moved_rounds(a, b):
+            slid.append(system)
+            _assert_agrees_with_its_rebuild(a, b, system)
+
+    genus2()
+    assert slid
+
+
 def test_a_slide_that_changes_the_crossing_parity_carries_the_pair(monkeypatch):
     # A slide is an isotopy of b, which keeps the crossing count mod 2.  One
     # that does not is refused with the input pair, and the error replays
@@ -643,7 +773,8 @@ def test_a_slide_that_changes_the_crossing_parity_carries_the_pair(monkeypatch):
     # replay places them; t1 meets a1 once.
     g = build_preset("genus2_closed").curves
     a, b = (EmbeddedCurve.from_json(c.surface, c.to_json()) for c in (g["a1"], _chain(3)))
-    monkeypatch.setattr(overlay, "_slid", lambda system: (system.curves[0], g["t1"]))
+    monkeypatch.setattr(overlay, "_slid", lambda system: JointSystem(
+        system.surface, (system.curves[0], g["t1"])))
     with pytest.raises(ComputationError) as raised:
         minimal_position(a, b)
     err = raised.value
@@ -665,6 +796,35 @@ def test_the_replayed_bigon_pairs_are_not_certified(data):
     assert system.find_bigons()
 
 
+def test_the_twist_pair_copies_curve_1_without_bearing_it():
+    # reduction._twist_pair keys curve 1 of a moved arrangement off the
+    # frame: as a copy of b's events when it slid, as a new layout when a
+    # bigon reroute changed them.  It bears nothing else, and makes the
+    # pair that copying the born curve 1 makes.
+    g = build_preset("genus2_closed").curves
+    kinds = []
+    for a, b in ((g["a1"], _chain(3)), _replayed_pair(BIGON_2B_PAIRS[SLID_BIGON_PAIR])):
+        system = minimal_position(a, b)
+        made = []
+        for x, y, _ in reduction._pair_priority(system.crossing_order_along(0)):
+            keys = reduction._candidate_events(system, x, y)
+            try:
+                (c,) = EmbeddedCurve._from_keys(a.surface, [(keys, False)])
+            except ValidationError:
+                continue
+            made.append((keys, c, reduction._twist_pair(a, b, system, c, x, y)))
+        assert made and "curves" not in vars(system)
+        born = system.curves[1]
+        kinds.append([ev[:2] for ev in born.events] == [ev[:2] for ev in b.events])
+        copy = [k for _, _, k in system.beside_keys(1, range(len(born.events)), 0, 4)]
+        for keys, c, pair in made:
+            want = EmbeddedCurve._from_keys(
+                a.surface, [([k for _, _, k in keys], c), (copy, born)])
+            assert [x.events for x in pair] == [x.events for x in want]
+            assert pair[1].oriented == b.oriented
+    assert kinds == [True, False]
+
+
 def test_each_reduction_twist_meets_its_curve_in_minimal_position():
     # Every (splice, curve) pair whose image reduce_pair makes crosses as
     # often as the pair's intersection number, as built: the step acts on
@@ -678,7 +838,7 @@ def test_each_reduction_twist_meets_its_curve_in_minimal_position():
     image_of = reduction._twist_image
 
     def recording(a, b, system, c, x, y, adjacent):
-        images.append((*reduction._twist_pair(system, c, x, y), adjacent))
+        images.append((*reduction._twist_pair(a, b, system, c, x, y), adjacent))
         return image_of(a, b, system, c, x, y, adjacent)
 
     def check(family, a, b):
@@ -968,10 +1128,11 @@ def test_a_pair_its_crossings_put_in_minimal_position_makes_no_fraction(monkeypa
 
 def test_a_slide_with_no_bigon_round_makes_one_fraction_per_point(monkeypatch):
     # A pair whose slide moves some point and that runs no bigon round is
-    # born once from its keys (JointSystem.moved): minimal_position makes
-    # one Fraction per point of the pair and no other.  The two curves with
-    # one cyclic itinerary slide so, and random genus-2 pairs must include
-    # some that do, or the oracle checks nothing.
+    # built from its keys (JointSystem._moved): minimal_position makes no
+    # Fraction, and the first read of its curves bears the pair from the
+    # keys, one Fraction per point of the pair, and no other.  The two
+    # curves with one cyclic itinerary slide so, and random genus-2 pairs
+    # must include some that do, or the oracle checks nothing.
     slides, rounds = [], []
     slid, find_bigons = overlay._slid, JointSystem.find_bigons
 
@@ -993,8 +1154,11 @@ def test_a_slide_with_no_bigon_round_makes_one_fraction_per_point(monkeypatch):
         JointSystem(a.surface, (a, b))  # each curve sorts its points once
         for seen in (slides, rounds, made):
             seen.clear()
-        minimal_position(a, b)
+        system = minimal_position(a, b)
         if slides == [True] and not rounds:
+            assert made == [], (family, a, b)
+            system.curves
+            system.curves
             assert len(made) == len(a.events) + len(b.events), (family, a, b)
             checked[family] += 1
 
@@ -1047,9 +1211,11 @@ def test_a_warm_bench_pass_closes_up_on_int_keys(monkeypatch):
     # factorize-words at seed 3, on warm curves: no curve is renormalized,
     # not even for its identity (canonical_key reads ranks), every Fraction
     # is a final position made where a curve is born
-    # (EmbeddedCurve._from_keys), and the pass makes at most 17,000 of them
+    # (EmbeddedCurve._from_keys), and the pass makes at most 8,000 of them
     # (33,091 with the Fraction layout, 21,802 while the slide, the reroute
-    # and the splice kept it, 17,956 while canonical_key renormalized)
+    # and the splice kept it, 17,956 while canonical_key renormalized,
+    # 16,842 while every slide and reroute bore its pair; 7,563 since they
+    # build the next arrangement from their keys)
     ops = WORKLOADS.build("factorize-words", 3).ops
     _run_pass(ops)
     renormalized, makers, sweeps = Counter(), Counter(), []
@@ -1075,7 +1241,7 @@ def test_a_warm_bench_pass_closes_up_on_int_keys(monkeypatch):
     assert len(sweeps) > 300  # every twist and surgery closed up
     assert not renormalized, renormalized
     assert list(makers) == ["EmbeddedCurve._from_keys"], makers
-    assert sum(makers.values()) <= 17_000
+    assert sum(makers.values()) <= 8_000
 
 
 def _assert_slots_name_their_darts(curves):

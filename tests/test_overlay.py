@@ -153,8 +153,9 @@ class TestMinimalPosition:
         # the reroute across the bigon, on the pair as placed
         sysm = JointSystem(s, (a, c))
         assert len(sysm.crossings) == 2
-        (a2, c2), cleared = sysm.reroute_through_bigons(sysm.find_bigons())
-        assert cleared == 1
+        moved, cleared = sysm.reroute_through_bigons(sysm.find_bigons())
+        assert cleared == 1 and len(moved.crossings) == 0
+        a2, c2 = moved.curves
         assert c2.events == (("v", 1, F(1, 4)), ("v", -1, F(1, 2)))
         assert is_null_homotopic(c2)
         assert len(JointSystem(s, (a2, c2)).crossings) == 0
@@ -187,8 +188,9 @@ class TestMinimalPosition:
         a = line(s, 1, 0)
         # the reroute across the bigon, on the pair as placed
         sysm = JointSystem(s, (b, a))
-        (b2, a2), cleared = sysm.reroute_through_bigons(sysm.find_bigons())
-        assert cleared == 1
+        moved, cleared = sysm.reroute_through_bigons(sysm.find_bigons())
+        assert cleared == 1 and len(moved.crossings) == 0
+        b2, a2 = moved.curves
         assert a2.events == (("v", 1, F(4, 5)),)
         assert curves_isotopic(a2, a)
         assert len(JointSystem(s, (b2, a2)).crossings) == 0

@@ -232,7 +232,7 @@ def test_each_adjacent_splice_resolves_to_exactly_its_twist_image():
                 continue
             if not is_essential(c):
                 continue
-            c_pair, curve = reduction._twist_pair(system, c, x, y)
+            c_pair, curve = reduction._twist_pair(a, b, system, c, x, y)
             want = apply_twist(c_pair, 1, curve)
             got = image_of(a, b, system, c, x, y, True)
             assert got.oriented == want.oriented

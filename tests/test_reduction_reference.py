@@ -15,6 +15,13 @@ c_1 = T_t1 T_a2^-1 dual1, whose four crossings alternate.  In the third,
 genus-2 a3 against T_dual3 T_dual1 dual2, 32 crossings alternate; the short
 splice at the first pair does not embed, and the one round the far side
 settles the pair in one letter, as the search does.
+
+A fourth pair is pinned where the two part: genus-2 dual3 against dual1
+under dual3^-1 a3 waist^-1, 86 events and 52 crossings, which hypothesis
+draws only rarely.  Both end disjoint, the construction after 7 letters
+and the search after 6.  The pin replays it on every run, and holds the
+output of a reduction whose minimal positions slide 8 times and reroute
+once.
 """
 
 import pytest
@@ -184,3 +191,13 @@ def test_pinned_pairs_match_the_search(case):
     assert [x.sign for x in order] == signs
     constructed, searched = _reductions(a, b)
     assert constructed == searched
+
+
+def test_the_dual3_pair_where_the_construction_and_the_search_part():
+    g = build_preset("genus2_closed").curves
+    a = g["dual3"]
+    word = TwistWord(((g["dual3"], -1), (g["a3"], 1), (g["waist"], -1)))
+    b = apply_word(word, g["dual1"])
+    assert len(b.events) == 86
+    assert len(_joint_minimal_position(a, b).crossings) == 52
+    assert _reductions(a, b) == ((7, "disjoint"), (6, "disjoint"))
